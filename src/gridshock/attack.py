@@ -92,7 +92,6 @@ def default_costs(net: PowerNetwork, budget: float, cost_ratio: float = 5.0,
 @dataclass
 class BigMConfig:
     m_value: float
-    valid: bool = True  # post-hoc footnote condition: M > |solution|_inf
 
     @staticmethod
     def for_network(net: PowerNetwork, demand: DemandProfile) -> "BigMConfig":
@@ -588,7 +587,8 @@ def greedy_attack(
     Stage one evaluates the most promising zone-isolation packages (see
     :func:`_zone_packages`) exactly.  Stage two repeatedly buys the best
     single capacity reduction, shortlisted by the current dispatch's
-    capacity rents; each evaluation is one dispatch LP.  Deterministic.
+    capacity rents; each evaluation is one dispatch LP, warm-started from
+    the unattacked dispatch's basis.  Deterministic.
     """
     G, E = net.num_generators, net.num_edges
     g_lo, g_up = net.gen_limits()
@@ -599,10 +599,11 @@ def greedy_attack(
     zt = np.zeros(E)
     remaining = budget
     current = solve_dcopf(net, demand, season, hour, zg, zf, zt)
+    base = current.basis  # every candidate below re-solves this LP with lower bounds
 
     best_pack = None
     for pzg, pzf in _zone_packages(net, demand, season, hour, costs, budget):
-        sol = solve_dcopf(net, demand, season, hour, pzg, pzf, zt)
+        sol = solve_dcopf(net, demand, season, hour, pzg, pzf, zt, basis=base)
         if sol.shed_cost > current.shed_cost + 1e-9 and (
                 best_pack is None or sol.shed_cost > best_pack[2].shed_cost):
             best_pack = (pzg, pzf, sol)
@@ -640,7 +641,7 @@ def greedy_attack(
                 tg[idx] += amount
             else:
                 tf[idx] += amount
-            sol = solve_dcopf(net, demand, season, hour, tg, tf, zt)
+            sol = solve_dcopf(net, demand, season, hour, tg, tf, zt, basis=base)
             gain = sol.shed_cost - current.shed_cost
             if gain > best_gain + 1e-9:
                 best_gain = gain
@@ -746,7 +747,8 @@ def solve_hourly_attack(
         if spend <= hourly_budget + 1e-9:
             candidates.append(
                 (warm.zg, warm.zf, warm.zt,
-                 solve_dcopf(net, demand, season, hour, warm.zg, warm.zf, warm.zt)))
+                 solve_dcopf(net, demand, season, hour, warm.zg, warm.zf, warm.zt,
+                             basis=gsol.basis)))
     candidates.sort(key=lambda t: -t[3].shed_cost)
 
     if node_limit == 0:

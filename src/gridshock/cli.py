@@ -60,8 +60,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--season", default=None, help="season to run (default summer)")
     p.add_argument("--node-limit", type=int, default=None,
                    help="branch-and-bound node limit per attack problem")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed recorded for randomized property tooling")
     p.add_argument("--dump-lp", action="store_true",
                    help="write LP-format dumps of built problems")
 
@@ -142,10 +140,13 @@ def cmd_attack(args) -> int:
     result = run_scenario(cfg, net, demand, costs=costs)
     manifest = reporting.export_results(result, args.out, net, costs)
     if args.dump_lp and result.plan is not None:
-        from .attack import BigMConfig, build_hourly_attack_milp
+        from .attack import build_hourly_attack_milp
+        # dump the MILP of the demand the attack was planned on
+        profile = (apply_heatwave(demand, cfg.heatwave_factor)
+                   if kind == "Compound" else demand)
         prob = build_hourly_attack_milp(
-            net, demand, cfg.season, result.peak_hour, costs,
-            costs.budget / demand.hours(cfg.season))
+            net, profile, cfg.season, result.peak_hour, costs,
+            costs.budget / profile.hours(cfg.season))
         (Path(args.out) / f"attack_h{result.peak_hour}.lp").write_text(dump_lp(prob.lp))
     print(f"{kind}: unserved {result.total_unserved_mwh:.6g} MWh, "
           f"peak {result.peak_shed_mw:.6g} MW at hour {result.peak_hour}, "

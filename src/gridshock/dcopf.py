@@ -56,6 +56,7 @@ class OpfSolution:
     demand: np.ndarray
     voll: np.ndarray
     shed_cost: float  # voll . u, the disruption value of this hour
+    basis: np.ndarray | None = None  # optimal LP basis: warm start for this hour
 
     @property
     def total_unserved(self) -> float:
@@ -198,6 +199,7 @@ def extract_solution(
         demand=d.copy(),
         voll=voll.copy(),
         shed_cost=float(voll @ u),
+        basis=lp_sol.basis,
     )
 
 
@@ -209,10 +211,15 @@ def solve_dcopf(
     zg: np.ndarray | None = None,
     zf: np.ndarray | None = None,
     zt: np.ndarray | None = None,
+    basis: np.ndarray | None = None,
 ) -> OpfSolution:
-    """Solve one hourly dispatch and recover every primal and dual quantity."""
+    """Solve one hourly dispatch and recover every primal and dual quantity.
+
+    ``basis`` is the ``basis`` of another dispatch of the same hour (same
+    network and demand, any attack); it warm-starts the LP solve.
+    """
     lp = build_dcopf(net, demand, season, hour, zg, zf, zt)
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, basis=basis)
     if sol.status == "infeasible":
         raise OpfInfeasibleError(
             f"dispatch infeasible at {season}/{hour} (attack exceeds capacities?)")

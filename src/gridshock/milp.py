@@ -6,6 +6,13 @@ depth-first diving until the first incumbent, best-bound node selection
 afterwards.  Integral candidates are polished by fixing the binaries to
 exact 0/1 values and re-solving the continuous LP, so reported incumbents
 carry exactly integral binaries.
+
+Every node differs from its parent only in bounds, so each child LP and
+each polish warm-starts from the basis of the node it came from (see
+:mod:`gridshock.simplex`); a node stores that basis, never an inverse.  A
+node whose LP fails numerically on both the warm and the cold path is
+dropped with its parent's bound kept in the gap: the search goes on and
+ends ``feasible-limit``, never ``optimal``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import GAP_TOL, LpProblem, LpSolution, solve_lp
+from .simplex import LpProblem, LpSolution, SolverNumericalError, solve_lp
 
 MILP_GAP_TOL = 1e-6
 ROUND_TOL = 1e-6
@@ -52,11 +59,13 @@ def _is_better(sense: str, a: float, b: float) -> bool:
     return a < b - 1e-15 if sense == "min" else a > b + 1e-15
 
 
-def _polish(problem: MilpProblem, x: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _polish(problem: MilpProblem, x: np.ndarray,
+            basis: np.ndarray | None = None) -> tuple[np.ndarray, float] | None:
     """Fix binaries to rounded values, re-solve the continuous part.
 
     Returns (x, objective) with exactly integral binaries, or None if the
     rounding is infeasible (can happen within tolerance of a bound).
+    ``basis`` warm-starts the re-solve.
     """
     lp = problem.lp
     bidx = problem.binary_indices
@@ -69,7 +78,7 @@ def _polish(problem: MilpProblem, x: np.ndarray) -> tuple[np.ndarray, float] | N
     ub[bidx] = vals
     fixed = LpProblem(lp.sense, lp.c, lp.A, lp.row_lb, lp.row_ub, lb, ub,
                       lp.row_labels, lp.col_labels)
-    sol = solve_lp(fixed)
+    sol = solve_lp(fixed, basis=basis)
     if sol.status != "optimal":
         return None
     xp = sol.x.copy()
@@ -88,7 +97,10 @@ def solve_milp(
     ``warm_start`` seeds the incumbent with a candidate point; it is
     polished and kept only if feasible.  On hitting ``node_limit`` the best
     incumbent is returned with status ``feasible-limit``; if none exists,
-    :class:`MilpNodeLimitError` is raised.
+    :class:`MilpNodeLimitError` is raised.  A node LP that fails
+    numerically is skipped and its parent's bound kept in ``bound_gap``;
+    the result is then ``feasible-limit`` (or the error is re-raised when
+    no incumbent was found).
     """
     lp = problem.lp
     bidx = np.array(sorted(problem.binary_indices), dtype=np.int64)
@@ -97,16 +109,20 @@ def solve_milp(
     incumbent_x: np.ndarray | None = None
     incumbent_obj = np.inf if sense == "min" else -np.inf
 
-    if warm_start is not None:
-        res = _polish(problem, np.asarray(warm_start, dtype=float))
-        if res is not None and _feasible(lp, res[0]):
-            incumbent_x, incumbent_obj = res
-
     root = solve_lp(lp)
     if root.status == "infeasible":
         return MilpSolution("infeasible", None, None, np.inf, 1)
     if root.status == "unbounded":
         return MilpSolution("unbounded", None, None, np.inf, 1)
+
+    if warm_start is not None:
+        res = _polish(problem, np.asarray(warm_start, dtype=float), root.basis)
+        if res is not None and _feasible(lp, res[0]):
+            incumbent_x, incumbent_obj = res
+
+    # bounds of nodes lost to a numerical failure, and the first such error
+    lost: list[float] = []
+    lost_error: SolverNumericalError | None = None
 
     # node entries: (fixings dict, relaxation solution)
     nodes = 1
@@ -126,9 +142,18 @@ def solve_milp(
             return obj >= incumbent_obj - slack
         return obj <= incumbent_obj + slack
 
-    def accept(xcand: np.ndarray):
+    def lose(bound: float, exc: SolverNumericalError):
+        nonlocal lost_error
+        lost.append(bound)
+        lost_error = lost_error or exc
+
+    def accept(rel: LpSolution):
         nonlocal incumbent_x, incumbent_obj
-        res = _polish(problem, xcand)
+        try:
+            res = _polish(problem, rel.x, rel.basis)
+        except SolverNumericalError as exc:
+            lose(rel.objective, exc)
+            return True
         if res is None:
             return False
         xp, obj = res
@@ -136,7 +161,7 @@ def solve_milp(
             incumbent_x, incumbent_obj = xp, obj
         return True
 
-    def child(fixings: dict[int, int], j: int, val: int):
+    def child(fixings: dict[int, int], parent: LpSolution, j: int, val: int):
         f = dict(fixings)
         f[j] = val
         lb = lp.lb.copy()
@@ -146,13 +171,13 @@ def solve_milp(
             ub[k] = float(v)
         sub = LpProblem(sense, lp.c, lp.A, lp.row_lb, lp.row_ub, lb, ub,
                         lp.row_labels, lp.col_labels)
-        return f, solve_lp(sub)
+        return f, solve_lp(sub, basis=parent.basis)
 
     while stack or heap:
         if nodes >= node_limit:
             if incumbent_x is None:
                 raise MilpNodeLimitError(f"node limit {node_limit} reached with no incumbent")
-            gap = _gap(sense, incumbent_obj, stack, heap)
+            gap = _gap(sense, incumbent_obj, _open_bounds(stack, heap) + lost)
             return MilpSolution("feasible-limit", incumbent_x, incumbent_obj, gap, nodes)
 
         if incumbent_x is None and stack:
@@ -169,7 +194,7 @@ def solve_milp(
 
         frac = np.abs(rel.x[bidx] - np.rint(rel.x[bidx])) if bidx.size else np.zeros(0)
         if bidx.size == 0 or np.all(frac <= ROUND_TOL):
-            if accept(rel.x):
+            if accept(rel):
                 # drain the dive stack now that an incumbent exists
                 while stack:
                     f, sol = stack.pop()
@@ -195,8 +220,12 @@ def solve_milp(
 
         kids = []
         for val in (toward, 1 - toward):
-            f, sol = child(fixings, j, val)
             nodes += 1
+            try:
+                f, sol = child(fixings, rel, j, val)
+            except SolverNumericalError as exc:
+                lose(rel.objective, exc)
+                continue
             if sol.status == "optimal" and not prune(sol.objective):
                 kids.append((f, sol))
         if incumbent_x is None:
@@ -215,7 +244,12 @@ def solve_milp(
                     heapq.heappush(heap, (bound_key(sol.objective), counter, f, sol))
 
     if incumbent_x is None:
+        if lost_error is not None:
+            raise lost_error
         return MilpSolution("infeasible", None, None, np.inf, nodes)
+    if lost:
+        return MilpSolution("feasible-limit", incumbent_x, incumbent_obj,
+                            _gap(sense, incumbent_obj, lost), nodes)
     return MilpSolution("optimal", incumbent_x, incumbent_obj, 0.0, nodes)
 
 
@@ -227,9 +261,13 @@ def _feasible(lp: LpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
     )
 
 
-def _gap(sense, incumbent_obj, stack, heap) -> float:
+def _open_bounds(stack, heap) -> list[float]:
     bounds = [rel.objective for _, rel in stack if rel.status == "optimal"]
     bounds += [rel.objective for _, _, _, rel in heap if rel.status == "optimal"]
+    return bounds
+
+
+def _gap(sense: str, incumbent_obj: float, bounds: list[float]) -> float:
     if not bounds:
         return 0.0
     best = min(bounds) if sense == "min" else max(bounds)

@@ -279,6 +279,15 @@ def beta_sweep(
     return points
 
 
+def _parse_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
 _CONFIG_FIELDS = {
     "kind": str,
     "season": str,
@@ -289,7 +298,7 @@ _CONFIG_FIELDS = {
     "gamma_iterations": int,
     "beta_iterations": int,
     "refine_steps": int,
-    "refine": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
+    "refine": _parse_bool,
     "node_limit": int,
 }
 
@@ -306,6 +315,9 @@ def load_config(path: str | Path, **overrides) -> ScenarioConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
-        values[key] = _CONFIG_FIELDS[key](val)
+        try:
+            values[key] = _CONFIG_FIELDS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: bad value for {key}: {exc}") from None
     values.update({k: v for k, v in overrides.items() if v is not None})
     return ScenarioConfig(**values)

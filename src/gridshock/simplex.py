@@ -14,6 +14,29 @@ basis inverse is kept explicitly and refactorized periodically; pivoting
 is deterministic (Dantzig pricing with lowest-index tie-breaking, Bland's
 rule fallback after a degenerate stall).
 
+Warm start.  An optimal solve returns its basis: the m basic column
+indices of the standard form in basis order, as an int32 array
+(columns 0..n-1 are the variables, n..n+m-1 the row activities).  The
+nonbasic statuses are not stored, because a warm start sets them itself:
+a column bounded on both sides rests on the bound its reduced cost asks
+for (the bound nearest zero when the cost is indifferent, as in a cold
+start), a one-sided column on its finite bound, a free one at zero.  The
+basis is ``None`` when the problem has no rows or a phase-1 artificial
+column is still basic at the optimum.  Passing a basis back to
+:func:`solve_lp` for a problem with the same ``c`` and ``A`` and any
+bounds -- a branch-and-bound child, a dispatch with lowered
+capacities -- re-optimizes from it with a bounded dual simplex: the basis
+stays dual feasible when only bounds move, so a few pivots restore primal
+feasibility.  The leaving row has the largest primal infeasibility; the
+ratio test uses the primal core's tolerance band with a largest-|alpha|
+tie-break (lowest index first) and Bland's rule after a stall.  The
+primal core then rechecks optimality on a fresh factorization exactly as
+after a cold solve, and an "infeasible" verdict of the dual phase stands
+only when it holds on a fresh factorization.  The cold two-phase path
+runs instead when the basis has the wrong shape, is singular or not dual
+feasible, or when the warm path hits any numerical failure, so a basis
+can change the pivot count but never the trust in the answer.
+
 Dual sign convention (documented for callers):
   * minimization: row dual y_i >= 0 when the row's lower bound is active,
     y_i <= 0 when the upper bound is active; d(obj)/d(bound) = y_i.
@@ -36,6 +59,7 @@ _RC_TOL = 1e-9
 _REFACTOR_EVERY = 64
 _STALL_LIMIT = 200
 _VERIFY_ROUNDS = 6
+_DUAL_FEAS_TOL = 1e-9  # relative primal infeasibility the dual phase removes
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -115,6 +139,7 @@ class LpSolution:
     max_primal_residual: float = 0.0
     duality_gap: float = 0.0
     cs_residual: float = 0.0
+    basis: np.ndarray | None = None  # basic column indices: a warm start
 
 
 def dump_lp(problem: LpProblem) -> str:
@@ -152,19 +177,31 @@ def dump_lp(problem: LpProblem) -> str:
     return "\n".join(out) + "\n"
 
 
-def _nonbasic_value(status: int, lo: float, up: float) -> float:
-    if status == _AT_LOWER:
-        return lo
-    if status == _AT_UPPER:
-        return up
-    return 0.0
+def _nonbasic_values(status: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Value of every nonbasic column at its status; basic columns read 0."""
+    return np.where(status == _AT_LOWER, lb, np.where(status == _AT_UPPER, ub, 0.0))
+
+
+def _initial_status(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Finite bound nearest zero, free variables at zero."""
+    lf, uf = np.isfinite(lb), np.isfinite(ub)
+    with np.errstate(invalid="ignore"):
+        nearer_lower = np.abs(lb) <= np.abs(ub)
+    return np.where(lf & uf, np.where(nearer_lower, _AT_LOWER, _AT_UPPER),
+                    np.where(lf, _AT_LOWER, np.where(uf, _AT_UPPER, _AT_ZERO))
+                    ).astype(np.int8)
 
 
 class _Tableau:
-    """Working state for one simplex run on the standard bounded form."""
+    """Working state for one simplex run on the standard bounded form.
 
-    def __init__(self, A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray):
+    Columns n..n+m-1 of ``A_std`` are the row activities (-I); any columns
+    after them are phase-1 artificials.
+    """
+
+    def __init__(self, A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, n: int):
         self.A = A_std
+        self.n = n
         self.m, self.ncols = A_std.shape
         self.lb = lb
         self.ub = ub
@@ -183,27 +220,68 @@ class _Tableau:
         return 0.0
 
     def full_x(self) -> np.ndarray:
-        x = np.empty(self.ncols)
-        for j in range(self.ncols):
-            if self.status[j] != _BASIC:
-                x[j] = self.nonbasic_value(j)
+        x = _nonbasic_values(self.status, self.lb, self.ub)
         x[self.basis] = self.xB
         return x
 
     def refactorize(self):
-        B = self.A[:, self.basis]
+        # A basic row activity is a column -e_i, fixed by row i once the
+        # other basic values are known; so B x = b needs only the block A11
+        # of the other basic columns S on the rows R without a basic
+        # activity:  x_S = A11^-1 b_R  and  x_T = A21 x_S - b_T.  One solve
+        # with A11^T gives both A11^-1 and A21 A11^-1.
+        basis = self.basis
+        is_act = (basis >= self.n) & (basis < self.n + self.m)
+        S = np.flatnonzero(~is_act)
+        T = np.flatnonzero(is_act)
+        rows_T = basis[T] - self.n
+        uncovered = np.ones(self.m, dtype=bool)
+        uncovered[rows_T] = False
+        rows_R = np.flatnonzero(uncovered)
+        cols_S = basis[S]
+        rhs = np.hstack([np.eye(S.size), self.A[np.ix_(rows_T, cols_S)].T])
         try:
-            self.binv = np.linalg.inv(B)
+            blocks = np.linalg.solve(self.A[np.ix_(rows_R, cols_S)].T, rhs).T
         except np.linalg.LinAlgError as exc:
             raise SolverNumericalError("singular basis during refactorization") from exc
-        # recompute basic values from scratch: A_N x_N + B x_B = 0
-        x = np.zeros(self.ncols)
-        for j in range(self.ncols):
-            if self.status[j] != _BASIC:
-                x[j] = self.nonbasic_value(j)
+        binv = np.zeros((self.m, self.m))
+        binv[np.ix_(S, rows_R)] = blocks[:S.size]
+        binv[np.ix_(T, rows_R)] = blocks[S.size:]
+        binv[T, rows_T] = -1.0
+        self.binv = binv
+        self.recompute_basic_values()
+        self.pivots_since_refactor = 0
+
+    def recompute_basic_values(self):
+        """Basic values from scratch: A_N x_N + B x_B = 0."""
+        x = _nonbasic_values(self.status, self.lb, self.ub)
+        x[self.basis] = 0.0
         rhs = -self.A @ x
         self.xB = self.binv @ rhs
-        self.pivots_since_refactor = 0
+
+    def reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        y = self.binv.T @ c[self.basis]
+        return c - self.A.T @ y
+
+    def eta_update(self, w: np.ndarray, pos: int, refactor_every: int):
+        """Replace basis column ``pos`` in the inverse given w = B^-1 a_q.
+
+        A relatively small pivot is tolerated for one step but forces an
+        immediate refactorization.
+        """
+        piv = w[pos]
+        if abs(piv) < _PIVOT_TOL:
+            self.refactorize()
+            return
+        eta = -w / piv
+        eta[pos] = 1.0 / piv
+        row = self.binv[pos, :].copy()
+        self.binv += np.outer(eta, row)
+        self.binv[pos, :] = row / piv
+        self.pivots_since_refactor += 1
+        if (self.pivots_since_refactor >= refactor_every
+                or abs(piv) < 1e-6 * (1.0 + float(np.max(np.abs(w))))):
+            self.refactorize()
 
 
 def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
@@ -221,8 +299,7 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
         it += 1
         if it > max_iter:
             raise SolverNumericalError(f"iteration limit {max_iter} exceeded")
-        y = tab.binv.T @ c[tab.basis]
-        rc = c - tab.A.T @ y
+        rc = tab.reduced_costs(c)
         scale = 1.0 + np.max(np.abs(c)) if c.size else 1.0
         tol = _RC_TOL * scale
 
@@ -300,21 +377,7 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
         tab.status[q] = _BASIC
         tab.xB[leave_pos] = enter_val
 
-        # eta update of the basis inverse; a relatively small pivot is
-        # tolerated for one step but forces an immediate refactorization
-        piv = w[leave_pos]
-        if abs(piv) < _PIVOT_TOL:
-            tab.refactorize()
-            continue
-        eta = -w / piv
-        eta[leave_pos] = 1.0 / piv
-        row = tab.binv[leave_pos, :].copy()
-        tab.binv += np.outer(eta, row)
-        tab.binv[leave_pos, :] = row / piv
-        tab.pivots_since_refactor += 1
-        if (tab.pivots_since_refactor >= refactor_every
-                or abs(piv) < 1e-6 * (1.0 + float(np.max(np.abs(w))))):
-            tab.refactorize()
+        tab.eta_update(w, leave_pos, refactor_every)
 
 
 def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,8 +410,7 @@ def _run_verified(tab: _Tableau, c: np.ndarray, max_iter: int,
         tab.refactorize()
         if status != "optimal":
             return status, total
-        y = tab.binv.T @ c[tab.basis]
-        rc = c - tab.A.T @ y
+        rc = tab.reduced_costs(c)
         tol = 10.0 * _RC_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
         low = tab.status == _AT_LOWER
         upp = tab.status == _AT_UPPER
@@ -360,72 +422,156 @@ def _run_verified(tab: _Tableau, c: np.ndarray, max_iter: int,
     raise SolverNumericalError("optimality could not be verified after restarts")
 
 
-def solve_lp(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
-    """Solve an LP; optimal solutions carry duals, reduced costs and residuals.
+def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int) -> tuple[str, int]:
+    """Bounded dual simplex from a dual-feasible basis to a primal-feasible one.
 
-    Deterministic: identical inputs yield bit-identical outputs.  Raises
-    :class:`SolverNumericalError` on iteration caps or singular bases.
+    Returns (status, pivots): "optimal" once every basic value is within
+    its bounds (the caller rechecks optimality with the primal core), or
+    "infeasible" when a violated row admits no entering column on a fresh
+    factorization.  Fixed columns never enter: their reduced cost may take
+    either sign.
     """
-    m, n = problem.num_rows, problem.num_cols
-    sign = 1.0 if problem.sense == "min" else -1.0
-    c_user = problem.c
-
-    # equilibrate: scaled vars x' = x / C, scaled rows R * A * C
-    if m > 0:
-        R, C = _equilibrate(problem.A)
-    else:
-        R, C = np.ones(0), np.ones(n)
-    A_sc = problem.A * R[:, None] * C[None, :] if m > 0 else problem.A.reshape(0, n)
-    with np.errstate(invalid="ignore"):
-        lb_sc = problem.lb / C
-        ub_sc = problem.ub / C
-        rlb_sc = problem.row_lb * R
-        rub_sc = problem.row_ub * R
-    c_int = sign * c_user * C
-
-    # standard form [A | -I][x; t] = 0 with t the row activity
-    if m > 0:
-        A_std = np.hstack([A_sc, -np.eye(m)])
-        lb = np.concatenate([lb_sc, rlb_sc])
-        ub = np.concatenate([ub_sc, rub_sc])
-    else:
-        A_std = A_sc
-        lb = lb_sc.copy()
-        ub = ub_sc.copy()
-
-    ncols = n + m
-    tab = _Tableau(A_std, lb.copy(), ub.copy())
-
-    # initial nonbasic point: finite bound nearest zero, free variables at zero
-    for j in range(ncols):
-        ljf, ujf = np.isfinite(lb[j]), np.isfinite(ub[j])
-        if ljf and ujf:
-            tab.status[j] = _AT_LOWER if abs(lb[j]) <= abs(ub[j]) else _AT_UPPER
-        elif ljf:
-            tab.status[j] = _AT_LOWER
-        elif ujf:
-            tab.status[j] = _AT_UPPER
+    movable = tab.lb < tab.ub
+    tol = _RC_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+    bland = False
+    stall = 0
+    it = 0
+    rc = None
+    while True:
+        if rc is None or not tab.pivots_since_refactor:
+            rc = tab.reduced_costs(c)  # fresh after every factorization
+        below = tab.lb[tab.basis] - tab.xB
+        above = tab.xB - tab.ub[tab.basis]
+        viol = np.maximum(below, above)
+        bad = viol > _DUAL_FEAS_TOL * (1.0 + np.abs(tab.xB))
+        if not np.any(bad):
+            return "optimal", it
+        # leaving row: largest primal infeasibility (lowest position on
+        # ties), or the lowest basic column index under Bland's rule
+        if bland:
+            cand = np.flatnonzero(bad)
+            r = int(cand[np.argmin(tab.basis[cand])])
         else:
-            tab.status[j] = _AT_ZERO
+            r = int(np.argmax(np.where(bad, viol, 0.0)))
+        to_lower = bool(below[r] > 0.0)
+        alpha = tab.binv[r, :] @ tab.A
+        # the step t >= 0 moves reduced costs to rc - t * ahat
+        ahat = -alpha if to_lower else alpha
+        st = tab.status
+        low = movable & (st == _AT_LOWER)
+        upp = movable & (st == _AT_UPPER)
+        fre = st == _AT_ZERO
+        elig = ((low & (ahat > _PIVOT_TOL)) | (upp & (ahat < -_PIVOT_TOL))
+                | (fre & (np.abs(ahat) > _PIVOT_TOL)))
+        if not np.any(elig):
+            if tab.pivots_since_refactor:
+                tab.refactorize()  # confirm on a fresh factorization
+                continue
+            # a proof only if no tiny entry could still close the violation
+            towards = (low & (ahat > 0.0)) | (upp & (ahat < 0.0)) | (fre & (ahat != 0.0))
+            reach = float(np.sum(np.abs(ahat[towards])
+                                 * (tab.ub[towards] - tab.lb[towards])))
+            if reach >= viol[r]:
+                raise SolverNumericalError("dual phase could not certify infeasibility")
+            return "infeasible", it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(elig, np.maximum(rc / ahat, 0.0), np.inf)
+        # same two-pass band as the primal ratio test, largest |alpha| in it
+        step = float(np.min(ratios))
+        band = step + 1e-9 * (1.0 + abs(step))
+        in_band = np.flatnonzero(ratios <= band)
+        if bland:
+            q = int(in_band[0])
+        else:
+            q = int(in_band[np.argmax(np.abs(alpha[in_band]))])
 
-    if m == 0:
-        # pure bound problem: minimize each cost term independently
-        x = np.empty(n)
-        for j in range(n):
-            cj = c_int[j]
-            if cj > 0:
-                x[j] = lb[j]
-            elif cj < 0:
-                x[j] = ub[j]
-            else:
-                x[j] = tab.nonbasic_value(j)
-            if not np.isfinite(x[j]):
-                return LpSolution("unbounded", None, None, None, None)
-        obj = float(c_user @ x)
-        return LpSolution("optimal", x, np.zeros(0), np.zeros(n), obj)
+        w = tab.binv @ tab.A[:, q]
+        piv = w[r]
+        if abs(piv) < _PIVOT_TOL or abs(piv - alpha[q]) > 1e-6 * (1.0 + abs(piv)):
+            # row and column of the inverse disagree: it has drifted
+            if not tab.pivots_since_refactor:
+                raise SolverNumericalError("unstable dual pivot on a fresh factorization")
+            tab.refactorize()
+            continue
+        it += 1
+        if it > max_iter:
+            raise SolverNumericalError(f"dual iteration limit {max_iter} exceeded")
+        if ratios[q] * viol[r] <= tol * 1e-3:
+            stall += 1
+            if stall >= _STALL_LIMIT:
+                bland = True  # anti-cycling fallback
+        else:
+            stall = 0
 
-    init_status = tab.status.copy()
-    max_iter = max_iter if max_iter is not None else 50 * (m + n) + 10_000
+        # x_q moves until the leaving variable sits on its violated bound
+        leave = int(tab.basis[r])
+        target = tab.lb[leave] if to_lower else tab.ub[leave]
+        delta = (tab.xB[r] - target) / piv
+        enter_val = tab.nonbasic_value(q) + delta
+        tab.xB -= delta * w
+        tab.status[leave] = _AT_LOWER if to_lower else _AT_UPPER
+        tab.basis[r] = q
+        tab.status[q] = _BASIC
+        tab.xB[r] = enter_val
+        rc = rc - ratios[q] * ahat
+        rc[tab.basis] = 0.0
+        tab.eta_update(w, r, _REFACTOR_EVERY)
+
+
+def _warm_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
+                basis: np.ndarray, max_iter: int) -> tuple[_Tableau, str, int] | None:
+    """Re-optimize from the basic columns ``basis``; None when they do not
+    fit or are not dual feasible.
+
+    Returns (tableau, status, iterations) with status "optimal" or
+    "infeasible"; raises :class:`SolverNumericalError` on numerical trouble.
+    """
+    m, ncols = A_std.shape
+    basic = np.asarray(basis)
+    if (basic.shape != (m,) or not np.issubdtype(basic.dtype, np.integer)
+            or np.any((basic < 0) | (basic >= ncols))
+            or np.bincount(basic, minlength=ncols).max() > 1):
+        return None
+    tab = _Tableau(A_std, lb.copy(), ub.copy(), ncols - m)
+    tab.basis = basic.astype(np.int64)
+    tab.status = _initial_status(lb, ub)
+    tab.status[tab.basis] = _BASIC
+    nb = tab.status != _BASIC
+    lf, uf = np.isfinite(lb), np.isfinite(ub)
+    boxed = nb & lf & uf
+    tab.refactorize()
+    rc = tab.reduced_costs(c)
+    tol = _RC_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+    # a boxed column rests on the bound its reduced cost asks for; where
+    # the cost is indifferent it stays on the bound nearest zero, as in a
+    # cold start, which keeps degenerate optima (big-M multipliers) small
+    want = np.where(rc < -tol, _AT_UPPER, np.where(rc > tol, _AT_LOWER, tab.status))
+    moved = boxed & (want != tab.status)
+    if np.any(moved):
+        tab.status[moved] = want[moved]
+        tab.recompute_basic_values()
+    if (np.any((nb & lf & ~uf) & (rc < -tol)) or np.any((nb & ~lf & uf) & (rc > tol))
+            or np.any((nb & ~lf & ~uf) & (np.abs(rc) > tol))):
+        return None
+    status1, it1 = _dual_simplex(tab, c, max_iter)
+    if status1 == "infeasible":
+        return tab, "infeasible", it1
+    status2, it2 = _run_verified(tab, c, max_iter)
+    if status2 != "optimal":
+        return None  # cannot happen from a dual-feasible start; let the cold path decide
+    return tab, "optimal", it1 + it2
+
+
+def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.ndarray,
+                rlb_sc: np.ndarray, rub_sc: np.ndarray,
+                max_iter: int) -> tuple[_Tableau, np.ndarray, str, int]:
+    """Two-phase primal simplex from the slack basis, with a retry ladder.
+
+    Returns (tableau, cost vector over its columns, status, iterations).
+    """
+    m, ncols = A_std.shape
+    n = ncols - m
+    init_status = _initial_status(lb, ub)
     finite_bounds = np.concatenate([
         rub_sc[np.isfinite(rub_sc)], rlb_sc[np.isfinite(rlb_sc)],
     ])
@@ -434,7 +580,7 @@ def solve_lp(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
     def attempt(refactor_every: int, bland_start: bool):
         """One full two-phase solve; returns (tab, c2, status, iters)."""
         statuses = init_status.copy()
-        x0 = np.array([_nonbasic_value(statuses[j], lb[j], ub[j]) for j in range(ncols)])
+        x0 = _nonbasic_values(statuses, lb, ub)
         act0 = A_std[:, :n] @ x0[:n]
         resid = act0 - np.clip(act0, rlb_sc, rub_sc)
         art_cols = []
@@ -449,7 +595,7 @@ def solve_lp(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
             A_ph1 = np.hstack([A_std, np.column_stack(art_cols)])
             lb1 = np.concatenate([lb, np.zeros(n_art)])
             ub1 = np.concatenate([ub, np.full(n_art, np.inf)])
-            t = _Tableau(A_ph1, lb1, ub1)
+            t = _Tableau(A_ph1, lb1, ub1, n)
             t.status[:ncols] = statuses
             t.status[ncols:] = _BASIC
             basis = []
@@ -477,7 +623,7 @@ def solve_lp(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
             c2 = np.concatenate([c_int, np.zeros(m + n_art)])
             status2, it2 = _run_verified(t, c2, max_iter, refactor_every, bland_start)
             return t, c2, status2, it1 + it2
-        t = _Tableau(A_std, lb.copy(), ub.copy())
+        t = _Tableau(A_std, lb.copy(), ub.copy(), n)
         t.status[:] = statuses
         t.basis = np.arange(n, ncols, dtype=np.int64)
         t.status[n:ncols] = _BASIC
@@ -486,30 +632,83 @@ def solve_lp(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
         status2, iters = _run_verified(t, c2, max_iter, refactor_every, bland_start)
         return t, c2, status2, iters
 
-    tab = c2 = None
-    status2 = ""
-    iters = 0
-    last_exc: Exception | None = None
+    last_exc: SolverNumericalError | None = None
     for refactor_every, bland_start in ((_REFACTOR_EVERY, False), (16, False), (8, True)):
         try:
-            tab, c2, status2, iters = attempt(refactor_every, bland_start)
-            last_exc = None
-            break
+            return attempt(refactor_every, bland_start)
         except SolverNumericalError as exc:
             last_exc = exc
-    if last_exc is not None:
-        raise last_exc
+    raise last_exc
+
+
+def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
+             max_iter: int | None = None) -> LpSolution:
+    """Solve an LP; optimal solutions carry duals, reduced costs, residuals
+    and their basis.
+
+    ``basis``, taken from an earlier solve of a problem with the same
+    ``c`` and ``A``, warm-starts a bounded dual simplex (see the module
+    docstring); without one, or when it cannot be used, the cold two-phase
+    primal simplex runs.  Deterministic: identical inputs, basis included,
+    yield bit-identical outputs.  Raises :class:`SolverNumericalError` on
+    iteration caps or singular bases.
+    """
+    m, n = problem.num_rows, problem.num_cols
+    sign = 1.0 if problem.sense == "min" else -1.0
+    c_user = problem.c
+
+    # equilibrate: scaled vars x' = x / C, scaled rows R * A * C
+    if m > 0:
+        R, C = _equilibrate(problem.A)
+    else:
+        R, C = np.ones(0), np.ones(n)
+    A_sc = problem.A * R[:, None] * C[None, :] if m > 0 else problem.A.reshape(0, n)
+    with np.errstate(invalid="ignore"):
+        lb_sc = problem.lb / C
+        ub_sc = problem.ub / C
+        rlb_sc = problem.row_lb * R
+        rub_sc = problem.row_ub * R
+    c_int = sign * c_user * C
+
+    if m == 0:
+        # pure bound problem: minimize each cost term independently
+        x = np.where(c_int > 0, lb_sc, np.where(
+            c_int < 0, ub_sc, _nonbasic_values(_initial_status(lb_sc, ub_sc), lb_sc, ub_sc)))
+        if not np.all(np.isfinite(x)):
+            return LpSolution("unbounded", None, None, None, None)
+        obj = float(c_user @ x)
+        return LpSolution("optimal", x, np.zeros(0), np.zeros(n), obj)
+
+    # standard form [A | -I][x; t] = 0 with t the row activity
+    A_std = np.hstack([A_sc, -np.eye(m)])
+    lb = np.concatenate([lb_sc, rlb_sc])
+    ub = np.concatenate([ub_sc, rub_sc])
+    ncols = n + m
+    max_iter = max_iter if max_iter is not None else 50 * (m + n) + 10_000
+
+    warm = None
+    if basis is not None:
+        c2 = np.concatenate([c_int, np.zeros(m)])
+        try:
+            warm = _warm_solve(A_std, lb, ub, c2, basis, max_iter)
+        except SolverNumericalError:
+            warm = None
+    if warm is not None:
+        tab, status2, iters = warm
+    else:
+        tab, c2, status2, iters = _cold_solve(A_std, lb, ub, c_int, rlb_sc, rub_sc,
+                                              max_iter)
 
     if status2 == "infeasible":
         return LpSolution("infeasible", None, None, None, None, iterations=iters)
     if status2 == "unbounded":
         return LpSolution("unbounded", None, None, None, None, iterations=iters)
 
-    tab.refactorize()  # exact basic values before extraction
+    # both paths end on the fresh factorization of the optimality recheck
     xfull = tab.full_x()
     x = C * xfull[:n]  # back to the caller's variable scale
     y_int = tab.binv.T @ c2[tab.basis]
-    y_rows = R * y_int[:m] if m else np.zeros(0)
+    y_rows = R * y_int[:m]
     # duals of the original rows: rc of activity var t_i is +y_i (scaled back)
     rc_int = sign * c_user - problem.A.T @ y_rows
     y_user = sign * y_rows
@@ -526,33 +725,23 @@ def solve_lp(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
 
     # dual objective in the bounded form: sum of multiplier * supported bound;
     # a nonzero multiplier pointing at an infinite bound is a CS violation
+    scale = 1.0 + float(np.max(np.abs(c_user), initial=0.0))
     dual_obj = 0.0
     cs = 0.0
-    scale = 1.0 + float(np.max(np.abs(c_user), initial=0.0))
-    for j in range(n):
-        r = rc_int[j]
-        if r == 0.0:
-            continue
-        bound = problem.lb[j] if r > 0 else problem.ub[j]
-        if not np.isfinite(bound):
-            if abs(r) > _RC_TOL * scale:
-                cs = max(cs, abs(r))
-            continue
-        dual_obj += r * bound
-        cs = max(cs, abs(r * (x[j] - bound)))
-    for i in range(m):
-        yi = y_rows[i]
-        if yi == 0.0:
-            continue
-        bound = problem.row_lb[i] if yi > 0 else problem.row_ub[i]
-        if not np.isfinite(bound):
-            if abs(yi) > _RC_TOL * scale:
-                cs = max(cs, abs(yi))
-            continue
-        dual_obj += yi * bound
-        cs = max(cs, abs(yi * (act[i] - bound)))
+    for mult, lo, up, val in ((rc_int, problem.lb, problem.ub, x),
+                              (y_rows, problem.row_lb, problem.row_ub, act)):
+        bound = np.where(mult > 0, lo, up)
+        live = mult != 0.0
+        fin = live & np.isfinite(bound)
+        inf_viol = np.abs(mult[live & ~fin])
+        cs = max(cs, float(np.max(inf_viol[inf_viol > _RC_TOL * scale], initial=0.0)),
+                 float(np.max(np.abs(mult[fin] * (val[fin] - bound[fin])), initial=0.0)))
+        dual_obj += float(np.sum(mult[fin] * bound[fin]))
     gap = abs(sign * obj - dual_obj) / max(1.0, abs(obj))
 
+    out_basis = None
+    if np.all(tab.basis < ncols):  # no phase-1 artificial left basic
+        out_basis = tab.basis.astype(np.int32)
     return LpSolution(
         status="optimal",
         x=x,
@@ -563,4 +752,5 @@ def solve_lp(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
         max_primal_residual=primal_res,
         duality_gap=gap,
         cs_residual=cs,
+        basis=out_basis,
     )

@@ -59,6 +59,24 @@ def test_attack_subcommand(files, capsys):
         assert len(list(csv.DictReader(fh))) > 0
 
 
+def test_attack_dump_lp_uses_heated_demand(files):
+    net, net_path, dem_path, cfg_path, tmp = files
+    factor = 1.5
+    rc = main(["attack", "--network", str(net_path), "--demand", str(dem_path),
+               "--config", str(cfg_path), "--heatwave-factor", str(factor),
+               "--out", str(tmp / "atk"), "--dump-lp"])
+    assert rc == 0
+    (dump,) = (tmp / "atk").glob("attack_h*.lp")
+    hour = int(dump.stem[len("attack_h"):])
+    balance = {}
+    for line in dump.read_text().splitlines():
+        if line.startswith(" bal["):
+            label, rhs = line.split(":")[0].strip(), float(line.rsplit("=", 1)[1])
+            balance[label] = rhs
+    demand = np.array([[10.0, 60.0], [10.0, 80.0]])[hour] * factor
+    assert balance == pytest.approx({f"bal[{hour}][{n}]": d for n, d in enumerate(demand)})
+
+
 def test_verify_roundtrip_and_corruption(files):
     net, net_path, dem_path, cfg_path, tmp = files
     assert main(["attack", "--network", str(net_path), "--demand", str(dem_path),

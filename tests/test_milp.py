@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from gridshock import milp
 from gridshock.milp import MilpNodeLimitError, MilpProblem, solve_milp
-from gridshock.simplex import LpProblem, solve_lp
+from gridshock.simplex import LpProblem, SolverNumericalError, solve_lp
 
 INF = np.inf
 
@@ -72,7 +73,7 @@ def test_incumbent_within_relaxation_bound():
     assert s.objective <= root.objective + 1e-9
 
 
-def test_pure_binary_exact_vs_enumeration():
+def pure_binary_oracles():
     rng = np.random.default_rng(17)
     for _ in range(25):
         nb = int(rng.integers(3, 9))
@@ -81,7 +82,29 @@ def test_pure_binary_exact_vs_enumeration():
         c = rng.normal(size=nb).round(2)
         ru = rng.uniform(-1.0, 3.0, m).round(2)
         lp = LpProblem("max", c, A, np.full(m, -INF), ru, np.zeros(nb), np.ones(nb))
-        s = solve_milp(MilpProblem(lp, list(range(nb))))
+        yield MilpProblem(lp, list(range(nb)))
+
+
+def mixed_oracles():
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        nb, nc = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        n = nb + nc
+        m = int(rng.integers(1, 5))
+        A = rng.normal(size=(m, n)).round(2)
+        c = rng.normal(size=n).round(2)
+        ru = rng.uniform(0.0, 4.0, m).round(2)
+        lb = np.concatenate([np.zeros(nb), np.full(nc, -2.0)])
+        ub = np.concatenate([np.ones(nb), np.full(nc, 2.0)])
+        lp = LpProblem("max", c, A, np.full(m, -INF), ru, lb, ub)
+        yield MilpProblem(lp, list(range(nb)))
+
+
+def test_pure_binary_exact_vs_enumeration():
+    for prob in pure_binary_oracles():
+        lp = prob.lp
+        A, c, ru, nb = lp.A, lp.c, lp.row_ub, lp.num_cols
+        s = solve_milp(prob)
         best = None
         for bits in itertools.product([0.0, 1.0], repeat=nb):
             x = np.array(bits)
@@ -96,18 +119,11 @@ def test_pure_binary_exact_vs_enumeration():
 
 
 def test_mixed_integer_matches_fixing_enumeration():
-    rng = np.random.default_rng(23)
-    for _ in range(12):
-        nb, nc = int(rng.integers(2, 5)), int(rng.integers(1, 4))
-        n = nb + nc
-        m = int(rng.integers(1, 5))
-        A = rng.normal(size=(m, n)).round(2)
-        c = rng.normal(size=n).round(2)
-        ru = rng.uniform(0.0, 4.0, m).round(2)
-        lb = np.concatenate([np.zeros(nb), np.full(nc, -2.0)])
-        ub = np.concatenate([np.ones(nb), np.full(nc, 2.0)])
-        lp = LpProblem("max", c, A, np.full(m, -INF), ru, lb, ub)
-        s = solve_milp(MilpProblem(lp, list(range(nb))))
+    for prob in mixed_oracles():
+        lp = prob.lp
+        A, c, ru, lb, ub = lp.A, lp.c, lp.row_ub, lp.lb, lp.ub
+        nb, m = len(prob.binary_indices), lp.num_rows
+        s = solve_milp(prob)
         best = None
         for bits in itertools.product([0.0, 1.0], repeat=nb):
             l2, u2 = lb.copy(), ub.copy()
@@ -135,3 +151,56 @@ def test_binary_bounds_validated():
     lp = LpProblem("max", [1.0], [[1.0]], [-INF], [5.0], [0.0], [2.0])
     with pytest.raises(ValueError):
         MilpProblem(lp, [0])
+
+
+def test_warm_started_tree_matches_cold_started_tree(monkeypatch):
+    """Children start from the parent basis: same optima, no larger trees.
+
+    On one oracle a child LP has a tie (a zero-cost binary) and the warm
+    start keeps the parent's integral value where a cold start stops on a
+    fractional vertex, so that tree is smaller (3 nodes against 5).
+    """
+    probs = list(pure_binary_oracles()) + list(mixed_oracles())
+    warm = [solve_milp(p) for p in probs]
+    with monkeypatch.context() as mp:
+        mp.setattr(milp, "solve_lp", lambda lp, basis=None: solve_lp(lp))
+        cold = [solve_milp(p) for p in probs]
+    for w, c in zip(warm, cold):
+        assert w.status == c.status
+        if c.status == "optimal":
+            assert w.objective == pytest.approx(c.objective, rel=1e-9, abs=1e-9)
+        assert w.node_count <= c.node_count
+    assert sum(w.node_count != c.node_count for w, c in zip(warm, cold)) <= 1
+
+
+def failing_child(monkeypatch, var: int, val: float):
+    """Make every LP with ``var`` fixed at ``val`` fail on both paths."""
+    def solve(lp, basis=None):
+        if lp.lb[var] == lp.ub[var] == val:
+            raise SolverNumericalError("singular basis during refactorization")
+        return solve_lp(lp, basis=basis)
+    monkeypatch.setattr(milp, "solve_lp", solve)
+
+
+def test_bad_node_keeps_parent_bound(monkeypatch):
+    prob = knapsack([5.0, 4.0, 3.0, 2.0], [4.0, 3.0, 2.0, 1.5], 6.0)
+    exact = solve_milp(prob)
+    root = solve_lp(prob.lp)
+    failing_child(monkeypatch, 0, 1.0)
+    s = solve_milp(prob)
+    assert s.status == "feasible-limit"
+    assert s.objective <= exact.objective + 1e-9
+    assert milp._feasible(prob.lp, s.x)
+    # the lost child's bound is its parent's, never above the root bound
+    assert 0.0 < s.bound_gap <= (root.objective - s.objective) / s.objective + 1e-9
+
+
+def test_bad_node_without_incumbent_reraises(monkeypatch):
+    prob = knapsack([5.0, 4.0], [4.0, 3.0], 5.0)
+    def solve(lp, basis=None):
+        if np.any(lp.lb == lp.ub):
+            raise SolverNumericalError("singular basis during refactorization")
+        return solve_lp(lp, basis=basis)
+    monkeypatch.setattr(milp, "solve_lp", solve)
+    with pytest.raises(SolverNumericalError):
+        solve_milp(prob)

@@ -166,3 +166,19 @@ def test_config_file_unknown_key(tmp_path):
     path.write_text("flux_capacitor = 1\n")
     with pytest.raises(ValueError, match="flux_capacitor"):
         load_config(path)
+
+
+@pytest.mark.parametrize("line", ["refine = maybe", "budget = lots"])
+def test_config_file_bad_value_names_file_and_line(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"kind = Compound\n{line}\n")
+    with pytest.raises(ValueError, match=f"{path}:2"):
+        load_config(path)
+
+
+def test_config_file_refine_flag(tmp_path):
+    path = tmp_path / "flag.cfg"
+    path.write_text("refine = off\n")
+    assert load_config(path).refine is False
+    path.write_text("refine = Yes\n")
+    assert load_config(path).refine is True

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridshock import simplex
+from gridshock.dcopf import build_dcopf
+from gridshock.network import apply_heatwave
 from gridshock.simplex import LpProblem, dump_lp, solve_lp
 
 INF = np.inf
@@ -131,3 +136,161 @@ def test_dump_lp_mentions_all_labels():
     text = dump_lp(p)
     assert "Minimize" in text and "bal" in text and " a " in text
     assert text.endswith("End\n")
+
+
+def test_nonbasic_values_match_per_column_loop():
+    rng = np.random.default_rng(3)
+    lb = np.where(rng.random(40) < 0.7, rng.uniform(-5, 0, 40), -INF)
+    ub = np.where(rng.random(40) < 0.7, rng.uniform(0, 5, 40), INF)
+    status = simplex._initial_status(lb, ub)
+    status[rng.random(40) < 0.3] = simplex._BASIC
+    expect = []
+    for s, lo, up in zip(status, lb, ub):
+        expect.append(lo if s == simplex._AT_LOWER else up if s == simplex._AT_UPPER else 0.0)
+    assert np.array_equal(simplex._nonbasic_values(status, lb, ub), np.array(expect))
+
+
+# -- warm start from an earlier basis -------------------------------------
+
+def _certified(s):
+    return (s.max_primal_residual <= 1e-6 and s.duality_gap <= 1e-6
+            and s.cs_residual <= 1e-5)
+
+
+def _same_answer(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        assert _certified(warm)
+
+
+def _with_bounds(p, lb, ub, row_lb=None, row_ub=None):
+    return LpProblem(p.sense, p.c, p.A,
+                     p.row_lb if row_lb is None else row_lb,
+                     p.row_ub if row_ub is None else row_ub, lb, ub)
+
+
+@pytest.fixture(scope="module")
+def hour17(bundled_net, bundled_demand):
+    demand = apply_heatwave(bundled_demand, 1.09)
+    base = solve_lp(build_dcopf(bundled_net, demand, "summer", 17))
+    assert base.basis is not None
+    return bundled_net, demand, base.basis
+
+
+fractions = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), keep=fractions)
+def test_warm_dispatch_matches_cold_under_tighter_bounds(hour17, seed, keep):
+    """Lowered generator, flow and angle limits: warm equals cold."""
+    net, demand, basis = hour17
+    rng = np.random.default_rng(seed)
+    g_lo, g_up = net.gen_limits()
+    pick = lambda k, p: rng.random(k) < p  # noqa: E731
+    zg = np.where(pick(net.num_generators, 0.4), (1 - keep[0]) * (g_up - g_lo), 0.0)
+    zf = np.where(pick(net.num_edges, 0.3), (1 - keep[1]) * net.flow_limits(), 0.0)
+    zt = np.where(pick(net.num_edges, 0.2), (1 - keep[2]) * net.angle_limits(), 0.0)
+    p = build_dcopf(net, demand, "summer", 17, zg, zf, zt)
+    _same_answer(solve_lp(p, basis=basis), solve_lp(p))
+
+
+def _random_lp(rng):
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 7))
+    A = rng.normal(size=(m, n)).round(3)
+    c = rng.normal(size=n).round(3)
+    lb = np.where(rng.random(n) < 0.8, rng.uniform(-5, 0, n), -INF)
+    ub = np.where(rng.random(n) < 0.8, rng.uniform(0.1, 5, n), INF)
+    rl = np.where(rng.random(m) < 0.5, rng.uniform(-8, 0, m), -INF)
+    ru = np.where(rng.random(m) < 0.7, rng.uniform(0.2, 8, m), INF)
+    sense = "min" if rng.random() < 0.5 else "max"
+    return LpProblem(sense, c, A, rl, ru, lb, ub)
+
+
+def _tightened(p, rng):
+    """Raise some lower and lower some upper bounds, rows and columns alike."""
+    def squeeze(lo, up):
+        lo, up = lo.copy(), up.copy()
+        for i in range(lo.size):
+            if rng.random() < 0.4:
+                a = rng.uniform(-6, 6)
+                b = a + rng.choice([0.0, rng.uniform(0, 4)])
+                lo[i], up[i] = max(lo[i], a), min(up[i], b)
+                if lo[i] > up[i]:
+                    lo[i] = up[i] = rng.choice([lo[i], up[i]])
+        return lo, up
+    lb, ub = squeeze(p.lb, p.ub)
+    rl, ru = squeeze(p.row_lb, p.row_ub)
+    return _with_bounds(p, lb, ub, rl, ru)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_warm_random_lp_matches_cold_under_tighter_bounds(seed):
+    rng = np.random.default_rng(seed)
+    parent = solve_lp(_random_lp(rng))
+    if parent.status != "optimal" or parent.basis is None:
+        return
+    p = _random_lp(np.random.default_rng(seed))  # same parent problem
+    child = _tightened(p, rng)
+    _same_answer(solve_lp(child, basis=parent.basis), solve_lp(child))
+
+
+def _knapsack_lp():
+    return LpProblem("max", [3.0, 2.0, 4.0], [[2.0, 2.0, 3.0]], [-INF], [4.0],
+                     np.zeros(3), np.ones(3))
+
+
+def test_warm_infeasible_verdict_is_infeasible_cold(monkeypatch):
+    p = _knapsack_lp()
+    parent = solve_lp(p)
+    # the covering row can no longer be met once every item is capped
+    child = _with_bounds(p, p.lb, np.full(3, 0.2), np.array([3.5]), p.row_ub)
+
+    def no_cold(*args, **kwargs):
+        raise AssertionError("the warm path must decide this child itself")
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex, "_cold_solve", no_cold)
+        warm = solve_lp(child, basis=parent.basis)
+    assert warm.status == "infeasible"
+    assert solve_lp(child).status == "infeasible"
+
+
+def _identical(a, b):
+    assert a.status == b.status and a.iterations == b.iterations
+    assert a.objective == b.objective
+    for f in ("x", "duals", "reduced_costs"):
+        assert np.array_equal(getattr(a, f), getattr(b, f))
+
+
+def test_unusable_basis_takes_the_cold_path():
+    p = _knapsack_lp()
+    child = _with_bounds(p, np.array([1.0, 0.0, 0.0]), p.ub)
+    cold = solve_lp(child)
+    good = solve_lp(p).basis
+    two_rows = LpProblem("min", [1.0], [[1.0], [2.0]], [1.0, 0.0], [2.0, 9.0], [0.0], [5.0])
+    for basis in (solve_lp(two_rows).basis, np.array([4]), np.array([0.0]),
+                  np.array([[0]])):
+        _identical(solve_lp(child, basis=basis), cold)
+    assert solve_lp(child, basis=good).iterations < cold.iterations
+
+    # slack basis of  min -x0 - x1, x0 + x1 <= 1, x >= 0:  both reduced
+    # costs point away from the only finite bound, so it is not dual feasible
+    q = LpProblem("min", [-1.0, -1.0], [[1.0, 1.0]], [-INF], [1.0], [0.0, 0.0], [INF, INF])
+    _identical(solve_lp(q, basis=np.array([2])), solve_lp(q))
+    # a duplicated column makes no basis
+    r = LpProblem("min", [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, -1.0], [INF, 1.0],
+                  [0.0, 0.0], [INF, INF])
+    _identical(solve_lp(r, basis=np.array([0, 0])), solve_lp(r))
+
+
+def test_warm_start_bit_identical(hour17):
+    net, demand, basis = hour17
+    zg = np.zeros(net.num_generators)
+    zg[:3] = 100.0
+    p = build_dcopf(net, demand, "summer", 17, zg)
+    a, b = solve_lp(p, basis=basis), solve_lp(p, basis=basis)
+    _identical(a, b)
+    assert np.array_equal(a.basis, b.basis)
