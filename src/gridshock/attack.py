@@ -12,7 +12,8 @@ Two exact reformulation details beyond the plain big-M recipe:
   (the largest slack any feasible point can show) instead of the generic
   big M; this never cuts a feasible integer point and tightens the LP
   relaxation substantially.  The configured big M still governs the dual
-  side and is checked post hoc against the returned solution's max-norm.
+  side; the reported equilibrium's max-norm must stay below it, a post-hoc
+  heuristic rather than a proof that M cuts off no optimum.
 * at any integer-feasible point where a node's shed indicator allows
   curtailment, local generators must sit exactly at compromised capacity
   (their capacity rent is strictly positive because VOLL exceeds every
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcopf import OpfSolution, solve_dcopf
-from .kkt import kkt_residuals, verify_equilibrium
+from .kkt import (PAIR_BLOCKS, PAIR_DUALS, complementarity_pairs, kkt_residuals,
+                  verify_equilibrium)
 from .milp import MilpProblem, solve_milp
 from .network import DemandProfile, PowerNetwork, incidence_matrix
 from .simplex import LpProblem
@@ -67,6 +69,10 @@ class AttackCosts:
                 raise ValueError(f"attack costs {name} must be strictly positive")
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
+
+    def spend(self, zg: np.ndarray, zf: np.ndarray, zt: np.ndarray) -> float:
+        """Budget units an attack (zg, zf, zt) costs."""
+        return float(self.cg @ zg + self.cf @ zf + self.ct @ zt)
 
     def scaled(self, gen_factor: float = 1.0, wire_factor: float = 1.0,
                budget_factor: float = 1.0) -> "AttackCosts":
@@ -114,9 +120,9 @@ class HourlyAttack:
     objective: float  # voll . u at the induced equilibrium
     opf: OpfSolution
     status: str
-    nodes: int = 0
-    bigm_valid: bool = True
-    certificate_ok: bool = True
+    nodes: int
+    bigm_valid: bool
+    certificate_ok: bool
 
 
 @dataclass
@@ -138,26 +144,13 @@ class AttackPlan:
 
 
 class _Layout:
-    """Column/row offsets of the attack MILP for a list of hours."""
+    """Column offsets and a row bound of the attack MILP for a list of hours."""
 
     def __init__(self, net: PowerNetwork, n_hours: int):
         G, E, N = net.num_generators, net.num_edges, net.num_nodes
-        self.G, self.E, self.N = G, E, N
-        self.pair_sizes = {
-            "gen_lo": G, "gen_up": G, "flow_lo": E, "flow_up": E,
-            "angle_lo": E, "angle_up": E, "unserved_lo": N, "unserved_up": N,
-        }
-        self.n_y2 = 2 * G + 4 * E + 2 * N
-        self.per_hour = (G + 2 * E) + (G + E + 2 * N) + (N + E + 1) + 2 * self.n_y2
-        self.n_hours = n_hours
-        names = ["zg", "zf", "zt", "g", "f", "u", "th", "pi_d", "pi_f", "delta",
-                 "rho_gen_lo", "rho_gen_up", "rho_flow_lo", "rho_flow_up",
-                 "rho_angle_lo", "rho_angle_up", "rho_unserved_lo", "rho_unserved_up",
-                 "gam_gen_lo", "gam_gen_up", "gam_flow_lo", "gam_flow_up",
-                 "gam_angle_lo", "gam_angle_up", "gam_unserved_lo", "gam_unserved_up"]
-        sizes = [G, E, E, G, E, N, N, N, E, 1,
-                 G, G, E, E, E, E, N, N,
-                 G, G, E, E, E, E, N, N]
+        names = (["zg", "zf", "zt", "g", "f", "u", "th", "pi_d", "pi_f", "delta"]
+                 + ["rho_" + blk for blk in PAIR_BLOCKS] + ["gam_" + blk for blk in PAIR_BLOCKS])
+        sizes = [G, E, E, G, E, N, N, N, E, 1] + [G, G, E, E, E, E, N, N] * 2
         self.block_size = dict(zip(names, sizes))
         self.offsets: list[dict[str, int]] = []
         pos = 0
@@ -168,10 +161,33 @@ class _Layout:
                 pos += sz
             self.offsets.append(offs)
         self.n_cols = pos
+        # rows when no angle pair is presolved away, one budget row per hour
+        self.max_rows = n_hours * (7 * G + 14 * E + 7 * N + 2)
 
     def sl(self, hour_pos: int, name: str) -> slice:
         off = self.offsets[hour_pos][name]
         return slice(off, off + self.block_size[name])
+
+
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]  # A, row_lb, row_ub, labels
+
+
+def _select(rows: _Rows, keep: np.ndarray) -> _Rows:
+    A, lo, hi, labels = rows
+    return A[keep], lo[keep], hi[keep], [lab for lab, k in zip(labels, keep) if k]
+
+
+def _interleave(*families: _Rows, keep: np.ndarray | None = None) -> _Rows:
+    """Alternate the rows of equally long families: row i of each, then row i + 1.
+
+    ``keep`` (rows x families) drops single rows from the interleaved order.
+    """
+    A = np.stack([f[0] for f in families], axis=1).reshape(-1, families[0][0].shape[1])
+    lo = np.stack([f[1] for f in families], axis=1).ravel()
+    hi = np.stack([f[2] for f in families], axis=1).ravel()
+    labels = [lab for group in zip(*(f[3] for f in families)) for lab in group]
+    rows = (A, lo, hi, labels)
+    return rows if keep is None else _select(rows, keep.ravel())
 
 
 def _build_attack_milp(
@@ -187,6 +203,7 @@ def _build_attack_milp(
 
     ``budgets`` is either one row over all hours (a float: the joint
     formulation) or one row per hour (a list: the decoupled formulation).
+    Each row family is one block of rows over the hour's column blocks.
     """
     G, E, N = net.num_generators, net.num_edges, net.num_nodes
     A = incidence_matrix(net)
@@ -209,83 +226,62 @@ def _build_attack_milp(
     # angle pairs that can never bind given flow limits and affordable zt
     angle_slack = t_cap - zt_ub - f_cap / Bmw
     angle_dead = angle_slack > 1e-9
+    live = ~angle_dead
+    every = np.ones(E, dtype=bool)
+    edge_keep = np.column_stack([every, every, live, live])  # flow lo/up, angle lo/up
 
-    kappa = {
-        "gen_lo": g_up - g_lo, "gen_up": g_up - g_lo,
-        "flow_lo": 2.0 * f_cap, "flow_up": 2.0 * f_cap,
-        "angle_lo": 2.0 * t_cap, "angle_up": 2.0 * t_cap,
-    }
+    k_gen = g_up - g_lo
+    k_flow = 2.0 * f_cap
+    k_angle = 2.0 * t_cap
+    I_G, I_E, I_N = np.eye(G), np.eye(E), np.eye(N)
+    e_ref = I_N[ref]
 
     n = lay.n_cols
     c = np.zeros(n)
     lb = np.zeros(n)
     ub = np.zeros(n)
     col_labels = [""] * n
-
-    rows_A: list[np.ndarray] = []
-    rows_lb: list[float] = []
-    rows_ub: list[float] = []
-    row_labels: list[str] = []
+    families: list[_Rows] = []
     binaries: list[int] = []
 
-    def add_row(coeffs: dict[int, float], lo: float, hi: float, label: str):
-        r = np.zeros(n)
-        for j, v in coeffs.items():
-            r[j] = v
-        rows_A.append(r)
-        rows_lb.append(lo)
-        rows_ub.append(hi)
-        row_labels.append(label)
-
+    prices = {"zg": costs.cg, "zf": costs.cf, "zt": costs.ct}
     for hp, h in enumerate(hours):
         d = demand.demand[season][h]
         voll = demand.voll[season][h]
-        o = lay.offsets[hp]
 
-        def at(name: str, i: int = 0) -> int:
-            return o[name] + i
+        def rows(label: str, coef: dict[str, np.ndarray], lo, hi) -> _Rows:
+            """One family: ``coef`` maps a column block to its (rows x block) part.
 
-        kap_u = d.copy()
+            One-dimensional parts make a single row labelled without an index.
+            """
+            single = next(iter(coef.values())).ndim == 1
+            count = 1 if single else len(next(iter(coef.values())))
+            block = np.zeros((count, n))
+            for name, part in coef.items():
+                block[:, lay.sl(hp, name)] = part
+            labels = ([f"{label}[{h}]"] if single else
+                      [f"{label}[{h}][{i}]" for i in range(count)])
+            return (block, np.broadcast_to(np.asarray(lo, dtype=float), (count,)),
+                    np.broadcast_to(np.asarray(hi, dtype=float), (count,)), labels)
 
         # bounds and objective
-        lb[lay.sl(hp, "zg")] = 0.0
-        ub[lay.sl(hp, "zg")] = zg_ub
-        lb[lay.sl(hp, "zf")] = 0.0
-        ub[lay.sl(hp, "zf")] = zf_ub
-        lb[lay.sl(hp, "zt")] = 0.0
-        ub[lay.sl(hp, "zt")] = zt_ub
-        lb[lay.sl(hp, "g")] = g_lo
-        ub[lay.sl(hp, "g")] = g_up
-        lb[lay.sl(hp, "f")] = -f_cap
-        ub[lay.sl(hp, "f")] = f_cap
-        lb[lay.sl(hp, "u")] = 0.0
-        ub[lay.sl(hp, "u")] = d
-        lb[lay.sl(hp, "th")] = -np.inf
-        ub[lay.sl(hp, "th")] = np.inf
-        lb[lay.sl(hp, "pi_d")] = -np.inf
-        ub[lay.sl(hp, "pi_d")] = np.inf
-        lb[lay.sl(hp, "pi_f")] = -np.inf
-        ub[lay.sl(hp, "pi_f")] = np.inf
-        lb[at("delta")] = -np.inf
-        ub[at("delta")] = np.inf
-        for blk in ("gen_lo", "gen_up", "flow_lo", "flow_up",
-                    "angle_lo", "angle_up", "unserved_lo", "unserved_up"):
-            lb[lay.sl(hp, "rho_" + blk)] = 0.0
-            ub[lay.sl(hp, "rho_" + blk)] = M
-            gsl = lay.sl(hp, "gam_" + blk)
-            lb[gsl] = 0.0
-            ub[gsl] = 1.0
-        # dead angle pairs: multiplier and indicator pinned to zero
-        for e in range(E):
-            if angle_dead[e]:
-                for blk in ("angle_lo", "angle_up"):
-                    ub[at("rho_" + blk, e)] = 0.0
-                    ub[at("gam_" + blk, e)] = 0.0
+        for name, lo, hi in (
+            ("zg", 0.0, zg_ub), ("zf", 0.0, zf_ub), ("zt", 0.0, zt_ub),
+            ("g", g_lo, g_up), ("f", -f_cap, f_cap), ("u", 0.0, d),
+            ("th", -np.inf, np.inf), ("pi_d", -np.inf, np.inf),
+            ("pi_f", -np.inf, np.inf), ("delta", -np.inf, np.inf),
+        ):
+            lb[lay.sl(hp, name)] = lo
+            ub[lay.sl(hp, name)] = hi
+        for blk in PAIR_BLOCKS:
+            # dead angle pairs: multiplier and indicator pinned to zero
+            dead = angle_dead if blk.startswith("angle") else False
+            ub[lay.sl(hp, "rho_" + blk)] = np.where(dead, 0.0, M)
+            ub[lay.sl(hp, "gam_" + blk)] = np.where(dead, 0.0, 1.0)
 
         c[lay.sl(hp, "u")] = voll
-        c[lay.sl(hp, "zg")] = -MICRO_PENALTY
-        c[lay.sl(hp, "zf")] = -MICRO_PENALTY
-        c[lay.sl(hp, "zt")] = -MICRO_PENALTY
+        for name in ("zg", "zf", "zt"):
+            c[lay.sl(hp, name)] = -MICRO_PENALTY
 
         # shed indicators first: the branching rule's tie-break prefers them
         for blk in ("unserved_lo", "unserved_up", "gen_lo", "gen_up",
@@ -293,152 +289,86 @@ def _build_attack_milp(
             gsl = lay.sl(hp, "gam_" + blk)
             binaries.extend(range(gsl.start, gsl.stop))
 
-        for k, gen in enumerate(net.generators):
-            col_labels[at("zg", k)] = f"zg[{h}][{gen.id}]"
-            col_labels[at("g", k)] = f"g[{h}][{gen.id}]"
-        for e, edge in enumerate(net.edges):
-            col_labels[at("zf", e)] = f"zf[{h}][{edge.id}]"
-            col_labels[at("zt", e)] = f"zt[{h}][{edge.id}]"
-            col_labels[at("f", e)] = f"f[{h}][{edge.id}]"
+        for name, ids in (("zg", net.generators), ("g", net.generators),
+                          ("zf", net.edges), ("zt", net.edges), ("f", net.edges)):
+            col_labels[lay.sl(hp, name)] = [f"{name}[{h}][{x.id}]" for x in ids]
 
         # nodal balance and flow law (physics of the compromised grid)
-        for nn in range(N):
-            coeffs = {at("g", k): Mmap[nn, k] for k in range(G) if Mmap[nn, k]}
-            coeffs[at("u", nn)] = 1.0
-            for e in range(E):
-                if A[e, nn]:
-                    coeffs[at("f", e)] = -A[e, nn]
-            add_row(coeffs, d[nn], d[nn], f"bal[{h}][{nn}]")
-        for e in range(E):
-            coeffs = {at("f", e): 1.0}
-            for nn in range(N):
-                if A[e, nn]:
-                    coeffs[at("th", nn)] = -Bmw[e] * A[e, nn]
-            add_row(coeffs, 0.0, 0.0, f"flowlaw[{h}][{e}]")
-        add_row({at("th", ref): 1.0}, 0.0, 0.0, f"ref[{h}]")
+        families.append(rows("bal", {"g": Mmap, "u": I_N, "f": -A.T}, d, d))
+        families.append(rows("flowlaw", {"f": I_E, "th": -Bmw[:, None] * A}, 0.0, 0.0))
+        families.append(rows("ref", {"th": e_ref}, 0.0, 0.0))
 
         # stationarity rows
-        for k in range(G):
-            node = int(np.argmax(Mmap[:, k]))
-            add_row({at("pi_d", node): 1.0, at("rho_gen_lo", k): 1.0,
-                     at("rho_gen_up", k): -1.0}, cg_op[k], cg_op[k], f"stat_g[{h}][{k}]")
-        for e in range(E):
-            coeffs = {at("pi_f", e): 1.0, at("rho_flow_lo", e): -1.0,
-                      at("rho_flow_up", e): 1.0}
-            for nn in range(N):
-                if A[e, nn]:
-                    coeffs[at("pi_d", nn)] = A[e, nn]
-            add_row(coeffs, 0.0, 0.0, f"stat_f[{h}][{e}]")
-        for nn in range(N):
-            coeffs: dict[int, float] = {}
-            for e in range(E):
-                if A[e, nn]:
-                    coeffs[at("pi_f", e)] = -A[e, nn] * Bmw[e]
-                    coeffs[at("rho_angle_lo", e)] = coeffs.get(at("rho_angle_lo", e), 0.0) - A[e, nn]
-                    coeffs[at("rho_angle_up", e)] = coeffs.get(at("rho_angle_up", e), 0.0) + A[e, nn]
-            if nn == ref:
-                coeffs[at("delta")] = 1.0
-            add_row(coeffs, 0.0, 0.0, f"stat_th[{h}][{nn}]")
-        for nn in range(N):
-            add_row({at("pi_d", nn): 1.0, at("rho_unserved_lo", nn): 1.0,
-                     at("rho_unserved_up", nn): -1.0}, voll[nn], voll[nn],
-                    f"stat_u[{h}][{nn}]")
+        families.append(rows("stat_g", {"pi_d": Mmap.T, "rho_gen_lo": I_G,
+                                        "rho_gen_up": -I_G}, cg_op, cg_op))
+        families.append(rows("stat_f", {"pi_f": I_E, "rho_flow_lo": -I_E,
+                                        "rho_flow_up": I_E, "pi_d": A}, 0.0, 0.0))
+        families.append(rows("stat_th", {"pi_f": -A.T * Bmw, "rho_angle_lo": -A.T,
+                                         "rho_angle_up": A.T, "delta": e_ref[:, None]},
+                             0.0, 0.0))
+        families.append(rows("stat_u", {"pi_d": I_N, "rho_unserved_lo": I_N,
+                                        "rho_unserved_up": -I_N}, voll, voll))
 
         # attacked primal ranges (the F2 >= 0 side where z shifts a bound);
         # dead angle pairs keep generous slack whatever zt does, so their
         # range rows are redundant and skipped
-        for k in range(G):
-            add_row({at("g", k): 1.0, at("zg", k): 1.0}, -np.inf, g_up[k],
-                    f"cap_g[{h}][{k}]")
-        for e in range(E):
-            add_row({at("f", e): 1.0, at("zf", e): -1.0}, -f_cap[e], np.inf,
-                    f"cap_f_lo[{h}][{e}]")
-            add_row({at("f", e): 1.0, at("zf", e): 1.0}, -np.inf, f_cap[e],
-                    f"cap_f_up[{h}][{e}]")
-            if angle_dead[e]:
-                continue
-            coeffs_lo = {at("zt", e): -1.0}
-            coeffs_up = {at("zt", e): 1.0}
-            for nn in range(N):
-                if A[e, nn]:
-                    coeffs_lo[at("th", nn)] = A[e, nn]
-                    coeffs_up[at("th", nn)] = A[e, nn]
-            add_row(coeffs_lo, -t_cap[e], np.inf, f"cap_t_lo[{h}][{e}]")
-            add_row(coeffs_up, -np.inf, t_cap[e], f"cap_t_up[{h}][{e}]")
+        families.append(rows("cap_g", {"g": I_G, "zg": I_G}, -np.inf, g_up))
+        families.append(_interleave(
+            rows("cap_f_lo", {"f": I_E, "zf": -I_E}, -f_cap, np.inf),
+            rows("cap_f_up", {"f": I_E, "zf": I_E}, -np.inf, f_cap),
+            rows("cap_t_lo", {"zt": -I_E, "th": A}, -t_cap, np.inf),
+            rows("cap_t_up", {"zt": I_E, "th": A}, -np.inf, t_cap),
+            keep=edge_keep))
 
         # complementarity: slack <= (1 - gamma) * kappa, multiplier <= gamma * M
-        for k in range(G):
-            kp = kappa["gen_lo"][k]
-            add_row({at("g", k): 1.0, at("gam_gen_lo", k): kp}, -np.inf,
-                    kp + g_lo[k], f"cmp_gen_lo[{h}][{k}]")
-            kp = kappa["gen_up"][k]
-            add_row({at("g", k): -1.0, at("zg", k): -1.0, at("gam_gen_up", k): kp},
-                    -np.inf, kp - g_up[k], f"cmp_gen_up[{h}][{k}]")
-        for e in range(E):
-            kp = kappa["flow_lo"][e]
-            add_row({at("f", e): 1.0, at("zf", e): -1.0, at("gam_flow_lo", e): kp},
-                    -np.inf, kp - f_cap[e], f"cmp_flow_lo[{h}][{e}]")
-            kp = kappa["flow_up"][e]
-            add_row({at("f", e): -1.0, at("zf", e): -1.0, at("gam_flow_up", e): kp},
-                    -np.inf, kp - f_cap[e], f"cmp_flow_up[{h}][{e}]")
-            if not angle_dead[e]:
-                kp = kappa["angle_lo"][e]
-                coeffs = {at("zt", e): -1.0, at("gam_angle_lo", e): kp}
-                for nn in range(N):
-                    if A[e, nn]:
-                        coeffs[at("th", nn)] = A[e, nn]
-                add_row(coeffs, -np.inf, kp - t_cap[e], f"cmp_angle_lo[{h}][{e}]")
-                kp = kappa["angle_up"][e]
-                coeffs = {at("zt", e): -1.0, at("gam_angle_up", e): kp}
-                for nn in range(N):
-                    if A[e, nn]:
-                        coeffs[at("th", nn)] = -A[e, nn]
-                add_row(coeffs, -np.inf, kp - t_cap[e], f"cmp_angle_up[{h}][{e}]")
-        for nn in range(N):
-            add_row({at("u", nn): 1.0, at("gam_unserved_lo", nn): kap_u[nn]},
-                    -np.inf, kap_u[nn], f"cmp_u_lo[{h}][{nn}]")
-            add_row({at("u", nn): -1.0, at("gam_unserved_up", nn): kap_u[nn]},
-                    -np.inf, 0.0, f"cmp_u_up[{h}][{nn}]")
+        families.append(_interleave(
+            rows("cmp_gen_lo", {"g": I_G, "gam_gen_lo": np.diag(k_gen)},
+                 -np.inf, k_gen + g_lo),
+            rows("cmp_gen_up", {"g": -I_G, "zg": -I_G, "gam_gen_up": np.diag(k_gen)},
+                 -np.inf, k_gen - g_up)))
+        families.append(_interleave(
+            rows("cmp_flow_lo", {"f": I_E, "zf": -I_E, "gam_flow_lo": np.diag(k_flow)},
+                 -np.inf, k_flow - f_cap),
+            rows("cmp_flow_up", {"f": -I_E, "zf": -I_E, "gam_flow_up": np.diag(k_flow)},
+                 -np.inf, k_flow - f_cap),
+            rows("cmp_angle_lo", {"zt": -I_E, "gam_angle_lo": np.diag(k_angle), "th": A},
+                 -np.inf, k_angle - t_cap),
+            rows("cmp_angle_up", {"zt": -I_E, "gam_angle_up": np.diag(k_angle), "th": -A},
+                 -np.inf, k_angle - t_cap),
+            keep=edge_keep))
+        families.append(_interleave(
+            rows("cmp_u_lo", {"u": I_N, "gam_unserved_lo": np.diag(d)}, -np.inf, d),
+            rows("cmp_u_up", {"u": -I_N, "gam_unserved_up": np.diag(d)}, -np.inf, 0.0)))
 
         # dual side: rho <= gamma * M
-        for blk in ("gen_lo", "gen_up", "flow_lo", "flow_up",
-                    "angle_lo", "angle_up", "unserved_lo", "unserved_up"):
-            sz = lay.block_size["rho_" + blk]
-            for i in range(sz):
-                if blk.startswith("angle") and angle_dead[i]:
-                    continue
-                add_row({at("rho_" + blk, i): 1.0, at("gam_" + blk, i): -M},
-                        -np.inf, 0.0, f"bigm_{blk}[{h}][{i}]")
+        for blk in PAIR_BLOCKS:
+            eye = np.eye(lay.block_size["rho_" + blk])
+            fam = rows(f"bigm_{blk}", {"rho_" + blk: eye, "gam_" + blk: -M * eye},
+                       -np.inf, 0.0)
+            families.append(_select(fam, live) if blk.startswith("angle") else fam)
 
         # logic cut: a node cleared for shedding pins local units to capacity
-        for k in range(G):
-            node = int(np.argmax(Mmap[:, k]))
-            add_row({at("g", k): 1.0, at("zg", k): 1.0,
-                     at("gam_unserved_lo", node): g_up[k]}, g_up[k], np.inf,
-                    f"cut_sat[{h}][{k}]")
+        families.append(rows("cut_sat", {"g": I_G, "zg": I_G,
+                                         "gam_unserved_lo": Mmap.T * g_up[:, None]},
+                             g_up, np.inf))
 
         if not joint:
-            coeffs = {}
-            for k in range(G):
-                coeffs[at("zg", k)] = costs.cg[k]
-            for e in range(E):
-                coeffs[at("zf", e)] = costs.cf[e]
-                coeffs[at("zt", e)] = costs.ct[e]
-            add_row(coeffs, -np.inf, budgets[hp], f"budget[{h}]")
+            families.append(rows("budget", prices, -np.inf, budgets[hp]))
 
     if joint:
-        coeffs = {}
+        row = np.zeros((1, n))
         for hp in range(len(hours)):
-            o = lay.offsets[hp]
-            for k in range(G):
-                coeffs[o["zg"] + k] = costs.cg[k]
-            for e in range(E):
-                coeffs[o["zf"] + e] = costs.cf[e]
-                coeffs[o["zt"] + e] = costs.ct[e]
-        add_row(coeffs, -np.inf, float(budgets), "budget")
+            for name, price in prices.items():
+                row[0, lay.sl(hp, name)] = price
+        families.append((row, np.array([-np.inf]), np.array([float(budgets)]), ["budget"]))
 
-    lp = LpProblem("max", c, np.array(rows_A), np.array(rows_lb), np.array(rows_ub),
-                   lb, ub, row_labels, col_labels)
+    # negated blocks carry -0.0 off their pattern; adding 0.0 makes every
+    # structural zero +0.0, so the matrix does not depend on how it was built
+    A_rows = np.vstack([f[0] for f in families]) + 0.0
+    row_lb = np.concatenate([f[1] for f in families])
+    row_ub = np.concatenate([f[2] for f in families])
+    row_labels = [lab for f in families for lab in f[3]]
+    lp = LpProblem("max", c, A_rows, row_lb, row_ub, lb, ub, row_labels, col_labels)
     return MilpProblem(lp, binaries), lay
 
 
@@ -458,6 +388,11 @@ def build_hourly_attack_milp(
     return prob
 
 
+# array fields of the embedded equilibrium (OpfSolution) -> attack MILP column block
+_OPF_BLOCKS = {"g": "g", "f": "f", "u": "u", "theta": "th", "pi_d": "pi_d", "pi_f": "pi_f",
+               **{fld: "rho_" + pair for pair, fld in PAIR_DUALS.items()}}
+
+
 def _extract_hour(
     net: PowerNetwork,
     demand: DemandProfile,
@@ -466,48 +401,23 @@ def _extract_hour(
     x: np.ndarray,
     lay: _Layout,
     hp: int,
-    costs: AttackCosts,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, OpfSolution, float]:
-    zg = x[lay.sl(hp, "zg")].copy()
-    zf = x[lay.sl(hp, "zf")].copy()
-    zt = x[lay.sl(hp, "zt")].copy()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, OpfSolution]:
+    """One hour's attack and embedded equilibrium from a MILP point."""
     d = demand.demand[season][hour]
     voll = demand.voll[season][hour]
-    u = x[lay.sl(hp, "u")].copy()
-    g = x[lay.sl(hp, "g")].copy()
+    arrays = {fld: x[lay.sl(hp, blk)].copy() for fld, blk in _OPF_BLOCKS.items()}
     opf = OpfSolution(
-        season=season, hour=hour,
-        g=g, f=x[lay.sl(hp, "f")].copy(), u=u, theta=x[lay.sl(hp, "th")].copy(),
-        pi_d=x[lay.sl(hp, "pi_d")].copy(), pi_f=x[lay.sl(hp, "pi_f")].copy(),
-        delta=float(x[lay.offsets[hp]["delta"]]),
-        rho_g_lo=x[lay.sl(hp, "rho_gen_lo")].copy(),
-        rho_g_up=x[lay.sl(hp, "rho_gen_up")].copy(),
-        rho_f_lo=x[lay.sl(hp, "rho_flow_lo")].copy(),
-        rho_f_up=x[lay.sl(hp, "rho_flow_up")].copy(),
-        rho_th_lo=x[lay.sl(hp, "rho_angle_lo")].copy(),
-        rho_th_up=x[lay.sl(hp, "rho_angle_up")].copy(),
-        rho_u_lo=x[lay.sl(hp, "rho_unserved_lo")].copy(),
-        rho_u_up=x[lay.sl(hp, "rho_unserved_up")].copy(),
-        objective=float(net.gen_costs() @ g + voll @ u),
-        demand=d.copy(), voll=voll.copy(),
-        shed_cost=float(voll @ u),
+        season=season, hour=hour, delta=float(x[lay.offsets[hp]["delta"]]), **arrays,
+        objective=float(net.gen_costs() @ arrays["g"] + voll @ arrays["u"]),
+        demand=d.copy(), voll=voll.copy(), shed_cost=float(voll @ arrays["u"]),
     )
-    spend = float(costs.cg @ zg + costs.cf @ zf + costs.ct @ zt)
-    return zg, zf, zt, opf, spend
+    return x[lay.sl(hp, "zg")], x[lay.sl(hp, "zf")], x[lay.sl(hp, "zt")], opf
 
 
-def _solution_max_norm(x: np.ndarray, lay: _Layout) -> float:
-    """Max-norm over the attack variables and the embedded (y1, y2) point."""
-    worst = 0.0
-    for hp in range(lay.n_hours):
-        for name in ("zg", "zf", "zt", "g", "f", "u", "th", "pi_d", "pi_f", "delta",
-                     "rho_gen_lo", "rho_gen_up", "rho_flow_lo", "rho_flow_up",
-                     "rho_angle_lo", "rho_angle_up", "rho_unserved_lo",
-                     "rho_unserved_up"):
-            sl = lay.sl(hp, name)
-            if sl.stop > sl.start:
-                worst = max(worst, float(np.max(np.abs(x[sl]))))
-    return worst
+def _max_norm(zg: np.ndarray, zf: np.ndarray, zt: np.ndarray, opf: OpfSolution) -> float:
+    """Max-norm over the attack and the embedded (y1, y2) equilibrium point."""
+    arrays = [zg, zf, zt, np.array([opf.delta])] + [getattr(opf, f) for f in _OPF_BLOCKS]
+    return max(float(np.max(np.abs(v), initial=0.0)) for v in arrays)
 
 
 def _zone_packages(
@@ -560,10 +470,7 @@ def _zone_packages(
             amount = min(cap, remaining / price)
             if amount <= 1e-9:
                 break
-            if kind == "g":
-                zg[i] = amount
-            else:
-                zf[i] = amount
+            (zg if kind == "g" else zf)[i] = amount
             bought += amount
             remaining -= amount * price
         est = min(max(0.0, bought - max(margin, 0.0)), d[n])
@@ -609,54 +516,36 @@ def greedy_attack(
             best_pack = (pzg, pzf, sol)
     if best_pack is not None:
         zg, zf, current = best_pack[0].copy(), best_pack[1].copy(), best_pack[2]
-        remaining = budget - float(costs.cg @ zg + costs.cf @ zf)
+        remaining = budget - costs.spend(zg, zf, zt)
 
     for _ in range(2 * (G + E)):
         if remaining <= 1e-9:
             break
-        cands: list[tuple[float, int, str, int, float]] = []
+        cands: list[tuple[float, int, int, float, float]] = []
         # rank by rent per budget unit; rents bound the local value of capacity
-        for k in range(G):
-            room = kill_room[k] - zg[k]
-            amount = min(room, remaining / costs.cg[k])
-            if amount > 1e-9:
-                score = (current.rho_g_up[k] + 1e-12) / costs.cg[k]
-                cands.append((score, 0, "g", k, amount))
-        for e in range(E):
-            room = f_cap[e] - zf[e]
-            amount = min(room, remaining / costs.cf[e])
-            if amount > 1e-9:
-                rent = max(current.rho_f_up[e], current.rho_f_lo[e])
-                score = (rent + 1e-12) / costs.cf[e]
-                cands.append((score, 1, "f", e, amount))
+        for kind, room, prices, rents in (
+                (0, kill_room - zg, costs.cg, current.rho_g_up),
+                (1, f_cap - zf, costs.cf, np.maximum(current.rho_f_up, current.rho_f_lo))):
+            for i, price in enumerate(prices):
+                amount = min(room[i], remaining / price)
+                if amount > 1e-9:
+                    cands.append(((rents[i] + 1e-12) / price, kind, i, amount, price))
         if not cands:
             break
-        cands.sort(key=lambda t: (-t[0], t[1], t[3]))
+        cands.sort(key=lambda t: (-t[0], t[1], t[2]))
         best_gain = 0.0
-        best_move = None
-        best_sol = None
-        for _, _, kind, idx, amount in cands[:shortlist]:
+        best = None
+        for _, kind, idx, amount, price in cands[:shortlist]:
             tg, tf = zg.copy(), zf.copy()
-            if kind == "g":
-                tg[idx] += amount
-            else:
-                tf[idx] += amount
+            (tf if kind else tg)[idx] += amount
             sol = solve_dcopf(net, demand, season, hour, tg, tf, zt, basis=base)
             gain = sol.shed_cost - current.shed_cost
             if gain > best_gain + 1e-9:
-                best_gain = gain
-                best_move = (kind, idx, amount)
-                best_sol = sol
-        if best_move is None:
+                best_gain, best = gain, (tg, tf, sol, amount * price)
+        if best is None:
             break
-        kind, idx, amount = best_move
-        if kind == "g":
-            zg[idx] += amount
-            remaining -= amount * costs.cg[idx]
-        else:
-            zf[idx] += amount
-            remaining -= amount * costs.cf[idx]
-        current = best_sol
+        zg, zf, current, cost = best
+        remaining -= cost
     return zg, zf, zt, current
 
 
@@ -672,42 +561,103 @@ def _milp_point_from_dispatch(
     atol: float = 1e-7,
 ) -> None:
     """Write one hour's dispatch equilibrium into a MILP candidate vector."""
-    g_lo, g_up = net.gen_limits()
-    f_cap = net.flow_limits()
-    t_cap = net.angle_limits()
-    A = incidence_matrix(net)
-    x[lay.sl(hp, "zg")] = zg
-    x[lay.sl(hp, "zf")] = zf
-    x[lay.sl(hp, "zt")] = zt
-    x[lay.sl(hp, "g")] = sol.g
-    x[lay.sl(hp, "f")] = sol.f
-    x[lay.sl(hp, "u")] = sol.u
-    x[lay.sl(hp, "th")] = sol.theta
-    x[lay.sl(hp, "pi_d")] = sol.pi_d
-    x[lay.sl(hp, "pi_f")] = sol.pi_f
+    for name, z in (("zg", zg), ("zf", zf), ("zt", zt)):
+        x[lay.sl(hp, name)] = z
+    for fld, blk in _OPF_BLOCKS.items():
+        x[lay.sl(hp, blk)] = getattr(sol, fld)
     x[lay.offsets[hp]["delta"]] = sol.delta
-    angle = A @ sol.theta
-    slacks = {
-        "gen_lo": sol.g - g_lo,
-        "gen_up": (g_up - zg) - sol.g,
-        "flow_lo": sol.f + (f_cap - zf),
-        "flow_up": (f_cap - zf) - sol.f,
-        "angle_lo": angle + (t_cap - zt),
-        "angle_up": (t_cap - zt) - angle,
-        "unserved_lo": sol.u,
-        "unserved_up": sol.demand - sol.u,
-    }
-    rhos = {
-        "gen_lo": sol.rho_g_lo, "gen_up": sol.rho_g_up,
-        "flow_lo": sol.rho_f_lo, "flow_up": sol.rho_f_up,
-        "angle_lo": sol.rho_th_lo, "angle_up": sol.rho_th_up,
-        "unserved_lo": sol.rho_u_lo, "unserved_up": sol.rho_u_up,
-    }
-    for blk, rho in rhos.items():
+    # multipliers stay only on active pairs, each with its indicator
+    slacks, rhos = complementarity_pairs(net, sol, zg, zf, zt)
+    for blk in PAIR_BLOCKS:
         scale = 1.0 + np.abs(slacks[blk])
         active = slacks[blk] <= atol * scale
-        x[lay.sl(hp, "rho_" + blk)] = np.where(active, rho, 0.0)
+        x[lay.sl(hp, "rho_" + blk)] = np.where(active, rhos[blk], 0.0)
         x[lay.sl(hp, "gam_" + blk)] = np.where(active, 1.0, 0.0)
+
+
+def _certified_hour(
+    net: PowerNetwork,
+    demand: DemandProfile,
+    season: str,
+    hour: int,
+    costs: AttackCosts,
+    zg: np.ndarray,
+    zf: np.ndarray,
+    zt: np.ndarray,
+    opf: OpfSolution,
+    status: str,
+    nodes: int,
+    m_value: float,
+) -> HourlyAttack:
+    """Certify one hour's attack and equilibrium; the only HourlyAttack maker.
+
+    ``opf`` is reported when it passes the KKT certificate under the
+    shifted bounds and its max-norm stays below ``m_value``; otherwise the
+    dispatch LP at the same attack is.  ``bigm_valid`` is the max-norm test
+    on the reported point: a post-hoc heuristic, not a proof that M is large
+    enough.
+    """
+    zg, zf, zt = (np.array(z, dtype=float) for z in (zg, zf, zt))
+
+    def checks(sol: OpfSolution) -> tuple[bool, bool]:
+        cert = verify_equilibrium(kkt_residuals(net, sol, zg, zf, zt), CERT_TOL)
+        return cert, _max_norm(zg, zf, zt, sol) < m_value
+
+    cert, valid = checks(opf)
+    if not (cert and valid):
+        opf = solve_dcopf(net, demand, season, hour, zg, zf, zt)
+        cert, valid = checks(opf)
+    return HourlyAttack(season, hour, zg, zf, zt, costs.spend(zg, zf, zt), opf.shed_cost, opf,
+                        status, nodes, valid, cert)
+
+
+def _solve_certified(
+    net: PowerNetwork,
+    demand: DemandProfile,
+    season: str,
+    hours: list[int],
+    costs: AttackCosts,
+    budgets: list[float] | float,
+    bigm: BigMConfig,
+    node_limit: int,
+    warm_parts: list[tuple] | None,
+) -> list[HourlyAttack]:
+    """Solve the attack MILP over ``hours`` and certify every hour.
+
+    ``warm_parts`` holds one (zg, zf, zt, dispatch) candidate per hour.  An
+    infeasible MILP (an undersized M cuts off even the unattacked
+    equilibrium) or a reported point whose max-norm reaches M grows M and
+    solves again.
+    """
+    m_value = bigm.m_value
+    for attempt in range(BIGM_RETRIES + 1):
+        prob, lay = _build_attack_milp(net, demand, season, hours, costs, budgets,
+                                       BigMConfig(m_value))
+        x0 = None
+        if warm_parts is not None:
+            x0 = np.zeros(lay.n_cols)
+            for hp, (zg, zf, zt, sol) in enumerate(warm_parts):
+                _milp_point_from_dispatch(net, lay, hp, zg, zf, zt, sol, x0)
+        res = solve_milp(prob, node_limit=node_limit, warm_start=x0)
+        if res.status == "infeasible":
+            m_value *= BIGM_GROWTH
+            continue
+        if res.status == "unbounded" or res.x is None:
+            raise RuntimeError(f"attack MILP over hours {hours} ended {res.status}")
+        parts = [_certified_hour(net, demand, season, h, costs,
+                                 *_extract_hour(net, demand, season, h, res.x, lay, hp),
+                                 res.status, res.node_count, m_value)
+                 for hp, h in enumerate(hours)]
+        if all(p.bigm_valid for p in parts):
+            return parts
+        m_value *= BIGM_GROWTH
+    raise BigMInvalidError(f"big-M {m_value} not above solution magnitude after retries")
+
+
+def _warm_hour(warm: AttackPlan | None, hour: int) -> HourlyAttack | None:
+    """The warm plan's result for ``hour``, if it has one."""
+    hours = warm.hours if warm is not None else []
+    return next((hh for hh in hours if hh.hour == hour), None)
 
 
 def solve_hourly_attack(
@@ -724,27 +674,28 @@ def solve_hourly_attack(
     """Solve the one-hour disruption problem; certify the returned point.
 
     The branch-and-bound search starts from a greedy incumbent (and any
-    caller-provided warm plan whose spend fits the budget).  The embedded
+    caller-provided warm plan whose spend fits the budget).  The reported
     equilibrium is verified against the shifted bounds and the big-M
-    footnote condition is enforced post hoc, growing M on failure.
+    max-norm test is applied post hoc, growing M on failure.
 
     ``node_limit=0`` selects certificate-only mode: the best candidate
     attack is returned with its certified equilibrium and the search is
     skipped entirely (used by scenario sweeps where wall time matters and
-    the candidate generator is already target-aware).
+    the candidate generator is already target-aware).  This mode reports
+    the big-M flag and does not retry.
     """
-    if hourly_budget <= 1e-12:
-        opf = solve_dcopf(net, demand, season, hour)
-        G, E = net.num_generators, net.num_edges
-        return HourlyAttack(season, hour, np.zeros(G), np.zeros(E), np.zeros(E),
-                            0.0, opf.shed_cost, opf, "optimal")
-
     bigm = bigm or BigMConfig.for_network(net, demand)
+    if hourly_budget <= 1e-12:
+        G, E = net.num_generators, net.num_edges
+        return _certified_hour(net, demand, season, hour, costs, np.zeros(G),
+                               np.zeros(E), np.zeros(E),
+                               solve_dcopf(net, demand, season, hour), "optimal", 0,
+                               bigm.m_value)
+
     zg, zf, zt, gsol = greedy_attack(net, demand, season, hour, costs, hourly_budget)
     candidates = [(zg, zf, zt, gsol)]
     if warm is not None:
-        spend = float(costs.cg @ warm.zg + costs.cf @ warm.zf + costs.ct @ warm.zt)
-        if spend <= hourly_budget + 1e-9:
+        if costs.spend(warm.zg, warm.zf, warm.zt) <= hourly_budget + 1e-9:
             candidates.append(
                 (warm.zg, warm.zf, warm.zt,
                  solve_dcopf(net, demand, season, hour, warm.zg, warm.zf, warm.zt,
@@ -752,53 +703,14 @@ def solve_hourly_attack(
     candidates.sort(key=lambda t: -t[3].shed_cost)
 
     if node_limit == 0:
-        czg, czf, czt, csol = candidates[0]
-        spend = float(costs.cg @ czg + costs.cf @ czf + costs.ct @ czt)
-        cert = verify_equilibrium(kkt_residuals(net, csol, czg, czf, czt), CERT_TOL)
-        norm = max(
-            float(np.max(np.abs(v), initial=0.0))
-            for v in (czg, czf, czt, csol.g, csol.f, csol.u, csol.theta,
-                      csol.pi_d, csol.pi_f, np.array([csol.delta]),
-                      csol.rho_g_lo, csol.rho_g_up, csol.rho_f_lo, csol.rho_f_up,
-                      csol.rho_th_lo, csol.rho_th_up, csol.rho_u_lo, csol.rho_u_up))
-        return HourlyAttack(season, hour, czg.copy(), czf.copy(), czt.copy(),
-                            spend, csol.shed_cost, csol, "heuristic", 0,
-                            norm < bigm.m_value, cert)
+        return _certified_hour(net, demand, season, hour, costs, *candidates[0],
+                               "heuristic", 0, bigm.m_value)
+    return _solve_certified(net, demand, season, [hour], costs, [hourly_budget],
+                            bigm, node_limit, candidates[:1])[0]
 
-    m_value = bigm.m_value
-    for attempt in range(BIGM_RETRIES + 1):
-        cfg = BigMConfig(m_value)
-        prob, lay = _build_attack_milp(net, demand, season, [hour], costs,
-                                       [hourly_budget], cfg)
-        x0 = np.zeros(lay.n_cols)
-        czg, czf, czt, csol = candidates[0]
-        _milp_point_from_dispatch(net, lay, 0, czg, czf, czt, csol, x0)
-        res = solve_milp(prob, node_limit=node_limit, warm_start=x0)
-        if res.status == "infeasible":
-            # an undersized M renders even the no-attack equilibrium
-            # infeasible (its duals exceed gamma * M); grow and retry
-            m_value *= BIGM_GROWTH
-            continue
-        if res.status == "unbounded" or res.x is None:
-            raise RuntimeError(f"hourly attack MILP ended {res.status}")
-        norm = _solution_max_norm(res.x, lay)
-        if norm < m_value:
-            break
-        m_value *= BIGM_GROWTH
-    else:
-        raise BigMInvalidError(
-            f"big-M {m_value} not above solution magnitude after retries")
 
-    zg, zf, zt, opf, spend = _extract_hour(net, demand, season, hour, res.x,
-                                           lay, 0, costs)
-    residuals = kkt_residuals(net, opf, zg, zf, zt)
-    cert = verify_equilibrium(residuals, CERT_TOL)
-    if not cert:
-        # fall back to the dispatch LP at the chosen attack: always certifiable
-        opf = solve_dcopf(net, demand, season, hour, zg, zf, zt)
-        cert = verify_equilibrium(kkt_residuals(net, opf, zg, zf, zt), CERT_TOL)
-    return HourlyAttack(season, hour, zg, zf, zt, spend, opf.shed_cost, opf,
-                        res.status, res.node_count, norm < m_value, cert)
+# dense entries of A (rows x columns) above which solve_full_milp refuses to build
+FULL_MILP_MAX_ENTRIES = 4_000_000
 
 
 def solve_full_milp(
@@ -814,65 +726,35 @@ def solve_full_milp(
 ) -> AttackPlan:
     """Jointly optimal attack across hours (single budget row).
 
-    Exponential in instance size; intended for small oracle instances.
+    An oracle for small instances only: the MILP is dense and exponential
+    in size.  Raises ValueError, before building anything, when its
+    constraint matrix could exceed ``FULL_MILP_MAX_ENTRIES`` entries (the
+    bundled 24-hour day would need about 0.8 GB for the matrix alone).
     """
     hours = hours if hours is not None else list(range(demand.hours(season)))
+    lay = _Layout(net, len(hours))
+    if lay.max_rows * lay.n_cols > FULL_MILP_MAX_ENTRIES:
+        raise ValueError(
+            f"joint attack MILP over {len(hours)} hours is up to {lay.max_rows} x "
+            f"{lay.n_cols} dense ({lay.max_rows * lay.n_cols * 8 / 1e6:.0f} MB); "
+            f"solve_full_milp is an oracle for small instances only")
     bigm = bigm or BigMConfig.for_network(net, demand)
-    m_value = bigm.m_value
 
-    # warm candidate: homogeneous split greedy per hour
+    # warm candidate: the caller's plan where it fits, else greedy at budget / H
     per_hour = budget / len(hours) if hours else 0.0
     warm_parts = []
     for h in hours:
-        if warm is not None:
-            match = [hh for hh in warm.hours if hh.hour == h]
-            if match and match[0].spend <= budget + 1e-9:
-                mh = match[0]
-                warm_parts.append((mh.zg, mh.zf, mh.zt,
-                                   solve_dcopf(net, demand, season, h,
-                                               mh.zg, mh.zf, mh.zt)))
-                continue
-        zg, zf, zt, sol = greedy_attack(net, demand, season, h, costs, per_hour)
-        warm_parts.append((zg, zf, zt, sol))
-    total_spend = sum(float(costs.cg @ p[0] + costs.cf @ p[1] + costs.ct @ p[2])
-                      for p in warm_parts)
-    if total_spend > budget + 1e-9:
+        mh = _warm_hour(warm, h)
+        if mh is not None and mh.spend <= budget + 1e-9:
+            warm_parts.append((mh.zg, mh.zf, mh.zt,
+                               solve_dcopf(net, demand, season, h, mh.zg, mh.zf, mh.zt)))
+        else:
+            warm_parts.append(greedy_attack(net, demand, season, h, costs, per_hour))
+    if sum(costs.spend(*p[:3]) for p in warm_parts) > budget + 1e-9:
         warm_parts = None
 
-    for attempt in range(BIGM_RETRIES + 1):
-        cfg = BigMConfig(m_value)
-        prob, lay = _build_attack_milp(net, demand, season, hours, costs,
-                                       budget, cfg)
-        x0 = None
-        if warm_parts is not None:
-            x0 = np.zeros(lay.n_cols)
-            for hp, (zg, zf, zt, sol) in enumerate(warm_parts):
-                _milp_point_from_dispatch(net, lay, hp, zg, zf, zt, sol, x0)
-        res = solve_milp(prob, node_limit=node_limit, warm_start=x0)
-        if res.status == "infeasible":
-            m_value *= BIGM_GROWTH
-            continue
-        if res.status == "unbounded" or res.x is None:
-            raise RuntimeError(f"full attack MILP ended {res.status}")
-        norm = _solution_max_norm(res.x, lay)
-        if norm < m_value:
-            break
-        m_value *= BIGM_GROWTH
-    else:
-        raise BigMInvalidError(
-            f"big-M {m_value} not above solution magnitude after retries")
-
-    parts = []
-    for hp, h in enumerate(hours):
-        zg, zf, zt, opf, spend = _extract_hour(net, demand, season, h, res.x,
-                                               lay, hp, costs)
-        cert = verify_equilibrium(kkt_residuals(net, opf, zg, zf, zt), CERT_TOL)
-        if not cert:
-            opf = solve_dcopf(net, demand, season, h, zg, zf, zt)
-            cert = verify_equilibrium(kkt_residuals(net, opf, zg, zf, zt), CERT_TOL)
-        parts.append(HourlyAttack(season, h, zg, zf, zt, spend, opf.shed_cost,
-                                  opf, res.status, res.node_count,
-                                  norm < m_value, cert))
+    parts = _solve_certified(net, demand, season, hours, costs, budget, bigm,
+                             node_limit, warm_parts)
     return AttackPlan(season, parts, budget)
 
 
@@ -888,16 +770,10 @@ def decompose_attack(
 ) -> AttackPlan:
     """Decoupled stage: one hourly problem per hour at budget / H."""
     H = demand.hours(season)
-    per_hour = budget / H
-    parts = []
-    for h in range(H):
-        wh = None
-        if warm is not None:
-            match = [hh for hh in warm.hours if hh.hour == h]
-            wh = match[0] if match else None
-        parts.append(solve_hourly_attack(net, demand, season, h, costs, per_hour,
-                                         bigm, node_limit, warm=wh))
-    return AttackPlan(season, parts, budget)
+    plan = attack_with_allocation(net, demand, season, costs, [budget / H] * H, bigm,
+                                  node_limit, warm)
+    # the split need not sum back to the budget exactly
+    return AttackPlan(season, plan.hours, budget)
 
 
 def attack_with_allocation(
@@ -911,14 +787,9 @@ def attack_with_allocation(
     warm: AttackPlan | None = None,
 ) -> AttackPlan:
     """Solve each hour at a caller-chosen budget split (sum is the budget)."""
-    parts = []
-    for h, b in enumerate(alloc):
-        wh = None
-        if warm is not None:
-            match = [hh for hh in warm.hours if hh.hour == h]
-            wh = match[0] if match else None
-        parts.append(solve_hourly_attack(net, demand, season, h, costs, b,
-                                         bigm, node_limit, warm=wh))
+    parts = [solve_hourly_attack(net, demand, season, h, costs, b, bigm, node_limit,
+                                 warm=_warm_hour(warm, h))
+             for h, b in enumerate(alloc)]
     return AttackPlan(season, parts, float(sum(alloc)))
 
 
@@ -968,8 +839,11 @@ def refine_budget_allocation(
         return solve_hourly_attack(net, demand, season, parts[h].hour, costs,
                                    max(b, 0.0), bigm, node_limit, warm=warm_part)
 
-    def tol_for(h: int) -> float:
-        return 1e-9 * max(1.0, abs(parts[h].objective))
+    def adopt(h: int, b: float, part: HourlyAttack) -> None:
+        alloc[h] = b
+        parts[h] = part
+        gain_cache.pop(h, None)
+        loss_cache.pop(h, None)
 
     def pooled_move() -> bool:
         idle = [h for h in range(H)
@@ -993,17 +867,10 @@ def refine_budget_allocation(
         _, r, cand = best
         taken = 0.0
         for h in idle:
-            if h == r:
-                continue
-            taken += alloc[h]
-            alloc[h] = 0.0
-            parts[h] = eval_at(h, 0.0, None)
-            gain_cache.pop(h, None)
-            loss_cache.pop(h, None)
-        alloc[r] += taken
-        parts[r] = cand
-        gain_cache.pop(r, None)
-        loss_cache.pop(r, None)
+            if h != r:
+                taken += alloc[h]
+                adopt(h, 0.0, eval_at(h, 0.0, None))
+        adopt(r, alloc[r] + taken, cand)
         return True
 
     def quantum_move() -> bool:
@@ -1030,14 +897,9 @@ def refine_budget_allocation(
                 continue
             donor = donors[0]
             loss, new_d = loss_cache[donor]
-            if gain - loss > tol_for(recipient):
-                alloc[recipient] += quantum
-                alloc[donor] -= quantum
-                parts[recipient] = new_r
-                parts[donor] = new_d
-                for h in (recipient, donor):
-                    gain_cache.pop(h, None)
-                    loss_cache.pop(h, None)
+            if gain - loss > 1e-9 * max(1.0, abs(parts[recipient].objective)):
+                adopt(recipient, alloc[recipient] + quantum, new_r)
+                adopt(donor, alloc[donor] - quantum, new_d)
                 return True
         return False
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 
 from . import reporting
 from .attack import BigMInvalidError
-from .dcopf import solve_day
 from .kkt import kkt_residuals, verify_equilibrium
 from .milp import MilpNodeLimitError
 from .network import (
@@ -29,6 +28,7 @@ from .network import (
 from .scenarios import (
     ScenarioConfig,
     ScenarioError,
+    scenario_profile,
     gamma_sweep,
     beta_sweep,
     load_config,
@@ -109,19 +109,13 @@ def _config(args) -> ScenarioConfig:
 
 def cmd_solve_opf(args) -> int:
     net, demand = _load_inputs(args)
-    cfg = _config(args)
-    profile = demand
-    if cfg.heatwave_factor != 1.0 and args.heatwave_factor is not None:
-        profile = apply_heatwave(demand, cfg.heatwave_factor)
-    hours = solve_day(net, profile, cfg.season)
-    unserved = np.array([s.u for s in hours])
-    from .scenarios import _metrics
-    result = _metrics("Baseline" if args.heatwave_factor is None else "Heatwave",
-                      cfg.season, net, np.array(profile.demand[cfg.season]),
-                      unserved, None, hours)
+    kind = "Baseline" if args.heatwave_factor is None else "Heatwave"
+    cfg = replace(_config(args), kind=kind)
+    result = run_scenario(cfg, net, demand)
     manifest = reporting.export_results(result, args.out, net)
     if args.dump_lp:
         from .dcopf import build_dcopf
+        profile = scenario_profile(cfg, demand)
         for h in range(profile.hours(cfg.season)):
             text = dump_lp(build_dcopf(net, profile, cfg.season, h))
             (Path(args.out) / f"dcopf_h{h}.lp").write_text(text)
@@ -132,18 +126,15 @@ def cmd_solve_opf(args) -> int:
 
 def cmd_attack(args) -> int:
     net, demand = _load_inputs(args)
-    cfg = _config(args)
     kind = "Compound" if (args.heatwave_factor or 1.0) != 1.0 else "Cyberattack"
-    from dataclasses import replace
-    cfg = replace(cfg, kind=kind)
+    cfg = replace(_config(args), kind=kind)
     costs = scenario_costs(cfg, net)
     result = run_scenario(cfg, net, demand, costs=costs)
     manifest = reporting.export_results(result, args.out, net, costs)
     if args.dump_lp and result.plan is not None:
         from .attack import build_hourly_attack_milp
         # dump the MILP of the demand the attack was planned on
-        profile = (apply_heatwave(demand, cfg.heatwave_factor)
-                   if kind == "Compound" else demand)
+        profile = scenario_profile(cfg, demand)
         prob = build_hourly_attack_milp(
             net, profile, cfg.season, result.peak_hour, costs,
             costs.budget / profile.hours(cfg.season))

@@ -24,10 +24,13 @@ from .network import PowerNetwork, incidence_matrix
 
 STATIONARITY_BLOCKS = ("stat_g", "stat_f", "stat_theta", "stat_u")
 EQUALITY_BLOCKS = ("balance", "flow_law", "reference")
-PAIR_BLOCKS = (
-    "gen_lo", "gen_up", "flow_lo", "flow_up",
-    "angle_lo", "angle_up", "unserved_lo", "unserved_up",
-)
+# the eight complementarity pairs and the OpfSolution field of each multiplier
+PAIR_DUALS = {
+    "gen_lo": "rho_g_lo", "gen_up": "rho_g_up", "flow_lo": "rho_f_lo", "flow_up": "rho_f_up",
+    "angle_lo": "rho_th_lo", "angle_up": "rho_th_up",
+    "unserved_lo": "rho_u_lo", "unserved_up": "rho_u_up",
+}
+PAIR_BLOCKS = tuple(PAIR_DUALS)
 
 
 @dataclass
@@ -37,18 +40,47 @@ class KktResiduals:
     complementarity: dict[str, np.ndarray]  # |y2 * F2| per pair
     dual_sign: dict[str, np.ndarray]        # negative parts of y2
 
-    def block_max(self) -> dict[str, float]:
-        out = {}
+    def named_blocks(self):
+        """(name, values) per residual block; non-stationarity names carry their group."""
         for prefix, group in (("stat", self.stationarity), ("primal", self.primal),
-                              ("comp", self.complementarity),
-                              ("dual", self.dual_sign)):
+                              ("comp", self.complementarity), ("dual", self.dual_sign)):
             for k, v in group.items():
-                key = k if k.startswith("stat") else f"{prefix}:{k}"
-                out[key] = float(np.max(np.abs(v), initial=0.0))
-        return out
+                yield (k if k.startswith("stat") else f"{prefix}:{k}"), v
+
+    def block_max(self) -> dict[str, float]:
+        return {key: float(np.max(np.abs(v), initial=0.0)) for key, v in self.named_blocks()}
 
     def overall_max(self) -> float:
         return max(self.block_max().values(), default=0.0)
+
+
+def complementarity_pairs(
+    net: PowerNetwork,
+    sol: OpfSolution,
+    zg: np.ndarray | None = None,
+    zf: np.ndarray | None = None,
+    zt: np.ndarray | None = None,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Slack F2 and multiplier y2 of each complementarity pair, keyed by PAIR_BLOCKS.
+
+    ``zg, zf, zt`` shift the generation / flow / angle limits as in
+    :func:`kkt_residuals`.
+    """
+    A = incidence_matrix(net)
+    g_lo, _ = net.gen_limits()
+    g_up, f_cap, t_cap = attack_bounds(net, zg, zf, zt)
+    angle_diff = A @ sol.theta
+    slacks = {
+        "gen_lo": sol.g - g_lo,
+        "gen_up": g_up - sol.g,
+        "flow_lo": sol.f + f_cap,
+        "flow_up": f_cap - sol.f,
+        "angle_lo": angle_diff + t_cap,
+        "angle_up": t_cap - angle_diff,
+        "unserved_lo": sol.u,
+        "unserved_up": sol.demand - sol.u,
+    }
+    return slacks, {pair: getattr(sol, fld) for pair, fld in PAIR_DUALS.items()}
 
 
 def kkt_residuals(
@@ -75,8 +107,6 @@ def kkt_residuals(
     A = incidence_matrix(net)
     Bmw = net.susceptance_mw_per_rad()
     M = net.gen_node_map()
-    g_lo, _ = net.gen_limits()
-    g_up, f_cap, t_cap = attack_bounds(net, zg, zf, zt)
     cg = net.gen_costs()
     ref = net.node_index()[net.reference_node]
     e_ref = np.zeros(N)
@@ -94,23 +124,8 @@ def kkt_residuals(
         "stat_u": voll - sol.rho_u_lo + sol.rho_u_up - sol.pi_d,
     }
 
+    slacks, duals = complementarity_pairs(net, sol, zg, zf, zt)
     angle_diff = A @ sol.theta
-    slacks = {
-        "gen_lo": sol.g - g_lo,
-        "gen_up": g_up - sol.g,
-        "flow_lo": sol.f + f_cap,
-        "flow_up": f_cap - sol.f,
-        "angle_lo": angle_diff + t_cap,
-        "angle_up": t_cap - angle_diff,
-        "unserved_lo": sol.u,
-        "unserved_up": d - sol.u,
-    }
-    duals = {
-        "gen_lo": sol.rho_g_lo, "gen_up": sol.rho_g_up,
-        "flow_lo": sol.rho_f_lo, "flow_up": sol.rho_f_up,
-        "angle_lo": sol.rho_th_lo, "angle_up": sol.rho_th_up,
-        "unserved_lo": sol.rho_u_lo, "unserved_up": sol.rho_u_up,
-    }
 
     primal = {
         "balance": np.abs(M @ sol.g + sol.u - d - A.T @ sol.f),
@@ -135,11 +150,5 @@ def verify_equilibrium(res: KktResiduals, tol: float) -> bool:
 
 def residual_rows(res: KktResiduals) -> list[tuple[str, int, float]]:
     """Flatten residuals to (block, index, value) rows for diagnostics."""
-    rows: list[tuple[str, int, float]] = []
-    for prefix, group in (("stat", res.stationarity), ("primal", res.primal),
-                          ("comp", res.complementarity), ("dual", res.dual_sign)):
-        for block, vec in group.items():
-            key = block if block.startswith("stat") else f"{prefix}:{block}"
-            for i, v in enumerate(np.atleast_1d(vec)):
-                rows.append((key, i, float(v)))
-    return rows
+    return [(key, i, float(v)) for key, vec in res.named_blocks()
+            for i, v in enumerate(np.atleast_1d(vec))]

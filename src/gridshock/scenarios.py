@@ -16,7 +16,7 @@ attacker can buy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,11 +95,12 @@ def _metrics(
     kind: str,
     season: str,
     net: PowerNetwork,
-    demand_used: np.ndarray,
-    unserved: np.ndarray,
-    plan: AttackPlan | None,
+    profile: DemandProfile,
     opf_hours: list[OpfSolution],
+    plan: AttackPlan | None = None,
 ) -> ScenarioResult:
+    demand_used = np.array(profile.demand[season])
+    unserved = np.array([s.u for s in opf_hours])
     total_unserved = float(unserved.sum())
     demand_energy = float(demand_used.sum())
     hourly_shed = unserved.sum(axis=1)
@@ -133,6 +134,12 @@ def scenario_costs(cfg: ScenarioConfig, net: PowerNetwork) -> AttackCosts:
     return default_costs(net, cfg.budget, cfg.cost_ratio, cfg.gen_attack_cost)
 
 
+def scenario_profile(cfg: ScenarioConfig, demand: DemandProfile) -> DemandProfile:
+    """The demand a scenario dispatches: heatwave-scaled for Heatwave and Compound."""
+    heated = cfg.kind in ("Heatwave", "Compound")
+    return apply_heatwave(demand, cfg.heatwave_factor) if heated else demand
+
+
 def run_scenario(
     cfg: ScenarioConfig,
     net: PowerNetwork,
@@ -144,22 +151,16 @@ def run_scenario(
     season = cfg.season
     if season not in demand.demand:
         raise ScenarioError(f"{cfg.kind}: season {season!r} not in demand profile")
-    attacked = cfg.kind in ("Cyberattack", "Compound")
-    heated = cfg.kind in ("Heatwave", "Compound")
-    profile = apply_heatwave(demand, cfg.heatwave_factor) if heated else demand
-    demand_used = np.array(profile.demand[season])
+    profile = scenario_profile(cfg, demand)
     try:
-        if not attacked:
-            hours = solve_day(net, profile, season)
-            unserved = np.array([s.u for s in hours])
-            return _metrics(cfg.kind, season, net, demand_used, unserved, None, hours)
-        costs = costs if costs is not None else scenario_costs(cfg, net)
-        plan = run_attack(net, profile, season, costs, costs.budget,
-                          step_count=cfg.refine_steps, node_limit=cfg.node_limit,
-                          refine=cfg.refine, warm=warm)
-        unserved = plan.unserved_matrix()
-        return _metrics(cfg.kind, season, net, demand_used, unserved, plan,
-                        [h.opf for h in plan.hours])
+        plan = None
+        if cfg.kind in ("Cyberattack", "Compound"):
+            costs = costs if costs is not None else scenario_costs(cfg, net)
+            plan = run_attack(net, profile, season, costs, costs.budget,
+                              step_count=cfg.refine_steps, node_limit=cfg.node_limit,
+                              refine=cfg.refine, warm=warm)
+        hours = solve_day(net, profile, season) if plan is None else [h.opf for h in plan.hours]
+        return _metrics(cfg.kind, season, net, profile, hours, plan)
     except ScenarioError:
         raise
     except Exception as exc:
@@ -183,21 +184,19 @@ def _monotone_rerun(
         return result
     if result.total_unserved_mwh >= previous.total_unserved_mwh - 1e-9:
         return result
-    season = cfg.season
-    heated = cfg.kind in ("Heatwave", "Compound")
-    profile = apply_heatwave(demand, cfg.heatwave_factor) if heated else demand
+    profile = scenario_profile(cfg, demand)
     alloc = [max(h.spend, 0.0) for h in previous.plan.hours]
     slack = costs.budget - sum(alloc)
     if slack < 0:
         return result
     alloc = [a + slack / len(alloc) for a in alloc]
-    plan = attack_with_allocation(net, profile, season, costs, alloc,
+    plan = attack_with_allocation(net, profile, cfg.season, costs, alloc,
                                   node_limit=cfg.node_limit, warm=previous.plan)
-    plan = refine_budget_allocation(net, profile, season, costs, plan.hours,
-                                    costs.budget, cfg.refine_steps,
-                                    node_limit=cfg.node_limit, alloc=alloc)
-    rerun = _metrics(cfg.kind, season, net, np.array(profile.demand[season]),
-                     plan.unserved_matrix(), plan, [h.opf for h in plan.hours])
+    if cfg.refine:
+        plan = refine_budget_allocation(net, profile, cfg.season, costs, plan.hours,
+                                        costs.budget, cfg.refine_steps,
+                                        node_limit=cfg.node_limit, alloc=alloc)
+    rerun = _metrics(cfg.kind, cfg.season, net, profile, [h.opf for h in plan.hours], plan)
     return rerun if rerun.total_unserved_mwh > result.total_unserved_mwh else result
 
 
@@ -222,50 +221,31 @@ def beta_multiplier(i: int) -> float:
     return 1.0 + (i - 1) * BETA_BUDGET_STEP
 
 
-def gamma_sweep(
+def _sweep(
     cfg: ScenarioConfig,
     net: PowerNetwork,
     demand: DemandProfile,
+    parameter: str,
 ) -> list[SweepPoint]:
-    """Price ladder: wires get cheaper, generators dearer, six steps."""
-    if cfg.gamma_iterations < 1:
-        raise ValueError("gamma sweep needs at least one iteration")
+    """Run both attack scenarios at each step of the ``parameter`` ladder.
+
+    Each step scales the base prices and budget by (gen, wire, budget)
+    factors; the factors a ladder leaves alone are exactly 1.0.
+    """
+    iterations = getattr(cfg, f"{parameter}_iterations")
+    if iterations < 1:
+        raise ValueError(f"{parameter} sweep needs at least one iteration")
     base = scenario_costs(cfg, net)
     points = []
     prev: dict[str, ScenarioResult | None] = {"Cyberattack": None, "Compound": None}
-    for i in range(1, cfg.gamma_iterations + 1):
-        wire = 1.0 - (i - 1) * GAMMA_WIRE_STEP
-        gen = 1.0 + (i - 1) * GAMMA_WIRE_STEP
-        costs = base.scaled(gen_factor=gen, wire_factor=wire)
-        results = {}
-        for kind in ("Cyberattack", "Compound"):
-            sub = replace(cfg, kind=kind)
-            warm = prev[kind].plan if prev[kind] is not None else None
-            res = run_scenario(sub, net, demand, costs=costs, warm=warm)
-            res = _monotone_rerun(sub, net, demand, costs, prev[kind], res)
-            results[kind] = res
-            prev[kind] = res
-        ratio = (cfg.cost_ratio * wire) / gen
-        points.append(SweepPoint(i, "gamma", gamma_multiplier(i), ratio,
-                                 cfg.budget, results["Cyberattack"],
-                                 results["Compound"]))
-    return points
-
-
-def beta_sweep(
-    cfg: ScenarioConfig,
-    net: PowerNetwork,
-    demand: DemandProfile,
-) -> list[SweepPoint]:
-    """Budget ladder: +20% attacker resources per step, six steps."""
-    if cfg.beta_iterations < 1:
-        raise ValueError("beta sweep needs at least one iteration")
-    base = scenario_costs(cfg, net)
-    points = []
-    prev: dict[str, ScenarioResult | None] = {"Cyberattack": None, "Compound": None}
-    for i in range(1, cfg.beta_iterations + 1):
-        beta = beta_multiplier(i)
-        costs = base.scaled(budget_factor=beta)
+    for i in range(1, iterations + 1):
+        if parameter == "gamma":
+            step = (i - 1) * GAMMA_WIRE_STEP
+            gen, wire, budget, multiplier = 1.0 + step, 1.0 - step, 1.0, gamma_multiplier(i)
+        else:
+            gen, wire, budget = 1.0, 1.0, beta_multiplier(i)
+            multiplier = budget
+        costs = base.scaled(gen, wire, budget)
         results = {}
         for kind in ("Cyberattack", "Compound"):
             sub = replace(cfg, kind=kind, budget=costs.budget)
@@ -274,9 +254,22 @@ def beta_sweep(
             res = _monotone_rerun(sub, net, demand, costs, prev[kind], res)
             results[kind] = res
             prev[kind] = res
-        points.append(SweepPoint(i, "beta", beta, cfg.cost_ratio, costs.budget,
-                                 results["Cyberattack"], results["Compound"]))
+        points.append(SweepPoint(i, parameter, multiplier, cfg.cost_ratio * wire / gen,
+                                 costs.budget, results["Cyberattack"],
+                                 results["Compound"]))
     return points
+
+
+def gamma_sweep(cfg: ScenarioConfig, net: PowerNetwork,
+                demand: DemandProfile) -> list[SweepPoint]:
+    """Price ladder: wires get cheaper, generators dearer, six steps."""
+    return _sweep(cfg, net, demand, "gamma")
+
+
+def beta_sweep(cfg: ScenarioConfig, net: PowerNetwork,
+               demand: DemandProfile) -> list[SweepPoint]:
+    """Budget ladder: +20% attacker resources per step, six steps."""
+    return _sweep(cfg, net, demand, "beta")
 
 
 def _parse_bool(text: str) -> bool:
@@ -288,19 +281,9 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-_CONFIG_FIELDS = {
-    "kind": str,
-    "season": str,
-    "heatwave_factor": float,
-    "cost_ratio": float,
-    "gen_attack_cost": float,
-    "budget": float,
-    "gamma_iterations": int,
-    "beta_iterations": int,
-    "refine_steps": int,
-    "refine": _parse_bool,
-    "node_limit": int,
-}
+# parser of each config key, read off the ScenarioConfig annotations
+_PARSERS = {"str": str, "float": float, "int": int, "bool": _parse_bool}
+_CONFIG_FIELDS = {f.name: _PARSERS[f.type] for f in fields(ScenarioConfig)}
 
 
 def load_config(path: str | Path, **overrides) -> ScenarioConfig:

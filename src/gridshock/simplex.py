@@ -649,9 +649,11 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
     ``basis``, taken from an earlier solve of a problem with the same
     ``c`` and ``A``, warm-starts a bounded dual simplex (see the module
     docstring); without one, or when it cannot be used, the cold two-phase
-    primal simplex runs.  Deterministic: identical inputs, basis included,
-    yield bit-identical outputs.  Raises :class:`SolverNumericalError` on
-    iteration caps or singular bases.
+    primal simplex runs.  Deterministic for a fixed BLAS thread count:
+    identical inputs, basis included, yield bit-identical outputs, but a
+    different thread count can change rounding, pivots and the vertex
+    (``OPENBLAS_NUM_THREADS=1`` gives reproducible B&B trees).  Raises
+    :class:`SolverNumericalError` on iteration caps or singular bases.
     """
     m, n = problem.num_rows, problem.num_cols
     sign = 1.0 if problem.sense == "min" else -1.0

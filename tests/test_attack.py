@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import gridshock.attack as attack_mod
 from gridshock.attack import (
     AttackCosts,
     BigMConfig,
@@ -16,6 +19,7 @@ from gridshock.attack import (
 )
 from gridshock.dcopf import solve_dcopf
 from gridshock.kkt import kkt_residuals, verify_equilibrium
+from gridshock.network import apply_heatwave
 from support import profile_for, tight_two_bus, triangle, two_bus
 
 
@@ -70,6 +74,12 @@ def test_zero_budget_equals_plain_dispatch():
     plain = solve_dcopf(net, prof, "summer", 0)
     assert ha.objective == pytest.approx(plain.shed_cost, rel=1e-9)
     assert ha.spend == 0.0
+    assert ha.certificate_ok and ha.bigm_valid
+    # the flags are measured, not defaulted: the dispatch's shed price 1000
+    # is above a big M of 10
+    tiny = solve_hourly_attack(net, prof, "summer", 0, costs, 0.0,
+                               bigm=BigMConfig(m_value=10.0))
+    assert tiny.certificate_ok and not tiny.bigm_valid
 
 
 def test_tight_two_bus_milp_matches_grid_oracle():
@@ -250,3 +260,83 @@ def test_warm_start_is_respected():
     warm = solve_hourly_attack(net, prof, "summer", 0, costs, 30.0,
                                node_limit=0, warm=first)
     assert warm.objective >= first.objective - 1e-9
+
+
+def test_bigm_test_applies_to_reported_point(monkeypatch):
+    # an optimal MILP point whose multiplier sits at M fails the max-norm
+    # test, but the dispatch LP at the same attack passes it; that point is
+    # reported instead of growing M until BigMInvalidError
+    net = tight_two_bus()
+    prof = profile_for(net, [[10.0, 80.0]])
+    costs = uniform_costs(net, 30.0)
+    exact = solve_hourly_attack(net, prof, "summer", 0, costs, 30.0, node_limit=200_000)
+    real_solve = attack_mod.solve_milp
+    col = attack_mod._Layout(net, 1).offsets[0]["rho_gen_lo"]
+
+    def multiplier_at_bigm(problem, **kwargs):
+        res = real_solve(problem, **kwargs)
+        res.x[col] = problem.lp.ub[col]  # the current M
+        return res
+
+    monkeypatch.setattr(attack_mod, "solve_milp", multiplier_at_bigm)
+    ha = solve_hourly_attack(net, prof, "summer", 0, costs, 30.0, node_limit=200_000)
+    assert ha.objective == pytest.approx(exact.objective, rel=1e-12)
+    assert ha.bigm_valid and ha.certificate_ok
+    assert ha.status == "optimal"
+
+
+def test_full_milp_refuses_bundled_day_before_building(bundled_net, bundled_demand,
+                                                       monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the size guard must run first")
+
+    monkeypatch.setattr(attack_mod, "_build_attack_milp", never)
+    monkeypatch.setattr(attack_mod, "greedy_attack", never)
+    costs = default_costs(bundled_net, 300.0)
+    with pytest.raises(ValueError, match="oracle for small instances"):
+        solve_full_milp(bundled_net, bundled_demand, "summer", costs, 300.0)
+
+
+def _milp_digest(prob) -> str:
+    """blake2b of the raw arrays (so -0.0 differs from 0.0), labels and binaries."""
+    lp = prob.lp
+    h = hashlib.blake2b(digest_size=16)
+    for arr in (lp.c, lp.A, lp.row_lb, lp.row_ub, lp.lb, lp.ub):
+        h.update(arr.tobytes())
+    for labels in (lp.row_labels, lp.col_labels):
+        h.update("\n".join(labels).encode())
+    h.update(np.asarray(prob.binary_indices, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _golden_instances():
+    tri = triangle()
+    tri_prof = profile_for(tri, [[20.0, 60.0, 100.0]])
+    tri_costs = AttackCosts(np.array([50.0, 50.0, 1.0]), np.array([50.0, 0.8, 0.8]),
+                            np.array([50.0, 0.8, 0.8]) * 600.0, 150.0)
+    tight = tight_two_bus()
+    tight_prof = profile_for(tight, [[10.0, 80.0]])
+    yield ("tight_two_bus", tight, tight_prof, [0], uniform_costs(tight, 30.0), [30.0],
+           "76ca81d4e9accab5481d590aa1d7326b")
+    yield ("triangle", tri, tri_prof, [0], tri_costs, [150.0],
+           "71ff3d13420a0a31ba518005b614be62")
+    # e12's angle pair is presolved away, e13's and e23's stay
+    live_costs = AttackCosts(tri_costs.cg, tri_costs.cf, np.array([30000.0, 0.8, 0.8]),
+                             150.0)
+    yield ("triangle_live_angles", tri, tri_prof, [0], live_costs, [150.0],
+           "d8e01b34046e6261f1e2f1d2579af2b1")
+    two_hours = profile_for(tri, [[20.0, 60.0, 100.0], [30.0, 50.0, 90.0]])
+    yield ("triangle_joint", tri, two_hours, [0, 1], tri_costs, 150.0,
+           "e36f495ab1751457e014d4145b12e4ec")
+
+
+def test_attack_milp_build_is_unchanged(bundled_net, bundled_demand):
+    """Digests of the MILP as the row-at-a-time builder assembled it."""
+    cases = list(_golden_instances())
+    heated = apply_heatwave(bundled_demand, 1.09)
+    cases.append(("bundled_h17", bundled_net, heated, [17], default_costs(bundled_net, 300.0),
+                  [300.0], "69b6a0ea1539caa269b4623b3c1a9fe9"))
+    for name, net, prof, hours, costs, budgets, expected in cases:
+        prob, _ = attack_mod._build_attack_milp(net, prof, "summer", hours, costs, budgets,
+                                                BigMConfig.for_network(net, prof))
+        assert _milp_digest(prob) == expected, name

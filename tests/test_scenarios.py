@@ -182,3 +182,27 @@ def test_config_file_refine_flag(tmp_path):
     assert load_config(path).refine is False
     path.write_text("refine = Yes\n")
     assert load_config(path).refine is True
+
+
+def test_monotone_rerun_honours_refine_off(small, monkeypatch):
+    import gridshock.scenarios as scenarios
+    net, prof = small
+    cfg = cfg_for("Cyberattack", refine=False)
+    costs = scenarios.scenario_costs(cfg, net)
+    result = run_scenario(cfg, net, prof)
+    # the heated run at the same budget sheds more, so the rerun path runs
+    previous = run_scenario(cfg_for("Compound", refine=False), net, prof)
+    assert previous.total_unserved_mwh > result.total_unserved_mwh + 1e-9
+    assert sum(h.spend for h in previous.plan.hours) <= costs.budget
+
+    def refine(*args, **kwargs):
+        raise AssertionError("refined a ladder rerun with refine = off")
+
+    monkeypatch.setattr(scenarios, "refine_budget_allocation", refine)
+    calls = []
+    real = scenarios.attack_with_allocation
+    monkeypatch.setattr(scenarios, "attack_with_allocation",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    out = scenarios._monotone_rerun(cfg, net, prof, costs, previous, result)
+    assert len(calls) == 1
+    assert out.total_unserved_mwh >= result.total_unserved_mwh
