@@ -39,6 +39,9 @@ from .network import DemandProfile, PowerNetwork, incidence_matrix
 from .simplex import LpProblem
 
 MICRO_PENALTY = 1e-9  # prefers minimal-effort attacks among ties
+ZONE_PACKAGES = 3  # zone opening packages the greedy attack evaluates exactly
+GREEDY_SHORTLIST = 12  # single moves per greedy step, ranked by capacity rent
+REFINE_MOVES = 4  # refinement move cap per hour and budget quantum
 CERT_TOL = 1e-5
 BIGM_GROWTH = 10.0
 BIGM_RETRIES = 3
@@ -427,7 +430,6 @@ def _zone_packages(
     hour: int,
     costs: AttackCosts,
     budget: float,
-    top: int = 3,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Candidate opening purchases: cheapest supply-reduction ladder per zone.
 
@@ -477,7 +479,7 @@ def _zone_packages(
         if est > 1e-9:
             ranked.append((est, n, zg, zf))
     ranked.sort(key=lambda t: (-t[0], t[1]))
-    return [(zg, zf) for _, _, zg, zf in ranked[:top]]
+    return [(zg, zf) for _, _, zg, zf in ranked[:ZONE_PACKAGES]]
 
 
 def greedy_attack(
@@ -487,7 +489,6 @@ def greedy_attack(
     hour: int,
     costs: AttackCosts,
     budget: float,
-    shortlist: int = 12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, OpfSolution]:
     """Greedy capacity-kill incumbent: zone opening package, then best moves.
 
@@ -535,7 +536,7 @@ def greedy_attack(
         cands.sort(key=lambda t: (-t[0], t[1], t[2]))
         best_gain = 0.0
         best = None
-        for _, kind, idx, amount, price in cands[:shortlist]:
+        for _, kind, idx, amount, price in cands[:GREEDY_SHORTLIST]:
             tg, tf = zg.copy(), zf.copy()
             (tf if kind else tg)[idx] += amount
             sol = solve_dcopf(net, demand, season, hour, tg, tf, zt, basis=base)
@@ -803,7 +804,6 @@ def refine_budget_allocation(
     step_count: int = 4,
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
-    max_moves: int | None = None,
     alloc: list[float] | None = None,
 ) -> AttackPlan:
     """Cross-hour budget reallocation by deterministic coordinate ascent.
@@ -829,7 +829,6 @@ def refine_budget_allocation(
     parts = list(hourly)
     if quantum <= 0:
         return AttackPlan(season, parts, budget)
-    max_moves = max_moves if max_moves is not None else 4 * H * step_count
 
     base_shed = [solve_dcopf(net, demand, season, p.hour).shed_cost for p in parts]
     gain_cache: dict[int, tuple[float, HourlyAttack]] = {}
@@ -904,7 +903,7 @@ def refine_budget_allocation(
         return False
 
     moves = 0
-    while moves < max_moves:
+    while moves < REFINE_MOVES * H * step_count:
         if pooled_move():
             moves += 1
             continue

@@ -185,13 +185,28 @@ def cmd_verify(args) -> int:
         attacks = reporting.read_attack_csv(attack_file, net)
     factor = args.heatwave_factor
     profile = apply_heatwave(demand, factor) if factor not in (None, 1.0) else demand
+    # a run covers whole days: exactly the profile's hours of each season it names
+    for season in sorted({season for season, _ in data}):
+        if season not in profile.demand:
+            print(f"FAIL {season}: season not in the demand profile")
+            return EXIT_SOLVER
+        hours = {h for s, h in data if s == season}
+        expected = set(range(profile.hours(season)))
+        if hours != expected:
+            print(f"FAIL {season}: no rows for hours {sorted(expected - hours)}, "
+                  f"rows for unknown hours {sorted(hours - expected)}")
+            return EXIT_SOLVER
     worst = 0.0
     dump_rows = []
     failed = None
     for (season, hour), quantities in sorted(data.items()):
         d = profile.demand[season][hour]
         voll = profile.voll[season][hour]
-        sol = reporting.rebuild_opf_solution(net, season, hour, quantities, d, voll)
+        try:
+            sol = reporting.rebuild_opf_solution(net, season, hour, quantities, d, voll)
+        except ValueError as exc:
+            print(f"FAIL {exc}")
+            return EXIT_SOLVER
         z = attacks.get(hour, {})
         res = kkt_residuals(net, sol, z.get("zg"), z.get("zf"), z.get("zt"))
         worst = max(worst, res.overall_max())

@@ -25,6 +25,15 @@ class OpfInfeasibleError(RuntimeError):
     """The OPF should always be feasible (shedding is allowed); raised if not."""
 
 
+# OpfSolution array fields per entity kind (a PowerNetwork list attribute),
+# in the row order of opf_solution.csv
+OPF_ARRAYS = {
+    "generators": ("g", "rho_g_lo", "rho_g_up"),
+    "edges": ("f", "pi_f", "rho_f_lo", "rho_f_up", "rho_th_lo", "rho_th_up"),
+    "nodes": ("u", "theta", "pi_d", "rho_u_lo", "rho_u_up"),
+}
+
+
 @dataclass
 class OpfSolution:
     """Primal and dual quantities of one hourly dispatch.
@@ -57,10 +66,6 @@ class OpfSolution:
     voll: np.ndarray
     shed_cost: float  # voll . u, the disruption value of this hour
     basis: np.ndarray | None = None  # optimal LP basis: warm start for this hour
-
-    @property
-    def total_unserved(self) -> float:
-        return float(self.u.sum())
 
 
 def attack_bounds(
@@ -240,24 +245,9 @@ def solve_day(
 
 def solution_rows(sol: OpfSolution, net: PowerNetwork) -> list[tuple]:
     """Flatten a solution to (season, hour, entity, quantity, value) rows."""
-    rows = []
-    for k, gen in enumerate(net.generators):
-        rows.append((sol.season, sol.hour, gen.id, "g", sol.g[k]))
-        rows.append((sol.season, sol.hour, gen.id, "rho_g_lo", sol.rho_g_lo[k]))
-        rows.append((sol.season, sol.hour, gen.id, "rho_g_up", sol.rho_g_up[k]))
-    for e, edge in enumerate(net.edges):
-        rows.append((sol.season, sol.hour, edge.id, "f", sol.f[e]))
-        rows.append((sol.season, sol.hour, edge.id, "pi_f", sol.pi_f[e]))
-        rows.append((sol.season, sol.hour, edge.id, "rho_f_lo", sol.rho_f_lo[e]))
-        rows.append((sol.season, sol.hour, edge.id, "rho_f_up", sol.rho_f_up[e]))
-        rows.append((sol.season, sol.hour, edge.id, "rho_th_lo", sol.rho_th_lo[e]))
-        rows.append((sol.season, sol.hour, edge.id, "rho_th_up", sol.rho_th_up[e]))
-    for n, nd in enumerate(net.nodes):
-        rows.append((sol.season, sol.hour, nd.id, "u", sol.u[n]))
-        rows.append((sol.season, sol.hour, nd.id, "theta", sol.theta[n]))
-        rows.append((sol.season, sol.hour, nd.id, "pi_d", sol.pi_d[n]))
-        rows.append((sol.season, sol.hour, nd.id, "rho_u_lo", sol.rho_u_lo[n]))
-        rows.append((sol.season, sol.hour, nd.id, "rho_u_up", sol.rho_u_up[n]))
+    rows = [(sol.season, sol.hour, item.id, name, getattr(sol, name)[k])
+            for kind, names in OPF_ARRAYS.items()
+            for k, item in enumerate(getattr(net, kind)) for name in names]
     rows.append((sol.season, sol.hour, "system", "delta", sol.delta))
     rows.append((sol.season, sol.hour, "system", "objective", sol.objective))
     return rows

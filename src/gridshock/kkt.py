@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcopf import OpfSolution, attack_bounds
+from .dcopf import OPF_ARRAYS, OpfSolution, attack_bounds
 from .network import PowerNetwork, incidence_matrix
 
-STATIONARITY_BLOCKS = ("stat_g", "stat_f", "stat_theta", "stat_u")
-EQUALITY_BLOCKS = ("balance", "flow_law", "reference")
 # the eight complementarity pairs and the OpfSolution field of each multiplier
 PAIR_DUALS = {
     "gen_lo": "rho_g_lo", "gen_up": "rho_g_up", "flow_lo": "rho_f_lo", "flow_up": "rho_f_up",
@@ -96,13 +94,13 @@ def kkt_residuals(
     shift the generation / flow / angle limits the same way the attacker
     MILP does.  Raises ValueError on dimension mismatch.
     """
-    N, E, G = net.num_nodes, net.num_edges, net.num_generators
-    for name, arr, size in (
-        ("g", sol.g, G), ("f", sol.f, E), ("u", sol.u, N), ("theta", sol.theta, N),
-        ("pi_d", sol.pi_d, N), ("pi_f", sol.pi_f, E),
-    ):
-        if arr.shape != (size,):
-            raise ValueError(f"{name} has shape {arr.shape}, expected ({size},)")
+    for kind, names in OPF_ARRAYS.items():
+        size = len(getattr(net, kind))
+        for name in names:
+            shape = np.shape(getattr(sol, name))
+            if shape != (size,):
+                raise ValueError(f"{name} has shape {shape}, expected ({size},)")
+    N = net.num_nodes
 
     A = incidence_matrix(net)
     Bmw = net.susceptance_mw_per_rad()

@@ -59,6 +59,14 @@ def _is_better(sense: str, a: float, b: float) -> bool:
     return a < b - 1e-15 if sense == "min" else a > b + 1e-15
 
 
+def _fixed(lp: LpProblem, idx: list[int], vals) -> LpProblem:
+    """``lp`` with columns ``idx`` fixed at ``vals``."""
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    lb[idx] = ub[idx] = vals
+    return LpProblem(lp.sense, lp.c, lp.A, lp.row_lb, lp.row_ub, lb, ub,
+                     lp.row_labels, lp.col_labels)
+
+
 def _polish(problem: MilpProblem, x: np.ndarray,
             basis: np.ndarray | None = None) -> tuple[np.ndarray, float] | None:
     """Fix binaries to rounded values, re-solve the continuous part.
@@ -71,14 +79,8 @@ def _polish(problem: MilpProblem, x: np.ndarray,
     bidx = problem.binary_indices
     if not bidx:
         return x.copy(), float(lp.c @ x)
-    lb = lp.lb.copy()
-    ub = lp.ub.copy()
     vals = np.rint(x[bidx])
-    lb[bidx] = vals
-    ub[bidx] = vals
-    fixed = LpProblem(lp.sense, lp.c, lp.A, lp.row_lb, lp.row_ub, lb, ub,
-                      lp.row_labels, lp.col_labels)
-    sol = solve_lp(fixed, basis=basis)
+    sol = solve_lp(_fixed(lp, bidx, vals), basis=basis)
     if sol.status != "optimal":
         return None
     xp = sol.x.copy()
@@ -89,7 +91,6 @@ def _polish(problem: MilpProblem, x: np.ndarray,
 def solve_milp(
     problem: MilpProblem,
     node_limit: int = 200_000,
-    gap_tol: float = MILP_GAP_TOL,
     warm_start: np.ndarray | None = None,
 ) -> MilpSolution:
     """Solve a binary MILP by branch and bound.
@@ -137,7 +138,7 @@ def solve_milp(
     def prune(obj: float) -> bool:
         if incumbent_x is None:
             return False
-        slack = gap_tol * max(1.0, abs(incumbent_obj))
+        slack = MILP_GAP_TOL * max(1.0, abs(incumbent_obj))
         if sense == "min":
             return obj >= incumbent_obj - slack
         return obj <= incumbent_obj + slack
@@ -162,45 +163,33 @@ def solve_milp(
         return True
 
     def child(fixings: dict[int, int], parent: LpSolution, j: int, val: int):
-        f = dict(fixings)
-        f[j] = val
-        lb = lp.lb.copy()
-        ub = lp.ub.copy()
-        for k, v in f.items():
-            lb[k] = float(v)
-            ub[k] = float(v)
-        sub = LpProblem(sense, lp.c, lp.A, lp.row_lb, lp.row_ub, lb, ub,
-                        lp.row_labels, lp.col_labels)
-        return f, solve_lp(sub, basis=parent.basis)
+        f = {**fixings, j: val}
+        return f, solve_lp(_fixed(lp, list(f), list(f.values())), basis=parent.basis)
 
-    while stack or heap:
+    while True:
+        if incumbent_x is not None:
+            # best-bound search once an incumbent exists: hand the open dive
+            # nodes to the heap
+            while stack:
+                f, sol = stack.pop()
+                if not prune(sol.objective):
+                    counter += 1
+                    heapq.heappush(heap, (bound_key(sol.objective), counter, f, sol))
+        if not (stack or heap):
+            break
         if nodes >= node_limit:
             if incumbent_x is None:
                 raise MilpNodeLimitError(f"node limit {node_limit} reached with no incumbent")
-            gap = _gap(sense, incumbent_obj, _open_bounds(stack, heap) + lost)
+            gap = _gap(sense, incumbent_obj, [rel.objective for *_, rel in heap] + lost)
             return MilpSolution("feasible-limit", incumbent_x, incumbent_obj, gap, nodes)
 
-        if incumbent_x is None and stack:
-            fixings, rel = stack.pop()
-        elif heap:
-            _, _, fixings, rel = heapq.heappop(heap)
-        elif stack:
-            fixings, rel = stack.pop()
-        else:
-            break
-
-        if rel.status != "optimal" or prune(rel.objective):
+        fixings, rel = stack.pop() if incumbent_x is None else heapq.heappop(heap)[2:]
+        if prune(rel.objective):
             continue
 
         frac = np.abs(rel.x[bidx] - np.rint(rel.x[bidx])) if bidx.size else np.zeros(0)
         if bidx.size == 0 or np.all(frac <= ROUND_TOL):
             if accept(rel):
-                # drain the dive stack now that an incumbent exists
-                while stack:
-                    f, sol = stack.pop()
-                    if sol.status == "optimal" and not prune(sol.objective):
-                        counter += 1
-                        heapq.heappush(heap, (bound_key(sol.objective), counter, f, sol))
                 continue
             # rounding infeasible: force the most ambiguous binary both ways
             unfixed = [k for k, jj in enumerate(bidx) if int(jj) not in fixings]
@@ -228,20 +217,8 @@ def solve_milp(
                 continue
             if sol.status == "optimal" and not prune(sol.objective):
                 kids.append((f, sol))
-        if incumbent_x is None:
-            # dive: push the away-branch first so the toward-branch pops next
-            for f, sol in reversed(kids):
-                stack.append((f, sol))
-        else:
-            for f, sol in kids:
-                counter += 1
-                heapq.heappush(heap, (bound_key(sol.objective), counter, f, sol))
-            # drain any leftover dive stack into the heap once an incumbent exists
-            while stack:
-                f, sol = stack.pop()
-                if sol.status == "optimal" and not prune(sol.objective):
-                    counter += 1
-                    heapq.heappush(heap, (bound_key(sol.objective), counter, f, sol))
+        # push the away-branch first so the toward-branch pops next
+        stack.extend(reversed(kids))
 
     if incumbent_x is None:
         if lost_error is not None:
@@ -259,12 +236,6 @@ def _feasible(lp: LpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
         np.all(act >= lp.row_lb - tol) and np.all(act <= lp.row_ub + tol)
         and np.all(x >= lp.lb - tol) and np.all(x <= lp.ub + tol)
     )
-
-
-def _open_bounds(stack, heap) -> list[float]:
-    bounds = [rel.objective for _, rel in stack if rel.status == "optimal"]
-    bounds += [rel.objective for _, _, _, rel in heap if rel.status == "optimal"]
-    return bounds
 
 
 def _gap(sense: str, incumbent_obj: float, bounds: list[float]) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackCosts, attack_rows
-from .dcopf import OpfSolution, solution_rows
+from .dcopf import OPF_ARRAYS, OpfSolution, solution_rows
 from .network import PowerNetwork
 from .scenarios import ScenarioResult, SweepPoint
 
@@ -170,28 +170,22 @@ def rebuild_opf_solution(
     demand: np.ndarray,
     voll: np.ndarray,
 ) -> OpfSolution:
-    """Reassemble an OpfSolution from exported rows (for the verify command)."""
-    def vec(quantity: str, ids: list[str]) -> np.ndarray:
-        got = data.get(quantity, {})
-        return np.array([got.get(i, 0.0) for i in ids])
+    """Reassemble an OpfSolution from exported rows (for the verify command).
 
-    gid = [g.id for g in net.generators]
-    eid = [e.id for e in net.edges]
-    nid = [nd.id for nd in net.nodes]
-    g = vec("g", gid)
-    u = vec("u", nid)
+    Raises ValueError naming the first (quantity, entity) row that is missing.
+    """
+    def value(quantity: str, entity: str) -> float:
+        try:
+            return data[quantity][entity]
+        except KeyError:
+            raise ValueError(f"{season}/{hour}: no {quantity} row for {entity}") from None
+
+    arrays = {name: np.array([value(name, item.id) for item in getattr(net, kind)])
+              for kind, names in OPF_ARRAYS.items() for name in names}
     return OpfSolution(
-        season=season, hour=hour,
-        g=g, f=vec("f", eid), u=u, theta=vec("theta", nid),
-        pi_d=vec("pi_d", nid), pi_f=vec("pi_f", eid),
-        delta=data.get("delta", {}).get("system", 0.0),
-        rho_g_lo=vec("rho_g_lo", gid), rho_g_up=vec("rho_g_up", gid),
-        rho_f_lo=vec("rho_f_lo", eid), rho_f_up=vec("rho_f_up", eid),
-        rho_th_lo=vec("rho_th_lo", eid), rho_th_up=vec("rho_th_up", eid),
-        rho_u_lo=vec("rho_u_lo", nid), rho_u_up=vec("rho_u_up", nid),
-        objective=data.get("objective", {}).get("system", 0.0),
-        demand=demand, voll=voll,
-        shed_cost=float(voll @ u),
+        season=season, hour=hour, **arrays,
+        delta=value("delta", "system"), objective=value("objective", "system"),
+        demand=demand, voll=voll, shed_cost=float(voll @ arrays["u"]),
     )
 
 

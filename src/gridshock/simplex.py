@@ -192,6 +192,32 @@ def _initial_status(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
                     ).astype(np.int8)
 
 
+def _rc_tol(c: np.ndarray) -> float:
+    """Reduced-cost tolerance, relative to the largest cost."""
+    return _RC_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+
+
+def _improving(rc: np.ndarray, status: np.ndarray, tol: float) -> np.ndarray:
+    """Objective gain per unit of moving each column off its status.
+
+    ``-rc`` at a lower bound, ``rc`` at an upper bound, ``|rc|`` for a free
+    column at zero; 0 where the gain is not above ``tol`` and for basic
+    columns.
+    """
+    gain = np.where(status == _AT_LOWER, -rc, np.where(
+        status == _AT_UPPER, rc, np.where(status == _AT_ZERO, np.abs(rc), 0.0)))
+    return np.where(gain > tol, gain, 0.0)
+
+
+def _in_band(ratios: np.ndarray) -> np.ndarray:
+    """Two-pass ratio test: positions within a tolerance band of the smallest
+    ratio; empty when every ratio is infinite."""
+    step = float(np.min(ratios))
+    if not np.isfinite(step):
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(ratios <= step + 1e-9 * (1.0 + abs(step)))
+
+
 class _Tableau:
     """Working state for one simplex run on the standard bounded form.
 
@@ -263,6 +289,16 @@ class _Tableau:
         y = self.binv.T @ c[self.basis]
         return c - self.A.T @ y
 
+    def pivot(self, pos: int, q: int, enter_val: float, leave_status: int,
+              w: np.ndarray, refactor_every: int):
+        """Column q enters at basis position ``pos`` with value ``enter_val``;
+        the column it replaces leaves at ``leave_status``.  w = B^-1 a_q."""
+        self.status[self.basis[pos]] = leave_status
+        self.basis[pos] = q
+        self.status[q] = _BASIC
+        self.xB[pos] = enter_val
+        self.eta_update(w, pos, refactor_every)
+
     def eta_update(self, w: np.ndarray, pos: int, refactor_every: int):
         """Replace basis column ``pos`` in the inverse given w = B^-1 a_q.
 
@@ -291,7 +327,7 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
 
     Returns (status, iterations) with status in {"optimal", "unbounded"}.
     """
-    m = tab.m
+    tol = _rc_tol(c)
     bland = bland_start
     stall = 0
     it = 0
@@ -300,22 +336,12 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
         if it > max_iter:
             raise SolverNumericalError(f"iteration limit {max_iter} exceeded")
         rc = tab.reduced_costs(c)
-        scale = 1.0 + np.max(np.abs(c)) if c.size else 1.0
-        tol = _RC_TOL * scale
-
-        # entering candidates: improving direction given nonbasic status
-        improv = np.zeros(tab.ncols)
-        low = tab.status == _AT_LOWER
-        upp = tab.status == _AT_UPPER
-        fre = tab.status == _AT_ZERO
-        improv[low] = np.where(rc[low] < -tol, -rc[low], 0.0)
-        improv[upp] = np.where(rc[upp] > tol, rc[upp], 0.0)
-        improv[fre] = np.where(np.abs(rc[fre]) > tol, np.abs(rc[fre]), 0.0)
-        if not np.any(improv > 0.0):
+        improv = _improving(rc, tab.status, tol)
+        if not np.any(improv):
             return "optimal", it
 
         if bland:
-            q = int(np.flatnonzero(improv > 0.0)[0])
+            q = int(np.flatnonzero(improv)[0])
         else:
             q = int(np.argmax(improv))  # lowest index on ties (argmax picks first)
         direction = 1.0 if (tab.status[q] == _AT_LOWER or
@@ -324,21 +350,17 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
         w = tab.binv @ tab.A[:, q]
         d = -direction * w  # basic variables move by d * step
 
-        # two-pass ratio test: find the tightest step, then pivot on the
-        # largest direction component within a tolerance band of it
+        # ratio test: pivot on the largest direction component in the band
         lb_b = tab.lb[tab.basis]
         ub_b = tab.ub[tab.basis]
         absd = np.abs(d)
-        active = absd > _PIVOT_TOL
         caps = np.where(d > 0.0, ub_b - tab.xB, lb_b - tab.xB)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(active, caps / d, np.inf)
+            ratios = np.where(absd > _PIVOT_TOL, caps / d, np.inf)
         ratios = np.where(np.isnan(ratios), np.inf, np.maximum(ratios, 0.0))
-        step = float(np.min(ratios, initial=np.inf))
-        leave_pos = -1
-        if np.isfinite(step):
-            band = step + 1e-9 * (1.0 + abs(step))
-            in_band = np.flatnonzero(active & (ratios <= band))
+        in_band = _in_band(ratios)
+        step, leave_pos = np.inf, -1
+        if in_band.size:
             if bland:
                 leave_pos = int(in_band[np.argmin(tab.basis[in_band])])
             else:
@@ -360,24 +382,19 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
         else:
             stall = 0
 
+        tab.xB += d * step
         if flip:
-            tab.xB += d * step
             tab.status[q] = _AT_UPPER if tab.status[q] == _AT_LOWER else _AT_LOWER
             continue
 
         # pivot: q enters at position leave_pos, old basic leaves to a bound
         leave = int(tab.basis[leave_pos])
-        tab.xB += d * step
-        enter_val = tab.nonbasic_value(q) + direction * step
-        d_leave = d[leave_pos]
-        tab.status[leave] = _AT_UPPER if d_leave > 0.0 else _AT_LOWER
         if not np.isfinite(tab.lb[leave]) and not np.isfinite(tab.ub[leave]):
-            tab.status[leave] = _AT_ZERO  # free variable pivoting out lands at 0
-        tab.basis[leave_pos] = q
-        tab.status[q] = _BASIC
-        tab.xB[leave_pos] = enter_val
-
-        tab.eta_update(w, leave_pos, refactor_every)
+            leave_status = _AT_ZERO  # free variable pivoting out lands at 0
+        else:
+            leave_status = _AT_UPPER if d[leave_pos] > 0.0 else _AT_LOWER
+        tab.pivot(leave_pos, q, tab.nonbasic_value(q) + direction * step, leave_status,
+                  w, refactor_every)
 
 
 def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,14 +427,8 @@ def _run_verified(tab: _Tableau, c: np.ndarray, max_iter: int,
         tab.refactorize()
         if status != "optimal":
             return status, total
-        rc = tab.reduced_costs(c)
         tol = 10.0 * _RC_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
-        low = tab.status == _AT_LOWER
-        upp = tab.status == _AT_UPPER
-        fre = tab.status == _AT_ZERO
-        clean = not (np.any(rc[low] < -tol) or np.any(rc[upp] > tol)
-                     or np.any(np.abs(rc[fre]) > tol))
-        if clean:
+        if not np.any(_improving(tab.reduced_costs(c), tab.status, tol)):
             return "optimal", total
     raise SolverNumericalError("optimality could not be verified after restarts")
 
@@ -432,7 +443,7 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int) -> tuple[str, int
     either sign.
     """
     movable = tab.lb < tab.ub
-    tol = _RC_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+    tol = _rc_tol(c)
     bland = False
     stall = 0
     it = 0
@@ -477,9 +488,7 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int) -> tuple[str, int
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(elig, np.maximum(rc / ahat, 0.0), np.inf)
         # same two-pass band as the primal ratio test, largest |alpha| in it
-        step = float(np.min(ratios))
-        band = step + 1e-9 * (1.0 + abs(step))
-        in_band = np.flatnonzero(ratios <= band)
+        in_band = _in_band(ratios)
         if bland:
             q = int(in_band[0])
         else:
@@ -507,15 +516,11 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int) -> tuple[str, int
         leave = int(tab.basis[r])
         target = tab.lb[leave] if to_lower else tab.ub[leave]
         delta = (tab.xB[r] - target) / piv
-        enter_val = tab.nonbasic_value(q) + delta
         tab.xB -= delta * w
-        tab.status[leave] = _AT_LOWER if to_lower else _AT_UPPER
-        tab.basis[r] = q
-        tab.status[q] = _BASIC
-        tab.xB[r] = enter_val
+        tab.pivot(r, q, tab.nonbasic_value(q) + delta, _AT_LOWER if to_lower else _AT_UPPER,
+                  w, _REFACTOR_EVERY)
         rc = rc - ratios[q] * ahat
         rc[tab.basis] = 0.0
-        tab.eta_update(w, r, _REFACTOR_EVERY)
 
 
 def _warm_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
@@ -536,12 +541,10 @@ def _warm_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c: np.ndarray
     tab.basis = basic.astype(np.int64)
     tab.status = _initial_status(lb, ub)
     tab.status[tab.basis] = _BASIC
-    nb = tab.status != _BASIC
-    lf, uf = np.isfinite(lb), np.isfinite(ub)
-    boxed = nb & lf & uf
+    boxed = (tab.status != _BASIC) & np.isfinite(lb) & np.isfinite(ub)
     tab.refactorize()
     rc = tab.reduced_costs(c)
-    tol = _RC_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+    tol = _rc_tol(c)
     # a boxed column rests on the bound its reduced cost asks for; where
     # the cost is indifferent it stays on the bound nearest zero, as in a
     # cold start, which keeps degenerate optima (big-M multipliers) small
@@ -550,8 +553,7 @@ def _warm_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c: np.ndarray
     if np.any(moved):
         tab.status[moved] = want[moved]
         tab.recompute_basic_values()
-    if (np.any((nb & lf & ~uf) & (rc < -tol)) or np.any((nb & ~lf & uf) & (rc > tol))
-            or np.any((nb & ~lf & ~uf) & (np.abs(rc) > tol))):
+    if np.any(_improving(rc, tab.status, tol)):
         return None
     status1, it1 = _dual_simplex(tab, c, max_iter)
     if status1 == "infeasible":
@@ -583,32 +585,22 @@ def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.nda
         x0 = _nonbasic_values(statuses, lb, ub)
         act0 = A_std[:, :n] @ x0[:n]
         resid = act0 - np.clip(act0, rlb_sc, rub_sc)
-        art_cols = []
-        for i in range(m):
-            if abs(resid[i]) > FEAS_TOL:
-                col = np.zeros(m)
-                col[i] = -np.sign(resid[i])
-                art_cols.append(col)
-                statuses[n + i] = _AT_UPPER if resid[i] > 0 else _AT_LOWER
-        n_art = len(art_cols)
+        # one artificial column per violated row, basic in that row's place;
+        # the row activity waits on the bound it violates
+        viol = np.flatnonzero(np.abs(resid) > FEAS_TOL)
+        n_art = viol.size
+        art = np.zeros((m, n_art))
+        art[viol, np.arange(n_art)] = -np.sign(resid[viol])
+        statuses[n + viol] = np.where(resid[viol] > 0, _AT_UPPER, _AT_LOWER)
+        t = _Tableau(np.hstack([A_std, art]), np.concatenate([lb, np.zeros(n_art)]),
+                     np.concatenate([ub, np.full(n_art, np.inf)]), n)
+        t.basis = np.arange(n, ncols, dtype=np.int64)
+        t.basis[viol] = np.arange(ncols, ncols + n_art)
+        t.status[:ncols] = statuses
+        t.status[t.basis] = _BASIC
+        t.refactorize()
+        it1 = 0
         if n_art:
-            A_ph1 = np.hstack([A_std, np.column_stack(art_cols)])
-            lb1 = np.concatenate([lb, np.zeros(n_art)])
-            ub1 = np.concatenate([ub, np.full(n_art, np.inf)])
-            t = _Tableau(A_ph1, lb1, ub1, n)
-            t.status[:ncols] = statuses
-            t.status[ncols:] = _BASIC
-            basis = []
-            k = ncols
-            for i in range(m):
-                if abs(resid[i]) > FEAS_TOL:
-                    basis.append(k)
-                    k += 1
-                else:
-                    basis.append(n + i)
-                    t.status[n + i] = _BASIC
-            t.basis = np.array(basis, dtype=np.int64)
-            t.refactorize()
             c1 = np.zeros(ncols + n_art)
             c1[ncols:] = 1.0
             status1, it1 = _run_verified(t, c1, max_iter, refactor_every, bland_start)
@@ -617,20 +609,11 @@ def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.nda
                 return t, None, "infeasible", it1
             t.lb[ncols:] = 0.0
             t.ub[ncols:] = 0.0
-            for j in range(ncols, ncols + n_art):
-                if t.status[j] != _BASIC:
-                    t.status[j] = _AT_LOWER
-            c2 = np.concatenate([c_int, np.zeros(m + n_art)])
-            status2, it2 = _run_verified(t, c2, max_iter, refactor_every, bland_start)
-            return t, c2, status2, it1 + it2
-        t = _Tableau(A_std, lb.copy(), ub.copy(), n)
-        t.status[:] = statuses
-        t.basis = np.arange(n, ncols, dtype=np.int64)
-        t.status[n:ncols] = _BASIC
-        t.refactorize()
-        c2 = np.concatenate([c_int, np.zeros(m)])
-        status2, iters = _run_verified(t, c2, max_iter, refactor_every, bland_start)
-        return t, c2, status2, iters
+            art_status = t.status[ncols:]
+            art_status[art_status != _BASIC] = _AT_LOWER
+        c2 = np.concatenate([c_int, np.zeros(m + n_art)])
+        status2, it2 = _run_verified(t, c2, max_iter, refactor_every, bland_start)
+        return t, c2, status2, it1 + it2
 
     last_exc: SolverNumericalError | None = None
     for refactor_every, bland_start in ((_REFACTOR_EVERY, False), (16, False), (8, True)):
@@ -641,8 +624,7 @@ def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.nda
     raise last_exc
 
 
-def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
-             max_iter: int | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem, basis: np.ndarray | None = None) -> LpSolution:
     """Solve an LP; optimal solutions carry duals, reduced costs, residuals
     and their basis.
 
@@ -659,12 +641,19 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
     sign = 1.0 if problem.sense == "min" else -1.0
     c_user = problem.c
 
+    if m == 0:
+        # pure bound problem: minimize each cost term independently; with no
+        # rows to price, every reduced cost is the cost itself
+        lb, ub = problem.lb, problem.ub
+        x = np.where(sign * c_user > 0, lb, np.where(
+            sign * c_user < 0, ub, _nonbasic_values(_initial_status(lb, ub), lb, ub)))
+        if not np.all(np.isfinite(x)):
+            return LpSolution("unbounded", None, None, None, None)
+        return LpSolution("optimal", x, np.zeros(0), c_user.copy(), float(c_user @ x))
+
     # equilibrate: scaled vars x' = x / C, scaled rows R * A * C
-    if m > 0:
-        R, C = _equilibrate(problem.A)
-    else:
-        R, C = np.ones(0), np.ones(n)
-    A_sc = problem.A * R[:, None] * C[None, :] if m > 0 else problem.A.reshape(0, n)
+    R, C = _equilibrate(problem.A)
+    A_sc = problem.A * R[:, None] * C[None, :]
     with np.errstate(invalid="ignore"):
         lb_sc = problem.lb / C
         ub_sc = problem.ub / C
@@ -672,21 +661,12 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
         rub_sc = problem.row_ub * R
     c_int = sign * c_user * C
 
-    if m == 0:
-        # pure bound problem: minimize each cost term independently
-        x = np.where(c_int > 0, lb_sc, np.where(
-            c_int < 0, ub_sc, _nonbasic_values(_initial_status(lb_sc, ub_sc), lb_sc, ub_sc)))
-        if not np.all(np.isfinite(x)):
-            return LpSolution("unbounded", None, None, None, None)
-        obj = float(c_user @ x)
-        return LpSolution("optimal", x, np.zeros(0), np.zeros(n), obj)
-
     # standard form [A | -I][x; t] = 0 with t the row activity
     A_std = np.hstack([A_sc, -np.eye(m)])
     lb = np.concatenate([lb_sc, rlb_sc])
     ub = np.concatenate([ub_sc, rub_sc])
     ncols = n + m
-    max_iter = max_iter if max_iter is not None else 50 * (m + n) + 10_000
+    max_iter = 50 * (m + n) + 10_000
 
     warm = None
     if basis is not None:

@@ -98,6 +98,39 @@ def test_verify_roundtrip_and_corruption(files):
                  "--heatwave-factor", "1.09", "--solution", str(tmp / "run")]) == 2
 
 
+def test_verify_rejects_missing_hour_or_row(files, capsys):
+    net, net_path, dem_path, cfg_path, tmp = files
+    assert main(["attack", "--network", str(net_path), "--demand", str(dem_path),
+                 "--config", str(cfg_path), "--out", str(tmp / "run")]) == 0
+    sol = tmp / "run" / "opf_solution.csv"
+    header, *rows = sol.read_text().splitlines()
+    verify = ["verify", "--network", str(net_path), "--demand", str(dem_path),
+              "--solution", str(tmp / "run")]
+    assert main(verify) == 0
+    capsys.readouterr()
+    # a whole hour gone
+    sol.write_text("\n".join([header] + [r for r in rows if r.split(",")[1] != "1"]) + "\n")
+    assert main(verify) == 2
+    assert capsys.readouterr().out.startswith("FAIL summer: no rows for hours [1]")
+    # one row gone whose value is zero, so a zero fill would still verify
+    gone = next(i for i, r in enumerate(rows) if float(r.split(",")[4]) == 0.0)
+    sol.write_text("\n".join([header] + rows[:gone] + rows[gone + 1:]) + "\n")
+    assert main(verify) == 2
+    assert capsys.readouterr().out.startswith("FAIL summer/")
+    # an hour the demand profile does not have
+    sol.write_text("\n".join([header] + rows + [r.replace("summer,0,", "summer,2,", 1)
+                                                for r in rows if r.startswith("summer,0,")])
+                   + "\n")
+    assert main(verify) == 2
+    assert capsys.readouterr().out.startswith("FAIL summer: no rows for hours [], "
+                                              "rows for unknown hours [2]")
+    # a season the demand profile does not have
+    sol.write_text("\n".join([header] + [r.replace("summer,", "winter,", 1) for r in rows])
+                   + "\n")
+    assert main(verify) == 2
+    assert capsys.readouterr().out.startswith("FAIL winter: season not in")
+
+
 def test_verify_missing_solution_dir(files):
     net, net_path, dem_path, cfg_path, tmp = files
     rc = main(["verify", "--network", str(net_path), "--demand", str(dem_path),

@@ -69,6 +69,10 @@ def test_dimension_mismatch_raises():
     bad = replace(sol, g=np.zeros(5))
     with pytest.raises(ValueError):
         kkt_residuals(net, bad)
+    # every array field of the solution is checked, multipliers included
+    for name in ("rho_g_up", "rho_th_lo", "rho_u_up"):
+        with pytest.raises(ValueError, match=name):
+            kkt_residuals(net, replace(sol, **{name: np.zeros(7)}))
 
 
 def test_bundled_roundtrip_all_hours(bundled_net, bundled_demand):

@@ -66,6 +66,16 @@ def test_warm_start_prunes():
     assert warm.node_count <= opt.node_count
 
 
+def test_root_pruned_by_warm_start_is_optimal_at_one_node():
+    """The root relaxation is integral and the warm start already attains it:
+    the search is complete at the root, whatever the node limit."""
+    prob = knapsack([3.0, 2.0], [2.0, 2.0], 4.0)
+    for limit in (1, 2):
+        s = solve_milp(prob, node_limit=limit, warm_start=np.ones(2))
+        assert s.status == "optimal"
+        assert s.objective == 5.0 and s.bound_gap == 0.0 and s.node_count == 1
+
+
 def test_incumbent_within_relaxation_bound():
     prob = knapsack([3.0, 2.0, 4.0], [2.0, 2.0, 3.0], 4.0)
     root = solve_lp(prob.lp)

@@ -76,10 +76,15 @@ def test_ranged_rows_and_free_vars():
 
 
 def test_no_rows_pure_bounds():
-    p = LpProblem("min", np.array([1.0, -2.0]), np.zeros((0, 2)),
-                  np.zeros(0), np.zeros(0), [0.0, 0.0], [4.0, 4.0])
-    s = solve_lp(p)
-    assert s.objective == pytest.approx(-8.0)
+    c = np.array([1.0, -2.0])
+    for sense, x, obj in (("min", [0.0, 4.0], -8.0), ("max", [4.0, 0.0], 4.0)):
+        p = LpProblem(sense, c, np.zeros((0, 2)), np.zeros(0), np.zeros(0),
+                      [0.0, 0.0], [4.0, 4.0])
+        s = solve_lp(p)
+        assert s.objective == pytest.approx(obj)
+        assert np.array_equal(s.x, x)
+        # rc = c - A^T y with no rows: the cost itself, as with one all-zero row
+        assert np.array_equal(s.reduced_costs, c)
 
 
 def test_validation_rejects_nan():
@@ -148,6 +153,30 @@ def test_nonbasic_values_match_per_column_loop():
     for s, lo, up in zip(status, lb, ub):
         expect.append(lo if s == simplex._AT_LOWER else up if s == simplex._AT_UPPER else 0.0)
     assert np.array_equal(simplex._nonbasic_values(status, lb, ub), np.array(expect))
+
+
+def test_improving_matches_per_column_loop():
+    rng = np.random.default_rng(5)
+    n = 60
+    lb = np.where(rng.random(n) < 0.7, rng.uniform(-5, 0, n), -INF)
+    ub = np.where(rng.random(n) < 0.7, rng.uniform(0, 5, n), INF)
+    lb[:6] = ub[:6] = 1.5  # fixed columns
+    status = simplex._initial_status(lb, ub)
+    # random statuses on the boxed columns, some basic columns anywhere
+    boxed = np.isfinite(lb) & np.isfinite(ub)
+    status[boxed] = rng.choice([simplex._AT_LOWER, simplex._AT_UPPER], int(boxed.sum()))
+    status[rng.random(n) < 0.25] = simplex._BASIC
+    assert {simplex._AT_LOWER, simplex._AT_UPPER, simplex._AT_ZERO,
+            simplex._BASIC} <= set(status.tolist())
+    rc = rng.normal(size=n)
+    rc[::7] = 0.0
+    tol = 0.3
+    expect = []
+    for r, s in zip(rc, status):
+        gain = (-r if s == simplex._AT_LOWER else r if s == simplex._AT_UPPER
+                else abs(r) if s == simplex._AT_ZERO else 0.0)
+        expect.append(gain if gain > tol else 0.0)
+    assert np.array_equal(simplex._improving(rc, status, tol), np.array(expect))
 
 
 # -- warm start from an earlier basis -------------------------------------
