@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcopf import OpfSolution, solve_dcopf
+from .dcopf import OpfSolution, solve_day, solve_dcopf
 from .kkt import (PAIR_BLOCKS, PAIR_DUALS, complementarity_pairs, kkt_residuals,
                   verify_equilibrium)
 from .milp import MilpProblem, solve_milp
@@ -489,6 +489,7 @@ def greedy_attack(
     hour: int,
     costs: AttackCosts,
     budget: float,
+    base: OpfSolution | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, OpfSolution]:
     """Greedy capacity-kill incumbent: zone opening package, then best moves.
 
@@ -497,6 +498,9 @@ def greedy_attack(
     single capacity reduction, shortlisted by the current dispatch's
     capacity rents; each evaluation is one dispatch LP, warm-started from
     the unattacked dispatch's basis.  Deterministic.
+
+    ``base`` is the hour's unattacked dispatch (``solve_dcopf`` with no
+    attack); it is solved here when not given, and never modified.
     """
     G, E = net.num_generators, net.num_edges
     g_lo, g_up = net.gen_limits()
@@ -506,12 +510,12 @@ def greedy_attack(
     zf = np.zeros(E)
     zt = np.zeros(E)
     remaining = budget
-    current = solve_dcopf(net, demand, season, hour, zg, zf, zt)
-    base = current.basis  # every candidate below re-solves this LP with lower bounds
+    current = base if base is not None else solve_dcopf(net, demand, season, hour)
+    basis = current.basis  # every candidate below re-solves this LP with lower bounds
 
     best_pack = None
     for pzg, pzf in _zone_packages(net, demand, season, hour, costs, budget):
-        sol = solve_dcopf(net, demand, season, hour, pzg, pzf, zt, basis=base)
+        sol = solve_dcopf(net, demand, season, hour, pzg, pzf, zt, basis=basis)
         if sol.shed_cost > current.shed_cost + 1e-9 and (
                 best_pack is None or sol.shed_cost > best_pack[2].shed_cost):
             best_pack = (pzg, pzf, sol)
@@ -539,7 +543,7 @@ def greedy_attack(
         for _, kind, idx, amount, price in cands[:GREEDY_SHORTLIST]:
             tg, tf = zg.copy(), zf.copy()
             (tf if kind else tg)[idx] += amount
-            sol = solve_dcopf(net, demand, season, hour, tg, tf, zt, basis=base)
+            sol = solve_dcopf(net, demand, season, hour, tg, tf, zt, basis=basis)
             gain = sol.shed_cost - current.shed_cost
             if gain > best_gain + 1e-9:
                 best_gain, best = gain, (tg, tf, sol, amount * price)
@@ -671,13 +675,18 @@ def solve_hourly_attack(
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
     warm: HourlyAttack | None = None,
+    base: OpfSolution | None = None,
 ) -> HourlyAttack:
     """Solve the one-hour disruption problem; certify the returned point.
 
     The branch-and-bound search starts from a greedy incumbent (and any
-    caller-provided warm plan whose spend fits the budget).  The reported
-    equilibrium is verified against the shifted bounds and the big-M
-    max-norm test is applied post hoc, growing M on failure.
+    caller-provided warm plan whose spend fits the budget and attacks
+    something).  The reported equilibrium is verified against the shifted
+    bounds and the big-M max-norm test is applied post hoc, growing M on
+    failure.
+
+    ``base`` is the hour's unattacked dispatch: the greedy search opens from
+    it and a zero budget reports it.  Without it, it is solved here.
 
     ``node_limit=0`` selects certificate-only mode: the best candidate
     attack is returned with its certified equilibrium and the search is
@@ -688,14 +697,17 @@ def solve_hourly_attack(
     bigm = bigm or BigMConfig.for_network(net, demand)
     if hourly_budget <= 1e-12:
         G, E = net.num_generators, net.num_edges
+        base = base if base is not None else solve_dcopf(net, demand, season, hour)
         return _certified_hour(net, demand, season, hour, costs, np.zeros(G),
-                               np.zeros(E), np.zeros(E),
-                               solve_dcopf(net, demand, season, hour), "optimal", 0,
+                               np.zeros(E), np.zeros(E), base, "optimal", 0,
                                bigm.m_value)
 
-    zg, zf, zt, gsol = greedy_attack(net, demand, season, hour, costs, hourly_budget)
+    zg, zf, zt, gsol = greedy_attack(net, demand, season, hour, costs, hourly_budget,
+                                     base)
     candidates = [(zg, zf, zt, gsol)]
-    if warm is not None:
+    # an all-zero warm attack is the unattacked dispatch, which greedy never
+    # falls below; the stable sort would keep greedy first anyway
+    if warm is not None and any(np.any(z) for z in (warm.zg, warm.zf, warm.zt)):
         if costs.spend(warm.zg, warm.zf, warm.zt) <= hourly_budget + 1e-9:
             candidates.append(
                 (warm.zg, warm.zf, warm.zt,
@@ -768,11 +780,16 @@ def decompose_attack(
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
     warm: AttackPlan | None = None,
+    bases: list[OpfSolution] | None = None,
 ) -> AttackPlan:
-    """Decoupled stage: one hourly problem per hour at budget / H."""
+    """Decoupled stage: one hourly problem per hour at budget / H.
+
+    ``bases`` holds each hour's unattacked dispatch, indexed by hour (see
+    :func:`attack_with_allocation`).
+    """
     H = demand.hours(season)
     plan = attack_with_allocation(net, demand, season, costs, [budget / H] * H, bigm,
-                                  node_limit, warm)
+                                  node_limit, warm, bases)
     # the split need not sum back to the budget exactly
     return AttackPlan(season, plan.hours, budget)
 
@@ -786,10 +803,16 @@ def attack_with_allocation(
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
     warm: AttackPlan | None = None,
+    bases: list[OpfSolution] | None = None,
 ) -> AttackPlan:
-    """Solve each hour at a caller-chosen budget split (sum is the budget)."""
+    """Solve each hour at a caller-chosen budget split (sum is the budget).
+
+    ``bases`` holds each hour's unattacked dispatch, indexed by hour, as
+    :func:`solve_day` returns it; without it every hour solves its own.
+    """
     parts = [solve_hourly_attack(net, demand, season, h, costs, b, bigm, node_limit,
-                                 warm=_warm_hour(warm, h))
+                                 warm=_warm_hour(warm, h),
+                                 base=None if bases is None else bases[h])
              for h, b in enumerate(alloc)]
     return AttackPlan(season, parts, float(sum(alloc)))
 
@@ -805,6 +828,7 @@ def refine_budget_allocation(
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
     alloc: list[float] | None = None,
+    bases: list[OpfSolution] | None = None,
 ) -> AttackPlan:
     """Cross-hour budget reallocation by deterministic coordinate ascent.
 
@@ -819,7 +843,9 @@ def refine_budget_allocation(
       the hour whose objective drops least to the hour that gains most.
 
     Both re-solve only the touched hourly problems.  The result is never
-    worse than the initialization.
+    worse than the initialization.  ``bases`` holds each hour's unattacked
+    dispatch, indexed by hour; without it each hour of ``hourly`` is solved
+    once here.  Every re-solve of an hour shares that one dispatch.
     """
     H = len(hourly)
     if H == 0:
@@ -830,13 +856,16 @@ def refine_budget_allocation(
     if quantum <= 0:
         return AttackPlan(season, parts, budget)
 
-    base_shed = [solve_dcopf(net, demand, season, p.hour).shed_cost for p in parts]
+    base = [solve_dcopf(net, demand, season, p.hour) if bases is None else bases[p.hour]
+            for p in parts]
+    base_shed = [b.shed_cost for b in base]
     gain_cache: dict[int, tuple[float, HourlyAttack]] = {}
     loss_cache: dict[int, tuple[float, HourlyAttack]] = {}
 
     def eval_at(h: int, b: float, warm_part: HourlyAttack | None) -> HourlyAttack:
         return solve_hourly_attack(net, demand, season, parts[h].hour, costs,
-                                   max(b, 0.0), bigm, node_limit, warm=warm_part)
+                                   max(b, 0.0), bigm, node_limit, warm=warm_part,
+                                   base=base[h])
 
     def adopt(h: int, b: float, part: HourlyAttack) -> None:
         alloc[h] = b
@@ -926,13 +955,17 @@ def run_attack(
     refine: bool = True,
     warm: AttackPlan | None = None,
 ) -> AttackPlan:
-    """Decomposition driver: hourly problems at budget/H, then reallocation."""
-    base = decompose_attack(net, demand, season, costs, budget, bigm,
-                            node_limit, warm=warm)
+    """Decomposition entry point: hourly problems at budget/H, then reallocation.
+
+    Each hour's unattacked dispatch is solved once and shared by both stages.
+    """
+    bases = solve_day(net, demand, season)
+    plan = decompose_attack(net, demand, season, costs, budget, bigm,
+                            node_limit, warm=warm, bases=bases)
     if not refine or budget <= 0:
-        return base
-    return refine_budget_allocation(net, demand, season, costs, base.hours,
-                                    budget, step_count, bigm, node_limit)
+        return plan
+    return refine_budget_allocation(net, demand, season, costs, plan.hours,
+                                    budget, step_count, bigm, node_limit, bases=bases)
 
 
 def attack_rows(plan: AttackPlan, net: PowerNetwork,

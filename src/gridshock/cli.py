@@ -182,7 +182,11 @@ def cmd_verify(args) -> int:
     attacks = {}
     attack_file = soldir / "attack_strategy.csv"
     if attack_file.exists():
-        attacks = reporting.read_attack_csv(attack_file, net)
+        try:
+            attacks = reporting.read_attack_csv(attack_file, net)
+        except ValueError as exc:
+            print(f"FAIL {exc}")
+            return EXIT_SOLVER
     factor = args.heatwave_factor
     profile = apply_heatwave(demand, factor) if factor not in (None, 1.0) else demand
     # a run covers whole days: exactly the profile's hours of each season it names
@@ -207,7 +211,7 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             print(f"FAIL {exc}")
             return EXIT_SOLVER
-        z = attacks.get(hour, {})
+        z = attacks.get((season, hour), {})
         res = kkt_residuals(net, sol, z.get("zg"), z.get("zf"), z.get("zt"))
         worst = max(worst, res.overall_max())
         if args.dump_lp:

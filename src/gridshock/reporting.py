@@ -189,27 +189,30 @@ def rebuild_opf_solution(
     )
 
 
-def read_attack_csv(path: str | Path, net: PowerNetwork) -> dict[int, dict[str, np.ndarray]]:
-    """Load attack_strategy.csv as {hour: {zg, zf, zt}} arrays."""
-    gi = {g.id: k for k, g in enumerate(net.generators)}
-    ei = {e.id: k for k, e in enumerate(net.edges)}
-    out: dict[int, dict[str, np.ndarray]] = {}
+def read_attack_csv(path: str | Path,
+                    net: PowerNetwork) -> dict[tuple[str, int], dict[str, np.ndarray]]:
+    """Load attack_strategy.csv as {(season, hour): {zg, zf, zt}} arrays.
+
+    Raises ValueError naming the file and line of a row whose entity the
+    network lacks or whose component_type is not gen, flow or angle.
+    """
+    edges = {e.id: k for k, e in enumerate(net.edges)}
+    index = {"gen": ("zg", {g.id: k for k, g in enumerate(net.generators)}),
+             "flow": ("zf", edges), "angle": ("zt", edges)}
+    out: dict[tuple[str, int], dict[str, np.ndarray]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            h = int(row["hour"])
-            slot = out.setdefault(h, {
+        # line 1 is the header
+        for ln, row in enumerate(csv.DictReader(fh), start=2):
+            kind, entity = row["component_type"], row["entity"]
+            if kind not in index:
+                raise ValueError(f"{path}:{ln}: unknown component_type {kind!r}")
+            name, ids = index[kind]
+            if entity not in ids:
+                raise ValueError(f"{path}:{ln}: unknown {kind} entity {entity!r}")
+            slot = out.setdefault((row["season"], int(row["hour"])), {
                 "zg": np.zeros(net.num_generators),
                 "zf": np.zeros(net.num_edges),
                 "zt": np.zeros(net.num_edges),
             })
-            kind = row["component_type"]
-            entity = row["entity"]
-            val = float(row["z_value"])
-            if kind == "gen":
-                slot["zg"][gi[entity]] = val
-            elif kind == "flow":
-                slot["zf"][ei[entity]] = val
-            elif kind == "angle":
-                slot["zt"][ei[entity]] = val
+            slot[name][ids[entity]] = float(row["z_value"])
     return out

@@ -190,12 +190,15 @@ def _monotone_rerun(
     if slack < 0:
         return result
     alloc = [a + slack / len(alloc) for a in alloc]
+    bases = solve_day(net, profile, cfg.season)
     plan = attack_with_allocation(net, profile, cfg.season, costs, alloc,
-                                  node_limit=cfg.node_limit, warm=previous.plan)
+                                  node_limit=cfg.node_limit, warm=previous.plan,
+                                  bases=bases)
     if cfg.refine:
         plan = refine_budget_allocation(net, profile, cfg.season, costs, plan.hours,
                                         costs.budget, cfg.refine_steps,
-                                        node_limit=cfg.node_limit, alloc=alloc)
+                                        node_limit=cfg.node_limit, alloc=alloc,
+                                        bases=bases)
     rerun = _metrics(cfg.kind, cfg.season, net, profile, [h.opf for h in plan.hours], plan)
     return rerun if rerun.total_unserved_mwh > result.total_unserved_mwh else result
 

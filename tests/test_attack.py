@@ -1,4 +1,7 @@
+import copy
 import hashlib
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from gridshock.attack import (
     AttackCosts,
     BigMConfig,
     attack_rows,
+    attack_with_allocation,
     build_hourly_attack_milp,
     decompose_attack,
     default_costs,
@@ -17,7 +21,8 @@ from gridshock.attack import (
     solve_full_milp,
     solve_hourly_attack,
 )
-from gridshock.dcopf import solve_dcopf
+import gridshock.dcopf as dcopf_mod
+from gridshock.dcopf import OpfSolution, solve_day, solve_dcopf
 from gridshock.kkt import kkt_residuals, verify_equilibrium
 from gridshock.network import apply_heatwave
 from support import profile_for, tight_two_bus, triangle, two_bus
@@ -340,3 +345,77 @@ def test_attack_milp_build_is_unchanged(bundled_net, bundled_demand):
         prob, _ = attack_mod._build_attack_milp(net, prof, "summer", hours, costs, budgets,
                                                 BigMConfig.for_network(net, prof))
         assert _milp_digest(prob) == expected, name
+
+
+def _threshold_instance():
+    # the refinement instance above plus a third hour: pooled and quantum
+    # moves both re-solve hours, zero-budget hours among them
+    net = tight_two_bus()
+    prof = profile_for(net, [[10.0, 70.0], [10.0, 70.0], [10.0, 78.0]])
+    return net, prof, uniform_costs(net, 16.0)
+
+
+def test_run_attack_solves_each_unattacked_hour_once(monkeypatch):
+    net, prof, costs = _threshold_instance()
+    real = dcopf_mod.solve_dcopf
+    cold = Counter()
+
+    def counting(net, demand, season, hour, *args, basis=None, **kwargs):
+        if basis is None:
+            cold[hour] += 1
+        return real(net, demand, season, hour, *args, basis=basis, **kwargs)
+
+    monkeypatch.setattr(dcopf_mod, "solve_dcopf", counting)
+    monkeypatch.setattr(attack_mod, "solve_dcopf", counting)
+    plan = run_attack(net, prof, "summer", costs, 16.0, node_limit=0, refine=True)
+    # refinement pooled the whole budget into hour 2: a 16 MW kill against
+    # its 2 MW margin sheds 14 MW
+    assert [h.spend for h in plan.hours] == pytest.approx([0.0, 0.0, 16.0], abs=1e-9)
+    assert plan.objective == pytest.approx(14_000.0, rel=1e-9)
+    assert cold == Counter({0: 1, 1: 1, 2: 1})
+
+
+def _hour_fingerprint(ha):
+    return (ha.zg.tolist(), ha.zf.tolist(), ha.zt.tolist(), ha.spend, ha.objective,
+            ha.status, ha.nodes, ha.bigm_valid, ha.certificate_ok, ha.opf.u.tolist())
+
+
+@pytest.mark.parametrize("budget, zero_warm, node_limit", [
+    (0.0, False, 0), (30.0, False, 0), (30.0, True, 0), (30.0, False, 2000),
+    (30.0, True, 2000)])
+def test_shared_base_gives_the_same_hour(budget, zero_warm, node_limit):
+    net = tight_two_bus()
+    prof = profile_for(net, [[10.0, 80.0]])
+    costs = uniform_costs(net, budget)
+    warm = None
+    if zero_warm:
+        warm = solve_hourly_attack(net, prof, "summer", 0, costs, 0.0)
+        assert not (warm.zg.any() or warm.zf.any() or warm.zt.any())
+    base = solve_dcopf(net, prof, "summer", 0)
+    kwargs = dict(node_limit=node_limit, warm=warm)
+    alone = solve_hourly_attack(net, prof, "summer", 0, costs, budget, **kwargs)
+    shared = solve_hourly_attack(net, prof, "summer", 0, costs, budget, base=base,
+                                 **kwargs)
+    assert _hour_fingerprint(shared) == _hour_fingerprint(alone)
+    if budget > 0:
+        assert alone.objective > base.shed_cost
+
+
+def test_shared_bases_are_not_modified():
+    net, prof, costs = _threshold_instance()
+    bases = solve_day(net, prof, "summer")
+    before = copy.deepcopy(bases)
+    plan = attack_with_allocation(net, prof, "summer", costs, [16.0 / 3] * 3,
+                                  node_limit=0, bases=bases)
+    ref = refine_budget_allocation(net, prof, "summer", costs, plan.hours, 16.0,
+                                   node_limit=0, bases=bases)
+    again = run_attack(net, prof, "summer", costs, 16.0, node_limit=0)
+    assert ([_hour_fingerprint(h) for h in ref.hours]
+            == [_hour_fingerprint(h) for h in again.hours])
+    for old, new in zip(before, bases):
+        for fld in fields(OpfSolution):
+            a, b = getattr(old, fld.name), getattr(new, fld.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), fld.name
+            else:
+                assert a == b, fld.name

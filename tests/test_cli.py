@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gridshock.cli import main
+from gridshock.cli import bundled_path, main
 from gridshock.network import save_demand, save_network
 from support import profile_for, tight_two_bus
 
@@ -129,6 +129,21 @@ def test_verify_rejects_missing_hour_or_row(files, capsys):
                    + "\n")
     assert main(verify) == 2
     assert capsys.readouterr().out.startswith("FAIL winter: season not in")
+
+
+def test_verify_rejects_unknown_attack_entity(tmp_path, capsys):
+    run = tmp_path / "cyber"
+    assert main(["scenario", "--config", str(bundled_path("cyberattack.cfg")),
+                 "--out", str(run)]) == 0
+    assert main(["verify", "--solution", str(run)]) == 0
+    strategy = run / "attack_strategy.csv"
+    text = strategy.read_text()
+    assert ",gen,G15," in text
+    strategy.write_text(text.replace(",gen,G15,", ",gen,GXX,"))
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL ") and "unknown gen entity 'GXX'" in out
 
 
 def test_verify_missing_solution_dir(files):

@@ -106,7 +106,7 @@ def test_solution_csv_verifies_after_roundtrip(tmp_path, small_run):
     for (season, hour), quantities in data.items():
         sol = rebuild_opf_solution(net, season, hour, quantities,
                                    hot.demand[season][hour], hot.voll[season][hour])
-        z = attacks.get(hour, {})
+        z = attacks.get((season, hour), {})
         ok = verify_equilibrium(
             kkt_residuals(net, sol, z.get("zg"), z.get("zf"), z.get("zt")), 1e-5)
         assert ok, f"hour {hour} failed its certificate after a file roundtrip"
@@ -125,3 +125,31 @@ def test_sweep_export_layout(tmp_path):
     with open(tmp_path / "sweep" / "sweep_summary.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["iteration"]) for r in rows] == [1, 2]
+
+
+def test_attack_csv_keys_by_season_and_hour(tmp_path):
+    net = tight_two_bus()
+    path = tmp_path / "attack_strategy.csv"
+    path.write_text("season,hour,component_type,entity,z_value,spend\n"
+                    "summer,0,gen,g1,5,5\n"
+                    "winter,0,flow,e1,3,15\n"
+                    "winter,1,angle,e1,0.25,150\n")
+    attacks = read_attack_csv(path, net)
+    assert sorted(attacks) == [("summer", 0), ("winter", 0), ("winter", 1)]
+    summer, winter = attacks[("summer", 0)], attacks[("winter", 0)]
+    assert summer["zg"].tolist() == [5.0, 0.0] and not summer["zf"].any()
+    assert winter["zf"].tolist() == [3.0] and not winter["zg"].any()
+    assert attacks[("winter", 1)]["zt"].tolist() == [0.25]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("summer,0,gen,gX,5,5", "attack_strategy.csv:3: unknown gen entity 'gX'"),
+    ("summer,0,flow,g1,5,5", "attack_strategy.csv:3: unknown flow entity 'g1'"),
+    ("summer,0,load,n1,5,5", "attack_strategy.csv:3: unknown component_type 'load'"),
+])
+def test_attack_csv_rejects_unknown_rows(tmp_path, row, message):
+    path = tmp_path / "attack_strategy.csv"
+    path.write_text("season,hour,component_type,entity,z_value,spend\n"
+                    f"summer,0,gen,g1,1,1\n{row}\n")
+    with pytest.raises(ValueError, match=message):
+        read_attack_csv(path, tight_two_bus())
