@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcopf import OpfSolution, solve_day, solve_dcopf
+from .dcopf import OpfSolution, SeasonDispatch, solve_dcopf
 from .kkt import (PAIR_BLOCKS, PAIR_DUALS, complementarity_pairs, kkt_residuals,
                   verify_equilibrium)
 from .milp import MilpProblem, solve_milp
@@ -482,6 +482,20 @@ def _zone_packages(
     return [(zg, zf) for _, _, zg, zf in ranked[:ZONE_PACKAGES]]
 
 
+def _run_dispatch(net: PowerNetwork, demand: DemandProfile, season: str,
+                  dispatch: SeasonDispatch | None) -> SeasonDispatch:
+    """``dispatch`` when given, else a new one for (net, demand, season).
+
+    An attack run makes one and hands it to every stage, so the hours share
+    one dispatch form and each hour's unattacked dispatch is solved once.
+    """
+    if dispatch is None:
+        return SeasonDispatch(net, demand, season)
+    if dispatch.net is not net or dispatch.demand is not demand or dispatch.season != season:
+        raise ValueError("dispatch object belongs to another network, demand or season")
+    return dispatch
+
+
 def greedy_attack(
     net: PowerNetwork,
     demand: DemandProfile,
@@ -489,7 +503,7 @@ def greedy_attack(
     hour: int,
     costs: AttackCosts,
     budget: float,
-    base: OpfSolution | None = None,
+    dispatch: SeasonDispatch | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, OpfSolution]:
     """Greedy capacity-kill incumbent: zone opening package, then best moves.
 
@@ -499,9 +513,11 @@ def greedy_attack(
     capacity rents; each evaluation is one dispatch LP, warm-started from
     the unattacked dispatch's basis.  Deterministic.
 
-    ``base`` is the hour's unattacked dispatch (``solve_dcopf`` with no
-    attack); it is solved here when not given, and never modified.
+    ``dispatch`` is the run's :class:`SeasonDispatch` (see
+    :func:`_run_dispatch`); the search opens from its unattacked dispatch.
     """
+    dispatch = _run_dispatch(net, demand, season, dispatch)
+    form = dispatch.form
     G, E = net.num_generators, net.num_edges
     g_lo, g_up = net.gen_limits()
     kill_room = g_up - g_lo  # capacity below the must-run floor is untouchable
@@ -510,12 +526,12 @@ def greedy_attack(
     zf = np.zeros(E)
     zt = np.zeros(E)
     remaining = budget
-    current = base if base is not None else solve_dcopf(net, demand, season, hour)
+    current = dispatch.base(hour)
     basis = current.basis  # every candidate below re-solves this LP with lower bounds
 
     best_pack = None
     for pzg, pzf in _zone_packages(net, demand, season, hour, costs, budget):
-        sol = solve_dcopf(net, demand, season, hour, pzg, pzf, zt, basis=basis)
+        sol = solve_dcopf(net, demand, season, hour, pzg, pzf, zt, basis=basis, form=form)
         if sol.shed_cost > current.shed_cost + 1e-9 and (
                 best_pack is None or sol.shed_cost > best_pack[2].shed_cost):
             best_pack = (pzg, pzf, sol)
@@ -543,7 +559,7 @@ def greedy_attack(
         for _, kind, idx, amount, price in cands[:GREEDY_SHORTLIST]:
             tg, tf = zg.copy(), zf.copy()
             (tf if kind else tg)[idx] += amount
-            sol = solve_dcopf(net, demand, season, hour, tg, tf, zt, basis=basis)
+            sol = solve_dcopf(net, demand, season, hour, tg, tf, zt, basis=basis, form=form)
             gain = sol.shed_cost - current.shed_cost
             if gain > best_gain + 1e-9:
                 best_gain, best = gain, (tg, tf, sol, amount * price)
@@ -581,9 +597,7 @@ def _milp_point_from_dispatch(
 
 
 def _certified_hour(
-    net: PowerNetwork,
-    demand: DemandProfile,
-    season: str,
+    dispatch: SeasonDispatch,
     hour: int,
     costs: AttackCosts,
     zg: np.ndarray,
@@ -602,6 +616,7 @@ def _certified_hour(
     on the reported point: a post-hoc heuristic, not a proof that M is large
     enough.
     """
+    net, season = dispatch.net, dispatch.season
     zg, zf, zt = (np.array(z, dtype=float) for z in (zg, zf, zt))
 
     def checks(sol: OpfSolution) -> tuple[bool, bool]:
@@ -610,16 +625,14 @@ def _certified_hour(
 
     cert, valid = checks(opf)
     if not (cert and valid):
-        opf = solve_dcopf(net, demand, season, hour, zg, zf, zt)
+        opf = solve_dcopf(net, dispatch.demand, season, hour, zg, zf, zt, form=dispatch.form)
         cert, valid = checks(opf)
     return HourlyAttack(season, hour, zg, zf, zt, costs.spend(zg, zf, zt), opf.shed_cost, opf,
                         status, nodes, valid, cert)
 
 
 def _solve_certified(
-    net: PowerNetwork,
-    demand: DemandProfile,
-    season: str,
+    dispatch: SeasonDispatch,
     hours: list[int],
     costs: AttackCosts,
     budgets: list[float] | float,
@@ -634,6 +647,7 @@ def _solve_certified(
     equilibrium) or a reported point whose max-norm reaches M grows M and
     solves again.
     """
+    net, demand, season = dispatch.net, dispatch.demand, dispatch.season
     m_value = bigm.m_value
     for attempt in range(BIGM_RETRIES + 1):
         prob, lay = _build_attack_milp(net, demand, season, hours, costs, budgets,
@@ -649,7 +663,7 @@ def _solve_certified(
             continue
         if res.status == "unbounded" or res.x is None:
             raise RuntimeError(f"attack MILP over hours {hours} ended {res.status}")
-        parts = [_certified_hour(net, demand, season, h, costs,
+        parts = [_certified_hour(dispatch, h, costs,
                                  *_extract_hour(net, demand, season, h, res.x, lay, hp),
                                  res.status, res.node_count, m_value)
                  for hp, h in enumerate(hours)]
@@ -675,7 +689,7 @@ def solve_hourly_attack(
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
     warm: HourlyAttack | None = None,
-    base: OpfSolution | None = None,
+    dispatch: SeasonDispatch | None = None,
 ) -> HourlyAttack:
     """Solve the one-hour disruption problem; certify the returned point.
 
@@ -685,8 +699,9 @@ def solve_hourly_attack(
     bounds and the big-M max-norm test is applied post hoc, growing M on
     failure.
 
-    ``base`` is the hour's unattacked dispatch: the greedy search opens from
-    it and a zero budget reports it.  Without it, it is solved here.
+    ``dispatch`` is the run's :class:`SeasonDispatch`: the greedy search
+    opens from its unattacked dispatch of the hour and a zero budget reports
+    that dispatch.  Without it, the call makes its own.
 
     ``node_limit=0`` selects certificate-only mode: the best candidate
     attack is returned with its certified equilibrium and the search is
@@ -695,15 +710,15 @@ def solve_hourly_attack(
     the big-M flag and does not retry.
     """
     bigm = bigm or BigMConfig.for_network(net, demand)
+    dispatch = _run_dispatch(net, demand, season, dispatch)
     if hourly_budget <= 1e-12:
         G, E = net.num_generators, net.num_edges
-        base = base if base is not None else solve_dcopf(net, demand, season, hour)
-        return _certified_hour(net, demand, season, hour, costs, np.zeros(G),
-                               np.zeros(E), np.zeros(E), base, "optimal", 0,
+        return _certified_hour(dispatch, hour, costs, np.zeros(G), np.zeros(E),
+                               np.zeros(E), dispatch.base(hour), "optimal", 0,
                                bigm.m_value)
 
     zg, zf, zt, gsol = greedy_attack(net, demand, season, hour, costs, hourly_budget,
-                                     base)
+                                     dispatch)
     candidates = [(zg, zf, zt, gsol)]
     # an all-zero warm attack is the unattacked dispatch, which greedy never
     # falls below; the stable sort would keep greedy first anyway
@@ -712,14 +727,14 @@ def solve_hourly_attack(
             candidates.append(
                 (warm.zg, warm.zf, warm.zt,
                  solve_dcopf(net, demand, season, hour, warm.zg, warm.zf, warm.zt,
-                             basis=gsol.basis)))
+                             basis=gsol.basis, form=dispatch.form)))
     candidates.sort(key=lambda t: -t[3].shed_cost)
 
     if node_limit == 0:
-        return _certified_hour(net, demand, season, hour, costs, *candidates[0],
-                               "heuristic", 0, bigm.m_value)
-    return _solve_certified(net, demand, season, [hour], costs, [hourly_budget],
-                            bigm, node_limit, candidates[:1])[0]
+        return _certified_hour(dispatch, hour, costs, *candidates[0], "heuristic", 0,
+                               bigm.m_value)
+    return _solve_certified(dispatch, [hour], costs, [hourly_budget], bigm, node_limit,
+                            candidates[:1])[0]
 
 
 # dense entries of A (rows x columns) above which solve_full_milp refuses to build
@@ -752,6 +767,7 @@ def solve_full_milp(
             f"{lay.n_cols} dense ({lay.max_rows * lay.n_cols * 8 / 1e6:.0f} MB); "
             f"solve_full_milp is an oracle for small instances only")
     bigm = bigm or BigMConfig.for_network(net, demand)
+    dispatch = SeasonDispatch(net, demand, season)
 
     # warm candidate: the caller's plan where it fits, else greedy at budget / H
     per_hour = budget / len(hours) if hours else 0.0
@@ -760,14 +776,15 @@ def solve_full_milp(
         mh = _warm_hour(warm, h)
         if mh is not None and mh.spend <= budget + 1e-9:
             warm_parts.append((mh.zg, mh.zf, mh.zt,
-                               solve_dcopf(net, demand, season, h, mh.zg, mh.zf, mh.zt)))
+                               solve_dcopf(net, demand, season, h, mh.zg, mh.zf, mh.zt,
+                                           form=dispatch.form)))
         else:
-            warm_parts.append(greedy_attack(net, demand, season, h, costs, per_hour))
+            warm_parts.append(greedy_attack(net, demand, season, h, costs, per_hour,
+                                            dispatch))
     if sum(costs.spend(*p[:3]) for p in warm_parts) > budget + 1e-9:
         warm_parts = None
 
-    parts = _solve_certified(net, demand, season, hours, costs, budget, bigm,
-                             node_limit, warm_parts)
+    parts = _solve_certified(dispatch, hours, costs, budget, bigm, node_limit, warm_parts)
     return AttackPlan(season, parts, budget)
 
 
@@ -780,16 +797,16 @@ def decompose_attack(
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
     warm: AttackPlan | None = None,
-    bases: list[OpfSolution] | None = None,
+    dispatch: SeasonDispatch | None = None,
 ) -> AttackPlan:
     """Decoupled stage: one hourly problem per hour at budget / H.
 
-    ``bases`` holds each hour's unattacked dispatch, indexed by hour (see
+    ``dispatch`` is the run's :class:`SeasonDispatch` (see
     :func:`attack_with_allocation`).
     """
     H = demand.hours(season)
     plan = attack_with_allocation(net, demand, season, costs, [budget / H] * H, bigm,
-                                  node_limit, warm, bases)
+                                  node_limit, warm, dispatch)
     # the split need not sum back to the budget exactly
     return AttackPlan(season, plan.hours, budget)
 
@@ -803,16 +820,17 @@ def attack_with_allocation(
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
     warm: AttackPlan | None = None,
-    bases: list[OpfSolution] | None = None,
+    dispatch: SeasonDispatch | None = None,
 ) -> AttackPlan:
     """Solve each hour at a caller-chosen budget split (sum is the budget).
 
-    ``bases`` holds each hour's unattacked dispatch, indexed by hour, as
-    :func:`solve_day` returns it; without it every hour solves its own.
+    ``dispatch`` is the run's :class:`SeasonDispatch`; every hour solves on
+    its dispatch form and opens from its unattacked dispatch.  Without it,
+    the call makes one for its hours.
     """
+    dispatch = _run_dispatch(net, demand, season, dispatch)
     parts = [solve_hourly_attack(net, demand, season, h, costs, b, bigm, node_limit,
-                                 warm=_warm_hour(warm, h),
-                                 base=None if bases is None else bases[h])
+                                 warm=_warm_hour(warm, h), dispatch=dispatch)
              for h, b in enumerate(alloc)]
     return AttackPlan(season, parts, float(sum(alloc)))
 
@@ -828,7 +846,7 @@ def refine_budget_allocation(
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
     alloc: list[float] | None = None,
-    bases: list[OpfSolution] | None = None,
+    dispatch: SeasonDispatch | None = None,
 ) -> AttackPlan:
     """Cross-hour budget reallocation by deterministic coordinate ascent.
 
@@ -843,9 +861,9 @@ def refine_budget_allocation(
       the hour whose objective drops least to the hour that gains most.
 
     Both re-solve only the touched hourly problems.  The result is never
-    worse than the initialization.  ``bases`` holds each hour's unattacked
-    dispatch, indexed by hour; without it each hour of ``hourly`` is solved
-    once here.  Every re-solve of an hour shares that one dispatch.
+    worse than the initialization.  ``dispatch`` is the run's
+    :class:`SeasonDispatch`, shared by every re-solve; without it the call
+    makes one, so each hour's unattacked dispatch is still solved once here.
     """
     H = len(hourly)
     if H == 0:
@@ -856,16 +874,15 @@ def refine_budget_allocation(
     if quantum <= 0:
         return AttackPlan(season, parts, budget)
 
-    base = [solve_dcopf(net, demand, season, p.hour) if bases is None else bases[p.hour]
-            for p in parts]
-    base_shed = [b.shed_cost for b in base]
+    dispatch = _run_dispatch(net, demand, season, dispatch)
+    base_shed = [dispatch.base(p.hour).shed_cost for p in parts]
     gain_cache: dict[int, tuple[float, HourlyAttack]] = {}
     loss_cache: dict[int, tuple[float, HourlyAttack]] = {}
 
     def eval_at(h: int, b: float, warm_part: HourlyAttack | None) -> HourlyAttack:
         return solve_hourly_attack(net, demand, season, parts[h].hour, costs,
                                    max(b, 0.0), bigm, node_limit, warm=warm_part,
-                                   base=base[h])
+                                   dispatch=dispatch)
 
     def adopt(h: int, b: float, part: HourlyAttack) -> None:
         alloc[h] = b
@@ -957,15 +974,17 @@ def run_attack(
 ) -> AttackPlan:
     """Decomposition entry point: hourly problems at budget/H, then reallocation.
 
-    Each hour's unattacked dispatch is solved once and shared by both stages.
+    Both stages share one :class:`SeasonDispatch`: one dispatch form for
+    every hour, and each hour's unattacked dispatch solved once, first.
     """
-    bases = solve_day(net, demand, season)
+    dispatch = SeasonDispatch(net, demand, season, range(demand.hours(season)))
     plan = decompose_attack(net, demand, season, costs, budget, bigm,
-                            node_limit, warm=warm, bases=bases)
+                            node_limit, warm=warm, dispatch=dispatch)
     if not refine or budget <= 0:
         return plan
     return refine_budget_allocation(net, demand, season, costs, plan.hours,
-                                    budget, step_count, bigm, node_limit, bases=bases)
+                                    budget, step_count, bigm, node_limit,
+                                    dispatch=dispatch)
 
 
 def attack_rows(plan: AttackPlan, net: PowerNetwork,

@@ -183,7 +183,8 @@ def cmd_verify(args) -> int:
     attack_file = soldir / "attack_strategy.csv"
     if attack_file.exists():
         try:
-            attacks = reporting.read_attack_csv(attack_file, net)
+            # spends are checked at the prices of the run's config
+            attacks = reporting.read_attack_csv(attack_file, net, scenario_costs(cfg, net))
         except ValueError as exc:
             print(f"FAIL {exc}")
             return EXIT_SOLVER

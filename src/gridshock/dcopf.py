@@ -13,12 +13,13 @@ limits shrink symmetrically by ``zt``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import DemandProfile, PowerNetwork, incidence_matrix
-from .simplex import LpProblem, LpSolution, SolverNumericalError, solve_lp
+from .simplex import LpForm, LpProblem, LpSolution, SolverNumericalError, solve_lp
 
 
 class OpfInfeasibleError(RuntimeError):
@@ -87,6 +88,56 @@ def attack_bounds(
     return g_up, f_cap, t_cap
 
 
+def _dispatch_matrix(net: PowerNetwork) -> np.ndarray:
+    """Constraint matrix shared by every hourly dispatch LP of ``net``.
+
+    Rows: nodal balance, flow law, angle-difference range, reference angle;
+    columns [g | f | u | theta].  Hours and attacks change only ``c`` and
+    the bounds.
+    """
+    N, E, G = net.num_nodes, net.num_edges, net.num_generators
+    A = incidence_matrix(net)
+    Bmw = net.susceptance_mw_per_rad()
+    ref = net.node_index()[net.reference_node]
+    Amat = np.zeros((N + E + E + 1, G + E + N + N))
+    # nodal balance: sum(g at n) + u_n - (A^T f)_n = d_n
+    Amat[:N, :G] = net.gen_node_map()
+    Amat[:N, G + E:G + E + N] = np.eye(N)
+    Amat[:N, G:G + E] = -A.T
+    # flow law: f_e - B'_e (A theta)_e = 0
+    Amat[N:N + E, G:G + E] = np.eye(E)
+    Amat[N:N + E, G + E + N:] = -Bmw[:, None] * A
+    # angle-difference range: (A theta)_e within +-(limit - zt)
+    Amat[N + E:N + 2 * E, G + E + N:] = A
+    # reference angle pinned to zero
+    Amat[N + 2 * E, G + E + N + ref] = 1.0
+    return Amat
+
+
+def _hour_lp(
+    net: PowerNetwork,
+    demand: DemandProfile,
+    season: str,
+    hour: int,
+    zg: np.ndarray | None,
+    zf: np.ndarray | None,
+    zt: np.ndarray | None,
+    Amat: np.ndarray,
+) -> LpProblem:
+    """The hourly dispatch LP over the constraint matrix ``Amat``, unlabeled."""
+    N, E = net.num_nodes, net.num_edges
+    d = demand.demand[season][hour]
+    voll = demand.voll[season][hour]
+    g_lo, _ = net.gen_limits()
+    g_up, f_cap, t_cap = attack_bounds(net, zg, zf, zt)
+    c = np.concatenate([net.gen_costs(), np.zeros(E), voll, np.zeros(N)])
+    row_lb = np.concatenate([d, np.zeros(E), -t_cap, [0.0]])
+    row_ub = np.concatenate([d, np.zeros(E), t_cap, [0.0]])
+    lb = np.concatenate([g_lo, -f_cap, np.zeros(N), np.full(N, -np.inf)])
+    ub = np.concatenate([g_up, f_cap, d, np.full(N, np.inf)])
+    return LpProblem("min", c, Amat, row_lb, row_ub, lb, ub)
+
+
 def build_dcopf(
     net: PowerNetwork,
     demand: DemandProfile,
@@ -97,60 +148,17 @@ def build_dcopf(
     zt: np.ndarray | None = None,
 ) -> LpProblem:
     """Assemble the hourly dispatch LP with labeled rows and columns."""
-    N, E, G = net.num_nodes, net.num_edges, net.num_generators
-    A = incidence_matrix(net)
-    Bmw = net.susceptance_mw_per_rad()
-    M = net.gen_node_map()
-    d = demand.demand[season][hour]
-    voll = demand.voll[season][hour]
-    g_lo, _ = net.gen_limits()
-    g_up, f_cap, t_cap = attack_bounds(net, zg, zf, zt)
-    ref = net.node_index()[net.reference_node]
-
-    n_cols = G + E + N + N
-    c = np.concatenate([net.gen_costs(), np.zeros(E), voll, np.zeros(N)])
-
-    rows = N + E + E + 1
-    Amat = np.zeros((rows, n_cols))
-    row_lb = np.zeros(rows)
-    row_ub = np.zeros(rows)
-    labels = []
-
-    # nodal balance: sum(g at n) + u_n - (A^T f)_n = d_n
-    Amat[:N, :G] = M
-    Amat[:N, G + E:G + E + N] = np.eye(N)
-    Amat[:N, G:G + E] = -A.T
-    row_lb[:N] = d
-    row_ub[:N] = d
-    labels += [f"bal[{nd.id}]" for nd in net.nodes]
-
-    # flow law: f_e - B'_e (A theta)_e = 0
-    r0 = N
-    Amat[r0:r0 + E, G:G + E] = np.eye(E)
-    Amat[r0:r0 + E, G + E + N:] = -Bmw[:, None] * A
-    labels += [f"flow[{e.id}]" for e in net.edges]
-
-    # angle-difference range: (A theta)_e within +-(limit - zt)
-    r1 = r0 + E
-    Amat[r1:r1 + E, G + E + N:] = A
-    row_lb[r1:r1 + E] = -t_cap
-    row_ub[r1:r1 + E] = t_cap
-    labels += [f"ang[{e.id}]" for e in net.edges]
-
-    # reference angle pinned to zero
-    r2 = r1 + E
-    Amat[r2, G + E + N + ref] = 1.0
-    labels.append("ref")
-
-    lb = np.concatenate([g_lo, -f_cap, np.zeros(N), np.full(N, -np.inf)])
-    ub = np.concatenate([g_up, f_cap, d, np.full(N, np.inf)])
-    col_labels = (
+    lp = _hour_lp(net, demand, season, hour, zg, zf, zt, _dispatch_matrix(net))
+    lp.row_labels = ([f"bal[{nd.id}]" for nd in net.nodes]
+                     + [f"flow[{e.id}]" for e in net.edges]
+                     + [f"ang[{e.id}]" for e in net.edges] + ["ref"])
+    lp.col_labels = (
         [f"g[{g.id}]" for g in net.generators]
         + [f"f[{e.id}]" for e in net.edges]
         + [f"u[{nd.id}]" for nd in net.nodes]
         + [f"th[{nd.id}]" for nd in net.nodes]
     )
-    return LpProblem("min", c, Amat, row_lb, row_ub, lb, ub, labels, col_labels)
+    return lp
 
 
 def extract_solution(
@@ -208,6 +216,11 @@ def extract_solution(
     )
 
 
+def dispatch_form(net: PowerNetwork) -> LpForm:
+    """The scaled standard form every hourly dispatch LP of ``net`` shares."""
+    return LpForm(_dispatch_matrix(net))
+
+
 def solve_dcopf(
     net: PowerNetwork,
     demand: DemandProfile,
@@ -217,14 +230,18 @@ def solve_dcopf(
     zf: np.ndarray | None = None,
     zt: np.ndarray | None = None,
     basis: np.ndarray | None = None,
+    form: LpForm | None = None,
 ) -> OpfSolution:
     """Solve one hourly dispatch and recover every primal and dual quantity.
 
     ``basis`` is the ``basis`` of another dispatch of the same hour (same
-    network and demand, any attack); it warm-starts the LP solve.
+    network and demand, any attack); it warm-starts the LP solve.  ``form``
+    is :func:`dispatch_form` of ``net``, shared by the solves of one run;
+    without it the solve builds its own.  The answer does not depend on it.
     """
-    lp = build_dcopf(net, demand, season, hour, zg, zf, zt)
-    sol = solve_lp(lp, basis=basis)
+    form = form if form is not None else dispatch_form(net)
+    lp = _hour_lp(net, demand, season, hour, zg, zf, zt, form.A)
+    sol = solve_lp(lp, basis=basis, form=form)
     if sol.status == "infeasible":
         raise OpfInfeasibleError(
             f"dispatch infeasible at {season}/{hour} (attack exceeds capacities?)")
@@ -233,13 +250,42 @@ def solve_dcopf(
     return extract_solution(net, demand, season, hour, sol)
 
 
+class SeasonDispatch:
+    """The dispatch LPs of one attack run: one network, demand and season.
+
+    Holds the network's :func:`dispatch_form`, which every solve of the run
+    passes to :func:`solve_dcopf`, and each hour's unattacked dispatch,
+    solved once: the ``hours`` given up front, while the run holds little
+    else, any other hour on first use.  Nothing it returns refers back to
+    it, so it lives only as long as the run that made it.
+    """
+
+    def __init__(self, net: PowerNetwork, demand: DemandProfile, season: str,
+                 hours: Iterable[int] = ()):
+        self.net = net
+        self.demand = demand
+        self.season = season
+        self.form = dispatch_form(net)
+        self._base: dict[int, OpfSolution] = {}
+        for h in hours:
+            self.base(h)
+
+    def base(self, hour: int) -> OpfSolution:
+        """The hour's unattacked dispatch; callers must not modify it."""
+        if hour not in self._base:
+            self._base[hour] = solve_dcopf(self.net, self.demand, self.season, hour,
+                                           form=self.form)
+        return self._base[hour]
+
+
 def solve_day(
     net: PowerNetwork,
     demand: DemandProfile,
     season: str,
 ) -> list[OpfSolution]:
     """Solve all hours of one season independently (no intertemporal coupling)."""
-    return [solve_dcopf(net, demand, season, h)
+    form = dispatch_form(net)
+    return [solve_dcopf(net, demand, season, h, form=form)
             for h in range(demand.hours(season))]
 
 

@@ -9,10 +9,13 @@ carry exactly integral binaries.
 
 Every node differs from its parent only in bounds, so each child LP and
 each polish warm-starts from the basis of the node it came from (see
-:mod:`gridshock.simplex`); a node stores that basis, never an inverse.  A
-node whose LP fails numerically on both the warm and the cold path is
-dropped with its parent's bound kept in the gap: the search goes on and
-ends ``feasible-limit``, never ``optimal``.
+:mod:`gridshock.simplex`); a node stores that basis, never an inverse.  The
+LPs of one tree share one :class:`~gridshock.simplex.LpForm` of the
+constraint matrix, so the second child of a node reuses the factorization
+of the parent basis that the first child made.  A node whose LP fails
+numerically on both the warm and the cold path is dropped with its
+parent's bound kept in the gap: the search goes on and ends
+``feasible-limit``, never ``optimal``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import LpProblem, LpSolution, SolverNumericalError, solve_lp
+from .simplex import LpForm, LpProblem, LpSolution, SolverNumericalError, solve_lp
 
 MILP_GAP_TOL = 1e-6
 ROUND_TOL = 1e-6
@@ -60,27 +63,28 @@ def _is_better(sense: str, a: float, b: float) -> bool:
 
 
 def _fixed(lp: LpProblem, idx: list[int], vals) -> LpProblem:
-    """``lp`` with columns ``idx`` fixed at ``vals``."""
+    """``lp`` with columns ``idx`` fixed at ``vals``; it shares ``lp.A``, so
+    it solves on the tree's form."""
     lb, ub = lp.lb.copy(), lp.ub.copy()
     lb[idx] = ub[idx] = vals
     return LpProblem(lp.sense, lp.c, lp.A, lp.row_lb, lp.row_ub, lb, ub,
                      lp.row_labels, lp.col_labels)
 
 
-def _polish(problem: MilpProblem, x: np.ndarray,
-            basis: np.ndarray | None = None) -> tuple[np.ndarray, float] | None:
+def _polish(problem: MilpProblem, x: np.ndarray, basis: np.ndarray | None,
+            form: LpForm) -> tuple[np.ndarray, float] | None:
     """Fix binaries to rounded values, re-solve the continuous part.
 
     Returns (x, objective) with exactly integral binaries, or None if the
     rounding is infeasible (can happen within tolerance of a bound).
-    ``basis`` warm-starts the re-solve.
+    ``basis`` warm-starts the re-solve on ``form``, the tree's form.
     """
     lp = problem.lp
     bidx = problem.binary_indices
     if not bidx:
         return x.copy(), float(lp.c @ x)
     vals = np.rint(x[bidx])
-    sol = solve_lp(_fixed(lp, bidx, vals), basis=basis)
+    sol = solve_lp(_fixed(lp, bidx, vals), basis=basis, form=form)
     if sol.status != "optimal":
         return None
     xp = sol.x.copy()
@@ -110,14 +114,15 @@ def solve_milp(
     incumbent_x: np.ndarray | None = None
     incumbent_obj = np.inf if sense == "min" else -np.inf
 
-    root = solve_lp(lp)
+    form = LpForm(lp.A)  # every LP of the tree is over lp.A
+    root = solve_lp(lp, form=form)
     if root.status == "infeasible":
         return MilpSolution("infeasible", None, None, np.inf, 1)
     if root.status == "unbounded":
         return MilpSolution("unbounded", None, None, np.inf, 1)
 
     if warm_start is not None:
-        res = _polish(problem, np.asarray(warm_start, dtype=float), root.basis)
+        res = _polish(problem, np.asarray(warm_start, dtype=float), root.basis, form)
         if res is not None and _feasible(lp, res[0]):
             incumbent_x, incumbent_obj = res
 
@@ -151,7 +156,7 @@ def solve_milp(
     def accept(rel: LpSolution):
         nonlocal incumbent_x, incumbent_obj
         try:
-            res = _polish(problem, rel.x, rel.basis)
+            res = _polish(problem, rel.x, rel.basis, form)
         except SolverNumericalError as exc:
             lose(rel.objective, exc)
             return True
@@ -164,7 +169,8 @@ def solve_milp(
 
     def child(fixings: dict[int, int], parent: LpSolution, j: int, val: int):
         f = {**fixings, j: val}
-        return f, solve_lp(_fixed(lp, list(f), list(f.values())), basis=parent.basis)
+        return f, solve_lp(_fixed(lp, list(f), list(f.values())), basis=parent.basis,
+                           form=form)
 
     while True:
         if incumbent_x is not None:

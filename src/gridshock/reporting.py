@@ -22,6 +22,7 @@ from .network import PowerNetwork
 from .scenarios import ScenarioResult, SweepPoint
 
 SECTOR_TAG = "Utilities"
+ATTACK_RTOL = 1e-9  # relative tolerance of read_attack_csv's spend and capacity checks
 
 
 def fmt(x: float, digits: int = 6) -> str:
@@ -189,16 +190,23 @@ def rebuild_opf_solution(
     )
 
 
-def read_attack_csv(path: str | Path,
-                    net: PowerNetwork) -> dict[tuple[str, int], dict[str, np.ndarray]]:
+def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts | None = None
+                    ) -> dict[tuple[str, int], dict[str, np.ndarray]]:
     """Load attack_strategy.csv as {(season, hour): {zg, zf, zt}} arrays.
 
     Raises ValueError naming the file and line of a row whose entity the
-    network lacks or whose component_type is not gen, flow or angle.
+    network lacks, whose component_type is not gen, flow or angle, whose
+    z_value lies outside [0, capacity] of its component, or, when ``costs``
+    is given, whose spend is not z_value times the component's price (both
+    within a relative ``ATTACK_RTOL``).
     """
     edges = {e.id: k for k, e in enumerate(net.edges)}
-    index = {"gen": ("zg", {g.id: k for k, g in enumerate(net.generators)}),
-             "flow": ("zf", edges), "angle": ("zt", edges)}
+    # component type -> (attack array, entity index, capacity, price)
+    prices = (None,) * 3 if costs is None else (costs.cg, costs.cf, costs.ct)
+    index = {"gen": ("zg", {g.id: k for k, g in enumerate(net.generators)},
+                     net.gen_limits()[1], prices[0]),
+             "flow": ("zf", edges, net.flow_limits(), prices[1]),
+             "angle": ("zt", edges, net.angle_limits(), prices[2])}
     out: dict[tuple[str, int], dict[str, np.ndarray]] = {}
     with open(path, newline="") as fh:
         # line 1 is the header
@@ -206,13 +214,23 @@ def read_attack_csv(path: str | Path,
             kind, entity = row["component_type"], row["entity"]
             if kind not in index:
                 raise ValueError(f"{path}:{ln}: unknown component_type {kind!r}")
-            name, ids = index[kind]
+            name, ids, capacity, price = index[kind]
             if entity not in ids:
                 raise ValueError(f"{path}:{ln}: unknown {kind} entity {entity!r}")
+            k = ids[entity]
+            z, spend = float(row["z_value"]), float(row["spend"])
+            cap = float(capacity[k])
+            if not 0.0 <= z <= cap * (1.0 + ATTACK_RTOL):
+                raise ValueError(f"{path}:{ln}: z_value {z!r} outside [0, {cap!r}], "
+                                 f"the capacity of {kind} {entity}")
+            cost = None if price is None else z * float(price[k])
+            if cost is not None and abs(spend - cost) > ATTACK_RTOL * abs(cost):
+                raise ValueError(f"{path}:{ln}: spend {spend!r} is not z_value x price "
+                                 f"= {cost!r}")
             slot = out.setdefault((row["season"], int(row["hour"])), {
                 "zg": np.zeros(net.num_generators),
                 "zf": np.zeros(net.num_edges),
                 "zt": np.zeros(net.num_edges),
             })
-            slot[name][ids[entity]] = float(row["z_value"])
+            slot[name][k] = z
     return out

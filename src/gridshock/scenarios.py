@@ -29,7 +29,7 @@ from .attack import (
     refine_budget_allocation,
     run_attack,
 )
-from .dcopf import OpfSolution, solve_day
+from .dcopf import OpfSolution, SeasonDispatch, solve_day
 from .network import DemandProfile, PowerNetwork, apply_heatwave
 
 SCENARIO_KINDS = ("Baseline", "Heatwave", "Cyberattack", "Compound")
@@ -190,15 +190,15 @@ def _monotone_rerun(
     if slack < 0:
         return result
     alloc = [a + slack / len(alloc) for a in alloc]
-    bases = solve_day(net, profile, cfg.season)
+    dispatch = SeasonDispatch(net, profile, cfg.season, range(profile.hours(cfg.season)))
     plan = attack_with_allocation(net, profile, cfg.season, costs, alloc,
                                   node_limit=cfg.node_limit, warm=previous.plan,
-                                  bases=bases)
+                                  dispatch=dispatch)
     if cfg.refine:
         plan = refine_budget_allocation(net, profile, cfg.season, costs, plan.hours,
                                         costs.budget, cfg.refine_steps,
                                         node_limit=cfg.node_limit, alloc=alloc,
-                                        bases=bases)
+                                        dispatch=dispatch)
     rerun = _metrics(cfg.kind, cfg.season, net, profile, [h.opf for h in plan.hours], plan)
     return rerun if rerun.total_unserved_mwh > result.total_unserved_mwh else result
 

@@ -37,6 +37,20 @@ runs instead when the basis has the wrong shape, is singular or not dual
 feasible, or when the warm path hits any numerical failure, so a basis
 can change the pivot count but never the trust in the answer.
 
+Shared form.  The scaled standard form depends on ``A`` alone, so an
+:class:`LpForm` builds it once -- the equilibration factors and
+``[A_sc | -I]`` -- for every re-solve over the same matrix: the hours of
+a dispatch day, the nodes of a branch-and-bound tree.  The form also
+keeps a single slot with the basis inverse of the last warm-start basis
+it factorized; a warm start from that same basis reuses the inverse
+instead of factorizing again (read-only: the tableau copies it before its
+first pivot).  That is bit-identical to a fresh factorization, which is a
+pure function of ``(A_std, basis)`` for a fixed BLAS thread count.  The
+optimality recheck always runs on a fresh factorization, but it
+refactorizes only when a pivot or a bound flip happened since the last
+one: with neither, the inverse in hand is that fresh factorization.  A
+re-solve whose starting basis stays optimal thus factorizes nothing.
+
 Dual sign convention (documented for callers):
   * minimization: row dual y_i >= 0 when the row's lower bound is active,
     y_i <= 0 when the upper bound is active; d(obj)/d(bound) = y_i.
@@ -222,7 +236,9 @@ class _Tableau:
     """Working state for one simplex run on the standard bounded form.
 
     Columns n..n+m-1 of ``A_std`` are the row activities (-I); any columns
-    after them are phase-1 artificials.
+    after them are phase-1 artificials.  ``fresh`` says that the inverse
+    and the basic values are those of a factorization of the current basis:
+    no pivot and no bound flip happened since.
     """
 
     def __init__(self, A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, n: int):
@@ -236,6 +252,7 @@ class _Tableau:
         self.binv = np.eye(self.m)
         self.xB = np.zeros(self.m)
         self.pivots_since_refactor = 0
+        self.fresh = False
 
     def nonbasic_value(self, j: int) -> float:
         s = self.status[j]
@@ -274,9 +291,14 @@ class _Tableau:
         binv[np.ix_(S, rows_R)] = blocks[:S.size]
         binv[np.ix_(T, rows_R)] = blocks[S.size:]
         binv[T, rows_T] = -1.0
+        self.use_inverse(binv)
+
+    def use_inverse(self, binv: np.ndarray):
+        """Take ``binv`` as the inverse of the current basis."""
         self.binv = binv
         self.recompute_basic_values()
         self.pivots_since_refactor = 0
+        self.fresh = True
 
     def recompute_basic_values(self):
         """Basic values from scratch: A_N x_N + B x_B = 0."""
@@ -311,10 +333,13 @@ class _Tableau:
             return
         eta = -w / piv
         eta[pos] = 1.0 / piv
+        if not self.binv.flags.writeable:
+            self.binv = self.binv.copy()  # the inverse is a form's slot
         row = self.binv[pos, :].copy()
         self.binv += np.outer(eta, row)
         self.binv[pos, :] = row / piv
         self.pivots_since_refactor += 1
+        self.fresh = False
         if (self.pivots_since_refactor >= refactor_every
                 or abs(piv) < 1e-6 * (1.0 + float(np.max(np.abs(w))))):
             self.refactorize()
@@ -385,6 +410,7 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
         tab.xB += d * step
         if flip:
             tab.status[q] = _AT_UPPER if tab.status[q] == _AT_LOWER else _AT_LOWER
+            tab.fresh = False
             continue
 
         # pivot: q enters at position leave_pos, old basic leaves to a bound
@@ -404,27 +430,62 @@ def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     C = np.ones(n)
     work = np.abs(A)
     for _ in range(2):
-        rmax = work.max(axis=1)
+        rmax = work.max(axis=1, initial=0.0)
         r = np.where(rmax > 0, np.exp2(-np.round(np.log2(np.maximum(rmax, 1e-300)))), 1.0)
         work = work * r[:, None]
         R *= r
-        cmax = work.max(axis=0)
+        cmax = work.max(axis=0, initial=0.0)
         c = np.where(cmax > 0, np.exp2(-np.round(np.log2(np.maximum(cmax, 1e-300)))), 1.0)
         work = work * c[None, :]
         C *= c
     return R, C
 
 
+class LpForm:
+    """The scaled standard form of one constraint matrix, for every LP over it.
+
+    Holds the equilibration factors ``R``, ``C`` of ``A`` and the standard
+    form ``A_std = [R A C | -I]``, built once, plus a single slot with the
+    basis inverse of the last warm-start basis factorized over it (see the
+    module docstring).  :func:`solve_lp` takes it only for a problem whose
+    ``A`` is this very array, so build it from ``problem.A`` and share that
+    array between the problems it serves.
+    """
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+        self.R, self.C = _equilibrate(A)
+        A_sc = A * self.R[:, None] * self.C[None, :]
+        self.A_std = np.hstack([A_sc, -np.eye(A.shape[0])])
+        self._basis: np.ndarray | None = None
+        self._binv: np.ndarray | None = None
+
+    def factorize(self, tab: _Tableau) -> None:
+        """Factorize ``tab`` at its basis, from the slot when it holds that basis.
+
+        The slot's inverse is read-only and shared with the tableau, which
+        copies it before its first pivot.
+        """
+        if self._basis is not None and np.array_equal(self._basis, tab.basis):
+            tab.use_inverse(self._binv)
+            return
+        tab.refactorize()
+        tab.binv.flags.writeable = False
+        self._basis, self._binv = tab.basis.copy(), tab.binv
+
+
 def _run_verified(tab: _Tableau, c: np.ndarray, max_iter: int,
                   refactor_every: int = _REFACTOR_EVERY,
                   bland_start: bool = False) -> tuple[str, int]:
     """Iterate until an exact recheck on a fresh basis inverse confirms the
-    claimed status; guards against drift-induced false optima."""
+    claimed status; guards against drift-induced false optima.  The inverse
+    is refactorized only when it is not fresh already."""
     total = 0
     for _ in range(_VERIFY_ROUNDS):
         status, it = _simplex_core(tab, c, max_iter, refactor_every, bland_start)
         total += it
-        tab.refactorize()
+        if not tab.fresh:
+            tab.refactorize()
         if status != "optimal":
             return status, total
         tol = 10.0 * _RC_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
@@ -523,7 +584,7 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int) -> tuple[str, int
         rc[tab.basis] = 0.0
 
 
-def _warm_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
+def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
                 basis: np.ndarray, max_iter: int) -> tuple[_Tableau, str, int] | None:
     """Re-optimize from the basic columns ``basis``; None when they do not
     fit or are not dual feasible.
@@ -531,6 +592,7 @@ def _warm_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c: np.ndarray
     Returns (tableau, status, iterations) with status "optimal" or
     "infeasible"; raises :class:`SolverNumericalError` on numerical trouble.
     """
+    A_std = form.A_std
     m, ncols = A_std.shape
     basic = np.asarray(basis)
     if (basic.shape != (m,) or not np.issubdtype(basic.dtype, np.integer)
@@ -542,7 +604,7 @@ def _warm_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c: np.ndarray
     tab.status = _initial_status(lb, ub)
     tab.status[tab.basis] = _BASIC
     boxed = (tab.status != _BASIC) & np.isfinite(lb) & np.isfinite(ub)
-    tab.refactorize()
+    form.factorize(tab)
     rc = tab.reduced_costs(c)
     tol = _rc_tol(c)
     # a boxed column rests on the bound its reduced cost asks for; where
@@ -611,6 +673,7 @@ def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.nda
             t.ub[ncols:] = 0.0
             art_status = t.status[ncols:]
             art_status[art_status != _BASIC] = _AT_LOWER
+            t.fresh = False  # the artificials' bounds moved
         c2 = np.concatenate([c_int, np.zeros(m + n_art)])
         status2, it2 = _run_verified(t, c2, max_iter, refactor_every, bland_start)
         return t, c2, status2, it1 + it2
@@ -624,19 +687,26 @@ def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.nda
     raise last_exc
 
 
-def solve_lp(problem: LpProblem, basis: np.ndarray | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
+             form: LpForm | None = None) -> LpSolution:
     """Solve an LP; optimal solutions carry duals, reduced costs, residuals
     and their basis.
 
     ``basis``, taken from an earlier solve of a problem with the same
     ``c`` and ``A``, warm-starts a bounded dual simplex (see the module
     docstring); without one, or when it cannot be used, the cold two-phase
-    primal simplex runs.  Deterministic for a fixed BLAS thread count:
-    identical inputs, basis included, yield bit-identical outputs, but a
-    different thread count can change rounding, pivots and the vertex
-    (``OPENBLAS_NUM_THREADS=1`` gives reproducible B&B trees).  Raises
-    :class:`SolverNumericalError` on iteration caps or singular bases.
+    primal simplex runs.  ``form`` is an :class:`LpForm` built from
+    ``problem.A``, shared by the LPs over that matrix; without one, the
+    solve builds its own.  Either way the answer is the same, bit for bit.
+    Deterministic for a fixed BLAS thread count: identical inputs, basis
+    included, yield bit-identical outputs, but a different thread count can
+    change rounding, pivots and the vertex (``OPENBLAS_NUM_THREADS=1`` gives
+    reproducible B&B trees).  Raises :class:`SolverNumericalError` on
+    iteration caps or singular bases, and ValueError for a form built from
+    another matrix.
     """
+    if form is not None and form.A is not problem.A:
+        raise ValueError("form was built from another constraint matrix")
     m, n = problem.num_rows, problem.num_cols
     sign = 1.0 if problem.sense == "min" else -1.0
     c_user = problem.c
@@ -651,18 +721,16 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None) -> LpSolution:
             return LpSolution("unbounded", None, None, None, None)
         return LpSolution("optimal", x, np.zeros(0), c_user.copy(), float(c_user @ x))
 
-    # equilibrate: scaled vars x' = x / C, scaled rows R * A * C
-    R, C = _equilibrate(problem.A)
-    A_sc = problem.A * R[:, None] * C[None, :]
+    # equilibrate: scaled vars x' = x / C, scaled rows R * A * C, and the
+    # standard form [A_sc | -I][x; t] = 0 with t the row activity
+    form = form if form is not None else LpForm(problem.A)
+    R, C = form.R, form.C
     with np.errstate(invalid="ignore"):
         lb_sc = problem.lb / C
         ub_sc = problem.ub / C
         rlb_sc = problem.row_lb * R
         rub_sc = problem.row_ub * R
     c_int = sign * c_user * C
-
-    # standard form [A | -I][x; t] = 0 with t the row activity
-    A_std = np.hstack([A_sc, -np.eye(m)])
     lb = np.concatenate([lb_sc, rlb_sc])
     ub = np.concatenate([ub_sc, rub_sc])
     ncols = n + m
@@ -672,13 +740,13 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None) -> LpSolution:
     if basis is not None:
         c2 = np.concatenate([c_int, np.zeros(m)])
         try:
-            warm = _warm_solve(A_std, lb, ub, c2, basis, max_iter)
+            warm = _warm_solve(form, lb, ub, c2, basis, max_iter)
         except SolverNumericalError:
             warm = None
     if warm is not None:
         tab, status2, iters = warm
     else:
-        tab, c2, status2, iters = _cold_solve(A_std, lb, ub, c_int, rlb_sc, rub_sc,
+        tab, c2, status2, iters = _cold_solve(form.A_std, lb, ub, c_int, rlb_sc, rub_sc,
                                               max_iter)
 
     if status2 == "infeasible":

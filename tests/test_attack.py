@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import weakref
 from collections import Counter
 from dataclasses import fields
 
@@ -22,7 +23,7 @@ from gridshock.attack import (
     solve_hourly_attack,
 )
 import gridshock.dcopf as dcopf_mod
-from gridshock.dcopf import OpfSolution, solve_day, solve_dcopf
+from gridshock.dcopf import OpfSolution, SeasonDispatch, solve_dcopf
 from gridshock.kkt import kkt_residuals, verify_equilibrium
 from gridshock.network import apply_heatwave
 from support import profile_for, tight_two_bus, triangle, two_bus
@@ -391,10 +392,11 @@ def test_shared_base_gives_the_same_hour(budget, zero_warm, node_limit):
     if zero_warm:
         warm = solve_hourly_attack(net, prof, "summer", 0, costs, 0.0)
         assert not (warm.zg.any() or warm.zf.any() or warm.zt.any())
-    base = solve_dcopf(net, prof, "summer", 0)
+    dispatch = SeasonDispatch(net, prof, "summer")
+    base = dispatch.base(0)
     kwargs = dict(node_limit=node_limit, warm=warm)
     alone = solve_hourly_attack(net, prof, "summer", 0, costs, budget, **kwargs)
-    shared = solve_hourly_attack(net, prof, "summer", 0, costs, budget, base=base,
+    shared = solve_hourly_attack(net, prof, "summer", 0, costs, budget, dispatch=dispatch,
                                  **kwargs)
     assert _hour_fingerprint(shared) == _hour_fingerprint(alone)
     if budget > 0:
@@ -403,12 +405,13 @@ def test_shared_base_gives_the_same_hour(budget, zero_warm, node_limit):
 
 def test_shared_bases_are_not_modified():
     net, prof, costs = _threshold_instance()
-    bases = solve_day(net, prof, "summer")
+    dispatch = SeasonDispatch(net, prof, "summer")
+    bases = [dispatch.base(h) for h in range(3)]
     before = copy.deepcopy(bases)
     plan = attack_with_allocation(net, prof, "summer", costs, [16.0 / 3] * 3,
-                                  node_limit=0, bases=bases)
+                                  node_limit=0, dispatch=dispatch)
     ref = refine_budget_allocation(net, prof, "summer", costs, plan.hours, 16.0,
-                                   node_limit=0, bases=bases)
+                                   node_limit=0, dispatch=dispatch)
     again = run_attack(net, prof, "summer", costs, 16.0, node_limit=0)
     assert ([_hour_fingerprint(h) for h in ref.hours]
             == [_hour_fingerprint(h) for h in again.hours])
@@ -419,3 +422,28 @@ def test_shared_bases_are_not_modified():
                 assert np.array_equal(a, b), fld.name
             else:
                 assert a == b, fld.name
+
+
+def test_run_dispatch_dies_with_the_run(monkeypatch):
+    """The run's SeasonDispatch (dispatch form, unattacked hours) is freed when
+    run_attack returns: the kept plan does not reach it."""
+    net, prof, costs = _threshold_instance()
+    made = []
+
+    class Tracked(SeasonDispatch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+    monkeypatch.setattr(attack_mod, "SeasonDispatch", Tracked)
+    plan = run_attack(net, prof, "summer", costs, 16.0, node_limit=0, refine=True)
+    assert plan.objective == pytest.approx(14_000.0, rel=1e-9)
+    assert len(made) == 1
+    assert made[0]() is None
+
+
+def test_dispatch_of_another_demand_is_rejected():
+    net, prof, costs = _threshold_instance()
+    other = profile_for(net, [[10.0, 70.0], [10.0, 70.0], [10.0, 78.0]])
+    with pytest.raises(ValueError, match="another network, demand or season"):
+        solve_hourly_attack(net, prof, "summer", 2, costs, 16.0, node_limit=0,
+                            dispatch=SeasonDispatch(net, other, "summer"))

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -144,6 +145,41 @@ def test_verify_rejects_unknown_attack_entity(tmp_path, capsys):
     assert main(["verify", "--solution", str(run)]) == 2
     out = capsys.readouterr().out
     assert out.startswith("FAIL ") and "unknown gen entity 'GXX'" in out
+
+
+@pytest.fixture(scope="module")
+def cyber_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("cyber") / "run"
+    assert main(["scenario", "--config", str(bundled_path("cyberattack.cfg")),
+                 "--out", str(run)]) == 0
+    return run
+
+
+@pytest.mark.parametrize("row, message", [
+    ("summer,17,flow,E15,48,800", "spend 800.0 is not z_value x price = 240.0"),
+    ("summer,17,flow,E15,900,4500", "z_value 900.0 outside [0, 860.0]"),
+    ("summer,17,flow,E15,-48,-240", "z_value -48.0 outside [0, 860.0]"),
+], ids=["spend", "above_capacity", "below_zero"])
+def test_verify_rejects_a_bad_attack_row(cyber_run, tmp_path, capsys, row, message):
+    run = tmp_path / "run"
+    shutil.copytree(cyber_run, run)
+    strategy = run / "attack_strategy.csv"
+    text = strategy.read_text()
+    assert "summer,17,flow,E15,48,240" in text  # line 2: rows sort by entity
+    assert main(["verify", "--solution", str(run)]) == 0
+    strategy.write_text(text.replace("summer,17,flow,E15,48,240", row))
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL {strategy}:2: ") and message in out
+
+
+def test_verify_checks_spend_at_the_given_prices(cyber_run, capsys):
+    # the run was priced at cost ratio 5: its flow spend is 48 x 5
+    assert main(["verify", "--solution", str(cyber_run), "--cost-ratio", "4"]) == 2
+    assert "spend 240.0 is not z_value x price = 192.0" in capsys.readouterr().out
+    assert main(["verify", "--solution", str(cyber_run), "--config",
+                 str(bundled_path("cyberattack.cfg"))]) == 0
 
 
 def test_verify_missing_solution_dir(files):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridshock.dcopf import build_dcopf, solve_day, solve_dcopf, solution_rows
+import gridshock.dcopf as dcopf_mod
+from gridshock import simplex
+from gridshock.dcopf import (SeasonDispatch, build_dcopf, dispatch_form, solve_day,
+                             solve_dcopf, solution_rows)
+from gridshock.network import incidence_matrix
 from support import one_bus, profile_for, tight_two_bus, two_bus
 
 VOLL = 1000.0
@@ -103,3 +108,113 @@ def test_solution_rows_cover_entities(bundled_net, bundled_demand):
     rows = solution_rows(sol, bundled_net)
     quantities = {r[3] for r in rows}
     assert {"g", "f", "u", "theta", "pi_d", "pi_f", "delta", "objective"} <= quantities
+
+
+SHARED_HOURS = (3, 12, 17, 19)
+
+
+@pytest.fixture(scope="module")
+def shared_day(bundled_net, bundled_demand):
+    """One dispatch form for every example, with the hours' unattacked dispatches."""
+    return SeasonDispatch(bundled_net, bundled_demand, "summer", SHARED_HOURS)
+
+
+def _inner_lp(call):
+    """Run ``call``; return the LpSolution of the last solve_lp inside solve_dcopf."""
+    seen = []
+    real = dcopf_mod.solve_lp
+
+    def record(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dcopf_mod, "solve_lp", record)
+        call()
+    return seen[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hour=st.sampled_from(SHARED_HOURS),
+       kind=st.sampled_from(("within slack", "any", "over capacity")),
+       seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
+def test_shared_form_matches_one_shot_dispatch(shared_day, hour, kind, seed, share):
+    """Warm re-solves on the run's shared form equal one-shot ones, bit for bit.
+
+    "within slack" lowers limits only where the unattacked dispatch has
+    room, so its basis stays optimal; "any" lowers them anywhere, so the
+    re-solve pivots; "over capacity" takes one component past its
+    capacity, which both paths reject.  The form and its factorization
+    slot carry over from example to example.
+    """
+    net, demand, base = shared_day.net, shared_day.demand, shared_day.base(hour)
+    rng = np.random.default_rng(seed)
+    g_lo, g_up = net.gen_limits()
+    caps = (g_up - g_lo, net.flow_limits(), net.angle_limits())
+    if kind == "within slack":
+        angle = np.abs(incidence_matrix(net) @ base.theta)
+        room = (g_up - base.g, caps[1] - np.abs(base.f), caps[2] - angle)
+    else:
+        room = caps
+    zs = [np.where(rng.random(r.size) < 0.3, share * rng.random(r.size) * np.maximum(r, 0.0),
+                   0.0) for r in room]
+    if kind == "over capacity":
+        block = int(rng.integers(3))
+        k = int(rng.integers(caps[block].size))
+        zs[block][k] = caps[block][k] * (1.0 + share) + 1.0
+
+    def solve(**form):
+        return solve_dcopf(net, demand, "summer", hour, *zs, basis=base.basis, **form)
+    if kind == "over capacity":
+        with pytest.raises(ValueError):
+            solve()
+        with pytest.raises(ValueError):
+            solve(form=shared_day.form)
+        return
+    one = _inner_lp(solve)
+    shared = _inner_lp(lambda: solve(form=shared_day.form))
+    assert (shared.status, shared.objective, shared.iterations) == \
+        (one.status, one.objective, one.iterations)
+    for name in ("x", "duals", "reduced_costs", "basis"):
+        assert np.array_equal(getattr(shared, name), getattr(one, name)), name
+
+
+def test_resolve_from_an_optimal_base_basis_factorizes_nothing(bundled_net, bundled_demand,
+                                                               monkeypatch):
+    """At hour 17, a re-solve whose base basis stays optimal reuses the form's
+    factorization: the first warm start fills the slot, the next copies it."""
+    net = bundled_net
+    form = dispatch_form(net)
+    base = solve_dcopf(net, bundled_demand, "summer", 17, form=form)
+    # lowering the limit of the unit with the most room, within that room,
+    # leaves the unattacked dispatch and its basis optimal
+    _, g_up = net.gen_limits()
+    k = int(np.argmax(g_up - base.g))
+    zg = np.zeros(net.num_generators)
+    zg[k] = 0.5 * (g_up[k] - base.g[k])
+    calls = []
+    real = simplex._Tableau.refactorize
+
+    def counting(tab):
+        calls.append(tab)
+        return real(tab)
+    monkeypatch.setattr(simplex._Tableau, "refactorize", counting)
+
+    def resolve():
+        before = len(calls)
+        lp = _inner_lp(lambda: solve_dcopf(net, bundled_demand, "summer", 17, zg,
+                                           basis=base.basis, form=form))
+        return lp, len(calls) - before
+    first, n_first = resolve()
+    second, n_second = resolve()
+    assert (n_first, n_second) == (1, 0)
+    assert np.array_equal(second.basis, base.basis)
+    assert second.iterations == first.iterations
+    assert np.array_equal(second.x, first.x)
+
+
+def test_solve_day_on_a_shared_form_matches_hour_by_hour(bundled_net, bundled_demand):
+    day = solve_day(bundled_net, bundled_demand, "summer")
+    for h in (0, 17):
+        alone = solve_dcopf(bundled_net, bundled_demand, "summer", h)
+        assert np.array_equal(day[h].g, alone.g) and np.array_equal(day[h].pi_d, alone.pi_d)
+        assert np.array_equal(day[h].basis, alone.basis)

@@ -173,7 +173,7 @@ def test_warm_started_tree_matches_cold_started_tree(monkeypatch):
     probs = list(pure_binary_oracles()) + list(mixed_oracles())
     warm = [solve_milp(p) for p in probs]
     with monkeypatch.context() as mp:
-        mp.setattr(milp, "solve_lp", lambda lp, basis=None: solve_lp(lp))
+        mp.setattr(milp, "solve_lp", lambda lp, basis=None, form=None: solve_lp(lp))
         cold = [solve_milp(p) for p in probs]
     for w, c in zip(warm, cold):
         assert w.status == c.status
@@ -185,10 +185,10 @@ def test_warm_started_tree_matches_cold_started_tree(monkeypatch):
 
 def failing_child(monkeypatch, var: int, val: float):
     """Make every LP with ``var`` fixed at ``val`` fail on both paths."""
-    def solve(lp, basis=None):
+    def solve(lp, basis=None, form=None):
         if lp.lb[var] == lp.ub[var] == val:
             raise SolverNumericalError("singular basis during refactorization")
-        return solve_lp(lp, basis=basis)
+        return solve_lp(lp, basis=basis, form=form)
     monkeypatch.setattr(milp, "solve_lp", solve)
 
 
@@ -207,10 +207,10 @@ def test_bad_node_keeps_parent_bound(monkeypatch):
 
 def test_bad_node_without_incumbent_reraises(monkeypatch):
     prob = knapsack([5.0, 4.0], [4.0, 3.0], 5.0)
-    def solve(lp, basis=None):
+    def solve(lp, basis=None, form=None):
         if np.any(lp.lb == lp.ub):
             raise SolverNumericalError("singular basis during refactorization")
-        return solve_lp(lp, basis=basis)
+        return solve_lp(lp, basis=basis, form=form)
     monkeypatch.setattr(milp, "solve_lp", solve)
     with pytest.raises(SolverNumericalError):
         solve_milp(prob)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gridshock import simplex
 from gridshock.dcopf import build_dcopf
 from gridshock.network import apply_heatwave
-from gridshock.simplex import LpProblem, dump_lp, solve_lp
+from gridshock.simplex import LpForm, LpProblem, dump_lp, solve_lp
 
 INF = np.inf
 
@@ -323,3 +323,16 @@ def test_warm_start_bit_identical(hour17):
     a, b = solve_lp(p, basis=basis), solve_lp(p, basis=basis)
     _identical(a, b)
     assert np.array_equal(a.basis, b.basis)
+
+
+def test_form_must_be_built_from_the_problems_matrix():
+    p, q = _knapsack_lp(), _knapsack_lp()  # equal matrices, two arrays
+    with pytest.raises(ValueError, match="another constraint matrix"):
+        solve_lp(p, form=LpForm(q.A))
+    form = LpForm(p.A)
+    _identical(solve_lp(p, form=form), solve_lp(p))
+    child = _with_bounds(p, np.array([1.0, 0.0, 0.0]), p.ub)
+    parent = solve_lp(p, form=form)
+    for _ in range(2):  # a miss fills the slot, then a hit
+        _identical(solve_lp(child, basis=parent.basis, form=form),
+                   solve_lp(child, basis=parent.basis))
