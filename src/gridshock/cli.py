@@ -183,8 +183,11 @@ def cmd_verify(args) -> int:
     attack_file = soldir / "attack_strategy.csv"
     if attack_file.exists():
         try:
-            # spends are checked at the prices of the run's config
-            attacks = reporting.read_attack_csv(attack_file, net, scenario_costs(cfg, net))
+            # spends are checked at the prices the run's manifest records, or,
+            # in a run directory whose manifest lacks them, at the config's
+            costs = reporting.read_attack_costs(soldir / "manifest.json", net)
+            costs = costs if costs is not None else scenario_costs(cfg, net)
+            attacks = reporting.read_attack_csv(attack_file, net, costs)
         except ValueError as exc:
             print(f"FAIL {exc}")
             return EXIT_SOLVER

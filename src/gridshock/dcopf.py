@@ -251,7 +251,8 @@ def solve_dcopf(
 
 
 class SeasonDispatch:
-    """The dispatch LPs of one attack run: one network, demand and season.
+    """The dispatch LPs of one run (an attack run, or a day's unattacked
+    dispatch): one network, demand and season.
 
     Holds the network's :func:`dispatch_form`, which every solve of the run
     passes to :func:`solve_dcopf`, and each hour's unattacked dispatch,
@@ -284,9 +285,9 @@ def solve_day(
     season: str,
 ) -> list[OpfSolution]:
     """Solve all hours of one season independently (no intertemporal coupling)."""
-    form = dispatch_form(net)
-    return [solve_dcopf(net, demand, season, h, form=form)
-            for h in range(demand.hours(season))]
+    hours = range(demand.hours(season))
+    day = SeasonDispatch(net, demand, season, hours)
+    return [day.base(h) for h in hours]
 
 
 def solution_rows(sol: OpfSolution, net: PowerNetwork) -> list[tuple]:

@@ -68,6 +68,14 @@ def export_results(
         "customers_affected": result.customers_affected,
         "files": {},
     }
+    if costs is not None:
+        # the run's prices, so that verify checks its spends without being told them
+        manifest["attack_costs"] = {
+            "budget": float(costs.budget),
+            "gen": dict(zip([g.id for g in net.generators], costs.cg.tolist())),
+            "flow": dict(zip([e.id for e in net.edges], costs.cf.tolist())),
+            "angle": dict(zip([e.id for e in net.edges], costs.ct.tolist())),
+        }
 
     def record(name: str, count: int):
         manifest["files"][name] = {"rows": count}
@@ -138,7 +146,7 @@ def export_sweep(
     for pt in points:
         sub = outdir / f"iter{pt.iteration}"
         for label, res in (("cyberattack", pt.cyberattack), ("compound", pt.compound)):
-            export_results(res, sub / label, net)
+            export_results(res, sub / label, net, pt.costs)
         summary.append((pt.iteration, fmt(pt.multiplier, 12), fmt(pt.cost_ratio, 12),
                         fmt(pt.budget, 12),
                         fmt(pt.cyberattack.total_unserved_mwh, 12),
@@ -190,23 +198,45 @@ def rebuild_opf_solution(
     )
 
 
-def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts | None = None
+def read_attack_costs(path: str | Path, net: PowerNetwork) -> AttackCosts | None:
+    """The attack prices and budget a run's manifest.json records, or None.
+
+    None when the file or its ``attack_costs`` entry is absent (a run
+    exported without prices).  Raises ValueError when the entry lacks the
+    budget or the price of an entity of ``net``.
+    """
+    path = Path(path)
+    if not path.exists():
+        return None
+    record = json.loads(path.read_text()).get("attack_costs")
+    if record is None:
+        return None
+    kinds = (("gen", net.generators), ("flow", net.edges), ("angle", net.edges))
+    try:
+        return AttackCosts(*(np.array([float(record[kind][item.id]) for item in items])
+                             for kind, items in kinds), float(record["budget"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: attack_costs has no entry {exc}") from None
+
+
+def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts
                     ) -> dict[tuple[str, int], dict[str, np.ndarray]]:
     """Load attack_strategy.csv as {(season, hour): {zg, zf, zt}} arrays.
 
     Raises ValueError naming the file and line of a row whose entity the
     network lacks, whose component_type is not gen, flow or angle, whose
-    z_value lies outside [0, capacity] of its component, or, when ``costs``
-    is given, whose spend is not z_value times the component's price (both
-    within a relative ``ATTACK_RTOL``).
+    z_value lies outside [0, capacity] of its component (a generator's
+    capacity is what lies above its must-run floor), or whose spend is not
+    z_value times the component's price in ``costs`` (both within a
+    relative ``ATTACK_RTOL``).
     """
     edges = {e.id: k for k, e in enumerate(net.edges)}
+    g_lo, g_up = net.gen_limits()
     # component type -> (attack array, entity index, capacity, price)
-    prices = (None,) * 3 if costs is None else (costs.cg, costs.cf, costs.ct)
     index = {"gen": ("zg", {g.id: k for k, g in enumerate(net.generators)},
-                     net.gen_limits()[1], prices[0]),
-             "flow": ("zf", edges, net.flow_limits(), prices[1]),
-             "angle": ("zt", edges, net.angle_limits(), prices[2])}
+                     g_up - g_lo, costs.cg),
+             "flow": ("zf", edges, net.flow_limits(), costs.cf),
+             "angle": ("zt", edges, net.angle_limits(), costs.ct)}
     out: dict[tuple[str, int], dict[str, np.ndarray]] = {}
     with open(path, newline="") as fh:
         # line 1 is the header
@@ -223,8 +253,8 @@ def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts | No
             if not 0.0 <= z <= cap * (1.0 + ATTACK_RTOL):
                 raise ValueError(f"{path}:{ln}: z_value {z!r} outside [0, {cap!r}], "
                                  f"the capacity of {kind} {entity}")
-            cost = None if price is None else z * float(price[k])
-            if cost is not None and abs(spend - cost) > ATTACK_RTOL * abs(cost):
+            cost = z * float(price[k])
+            if not abs(spend - cost) <= ATTACK_RTOL * abs(cost):  # NaN fails too
                 raise ValueError(f"{path}:{ln}: spend {spend!r} is not z_value x price "
                                  f"= {cost!r}")
             slot = out.setdefault((row["season"], int(row["hour"])), {

@@ -212,6 +212,7 @@ class SweepPoint:
     budget: float
     cyberattack: ScenarioResult
     compound: ScenarioResult
+    costs: AttackCosts      # the step's prices and budget, both scenarios
 
 
 def gamma_multiplier(i: int) -> float:
@@ -259,7 +260,7 @@ def _sweep(
             prev[kind] = res
         points.append(SweepPoint(i, parameter, multiplier, cfg.cost_ratio * wire / gen,
                                  costs.budget, results["Cyberattack"],
-                                 results["Compound"]))
+                                 results["Compound"], costs))
     return points
 
 

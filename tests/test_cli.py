@@ -174,12 +174,43 @@ def test_verify_rejects_a_bad_attack_row(cyber_run, tmp_path, capsys, row, messa
     assert out.startswith(f"FAIL {strategy}:2: ") and message in out
 
 
-def test_verify_checks_spend_at_the_given_prices(cyber_run, capsys):
-    # the run was priced at cost ratio 5: its flow spend is 48 x 5
-    assert main(["verify", "--solution", str(cyber_run), "--cost-ratio", "4"]) == 2
+def _drop_recorded_prices(run):
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["attack_costs"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_verify_checks_spend_at_the_recorded_prices(cyber_run, tmp_path, capsys):
+    # the prices the run's manifest records win over verify's own config
+    assert main(["verify", "--solution", str(cyber_run), "--cost-ratio", "4"]) == 0
+    # without them, spends are checked at the config's: the run was priced
+    # at cost ratio 5, so its flow spend is 48 x 5
+    run = tmp_path / "run"
+    shutil.copytree(cyber_run, run)
+    _drop_recorded_prices(run)
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run), "--cost-ratio", "4"]) == 2
     assert "spend 240.0 is not z_value x price = 192.0" in capsys.readouterr().out
-    assert main(["verify", "--solution", str(cyber_run), "--config",
+    assert main(["verify", "--solution", str(run), "--config",
                  str(bundled_path("cyberattack.cfg"))]) == 0
+
+
+def test_verify_accepts_a_gamma_sweep_step(tmp_path, capsys):
+    # step 2 prices generators at 1.1 and wires at 0.9 times the config's
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text(bundled_path("cyberattack.cfg").read_text()
+                   .replace("gamma_iterations = 6", "gamma_iterations = 2"))
+    assert main(["sweep-gamma", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
+    for kind, heat in (("cyberattack", []), ("compound", ["--heatwave-factor", "1.09"])):
+        step = tmp_path / "sw" / "iter2" / kind
+        with open(step / "attack_strategy.csv", newline="") as fh:
+            assert list(csv.DictReader(fh)), f"{kind}: no attack rows"
+        assert main(["verify", "--solution", str(step), *heat]) == 0
+        # no single config gives both step prices
+        _drop_recorded_prices(step)
+        capsys.readouterr()
+        assert main(["verify", "--solution", str(step), *heat]) == 2
+        assert "is not z_value x price" in capsys.readouterr().out
 
 
 def test_verify_missing_solution_dir(files):

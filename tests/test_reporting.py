@@ -1,14 +1,18 @@
 import csv
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridshock.attack import AttackCosts
 from gridshock.reporting import (
     export_results,
     export_sweep,
     fmt,
+    read_attack_costs,
     read_attack_csv,
     read_solution_csv,
     rebuild_opf_solution,
@@ -99,7 +103,7 @@ def test_solution_csv_verifies_after_roundtrip(tmp_path, small_run):
     net, prof, cfg, costs, res = small_run
     export_results(res, tmp_path / "run", net, costs)
     data = read_solution_csv(tmp_path / "run" / "opf_solution.csv")
-    attacks = read_attack_csv(tmp_path / "run" / "attack_strategy.csv", net)
+    attacks = read_attack_csv(tmp_path / "run" / "attack_strategy.csv", net, costs)
     assert len(data) == 2
     from gridshock.network import apply_heatwave
     hot = apply_heatwave(prof, cfg.heatwave_factor)
@@ -127,6 +131,10 @@ def test_sweep_export_layout(tmp_path):
     assert [int(r["iteration"]) for r in rows] == [1, 2]
 
 
+# tight_two_bus prices that the hand-written attack rows below are spent at
+ROW_PRICES = AttackCosts(np.ones(2), np.array([5.0]), np.array([600.0]), 1000.0)
+
+
 def test_attack_csv_keys_by_season_and_hour(tmp_path):
     net = tight_two_bus()
     path = tmp_path / "attack_strategy.csv"
@@ -134,7 +142,7 @@ def test_attack_csv_keys_by_season_and_hour(tmp_path):
                     "summer,0,gen,g1,5,5\n"
                     "winter,0,flow,e1,3,15\n"
                     "winter,1,angle,e1,0.25,150\n")
-    attacks = read_attack_csv(path, net)
+    attacks = read_attack_csv(path, net, ROW_PRICES)
     assert sorted(attacks) == [("summer", 0), ("winter", 0), ("winter", 1)]
     summer, winter = attacks[("summer", 0)], attacks[("winter", 0)]
     assert summer["zg"].tolist() == [5.0, 0.0] and not summer["zf"].any()
@@ -152,4 +160,33 @@ def test_attack_csv_rejects_unknown_rows(tmp_path, row, message):
     path.write_text("season,hour,component_type,entity,z_value,spend\n"
                     f"summer,0,gen,g1,1,1\n{row}\n")
     with pytest.raises(ValueError, match=message):
-        read_attack_csv(path, tight_two_bus())
+        read_attack_csv(path, tight_two_bus(), ROW_PRICES)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("summer,0,flow,e1,3,nan", "attack_strategy.csv:2: spend nan is not z_value x price"),
+    ("summer,0,flow,e1,nan,15", "attack_strategy.csv:2: z_value nan outside"),
+    # g1 runs at 20 MW or more: only 40 of its 60 MW can be attacked away
+    ("summer,0,gen,g1,50,50", "attack_strategy.csv:2: z_value 50.0 outside [0, 40.0]"),
+])
+def test_attack_csv_rejects_nan_and_must_run_capacity(tmp_path, row, message):
+    net = tight_two_bus()
+    g1, g2 = net.generators
+    net = replace(net, generators=(replace(g1, g_min=20.0), g2))
+    path = tmp_path / "attack_strategy.csv"
+    path.write_text(f"season,hour,component_type,entity,z_value,spend\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_attack_csv(path, net, ROW_PRICES)
+
+
+def test_manifest_records_the_attack_prices(tmp_path, small_run):
+    net, prof, cfg, costs, res = small_run
+    export_results(res, tmp_path / "run", net, costs.scaled(1.3, 0.7, 1.2))
+    back = read_attack_costs(tmp_path / "run" / "manifest.json", net)
+    want = costs.scaled(1.3, 0.7, 1.2)
+    for name in ("cg", "cf", "ct"):
+        assert getattr(back, name).tolist() == getattr(want, name).tolist()
+    assert back.budget == want.budget
+    export_results(res, tmp_path / "plain", net)
+    assert read_attack_costs(tmp_path / "plain" / "manifest.json", net) is None
+    assert read_attack_costs(tmp_path / "none" / "manifest.json", net) is None
