@@ -183,15 +183,19 @@ def cmd_verify(args) -> int:
     attack_file = soldir / "attack_strategy.csv"
     if attack_file.exists():
         try:
-            # spends are checked at the prices the run's manifest records, or,
-            # in a run directory whose manifest lacks them, at the config's
+            # spends and their total are checked at the prices and budget the
+            # run's manifest records, or, in a run directory whose manifest
+            # lacks them, at the config's
             costs = reporting.read_attack_costs(soldir / "manifest.json", net)
             costs = costs if costs is not None else scenario_costs(cfg, net)
             attacks = reporting.read_attack_csv(attack_file, net, costs)
         except ValueError as exc:
             print(f"FAIL {exc}")
             return EXIT_SOLVER
+    # the demand is scaled as --heatwave-factor says, else as the run recorded
     factor = args.heatwave_factor
+    if factor is None:
+        factor = reporting.read_heatwave_factor(soldir / "manifest.json")
     profile = apply_heatwave(demand, factor) if factor not in (None, 1.0) else demand
     # a run covers whole days: exactly the profile's hours of each season it names
     for season in sorted({season for season, _ in data}):

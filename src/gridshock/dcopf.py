@@ -114,28 +114,58 @@ def _dispatch_matrix(net: PowerNetwork) -> np.ndarray:
     return Amat
 
 
+class _DispatchForm(LpForm):
+    """The :class:`LpForm` of ``net``'s dispatch matrix, with the network's
+    parts of every hourly dispatch LP: the unattacked limits, and the
+    vectors (c, row_lb, row_ub, lb, ub) whose demand and VOLL entries each
+    hour fills in."""
+
+    def __init__(self, net: PowerNetwork):
+        super().__init__(_dispatch_matrix(net))
+        self.net = net
+        N, E = net.num_nodes, net.num_edges
+        g_lo, self.g_up = net.gen_limits()
+        self.f_cap = net.flow_limits()
+        self.t_cap = net.angle_limits()
+        self.vectors = (
+            np.concatenate([net.gen_costs(), np.zeros(E + 2 * N)]),
+            np.concatenate([np.zeros(N + E), -self.t_cap, [0.0]]),
+            np.concatenate([np.zeros(N + E), self.t_cap, [0.0]]),
+            np.concatenate([g_lo, -self.f_cap, np.zeros(N), np.full(N, -np.inf)]),
+            np.concatenate([self.g_up, self.f_cap, np.zeros(N), np.full(N, np.inf)]),
+        )
+
+
 def _hour_lp(
-    net: PowerNetwork,
+    form: _DispatchForm,
     demand: DemandProfile,
     season: str,
     hour: int,
     zg: np.ndarray | None,
     zf: np.ndarray | None,
     zt: np.ndarray | None,
-    Amat: np.ndarray,
 ) -> LpProblem:
-    """The hourly dispatch LP over the constraint matrix ``Amat``, unlabeled."""
-    N, E = net.num_nodes, net.num_edges
+    """The hourly dispatch LP over ``form``'s matrix, unlabeled."""
+    net = form.net
+    N, E, G = net.num_nodes, net.num_edges, net.num_generators
+    u = slice(G + E, G + E + N)
     d = demand.demand[season][hour]
-    voll = demand.voll[season][hour]
-    g_lo, _ = net.gen_limits()
-    g_up, f_cap, t_cap = attack_bounds(net, zg, zf, zt)
-    c = np.concatenate([net.gen_costs(), np.zeros(E), voll, np.zeros(N)])
-    row_lb = np.concatenate([d, np.zeros(E), -t_cap, [0.0]])
-    row_ub = np.concatenate([d, np.zeros(E), t_cap, [0.0]])
-    lb = np.concatenate([g_lo, -f_cap, np.zeros(N), np.full(N, -np.inf)])
-    ub = np.concatenate([g_up, f_cap, d, np.full(N, np.inf)])
-    return LpProblem("min", c, Amat, row_lb, row_ub, lb, ub)
+    c, row_lb, row_ub, lb, ub = (v.copy() for v in form.vectors)
+    c[u] = demand.voll[season][hour]
+    row_lb[:N] = d
+    row_ub[:N] = d
+    ub[u] = d
+    if zg is not None:
+        ub[:G] = form.g_up - np.asarray(zg, dtype=float)
+    if zf is not None:
+        f_cap = form.f_cap - np.asarray(zf, dtype=float)
+        lb[G:G + E] = -f_cap
+        ub[G:G + E] = f_cap
+    if zt is not None:
+        t_cap = form.t_cap - np.asarray(zt, dtype=float)
+        row_lb[N + E:N + 2 * E] = -t_cap
+        row_ub[N + E:N + 2 * E] = t_cap
+    return LpProblem("min", c, form.A, row_lb, row_ub, lb, ub)
 
 
 def build_dcopf(
@@ -148,7 +178,7 @@ def build_dcopf(
     zt: np.ndarray | None = None,
 ) -> LpProblem:
     """Assemble the hourly dispatch LP with labeled rows and columns."""
-    lp = _hour_lp(net, demand, season, hour, zg, zf, zt, _dispatch_matrix(net))
+    lp = _hour_lp(dispatch_form(net), demand, season, hour, zg, zf, zt)
     lp.row_labels = ([f"bal[{nd.id}]" for nd in net.nodes]
                      + [f"flow[{e.id}]" for e in net.edges]
                      + [f"ang[{e.id}]" for e in net.edges] + ["ref"])
@@ -217,8 +247,9 @@ def extract_solution(
 
 
 def dispatch_form(net: PowerNetwork) -> LpForm:
-    """The scaled standard form every hourly dispatch LP of ``net`` shares."""
-    return LpForm(_dispatch_matrix(net))
+    """The scaled standard form every hourly dispatch LP of ``net`` shares,
+    with the network's limits and costs in the LPs' vectors, built once."""
+    return _DispatchForm(net)
 
 
 def solve_dcopf(
@@ -238,9 +269,12 @@ def solve_dcopf(
     network and demand, any attack); it warm-starts the LP solve.  ``form``
     is :func:`dispatch_form` of ``net``, shared by the solves of one run;
     without it the solve builds its own.  The answer does not depend on it.
+    Raises ValueError for a form of another network.
     """
     form = form if form is not None else dispatch_form(net)
-    lp = _hour_lp(net, demand, season, hour, zg, zf, zt, form.A)
+    if not (isinstance(form, _DispatchForm) and form.net is net):
+        raise ValueError("form is not the dispatch form of this network")
+    lp = _hour_lp(form, demand, season, hour, zg, zf, zt)
     sol = solve_lp(lp, basis=basis, form=form)
     if sol.status == "infeasible":
         raise OpfInfeasibleError(

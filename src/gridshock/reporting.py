@@ -60,6 +60,8 @@ def export_results(
     manifest: dict = {
         "scenario": result.kind,
         "season": result.season,
+        # the demand's scaling, so that verify rebuilds the demand the run solved
+        "heatwave_factor": result.heatwave_factor,
         "total_unserved_mwh": result.total_unserved_mwh,
         "demand_energy_mwh": result.demand_energy_mwh,
         "percent_unserved": result.percent_unserved,
@@ -198,6 +200,16 @@ def rebuild_opf_solution(
     )
 
 
+def read_heatwave_factor(path: str | Path) -> float | None:
+    """The heatwave factor a run's manifest.json records, or None when the
+    file or its ``heatwave_factor`` entry is absent."""
+    path = Path(path)
+    if not path.exists():
+        return None
+    factor = json.loads(path.read_text()).get("heatwave_factor")
+    return None if factor is None else float(factor)
+
+
 def read_attack_costs(path: str | Path, net: PowerNetwork) -> AttackCosts | None:
     """The attack prices and budget a run's manifest.json records, or None.
 
@@ -228,7 +240,9 @@ def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts
     z_value lies outside [0, capacity] of its component (a generator's
     capacity is what lies above its must-run floor), or whose spend is not
     z_value times the component's price in ``costs`` (both within a
-    relative ``ATTACK_RTOL``).
+    relative ``ATTACK_RTOL``); and naming the file and season when the
+    season's spends add up to more than the budget in ``costs`` (within a
+    relative ``ATTACK_RTOL`` too).
     """
     edges = {e.id: k for k, e in enumerate(net.edges)}
     g_lo, g_up = net.gen_limits()
@@ -238,6 +252,7 @@ def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts
              "flow": ("zf", edges, net.flow_limits(), costs.cf),
              "angle": ("zt", edges, net.angle_limits(), costs.ct)}
     out: dict[tuple[str, int], dict[str, np.ndarray]] = {}
+    spent: dict[str, float] = {}  # per season: the budget is seasonal
     with open(path, newline="") as fh:
         # line 1 is the header
         for ln, row in enumerate(csv.DictReader(fh), start=2):
@@ -263,4 +278,9 @@ def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts
                 "zt": np.zeros(net.num_edges),
             })
             slot[name][k] = z
+            spent[row["season"]] = spent.get(row["season"], 0.0) + spend
+    for season, total in sorted(spent.items()):
+        if not total <= costs.budget * (1.0 + ATTACK_RTOL):
+            raise ValueError(f"{path}: {season} spends {total!r} in total, more than "
+                             f"the budget {costs.budget!r}")
     return out

@@ -83,6 +83,7 @@ class ScenarioResult:
     shock_percent: np.ndarray     # per node, % of that node's demand energy unserved
     plan: AttackPlan | None = None
     opf_hours: list[OpfSolution] = field(default_factory=list)
+    heatwave_factor: float = 1.0  # the factor the dispatched demand was scaled by
 
     @property
     def percent_unserved(self) -> float:
@@ -92,13 +93,13 @@ class ScenarioResult:
 
 
 def _metrics(
-    kind: str,
-    season: str,
+    cfg: ScenarioConfig,
     net: PowerNetwork,
     profile: DemandProfile,
     opf_hours: list[OpfSolution],
     plan: AttackPlan | None = None,
 ) -> ScenarioResult:
+    season = cfg.season
     demand_used = np.array(profile.demand[season])
     unserved = np.array([s.u for s in opf_hours])
     total_unserved = float(unserved.sum())
@@ -113,7 +114,7 @@ def _metrics(
     with np.errstate(divide="ignore", invalid="ignore"):
         shock = np.where(node_demand > 0, 100.0 * node_unserved / node_demand, 0.0)
     return ScenarioResult(
-        kind=kind,
+        kind=cfg.kind,
         season=season,
         unserved=unserved,
         demand_used=demand_used,
@@ -127,6 +128,7 @@ def _metrics(
         shock_percent=shock,
         plan=plan,
         opf_hours=opf_hours,
+        heatwave_factor=cfg.heatwave_factor if _heated(cfg) else 1.0,
     )
 
 
@@ -134,10 +136,13 @@ def scenario_costs(cfg: ScenarioConfig, net: PowerNetwork) -> AttackCosts:
     return default_costs(net, cfg.budget, cfg.cost_ratio, cfg.gen_attack_cost)
 
 
+def _heated(cfg: ScenarioConfig) -> bool:
+    return cfg.kind in ("Heatwave", "Compound")
+
+
 def scenario_profile(cfg: ScenarioConfig, demand: DemandProfile) -> DemandProfile:
     """The demand a scenario dispatches: heatwave-scaled for Heatwave and Compound."""
-    heated = cfg.kind in ("Heatwave", "Compound")
-    return apply_heatwave(demand, cfg.heatwave_factor) if heated else demand
+    return apply_heatwave(demand, cfg.heatwave_factor) if _heated(cfg) else demand
 
 
 def run_scenario(
@@ -160,7 +165,7 @@ def run_scenario(
                               step_count=cfg.refine_steps, node_limit=cfg.node_limit,
                               refine=cfg.refine, warm=warm)
         hours = solve_day(net, profile, season) if plan is None else [h.opf for h in plan.hours]
-        return _metrics(cfg.kind, season, net, profile, hours, plan)
+        return _metrics(cfg, net, profile, hours, plan)
     except ScenarioError:
         raise
     except Exception as exc:
@@ -199,7 +204,7 @@ def _monotone_rerun(
                                         costs.budget, cfg.refine_steps,
                                         node_limit=cfg.node_limit, alloc=alloc,
                                         dispatch=dispatch)
-    rerun = _metrics(cfg.kind, cfg.season, net, profile, [h.opf for h in plan.hours], plan)
+    rerun = _metrics(cfg, net, profile, [h.opf for h in plan.hours], plan)
     return rerun if rerun.total_unserved_mwh > result.total_unserved_mwh else result
 
 

@@ -48,8 +48,13 @@ first pivot).  That is bit-identical to a fresh factorization, which is a
 pure function of ``(A_std, basis)`` for a fixed BLAS thread count.  The
 optimality recheck always runs on a fresh factorization, but it
 refactorizes only when a pivot or a bound flip happened since the last
-one: with neither, the inverse in hand is that fresh factorization.  A
-re-solve whose starting basis stays optimal thus factorizes nothing.
+one: with neither, the inverse in hand is that fresh factorization.  When
+the dual phase makes no pivot at all, the recheck would price exactly what
+the warm start priced -- same inverse, costs and statuses -- so it is not
+run again: the warm start's one pricing pass, which found no improving
+column, is the answer.  A re-solve whose starting basis stays optimal thus
+prices once and factorizes nothing, with the same solution, basis and
+iteration count as the full recheck.
 
 Dual sign convention (documented for callers):
   * minimization: row dual y_i >= 0 when the row's lower bound is active,
@@ -61,6 +66,7 @@ Dual sign convention (documented for callers):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +111,8 @@ class LpProblem:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        A = np.asarray(self.A, dtype=float)
+        self.A = A if A.ndim == 2 else np.atleast_2d(A)
         self.row_lb = np.asarray(self.row_lb, dtype=float)
         self.row_ub = np.asarray(self.row_ub, dtype=float)
         self.lb = np.asarray(self.lb, dtype=float)
@@ -113,24 +120,22 @@ class LpProblem:
         m, n = self.A.shape
         if self.c.shape != (n,):
             raise ValueError(f"cost vector has shape {self.c.shape}, expected ({n},)")
-        for name, vec, size in (
-            ("row_lb", self.row_lb, m),
-            ("row_ub", self.row_ub, m),
-            ("lb", self.lb, n),
-            ("ub", self.ub, n),
-        ):
+        bounds = (("row_lb", self.row_lb, m), ("row_ub", self.row_ub, m),
+                  ("lb", self.lb, n), ("ub", self.ub, n))
+        for name, vec, size in bounds:
             if vec.shape != (size,):
                 raise ValueError(f"{name} has shape {vec.shape}, expected ({size},)")
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         for name, arr in (("c", self.c), ("A", self.A)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains NaN or Inf")
-        for name, arr in (("row_lb", self.row_lb), ("row_ub", self.row_ub),
-                          ("lb", self.lb), ("ub", self.ub)):
-            if np.any(np.isnan(arr)):
-                raise ValueError(f"{name} contains NaN")
-        if np.any(self.row_lb > self.row_ub) or np.any(self.lb > self.ub):
+        # all bounds in one array, the lower ones first, so each test is one call
+        flat = np.concatenate([self.row_lb, self.lb, self.row_ub, self.ub])
+        if np.isnan(flat).any():
+            name = next(name for name, vec, _ in bounds if np.isnan(vec).any())
+            raise ValueError(f"{name} contains NaN")
+        if (flat[:m + n] > flat[m + n:]).any():
             raise ValueError("lower bound exceeds upper bound")
 
     @property
@@ -199,16 +204,21 @@ def _nonbasic_values(status: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.n
 def _initial_status(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """Finite bound nearest zero, free variables at zero."""
     lf, uf = np.isfinite(lb), np.isfinite(ub)
-    with np.errstate(invalid="ignore"):
-        nearer_lower = np.abs(lb) <= np.abs(ub)
+    nearer_lower = np.abs(lb) <= np.abs(ub)
     return np.where(lf & uf, np.where(nearer_lower, _AT_LOWER, _AT_UPPER),
                     np.where(lf, _AT_LOWER, np.where(uf, _AT_UPPER, _AT_ZERO))
                     ).astype(np.int8)
 
 
-def _rc_tol(c: np.ndarray) -> float:
+def _rc_tol(c: np.ndarray, factor: float = 1.0) -> float:
     """Reduced-cost tolerance, relative to the largest cost."""
-    return _RC_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+    return factor * _RC_TOL * (1.0 + float(np.abs(c).max(initial=0.0)))
+
+
+# the sign that turns a reduced cost into the gain of moving a column off its
+# status, indexed by status: -rc at a lower bound, rc at an upper bound, none
+# when basic (a free column at zero gains |rc|, set apart)
+_GAIN_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 
 def _improving(rc: np.ndarray, status: np.ndarray, tol: float) -> np.ndarray:
@@ -218,18 +228,20 @@ def _improving(rc: np.ndarray, status: np.ndarray, tol: float) -> np.ndarray:
     column at zero; 0 where the gain is not above ``tol`` and for basic
     columns.
     """
-    gain = np.where(status == _AT_LOWER, -rc, np.where(
-        status == _AT_UPPER, rc, np.where(status == _AT_ZERO, np.abs(rc), 0.0)))
+    gain = rc * _GAIN_SIGN[status]
+    free = status == _AT_ZERO
+    if free.any():
+        gain[free] = np.abs(rc[free])
     return np.where(gain > tol, gain, 0.0)
 
 
 def _in_band(ratios: np.ndarray) -> np.ndarray:
     """Two-pass ratio test: positions within a tolerance band of the smallest
     ratio; empty when every ratio is infinite."""
-    step = float(np.min(ratios))
-    if not np.isfinite(step):
+    step = float(ratios.min())
+    if not math.isfinite(step):
         return np.zeros(0, dtype=np.intp)
-    return np.flatnonzero(ratios <= step + 1e-9 * (1.0 + abs(step)))
+    return (ratios <= step + 1e-9 * (1.0 + abs(step))).nonzero()[0]
 
 
 class _Tableau:
@@ -249,7 +261,7 @@ class _Tableau:
         self.ub = ub
         self.status = np.empty(self.ncols, dtype=np.int8)
         self.basis = np.empty(self.m, dtype=np.int64)
-        self.binv = np.eye(self.m)
+        self.binv: np.ndarray | None = None  # set by the first factorization
         self.xB = np.zeros(self.m)
         self.pivots_since_refactor = 0
         self.fresh = False
@@ -292,20 +304,19 @@ class _Tableau:
         binv[np.ix_(T, rows_R)] = blocks[S.size:]
         binv[T, rows_T] = -1.0
         self.use_inverse(binv)
+        self.recompute_basic_values()
 
     def use_inverse(self, binv: np.ndarray):
-        """Take ``binv`` as the inverse of the current basis."""
+        """Take ``binv`` as the inverse of the current basis; the basic values
+        are the caller's to recompute."""
         self.binv = binv
-        self.recompute_basic_values()
         self.pivots_since_refactor = 0
         self.fresh = True
 
     def recompute_basic_values(self):
         """Basic values from scratch: A_N x_N + B x_B = 0."""
-        x = _nonbasic_values(self.status, self.lb, self.ub)
-        x[self.basis] = 0.0
-        rhs = -self.A @ x
-        self.xB = self.binv @ rhs
+        x = _nonbasic_values(self.status, self.lb, self.ub)  # 0 at the basic columns
+        self.xB = self.binv @ (self.A @ -x)
 
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
         y = self.binv.T @ c[self.basis]
@@ -331,17 +342,17 @@ class _Tableau:
         if abs(piv) < _PIVOT_TOL:
             self.refactorize()
             return
-        eta = -w / piv
+        eta = w / -piv
         eta[pos] = 1.0 / piv
         if not self.binv.flags.writeable:
             self.binv = self.binv.copy()  # the inverse is a form's slot
         row = self.binv[pos, :].copy()
-        self.binv += np.outer(eta, row)
+        self.binv += eta[:, None] * row
         self.binv[pos, :] = row / piv
         self.pivots_since_refactor += 1
         self.fresh = False
         if (self.pivots_since_refactor >= refactor_every
-                or abs(piv) < 1e-6 * (1.0 + float(np.max(np.abs(w))))):
+                or abs(piv) < 1e-6 * (1.0 + float(np.abs(w).max()))):
             self.refactorize()
 
 
@@ -356,19 +367,25 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
     bland = bland_start
     stall = 0
     it = 0
+    rc = None
     while True:
         it += 1
         if it > max_iter:
             raise SolverNumericalError(f"iteration limit {max_iter} exceeded")
-        rc = tab.reduced_costs(c)
+        if rc is None:
+            # a bound flip changes neither the basis nor its inverse, so the
+            # reduced costs and basic bounds priced before it still hold
+            rc = tab.reduced_costs(c)
+            lb_b = tab.lb[tab.basis]
+            ub_b = tab.ub[tab.basis]
         improv = _improving(rc, tab.status, tol)
-        if not np.any(improv):
+        if not improv.any():
             return "optimal", it
 
         if bland:
             q = int(np.flatnonzero(improv)[0])
         else:
-            q = int(np.argmax(improv))  # lowest index on ties (argmax picks first)
+            q = int(improv.argmax())  # lowest index on ties (argmax picks first)
         direction = 1.0 if (tab.status[q] == _AT_LOWER or
                             (tab.status[q] == _AT_ZERO and rc[q] < 0.0)) else -1.0
 
@@ -376,24 +393,23 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
         d = -direction * w  # basic variables move by d * step
 
         # ratio test: pivot on the largest direction component in the band
-        lb_b = tab.lb[tab.basis]
-        ub_b = tab.ub[tab.basis]
         absd = np.abs(d)
-        caps = np.where(d > 0.0, ub_b - tab.xB, lb_b - tab.xB)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(absd > _PIVOT_TOL, caps / d, np.inf)
+        caps = np.where(d > 0.0, ub_b, lb_b) - tab.xB
+        ratios = np.empty(tab.m)
+        ratios.fill(np.inf)
+        np.divide(caps, d, out=ratios, where=absd > _PIVOT_TOL)
         ratios = np.where(np.isnan(ratios), np.inf, np.maximum(ratios, 0.0))
         in_band = _in_band(ratios)
         step, leave_pos = np.inf, -1
         if in_band.size:
             if bland:
-                leave_pos = int(in_band[np.argmin(tab.basis[in_band])])
+                leave_pos = int(in_band[tab.basis[in_band].argmin()])
             else:
-                leave_pos = int(in_band[np.argmax(absd[in_band])])
+                leave_pos = int(in_band[absd[in_band].argmax()])
             step = float(ratios[leave_pos])
         own_range = tab.ub[q] - tab.lb[q]
         flip = False
-        if tab.status[q] != _AT_ZERO and np.isfinite(own_range) and own_range < step - 1e-11:
+        if tab.status[q] != _AT_ZERO and math.isfinite(own_range) and own_range < step - 1e-11:
             step = own_range
             flip = True
         if step == np.inf:
@@ -421,6 +437,7 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
             leave_status = _AT_UPPER if d[leave_pos] > 0.0 else _AT_LOWER
         tab.pivot(leave_pos, q, tab.nonbasic_value(q) + direction * step, leave_status,
                   w, refactor_every)
+        rc = None
 
 
 def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -460,26 +477,38 @@ class LpForm:
         self._basis: np.ndarray | None = None
         self._binv: np.ndarray | None = None
 
-    def factorize(self, tab: _Tableau) -> None:
+    def factorize(self, tab: _Tableau) -> bool:
         """Factorize ``tab`` at its basis, from the slot when it holds that basis.
 
-        The slot's inverse is read-only and shared with the tableau, which
-        copies it before its first pivot.
+        Returns True when it took the slot's inverse, which leaves the basic
+        values to the caller.  The slot's inverse is read-only and shared with
+        the tableau, which copies it before its first pivot.
         """
         if self._basis is not None and np.array_equal(self._basis, tab.basis):
             tab.use_inverse(self._binv)
-            return
+            return True
         tab.refactorize()
         tab.binv.flags.writeable = False
         self._basis, self._binv = tab.basis.copy(), tab.binv
+        return False
 
 
 def _run_verified(tab: _Tableau, c: np.ndarray, max_iter: int,
                   refactor_every: int = _REFACTOR_EVERY,
-                  bland_start: bool = False) -> tuple[str, int]:
+                  bland_start: bool = False, priced: bool = False) -> tuple[str, int]:
     """Iterate until an exact recheck on a fresh basis inverse confirms the
     claimed status; guards against drift-induced false optima.  The inverse
-    is refactorized only when it is not fresh already."""
+    is refactorized only when it is not fresh already.
+
+    ``priced`` says that the caller priced the tableau's fresh factorization
+    at its current statuses under ``_rc_tol(c)`` and found no improving
+    column.  The first pass of the primal core would compute those same
+    reduced costs and stop, and the recheck would find nothing at its looser
+    tolerance on that same inverse; so the answer is "optimal" after that
+    one pass, with nothing computed.
+    """
+    if priced:
+        return "optimal", 1
     total = 0
     for _ in range(_VERIFY_ROUNDS):
         status, it = _simplex_core(tab, c, max_iter, refactor_every, bland_start)
@@ -488,43 +517,40 @@ def _run_verified(tab: _Tableau, c: np.ndarray, max_iter: int,
             tab.refactorize()
         if status != "optimal":
             return status, total
-        tol = 10.0 * _RC_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0)))
-        if not np.any(_improving(tab.reduced_costs(c), tab.status, tol)):
+        if not _improving(tab.reduced_costs(c), tab.status, _rc_tol(c, 10.0)).any():
             return "optimal", total
     raise SolverNumericalError("optimality could not be verified after restarts")
 
 
-def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int) -> tuple[str, int]:
+def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int,
+                  rc: np.ndarray, tol: float) -> tuple[str, int]:
     """Bounded dual simplex from a dual-feasible basis to a primal-feasible one.
 
-    Returns (status, pivots): "optimal" once every basic value is within
-    its bounds (the caller rechecks optimality with the primal core), or
-    "infeasible" when a violated row admits no entering column on a fresh
-    factorization.  Fixed columns never enter: their reduced cost may take
-    either sign.
+    ``rc`` holds the reduced costs of the tableau's fresh factorization and
+    ``tol`` is ``_rc_tol(c)``.  Returns (status, pivots): "optimal" once
+    every basic value is within its bounds (the caller rechecks optimality
+    with the primal core), or "infeasible" when a violated row admits no
+    entering column on a fresh factorization.  Fixed columns never enter:
+    their reduced cost may take either sign.
     """
     movable = tab.lb < tab.ub
-    tol = _rc_tol(c)
     bland = False
     stall = 0
     it = 0
-    rc = None
     while True:
-        if rc is None or not tab.pivots_since_refactor:
-            rc = tab.reduced_costs(c)  # fresh after every factorization
         below = tab.lb[tab.basis] - tab.xB
         above = tab.xB - tab.ub[tab.basis]
         viol = np.maximum(below, above)
         bad = viol > _DUAL_FEAS_TOL * (1.0 + np.abs(tab.xB))
-        if not np.any(bad):
+        if not bad.any():
             return "optimal", it
         # leaving row: largest primal infeasibility (lowest position on
         # ties), or the lowest basic column index under Bland's rule
         if bland:
             cand = np.flatnonzero(bad)
-            r = int(cand[np.argmin(tab.basis[cand])])
+            r = int(cand[tab.basis[cand].argmin()])
         else:
-            r = int(np.argmax(np.where(bad, viol, 0.0)))
+            r = int(np.where(bad, viol, 0.0).argmax())
         to_lower = bool(below[r] > 0.0)
         alpha = tab.binv[r, :] @ tab.A
         # the step t >= 0 moves reduced costs to rc - t * ahat
@@ -535,25 +561,28 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int) -> tuple[str, int
         fre = st == _AT_ZERO
         elig = ((low & (ahat > _PIVOT_TOL)) | (upp & (ahat < -_PIVOT_TOL))
                 | (fre & (np.abs(ahat) > _PIVOT_TOL)))
-        if not np.any(elig):
+        if not elig.any():
             if tab.pivots_since_refactor:
                 tab.refactorize()  # confirm on a fresh factorization
+                rc = tab.reduced_costs(c)
                 continue
             # a proof only if no tiny entry could still close the violation
             towards = (low & (ahat > 0.0)) | (upp & (ahat < 0.0)) | (fre & (ahat != 0.0))
-            reach = float(np.sum(np.abs(ahat[towards])
-                                 * (tab.ub[towards] - tab.lb[towards])))
+            reach = float((np.abs(ahat[towards])
+                           * (tab.ub[towards] - tab.lb[towards])).sum())
             if reach >= viol[r]:
                 raise SolverNumericalError("dual phase could not certify infeasibility")
             return "infeasible", it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(elig, np.maximum(rc / ahat, 0.0), np.inf)
+        ratios = np.empty(rc.size)
+        ratios.fill(np.inf)
+        np.divide(rc, ahat, out=ratios, where=elig)
+        np.maximum(ratios, 0.0, out=ratios)
         # same two-pass band as the primal ratio test, largest |alpha| in it
         in_band = _in_band(ratios)
         if bland:
             q = int(in_band[0])
         else:
-            q = int(in_band[np.argmax(np.abs(alpha[in_band]))])
+            q = int(in_band[np.abs(alpha[in_band]).argmax()])
 
         w = tab.binv @ tab.A[:, q]
         piv = w[r]
@@ -562,6 +591,7 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int) -> tuple[str, int
             if not tab.pivots_since_refactor:
                 raise SolverNumericalError("unstable dual pivot on a fresh factorization")
             tab.refactorize()
+            rc = tab.reduced_costs(c)
             continue
         it += 1
         if it > max_iter:
@@ -580,8 +610,11 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int) -> tuple[str, int
         tab.xB -= delta * w
         tab.pivot(r, q, tab.nonbasic_value(q) + delta, _AT_LOWER if to_lower else _AT_UPPER,
                   w, _REFACTOR_EVERY)
-        rc = rc - ratios[q] * ahat
-        rc[tab.basis] = 0.0
+        if tab.pivots_since_refactor:
+            rc = rc - ratios[q] * ahat
+            rc[tab.basis] = 0.0
+        else:
+            rc = tab.reduced_costs(c)  # the pivot refactorized
 
 
 def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
@@ -595,39 +628,41 @@ def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
     A_std = form.A_std
     m, ncols = A_std.shape
     basic = np.asarray(basis)
-    if (basic.shape != (m,) or not np.issubdtype(basic.dtype, np.integer)
-            or np.any((basic < 0) | (basic >= ncols))
+    if (basic.shape != (m,) or basic.dtype.kind not in "iu"
+            or ((basic < 0) | (basic >= ncols)).any()
             or np.bincount(basic, minlength=ncols).max() > 1):
         return None
-    tab = _Tableau(A_std, lb.copy(), ub.copy(), ncols - m)
+    tab = _Tableau(A_std, lb, ub, ncols - m)  # it only reads the bounds
     tab.basis = basic.astype(np.int64)
     tab.status = _initial_status(lb, ub)
     tab.status[tab.basis] = _BASIC
     boxed = (tab.status != _BASIC) & np.isfinite(lb) & np.isfinite(ub)
-    form.factorize(tab)
-    rc = tab.reduced_costs(c)
+    reused = form.factorize(tab)
+    rc = tab.reduced_costs(c)  # the only pricing pass when no pivot follows
     tol = _rc_tol(c)
     # a boxed column rests on the bound its reduced cost asks for; where
     # the cost is indifferent it stays on the bound nearest zero, as in a
     # cold start, which keeps degenerate optima (big-M multipliers) small
     want = np.where(rc < -tol, _AT_UPPER, np.where(rc > tol, _AT_LOWER, tab.status))
     moved = boxed & (want != tab.status)
-    if np.any(moved):
+    if moved.any():
         tab.status[moved] = want[moved]
         tab.recompute_basic_values()
-    if np.any(_improving(rc, tab.status, tol)):
+    elif reused:
+        tab.recompute_basic_values()  # the slot's inverse comes without them
+    if _improving(rc, tab.status, tol).any():
         return None
-    status1, it1 = _dual_simplex(tab, c, max_iter)
+    status1, it1 = _dual_simplex(tab, c, max_iter, rc, tol)
     if status1 == "infeasible":
         return tab, "infeasible", it1
-    status2, it2 = _run_verified(tab, c, max_iter)
+    # without a pivot the tableau is still the fresh factorization priced above
+    status2, it2 = _run_verified(tab, c, max_iter, priced=not it1)
     if status2 != "optimal":
         return None  # cannot happen from a dual-feasible start; let the cold path decide
     return tab, "optimal", it1 + it2
 
 
 def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.ndarray,
-                rlb_sc: np.ndarray, rub_sc: np.ndarray,
                 max_iter: int) -> tuple[_Tableau, np.ndarray, str, int]:
     """Two-phase primal simplex from the slack basis, with a retry ladder.
 
@@ -635,11 +670,12 @@ def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.nda
     """
     m, ncols = A_std.shape
     n = ncols - m
+    rlb_sc, rub_sc = lb[n:], ub[n:]  # the row activities' bounds
     init_status = _initial_status(lb, ub)
     finite_bounds = np.concatenate([
         rub_sc[np.isfinite(rub_sc)], rlb_sc[np.isfinite(rlb_sc)],
     ])
-    ph1_tol = FEAS_TOL * (1.0 + (np.max(np.abs(finite_bounds)) if finite_bounds.size else 0.0))
+    ph1_tol = FEAS_TOL * (1.0 + (np.abs(finite_bounds).max() if finite_bounds.size else 0.0))
 
     def attempt(refactor_every: int, bland_start: bool):
         """One full two-phase solve; returns (tab, c2, status, iters)."""
@@ -717,7 +753,7 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
         lb, ub = problem.lb, problem.ub
         x = np.where(sign * c_user > 0, lb, np.where(
             sign * c_user < 0, ub, _nonbasic_values(_initial_status(lb, ub), lb, ub)))
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return LpSolution("unbounded", None, None, None, None)
         return LpSolution("optimal", x, np.zeros(0), c_user.copy(), float(c_user @ x))
 
@@ -725,14 +761,9 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
     # standard form [A_sc | -I][x; t] = 0 with t the row activity
     form = form if form is not None else LpForm(problem.A)
     R, C = form.R, form.C
-    with np.errstate(invalid="ignore"):
-        lb_sc = problem.lb / C
-        ub_sc = problem.ub / C
-        rlb_sc = problem.row_lb * R
-        rub_sc = problem.row_ub * R
     c_int = sign * c_user * C
-    lb = np.concatenate([lb_sc, rlb_sc])
-    ub = np.concatenate([ub_sc, rub_sc])
+    lb = np.concatenate([problem.lb / C, problem.row_lb * R])
+    ub = np.concatenate([problem.ub / C, problem.row_ub * R])
     ncols = n + m
     max_iter = 50 * (m + n) + 10_000
 
@@ -746,8 +777,7 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
     if warm is not None:
         tab, status2, iters = warm
     else:
-        tab, c2, status2, iters = _cold_solve(form.A_std, lb, ub, c_int, rlb_sc, rub_sc,
-                                              max_iter)
+        tab, c2, status2, iters = _cold_solve(form.A_std, lb, ub, c_int, max_iter)
 
     if status2 == "infeasible":
         return LpSolution("infeasible", None, None, None, None, iterations=iters)
@@ -766,31 +796,31 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
 
     obj = float(c_user @ x)
     act = problem.A @ x
-    primal_res = float(
-        max(
-            np.max(np.maximum(problem.row_lb - act, act - problem.row_ub), initial=0.0),
-            np.max(np.maximum(problem.lb - x, x - problem.ub), initial=0.0),
-        )
-    )
+    # the columns, then the rows: multiplier, bounds and value
+    mult = np.concatenate([rc_int, y_rows])
+    lo = np.concatenate([problem.lb, problem.row_lb])
+    up = np.concatenate([problem.ub, problem.row_ub])
+    val = np.concatenate([x, act])
+    primal_res = float(np.maximum(lo - val, val - up).max(initial=0.0))
 
-    # dual objective in the bounded form: sum of multiplier * supported bound;
-    # a nonzero multiplier pointing at an infinite bound is a CS violation
-    scale = 1.0 + float(np.max(np.abs(c_user), initial=0.0))
-    dual_obj = 0.0
-    cs = 0.0
-    for mult, lo, up, val in ((rc_int, problem.lb, problem.ub, x),
-                              (y_rows, problem.row_lb, problem.row_ub, act)):
-        bound = np.where(mult > 0, lo, up)
-        live = mult != 0.0
-        fin = live & np.isfinite(bound)
-        inf_viol = np.abs(mult[live & ~fin])
-        cs = max(cs, float(np.max(inf_viol[inf_viol > _RC_TOL * scale], initial=0.0)),
-                 float(np.max(np.abs(mult[fin] * (val[fin] - bound[fin])), initial=0.0)))
-        dual_obj += float(np.sum(mult[fin] * bound[fin]))
+    # dual objective in the bounded form: sum of multiplier * supported bound,
+    # over the columns and then over the rows; a nonzero multiplier pointing
+    # at an infinite bound is a CS violation
+    scale = 1.0 + float(np.abs(c_user).max(initial=0.0))
+    bound = np.where(mult > 0, lo, up)
+    live = mult != 0.0
+    fin = live & np.isfinite(bound)
+    inf_viol = np.abs(mult[live & ~fin])
+    mult_f, bound_f = mult[fin], bound[fin]
+    cs = max(float(inf_viol[inf_viol > _RC_TOL * scale].max(initial=0.0)),
+             float(np.abs(mult_f * (val[fin] - bound_f)).max(initial=0.0)))
+    terms = mult_f * bound_f
+    k = np.count_nonzero(fin[:n])  # the terms of the columns come first
+    dual_obj = 0.0 + float(terms[:k].sum()) + float(terms[k:].sum())
     gap = abs(sign * obj - dual_obj) / max(1.0, abs(obj))
 
     out_basis = None
-    if np.all(tab.basis < ncols):  # no phase-1 artificial left basic
+    if (tab.basis < ncols).all():  # no phase-1 artificial left basic
         out_basis = tab.basis.astype(np.int32)
     return LpSolution(
         status="optimal",

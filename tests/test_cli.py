@@ -206,11 +206,54 @@ def test_verify_accepts_a_gamma_sweep_step(tmp_path, capsys):
         with open(step / "attack_strategy.csv", newline="") as fh:
             assert list(csv.DictReader(fh)), f"{kind}: no attack rows"
         assert main(["verify", "--solution", str(step), *heat]) == 0
+        # the step's manifest records its heatwave factor: no flag needed
+        assert main(["verify", "--solution", str(step)]) == 0
         # no single config gives both step prices
         _drop_recorded_prices(step)
         capsys.readouterr()
         assert main(["verify", "--solution", str(step), *heat]) == 2
         assert "is not z_value x price" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_plan_over_budget(cyber_run, tmp_path, capsys):
+    # every row is a valid spend at its price; together they exceed the budget
+    run = tmp_path / "run"
+    shutil.copytree(cyber_run, run)
+    strategy = run / "attack_strategy.csv"
+    text = strategy.read_text()
+    assert "summer,17,flow,E15,48,240\n" in text
+    assert json.loads((run / "manifest.json").read_text())["attack_costs"]["budget"] == 300.0
+    strategy.write_text(text + "summer,16,flow,E15,48,240\n")
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL {strategy}: summer spends 540.0 in total, "
+                          "more than the budget 300.0")
+
+
+@pytest.fixture(scope="module")
+def compound_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("compound") / "run"
+    assert main(["scenario", "--config", str(bundled_path("compound.cfg")),
+                 "--out", str(run)]) == 0
+    return run
+
+
+def test_verify_reads_the_heatwave_factor_from_the_manifest(compound_run, tmp_path, capsys):
+    manifest = json.loads((compound_run / "manifest.json").read_text())
+    assert manifest["heatwave_factor"] == 1.09
+    assert main(["verify", "--solution", str(compound_run)]) == 0
+    # an explicit flag wins over the recorded factor
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(compound_run), "--heatwave-factor", "1.0"]) == 2
+    assert capsys.readouterr().out.startswith("FAIL summer/")
+    # without the record, the demand is not scaled
+    run = tmp_path / "run"
+    shutil.copytree(compound_run, run)
+    del manifest["heatwave_factor"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", "--solution", str(run)]) == 2
+    assert main(["verify", "--solution", str(run), "--heatwave-factor", "1.09"]) == 0
 
 
 def test_verify_missing_solution_dir(files):

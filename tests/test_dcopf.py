@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,20 +135,10 @@ def _inner_lp(call):
     return seen[-1]
 
 
-@settings(max_examples=60, deadline=None)
-@given(hour=st.sampled_from(SHARED_HOURS),
-       kind=st.sampled_from(("within slack", "any", "over capacity")),
-       seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
-def test_shared_form_matches_one_shot_dispatch(shared_day, hour, kind, seed, share):
-    """Warm re-solves on the run's shared form equal one-shot ones, bit for bit.
-
-    "within slack" lowers limits only where the unattacked dispatch has
-    room, so its basis stays optimal; "any" lowers them anywhere, so the
-    re-solve pivots; "over capacity" takes one component past its
-    capacity, which both paths reject.  The form and its factorization
-    slot carry over from example to example.
-    """
-    net, demand, base = shared_day.net, shared_day.demand, shared_day.base(hour)
+def _draw_attack(net, base, kind, seed, share):
+    """(zg, zf, zt) for ``base``'s hour: "within slack" lowers limits only
+    where the unattacked dispatch ``base`` has room, "any" anywhere, and
+    "over capacity" also takes one component past its capacity."""
     rng = np.random.default_rng(seed)
     g_lo, g_up = net.gen_limits()
     caps = (g_up - g_lo, net.flow_limits(), net.angle_limits())
@@ -161,6 +153,24 @@ def test_shared_form_matches_one_shot_dispatch(shared_day, hour, kind, seed, sha
         block = int(rng.integers(3))
         k = int(rng.integers(caps[block].size))
         zs[block][k] = caps[block][k] * (1.0 + share) + 1.0
+    return zs
+
+
+@settings(max_examples=60, deadline=None)
+@given(hour=st.sampled_from(SHARED_HOURS),
+       kind=st.sampled_from(("within slack", "any", "over capacity")),
+       seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
+def test_shared_form_matches_one_shot_dispatch(shared_day, hour, kind, seed, share):
+    """Warm re-solves on the run's shared form equal one-shot ones, bit for bit.
+
+    "within slack" lowers limits only where the unattacked dispatch has
+    room, so its basis stays optimal; "any" lowers them anywhere, so the
+    re-solve pivots; "over capacity" takes one component past its
+    capacity, which both paths reject.  The form and its factorization
+    slot carry over from example to example.
+    """
+    net, demand, base = shared_day.net, shared_day.demand, shared_day.base(hour)
+    zs = _draw_attack(net, base, kind, seed, share)
 
     def solve(**form):
         return solve_dcopf(net, demand, "summer", hour, *zs, basis=base.basis, **form)
@@ -210,6 +220,80 @@ def test_resolve_from_an_optimal_base_basis_factorizes_nothing(bundled_net, bund
     assert np.array_equal(second.basis, base.basis)
     assert second.iterations == first.iterations
     assert np.array_equal(second.x, first.x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hour=st.sampled_from(SHARED_HOURS),
+       kind=st.sampled_from(("within slack", "any", "over capacity")),
+       seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
+def test_resolve_without_pivots_matches_the_full_recheck(shared_day, hour, kind, seed, share):
+    """A warm re-solve equals, bit for bit, one that runs the primal core's
+    pricing pass and the optimality recheck even when the dual phase made no
+    pivot: "within slack" attacks mostly keep the base basis optimal, "any"
+    attacks pivot, "over capacity" attacks are rejected on both paths."""
+    net, demand, base = shared_day.net, shared_day.demand, shared_day.base(hour)
+    zs = _draw_attack(net, base, kind, seed, share)
+
+    def solve():
+        return solve_dcopf(net, demand, "summer", hour, *zs, basis=base.basis,
+                           form=shared_day.form)
+    real = simplex._run_verified
+
+    def full_recheck(*args, priced=False, **kwargs):
+        return real(*args, **kwargs)
+    if kind == "over capacity":
+        with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+            solve()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplex, "_run_verified", full_recheck)
+            with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+                solve()
+        return
+    fast = _inner_lp(solve)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_run_verified", full_recheck)
+        checked = _inner_lp(solve)
+    assert (fast.status, fast.objective, fast.iterations) == \
+        (checked.status, checked.objective, checked.iterations)
+    for name in ("x", "duals", "reduced_costs", "basis"):
+        assert np.array_equal(getattr(fast, name), getattr(checked, name)), name
+
+
+def test_resolve_without_pivots_prices_once(bundled_net, bundled_demand, monkeypatch):
+    """At hour 17, a re-solve from the form's slot whose base basis stays
+    optimal computes the reduced costs once and factorizes nothing."""
+    net = bundled_net
+    form = dispatch_form(net)
+    base = solve_dcopf(net, bundled_demand, "summer", 17, form=form)
+    _, g_up = net.gen_limits()
+    k = int(np.argmax(g_up - base.g))
+    zg = np.zeros(net.num_generators)
+    zg[k] = 0.5 * (g_up[k] - base.g[k])
+
+    def resolve():
+        return _inner_lp(lambda: solve_dcopf(net, bundled_demand, "summer", 17, zg,
+                                             basis=base.basis, form=form))
+    resolve()  # fills the slot
+    calls = {"reduced_costs": 0, "refactorize": 0}
+    for name in calls:
+        real = getattr(simplex._Tableau, name)
+
+        def counting(tab, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(tab, *args)
+        monkeypatch.setattr(simplex._Tableau, name, counting)
+    lp = resolve()
+    assert calls == {"reduced_costs": 1, "refactorize": 0}
+    assert lp.iterations == 1  # no dual pivot, one pricing pass
+    assert np.array_equal(lp.basis, base.basis)
+
+
+def test_form_of_another_network_is_rejected(bundled_net, bundled_demand):
+    # the form carries its network's limits and costs, so it serves that network only
+    twin = replace(bundled_net)  # an equal network, another object
+    for form in (dispatch_form(twin), simplex.LpForm(dispatch_form(bundled_net).A)):
+        with pytest.raises(ValueError, match="not the dispatch form of this network"):
+            solve_dcopf(bundled_net, bundled_demand, "summer", 17, form=form)
 
 
 def test_solve_day_on_a_shared_form_matches_hour_by_hour(bundled_net, bundled_demand):

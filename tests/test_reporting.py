@@ -14,6 +14,7 @@ from gridshock.reporting import (
     fmt,
     read_attack_costs,
     read_attack_csv,
+    read_heatwave_factor,
     read_solution_csv,
     rebuild_opf_solution,
     shock_rows,
@@ -177,6 +178,31 @@ def test_attack_csv_rejects_nan_and_must_run_capacity(tmp_path, row, message):
     path.write_text(f"season,hour,component_type,entity,z_value,spend\n{row}\n")
     with pytest.raises(ValueError, match=re.escape(message)):
         read_attack_csv(path, net, ROW_PRICES)
+
+
+def test_attack_csv_rejects_spends_over_the_seasonal_budget(tmp_path):
+    path = tmp_path / "attack_strategy.csv"
+    rows = ("season,hour,component_type,entity,z_value,spend\n"
+            "summer,0,angle,e1,1,600\n"
+            "winter,0,angle,e1,1,600\n")
+    path.write_text(rows)
+    # 600 per season: within the budget of 1000, as each season has its own
+    read_attack_csv(path, tight_two_bus(), ROW_PRICES)
+    path.write_text(rows + "summer,1,angle,e1,1,600\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "attack_strategy.csv: summer spends 1200.0 in total, more than the budget 1000.0")):
+        read_attack_csv(path, tight_two_bus(), ROW_PRICES)
+
+
+def test_manifest_records_the_heatwave_factor(tmp_path, small_run):
+    net, prof, cfg, costs, res = small_run
+    assert res.heatwave_factor == cfg.heatwave_factor == 1.09
+    export_results(res, tmp_path / "run", net, costs)
+    assert read_heatwave_factor(tmp_path / "run" / "manifest.json") == 1.09
+    cyber = run_scenario(replace(cfg, kind="Cyberattack"), net, prof, costs=costs)
+    export_results(cyber, tmp_path / "cyber", net, costs)
+    assert read_heatwave_factor(tmp_path / "cyber" / "manifest.json") == 1.0
+    assert read_heatwave_factor(tmp_path / "none" / "manifest.json") is None
 
 
 def test_manifest_records_the_attack_prices(tmp_path, small_run):

@@ -97,6 +97,36 @@ def test_validation_rejects_crossed_bounds():
         LpProblem("min", [1.0], [[1.0]], [2.0], [1.0], [0.0], [1.0])
 
 
+_VALID = dict(sense="min", c=[1.0], A=[[1.0]], row_lb=[0.0], row_ub=[1.0], lb=[0.0],
+              ub=[1.0])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"c": [1.0, 2.0]}, r"cost vector has shape \(2,\), expected \(1,\)"),
+    ({"row_lb": [0.0, 0.0]}, r"row_lb has shape \(2,\), expected \(1,\)"),
+    ({"row_ub": [[1.0]]}, r"row_ub has shape \(1, 1\), expected \(1,\)"),
+    ({"lb": []}, r"lb has shape \(0,\), expected \(1,\)"),
+    ({"ub": [1.0, 1.0]}, r"ub has shape \(2,\), expected \(1,\)"),
+    ({"sense": "maximize"}, "sense must be 'min' or 'max', got 'maximize'"),
+    ({"c": [np.inf]}, "c contains NaN or Inf"),
+    ({"A": [[np.nan]]}, "A contains NaN or Inf"),
+    ({"row_lb": [np.nan]}, "row_lb contains NaN"),
+    ({"row_ub": [np.nan]}, "row_ub contains NaN"),
+    ({"lb": [np.nan]}, "^lb contains NaN"),
+    ({"ub": [np.nan]}, "^ub contains NaN"),
+    ({"ub": [np.nan], "lb": [np.nan], "row_ub": [np.nan]}, "row_ub contains NaN"),
+    ({"row_lb": [2.0]}, "lower bound exceeds upper bound"),
+    ({"lb": [2.0], "ub": [1.5]}, "lower bound exceeds upper bound"),
+    ({"c": [np.nan], "lb": [np.nan]}, "c contains NaN or Inf"),
+    ({"sense": "up", "c": [np.nan]}, "sense must be"),
+])
+def test_validation_names_the_first_bad_input(change, message):
+    """Each check raises its own message, in the order the checks run."""
+    with pytest.raises(ValueError, match=message):
+        LpProblem(**{**_VALID, **change})
+    LpProblem(**_VALID)  # the unchanged problem is valid
+
+
 def test_determinism_bit_identical():
     rng = np.random.default_rng(11)
     A = rng.normal(size=(6, 9)).round(3)
