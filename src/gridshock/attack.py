@@ -419,8 +419,8 @@ def _extract_hour(
 
 def _max_norm(zg: np.ndarray, zf: np.ndarray, zt: np.ndarray, opf: OpfSolution) -> float:
     """Max-norm over the attack and the embedded (y1, y2) equilibrium point."""
-    arrays = [zg, zf, zt, np.array([opf.delta])] + [getattr(opf, f) for f in _OPF_BLOCKS]
-    return max(float(np.max(np.abs(v), initial=0.0)) for v in arrays)
+    arrays = [zg, zf, zt, [opf.delta]] + [getattr(opf, f) for f in _OPF_BLOCKS]
+    return float(np.abs(np.concatenate(arrays)).max(initial=0.0))
 
 
 def _zone_packages(
@@ -441,25 +441,17 @@ def _zone_packages(
     (zg, zf) vectors of the best few estimates for exact evaluation.
     """
     G, E = net.num_generators, net.num_edges
-    g_lo, g_up = net.gen_limits()
-    f_cap = net.flow_limits()
+    arr = net.arrays
+    kill_room = arr.g_up - arr.g_lo  # only the span above the must-run floor is killable
     d = demand.demand[season][hour]
-    idx = net.node_index()
     ranked = []
-    for n, node in enumerate(net.nodes):
+    for n in range(net.num_nodes):
         if d[n] <= 0:
             continue
-        items = []
-        for k, gen in enumerate(net.generators):
-            # only the span above the must-run floor is killable
-            if idx[gen.node] == n and g_up[k] - g_lo[k] > 0:
-                items.append((costs.cg[k], "g", k, g_up[k] - g_lo[k]))
-        for e, edge in enumerate(net.edges):
-            if n in (idx[edge.from_node], idx[edge.to_node]):
-                items.append((costs.cf[e], "f", e, f_cap[e]))
-        floor = sum(g_lo[k] for k, gen in enumerate(net.generators)
-                    if idx[gen.node] == n)
-        supply = sum(cap for _, _, _, cap in items) + floor
+        items = [(costs.cg[k], "g", k, kill_room[k]) for k in arr.node_gens[n]
+                 if kill_room[k] > 0]
+        items += [(costs.cf[e], "f", e, arr.f_cap[e]) for e in arr.node_edges[n]]
+        supply = sum(cap for _, _, _, cap in items) + arr.node_floor[n]
         margin = supply - d[n]
         if margin >= supply:
             continue
@@ -519,9 +511,9 @@ def greedy_attack(
     dispatch = _run_dispatch(net, demand, season, dispatch)
     form = dispatch.form
     G, E = net.num_generators, net.num_edges
-    g_lo, g_up = net.gen_limits()
-    kill_room = g_up - g_lo  # capacity below the must-run floor is untouchable
-    f_cap = net.flow_limits()
+    arr = net.arrays
+    kill_room = arr.g_up - arr.g_lo  # capacity below the must-run floor is untouchable
+    f_cap = arr.f_cap
     zg = np.zeros(G)
     zf = np.zeros(E)
     zt = np.zeros(E)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DemandProfile, PowerNetwork, incidence_matrix
+from .network import DemandProfile, PowerNetwork
 from .simplex import LpForm, LpProblem, LpSolution, SolverNumericalError, solve_lp
 
 
@@ -75,10 +75,12 @@ def attack_bounds(
     zf: np.ndarray | None,
     zt: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Effective (gen upper, flow magnitude, angle magnitude) limits under attack."""
-    _, g_up = net.gen_limits()
-    f_cap = net.flow_limits()
-    t_cap = net.angle_limits()
+    """Effective (gen upper, flow magnitude, angle magnitude) limits under attack.
+
+    A limit no attack shifts is the network's own read-only array.
+    """
+    arr = net.arrays
+    g_up, f_cap, t_cap = arr.g_up, arr.f_cap, arr.t_cap
     if zg is not None:
         g_up = g_up - np.asarray(zg, dtype=float)
     if zf is not None:
@@ -96,12 +98,11 @@ def _dispatch_matrix(net: PowerNetwork) -> np.ndarray:
     the bounds.
     """
     N, E, G = net.num_nodes, net.num_edges, net.num_generators
-    A = incidence_matrix(net)
-    Bmw = net.susceptance_mw_per_rad()
-    ref = net.node_index()[net.reference_node]
+    arr = net.arrays
+    A, Bmw = arr.incidence, arr.susceptance_mw
     Amat = np.zeros((N + E + E + 1, G + E + N + N))
     # nodal balance: sum(g at n) + u_n - (A^T f)_n = d_n
-    Amat[:N, :G] = net.gen_node_map()
+    Amat[:N, :G] = arr.gen_node_map
     Amat[:N, G + E:G + E + N] = np.eye(N)
     Amat[:N, G:G + E] = -A.T
     # flow law: f_e - B'_e (A theta)_e = 0
@@ -110,29 +111,26 @@ def _dispatch_matrix(net: PowerNetwork) -> np.ndarray:
     # angle-difference range: (A theta)_e within +-(limit - zt)
     Amat[N + E:N + 2 * E, G + E + N:] = A
     # reference angle pinned to zero
-    Amat[N + 2 * E, G + E + N + ref] = 1.0
+    Amat[N + 2 * E, G + E + N + arr.ref] = 1.0
     return Amat
 
 
 class _DispatchForm(LpForm):
     """The :class:`LpForm` of ``net``'s dispatch matrix, with the network's
-    parts of every hourly dispatch LP: the unattacked limits, and the
-    vectors (c, row_lb, row_ub, lb, ub) whose demand and VOLL entries each
-    hour fills in."""
+    parts of every hourly dispatch LP: the vectors (c, row_lb, row_ub, lb,
+    ub) whose demand and VOLL entries each hour fills in."""
 
     def __init__(self, net: PowerNetwork):
         super().__init__(_dispatch_matrix(net))
         self.net = net
         N, E = net.num_nodes, net.num_edges
-        g_lo, self.g_up = net.gen_limits()
-        self.f_cap = net.flow_limits()
-        self.t_cap = net.angle_limits()
+        arr = net.arrays
         self.vectors = (
-            np.concatenate([net.gen_costs(), np.zeros(E + 2 * N)]),
-            np.concatenate([np.zeros(N + E), -self.t_cap, [0.0]]),
-            np.concatenate([np.zeros(N + E), self.t_cap, [0.0]]),
-            np.concatenate([g_lo, -self.f_cap, np.zeros(N), np.full(N, -np.inf)]),
-            np.concatenate([self.g_up, self.f_cap, np.zeros(N), np.full(N, np.inf)]),
+            np.concatenate([arr.gen_costs, np.zeros(E + 2 * N)]),
+            np.concatenate([np.zeros(N + E), -arr.t_cap, [0.0]]),
+            np.concatenate([np.zeros(N + E), arr.t_cap, [0.0]]),
+            np.concatenate([arr.g_lo, -arr.f_cap, np.zeros(N), np.full(N, -np.inf)]),
+            np.concatenate([arr.g_up, arr.f_cap, np.zeros(N), np.full(N, np.inf)]),
         )
 
 
@@ -147,6 +145,7 @@ def _hour_lp(
 ) -> LpProblem:
     """The hourly dispatch LP over ``form``'s matrix, unlabeled."""
     net = form.net
+    arr = net.arrays
     N, E, G = net.num_nodes, net.num_edges, net.num_generators
     u = slice(G + E, G + E + N)
     d = demand.demand[season][hour]
@@ -156,13 +155,13 @@ def _hour_lp(
     row_ub[:N] = d
     ub[u] = d
     if zg is not None:
-        ub[:G] = form.g_up - np.asarray(zg, dtype=float)
+        ub[:G] = arr.g_up - np.asarray(zg, dtype=float)
     if zf is not None:
-        f_cap = form.f_cap - np.asarray(zf, dtype=float)
+        f_cap = arr.f_cap - np.asarray(zf, dtype=float)
         lb[G:G + E] = -f_cap
         ub[G:G + E] = f_cap
     if zt is not None:
-        t_cap = form.t_cap - np.asarray(zt, dtype=float)
+        t_cap = arr.t_cap - np.asarray(zt, dtype=float)
         row_lb[N + E:N + 2 * E] = -t_cap
         row_ub[N + E:N + 2 * E] = t_cap
     return LpProblem("min", c, form.A, row_lb, row_ub, lb, ub)
@@ -265,9 +264,10 @@ def solve_dcopf(
 ) -> OpfSolution:
     """Solve one hourly dispatch and recover every primal and dual quantity.
 
-    ``basis`` is the ``basis`` of another dispatch of the same hour (same
-    network and demand, any attack); it warm-starts the LP solve.  ``form``
-    is :func:`dispatch_form` of ``net``, shared by the solves of one run;
+    ``basis`` is the ``basis`` of another dispatch of the same network: the
+    same hour under any attack, or (as :class:`SeasonDispatch` chains them)
+    the hour before; it warm-starts the LP solve.  ``form`` is
+    :func:`dispatch_form` of ``net``, shared by the solves of one run;
     without it the solve builds its own.  The answer does not depend on it.
     Raises ValueError for a form of another network.
     """
@@ -293,6 +293,16 @@ class SeasonDispatch:
     solved once: the ``hours`` given up front, while the run holds little
     else, any other hour on first use.  Nothing it returns refers back to
     it, so it lives only as long as the run that made it.
+
+    The up-front hours are chained: each is warm-started from the optimal
+    basis of the hour before it in the given order, the first one cold.
+    Consecutive hours differ only in demand and VOLL, so that basis stays
+    dual feasible once the warm start has moved each boxed nonbasic column
+    to the bound its reduced cost asks for, and the dual simplex needs a
+    few pivots where a cold solve needs dozens.  When the basis is not dual
+    feasible, is singular or fails numerically, :func:`solve_lp` solves
+    the hour cold instead.  An hour solved on first use is always solved
+    cold, so no result depends on the order in which callers ask for hours.
     """
 
     def __init__(self, net: PowerNetwork, demand: DemandProfile, season: str,
@@ -302,8 +312,12 @@ class SeasonDispatch:
         self.season = season
         self.form = dispatch_form(net)
         self._base: dict[int, OpfSolution] = {}
+        basis = None
         for h in hours:
-            self.base(h)
+            if h not in self._base:
+                self._base[h] = solve_dcopf(net, demand, season, h, basis=basis,
+                                            form=self.form)
+            basis = self._base[h].basis
 
     def base(self, hour: int) -> OpfSolution:
         """The hour's unattacked dispatch; callers must not modify it."""
@@ -318,7 +332,11 @@ def solve_day(
     demand: DemandProfile,
     season: str,
 ) -> list[OpfSolution]:
-    """Solve all hours of one season independently (no intertemporal coupling)."""
+    """Solve all hours of one season independently (no intertemporal coupling).
+
+    Each hour is warm-started from the previous hour's basis (see
+    :class:`SeasonDispatch`) and reaches the same optimum as a cold solve.
+    """
     hours = range(demand.hours(season))
     day = SeasonDispatch(net, demand, season, hours)
     return [day.base(h) for h in hours]

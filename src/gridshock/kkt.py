@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcopf import OPF_ARRAYS, OpfSolution, attack_bounds
-from .network import PowerNetwork, incidence_matrix
+from .network import PowerNetwork
 
 # the eight complementarity pairs and the OpfSolution field of each multiplier
 PAIR_DUALS = {
@@ -49,7 +49,10 @@ class KktResiduals:
         return {key: float(np.max(np.abs(v), initial=0.0)) for key, v in self.named_blocks()}
 
     def overall_max(self) -> float:
-        return max(self.block_max().values(), default=0.0)
+        """The largest block max, in one pass over every residual; a NaN
+        anywhere gives NaN."""
+        blocks = [np.ravel(v) for _, v in self.named_blocks()]
+        return float(np.abs(np.concatenate(blocks)).max(initial=0.0))
 
 
 def complementarity_pairs(
@@ -64,12 +67,10 @@ def complementarity_pairs(
     ``zg, zf, zt`` shift the generation / flow / angle limits as in
     :func:`kkt_residuals`.
     """
-    A = incidence_matrix(net)
-    g_lo, _ = net.gen_limits()
     g_up, f_cap, t_cap = attack_bounds(net, zg, zf, zt)
-    angle_diff = A @ sol.theta
+    angle_diff = net.arrays.incidence @ sol.theta
     slacks = {
-        "gen_lo": sol.g - g_lo,
+        "gen_lo": sol.g - net.arrays.g_lo,
         "gen_up": g_up - sol.g,
         "flow_lo": sol.f + f_cap,
         "flow_up": f_cap - sol.f,
@@ -100,25 +101,18 @@ def kkt_residuals(
             shape = np.shape(getattr(sol, name))
             if shape != (size,):
                 raise ValueError(f"{name} has shape {shape}, expected ({size},)")
-    N = net.num_nodes
-
-    A = incidence_matrix(net)
-    Bmw = net.susceptance_mw_per_rad()
-    M = net.gen_node_map()
-    cg = net.gen_costs()
-    ref = net.node_index()[net.reference_node]
-    e_ref = np.zeros(N)
-    e_ref[ref] = 1.0
+    arr = net.arrays
+    A, Bmw, M, ref = arr.incidence, arr.susceptance_mw, arr.gen_node_map, arr.ref
     d = sol.demand
     voll = sol.voll
 
     pi_at_gen = M.T @ sol.pi_d
 
     stationarity = {
-        "stat_g": cg - sol.rho_g_lo + sol.rho_g_up - pi_at_gen,
+        "stat_g": arr.gen_costs - sol.rho_g_lo + sol.rho_g_up - pi_at_gen,
         "stat_f": A @ sol.pi_d + sol.pi_f - sol.rho_f_lo + sol.rho_f_up,
         "stat_theta": A.T @ (-Bmw * sol.pi_f - sol.rho_th_lo + sol.rho_th_up)
-        + e_ref * sol.delta,
+        + arr.e_ref * sol.delta,
         "stat_u": voll - sol.rho_u_lo + sol.rho_u_up - sol.pi_d,
     }
 

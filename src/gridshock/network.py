@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,53 @@ class Generator:
     g_min: float  # MW
     g_max: float  # MW
     cost: float   # $/MWh marginal cost
+
+
+@dataclass(frozen=True)
+class NetworkArrays:
+    """A network's arrays and per-node index, built once (``PowerNetwork.arrays``).
+
+    Every array is read-only: the network is frozen, so they never go stale.
+    """
+
+    incidence: np.ndarray       # E x N, as incidence_matrix
+    gen_node_map: np.ndarray    # N x G, as PowerNetwork.gen_node_map
+    susceptance_mw: np.ndarray  # E, MW/rad
+    gen_costs: np.ndarray       # G
+    g_lo: np.ndarray            # G, must-run floors
+    g_up: np.ndarray            # G
+    f_cap: np.ndarray           # E
+    t_cap: np.ndarray           # E
+    ref: int                    # the reference node's index
+    e_ref: np.ndarray           # N, one at the reference node
+    node_gens: tuple[tuple[int, ...], ...]   # per node, its generators in order
+    node_edges: tuple[tuple[int, ...], ...]  # per node, its incident edges in order
+    node_floor: tuple[float, ...]            # per node, the sum of its must-run floors
+
+    @classmethod
+    def of(cls, net: "PowerNetwork") -> "NetworkArrays":
+        idx = net.node_index()
+        g_lo, g_up = net.gen_limits()
+        ref = idx[net.reference_node]
+        e_ref = np.zeros(net.num_nodes)
+        e_ref[ref] = 1.0
+        node_gens: list[list[int]] = [[] for _ in net.nodes]
+        for k, gen in enumerate(net.generators):
+            node_gens[idx[gen.node]].append(k)
+        node_edges: list[list[int]] = [[] for _ in net.nodes]
+        for e, edge in enumerate(net.edges):
+            for n in {idx[edge.from_node], idx[edge.to_node]}:
+                node_edges[n].append(e)
+        arrays = cls(
+            incidence_matrix(net), net.gen_node_map(), net.susceptance_mw_per_rad(),
+            net.gen_costs(), g_lo, g_up, net.flow_limits(), net.angle_limits(), ref, e_ref,
+            tuple(map(tuple, node_gens)), tuple(map(tuple, node_edges)),
+            tuple(sum(g_lo[k] for k in ks) for ks in node_gens),
+        )
+        for value in vars(arrays).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -115,6 +163,11 @@ class PowerNetwork:
 
     def customer_shares(self) -> np.ndarray:
         return np.array([nd.customer_share for nd in self.nodes])
+
+    @cached_property
+    def arrays(self) -> NetworkArrays:
+        """The network's read-only arrays, built on first use."""
+        return NetworkArrays.of(self)
 
 
 def incidence_matrix(net: PowerNetwork) -> np.ndarray:

@@ -12,7 +12,9 @@ where t is the row-activity variable ("slack").  A two-phase method with
 one artificial column per initially violated row handles feasibility.  The
 basis inverse is kept explicitly and refactorized periodically; pivoting
 is deterministic (Dantzig pricing with lowest-index tie-breaking, Bland's
-rule fallback after a degenerate stall).
+rule fallback after a degenerate stall).  The ratio test's tolerance band
+can leave a basic value past its bounds; when the optimal basis of phase 2
+does, the bounded dual simplex below removes that before the answer stands.
 
 Warm start.  An optimal solve returns its basis: the m basic column
 indices of the standard form in basis order, as an int32 array
@@ -522,6 +524,13 @@ def _run_verified(tab: _Tableau, c: np.ndarray, max_iter: int,
     raise SolverNumericalError("optimality could not be verified after restarts")
 
 
+def _primal_infeasible(tab: _Tableau) -> bool:
+    """Whether a basic value is past its bounds by more than the dual
+    simplex tolerates."""
+    viol = np.maximum(tab.lb[tab.basis] - tab.xB, tab.xB - tab.ub[tab.basis])
+    return bool((viol > _DUAL_FEAS_TOL * (1.0 + np.abs(tab.xB))).any())
+
+
 def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int,
                   rc: np.ndarray, tol: float) -> tuple[str, int]:
     """Bounded dual simplex from a dual-feasible basis to a primal-feasible one.
@@ -712,6 +721,16 @@ def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.nda
             t.fresh = False  # the artificials' bounds moved
         c2 = np.concatenate([c_int, np.zeros(m + n_art)])
         status2, it2 = _run_verified(t, c2, max_iter, refactor_every, bland_start)
+        if status2 == "optimal" and _primal_infeasible(t):
+            # the ratio test's band can leave basic values past their bounds
+            # (far past them when the bounds are tiny against the step); the
+            # optimal basis is dual feasible, so the dual simplex clears that
+            status3, it3 = _dual_simplex(t, c2, max_iter, t.reduced_costs(c2), _rc_tol(c2))
+            it2 += it3
+            if status3 == "optimal":
+                status3, it3 = _run_verified(t, c2, max_iter, refactor_every, bland_start)
+                it2 += it3
+            status2 = status3
         return t, c2, status2, it1 + it2
 
     last_exc: SolverNumericalError | None = None
@@ -729,11 +748,11 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
     and their basis.
 
     ``basis``, taken from an earlier solve of a problem with the same
-    ``c`` and ``A``, warm-starts a bounded dual simplex (see the module
-    docstring); without one, or when it cannot be used, the cold two-phase
-    primal simplex runs.  ``form`` is an :class:`LpForm` built from
-    ``problem.A``, shared by the LPs over that matrix; without one, the
-    solve builds its own.  Either way the answer is the same, bit for bit.
+    ``A`` (and usually the same ``c``), warm-starts a bounded dual simplex
+    (see the module docstring); without one, or when it cannot be used,
+    the cold two-phase primal simplex runs.  ``form`` is an
+    :class:`LpForm` built from ``problem.A``, shared by the LPs over that
+    matrix; without one, the solve builds its own.  Either way the answer is the same, bit for bit.
     Deterministic for a fixed BLAS thread count: identical inputs, basis
     included, yield bit-identical outputs, but a different thread count can
     change rounding, pivots and the vertex (``OPENBLAS_NUM_THREADS=1`` gives

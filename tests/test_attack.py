@@ -2,7 +2,7 @@ import copy
 import hashlib
 import weakref
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -359,12 +359,12 @@ def _threshold_instance():
 def test_run_attack_solves_each_unattacked_hour_once(monkeypatch):
     net, prof, costs = _threshold_instance()
     real = dcopf_mod.solve_dcopf
-    cold = Counter()
+    unattacked = Counter()
 
-    def counting(net, demand, season, hour, *args, basis=None, **kwargs):
-        if basis is None:
-            cold[hour] += 1
-        return real(net, demand, season, hour, *args, basis=basis, **kwargs)
+    def counting(net, demand, season, hour, zg=None, zf=None, zt=None, **kwargs):
+        if zg is None and zf is None and zt is None:
+            unattacked[hour] += 1
+        return real(net, demand, season, hour, zg, zf, zt, **kwargs)
 
     monkeypatch.setattr(dcopf_mod, "solve_dcopf", counting)
     monkeypatch.setattr(attack_mod, "solve_dcopf", counting)
@@ -373,7 +373,7 @@ def test_run_attack_solves_each_unattacked_hour_once(monkeypatch):
     # its 2 MW margin sheds 14 MW
     assert [h.spend for h in plan.hours] == pytest.approx([0.0, 0.0, 16.0], abs=1e-9)
     assert plan.objective == pytest.approx(14_000.0, rel=1e-9)
-    assert cold == Counter({0: 1, 1: 1, 2: 1})
+    assert unattacked == Counter({0: 1, 1: 1, 2: 1})
 
 
 def _hour_fingerprint(ha):
@@ -447,3 +447,85 @@ def test_dispatch_of_another_demand_is_rejected():
     with pytest.raises(ValueError, match="another network, demand or season"):
         solve_hourly_attack(net, prof, "summer", 2, costs, 16.0, node_limit=0,
                             dispatch=SeasonDispatch(net, other, "summer"))
+
+
+# -- reference copies of the greedy's zone packages and the max-norm test as
+# they were before the network's index and arrays were cached
+def _reference_zone_packages(net, demand, season, hour, costs, budget):
+    G, E = net.num_generators, net.num_edges
+    g_lo, g_up = net.gen_limits()
+    f_cap = net.flow_limits()
+    d = demand.demand[season][hour]
+    idx = net.node_index()
+    ranked = []
+    for n, node in enumerate(net.nodes):
+        if d[n] <= 0:
+            continue
+        items = []
+        for k, gen in enumerate(net.generators):
+            if idx[gen.node] == n and g_up[k] - g_lo[k] > 0:
+                items.append((costs.cg[k], "g", k, g_up[k] - g_lo[k]))
+        for e, edge in enumerate(net.edges):
+            if n in (idx[edge.from_node], idx[edge.to_node]):
+                items.append((costs.cf[e], "f", e, f_cap[e]))
+        floor = sum(g_lo[k] for k, gen in enumerate(net.generators) if idx[gen.node] == n)
+        supply = sum(cap for _, _, _, cap in items) + floor
+        margin = supply - d[n]
+        if margin >= supply:
+            continue
+        items.sort(key=lambda t: (t[0], t[1], t[2]))
+        remaining = budget
+        bought = 0.0
+        zg = np.zeros(G)
+        zf = np.zeros(E)
+        for price, kind, i, cap in items:
+            amount = min(cap, remaining / price)
+            if amount <= 1e-9:
+                break
+            (zg if kind == "g" else zf)[i] = amount
+            bought += amount
+            remaining -= amount * price
+        est = min(max(0.0, bought - max(margin, 0.0)), d[n])
+        if est > 1e-9:
+            ranked.append((est, n, zg, zf))
+    ranked.sort(key=lambda t: (-t[0], t[1]))
+    return [(zg, zf) for _, _, zg, zf in ranked[:attack_mod.ZONE_PACKAGES]]
+
+
+def _reference_max_norm(zg, zf, zt, opf):
+    arrays = [zg, zf, zt, np.array([opf.delta])] + [getattr(opf, f)
+                                                    for f in attack_mod._OPF_BLOCKS]
+    return max(float(np.max(np.abs(v), initial=0.0)) for v in arrays)
+
+
+def _with_must_run(net, rng):
+    """``net`` with random must-run floors, some units wholly must-run."""
+    gens = tuple(replace(g, g_min=float(rng.choice([0.0, 0.4 * g.g_max, g.g_max])))
+                 for g in net.generators)
+    return replace(net, generators=gens)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zone_packages_and_max_norm_match_their_references(bundled_net, bundled_demand, seed):
+    rng = np.random.default_rng(seed)
+    heated = apply_heatwave(bundled_demand, 1.09)
+    for net in (bundled_net, _with_must_run(bundled_net, rng)):
+        for _ in range(6):
+            hour = int(rng.integers(10, 22))  # the day's peak, where zones can shed
+            budget = float(rng.choice([0.0, 12.5, 300.0, 1000.0, 5000.0]))
+            costs = AttackCosts(rng.uniform(0.2, 1.5, net.num_generators),
+                                rng.uniform(0.5, 3.0, net.num_edges),
+                                rng.uniform(0.5, 3.0, net.num_edges), budget)
+            got = attack_mod._zone_packages(net, heated, "summer", hour, costs, budget)
+            want = _reference_zone_packages(net, heated, "summer", hour, costs, budget)
+            assert len(got) == len(want)
+            for (zg, zf), (rg, rf) in zip(got, want):
+                assert np.array_equal(zg, rg) and np.array_equal(zf, rf)
+    for _ in range(4):
+        hour = int(rng.integers(24))
+        g_lo, g_up = bundled_net.gen_limits()
+        zs = [np.where(rng.random(r.size) < 0.3, 0.5 * rng.random(r.size) * r, 0.0)
+              for r in (g_up - g_lo, bundled_net.flow_limits(), bundled_net.angle_limits())]
+        opf = solve_dcopf(bundled_net, heated, "summer", hour, *zs)
+        opf = replace(opf, delta=float(rng.normal(0, 1e4)))
+        assert attack_mod._max_norm(*zs, opf) == _reference_max_norm(*zs, opf)

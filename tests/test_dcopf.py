@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import gridshock.dcopf as dcopf_mod
 from gridshock import simplex
-from gridshock.dcopf import (SeasonDispatch, build_dcopf, dispatch_form, solve_day,
-                             solve_dcopf, solution_rows)
-from gridshock.network import incidence_matrix
+from gridshock.dcopf import (OPF_ARRAYS, SeasonDispatch, build_dcopf, dispatch_form,
+                             solve_day, solve_dcopf, solution_rows)
+from gridshock.network import DemandProfile, apply_heatwave, incidence_matrix
 from support import one_bus, profile_for, tight_two_bus, two_bus
 
 VOLL = 1000.0
@@ -297,8 +297,117 @@ def test_form_of_another_network_is_rejected(bundled_net, bundled_demand):
 
 
 def test_solve_day_on_a_shared_form_matches_hour_by_hour(bundled_net, bundled_demand):
+    # hour 0 is solved cold, bit for bit; later hours are warm-started from
+    # the hour before and land on the cold solve's vertex
     day = solve_day(bundled_net, bundled_demand, "summer")
     for h in (0, 17):
         alone = solve_dcopf(bundled_net, bundled_demand, "summer", h)
-        assert np.array_equal(day[h].g, alone.g) and np.array_equal(day[h].pi_d, alone.pi_d)
-        assert np.array_equal(day[h].basis, alone.basis)
+        _assert_same_vertex(day[h], alone)
+        if h == 0:
+            assert np.array_equal(day[h].g, alone.g) and np.array_equal(day[h].pi_d, alone.pi_d)
+            assert np.array_equal(day[h].basis, alone.basis)
+
+
+OPF_FIELDS = [name for names in OPF_ARRAYS.values() for name in names] + [
+    "delta", "objective", "shed_cost"]
+
+
+def _profiles(net, demand):
+    """The bundled demand, the shipped configs' heated demand (x1.09), and a
+    jittered one: every entry scaled by its own factor in [0.9, 1.15]."""
+    rng = np.random.default_rng(3)
+    jittered = DemandProfile(
+        demand.node_ids,
+        {s: a * rng.uniform(0.9, 1.15, a.shape) for s, a in demand.demand.items()},
+        {s: np.array(a) for s, a in demand.voll.items()})
+    return {"bundled": demand, "heated": apply_heatwave(demand, 1.09), "jittered": jittered}
+
+
+def _assert_same_vertex(chained, cold):
+    """Same basis set and every OpfSolution value within 1e-9."""
+    assert set(chained.basis.tolist()) == set(cold.basis.tolist())
+    for name in OPF_FIELDS:
+        np.testing.assert_allclose(getattr(chained, name), getattr(cold, name),
+                                   rtol=0, atol=1e-9, err_msg=name)
+
+
+@pytest.mark.parametrize("which", ["bundled", "heated", "jittered"])
+def test_chained_hours_land_on_the_cold_vertex(bundled_net, bundled_demand, which):
+    """Each up-front hour, warm-started from the hour before, is optimal at
+    the cold solve's basis set; hour 0 is the cold solve bit for bit."""
+    prof = _profiles(bundled_net, bundled_demand)[which]
+    hours = range(prof.hours("summer"))
+    day = SeasonDispatch(bundled_net, prof, "summer", hours)
+    for h in hours:
+        cold = solve_dcopf(bundled_net, prof, "summer", h)
+        _assert_same_vertex(day.base(h), cold)
+        if h == 0:
+            for name in OPF_FIELDS + ["basis"]:
+                assert np.array_equal(getattr(day.base(h), name), getattr(cold, name)), name
+
+
+def test_chain_across_voll_changes_reaches_the_cold_optimum(bundled_net, bundled_demand):
+    """VOLL that changes every hour changes the LP's costs, not only its
+    bounds; the chain still ends at each hour's cold optimum (the warm
+    start's bound flips keep the basis dual feasible, or the hour is
+    solved cold)."""
+    rng = np.random.default_rng(5)
+    heated = apply_heatwave(bundled_demand, 1.09)
+    prof = DemandProfile(
+        heated.node_ids, {s: np.array(a) for s, a in heated.demand.items()},
+        {s: a * rng.uniform(0.5, 3.0, a.shape) for s, a in heated.voll.items()})
+    hours = range(prof.hours("summer"))
+    day = SeasonDispatch(bundled_net, prof, "summer", hours)
+    for h in hours:
+        cold = solve_dcopf(bundled_net, prof, "summer", h)
+        assert day.base(h).objective == pytest.approx(cold.objective, rel=1e-12)
+        assert day.base(h).shed_cost == pytest.approx(cold.shed_cost, rel=1e-12, abs=1e-9)
+        np.testing.assert_allclose(day.base(h).u, cold.u, rtol=0, atol=1e-9)
+
+
+def test_chain_falls_back_to_the_cold_solve(bundled_net, bundled_demand, monkeypatch):
+    """When the warm start fails numerically, every chained hour is the
+    cold solve, bit for bit."""
+    def failing(*args, **kwargs):
+        raise simplex.SolverNumericalError("warm start failed")
+    hours = (0, 7, 17)
+    cold = [solve_dcopf(bundled_net, bundled_demand, "summer", h) for h in hours]
+    monkeypatch.setattr(simplex, "_warm_solve", failing)
+    day = SeasonDispatch(bundled_net, bundled_demand, "summer", hours)
+    for h, alone in zip(hours, cold):
+        for name in OPF_FIELDS + ["basis"]:
+            assert np.array_equal(getattr(day.base(h), name), getattr(alone, name)), name
+
+
+def test_hours_solved_on_first_use_are_cold(bundled_net, bundled_demand, monkeypatch):
+    """Only the up-front hours are chained: an hour asked for later is
+    solved without a basis, so it does not depend on which hours came
+    before it."""
+    day = SeasonDispatch(bundled_net, bundled_demand, "summer", (16,))
+    given = []
+    real = dcopf_mod.solve_dcopf
+
+    def recording(*args, basis=None, **kwargs):
+        given.append(basis)
+        return real(*args, basis=basis, **kwargs)
+    monkeypatch.setattr(dcopf_mod, "solve_dcopf", recording)
+    lazy = day.base(17)
+    assert given == [None]
+    alone = real(bundled_net, bundled_demand, "summer", 17)
+    for name in OPF_FIELDS + ["basis"]:
+        assert np.array_equal(getattr(lazy, name), getattr(alone, name)), name
+    assert day.base(17) is lazy  # solved once
+
+
+def test_up_front_hours_start_from_the_hour_before(bundled_net, bundled_demand, monkeypatch):
+    given = []
+    real = dcopf_mod.solve_dcopf
+
+    def recording(*args, basis=None, **kwargs):
+        given.append(basis)
+        return real(*args, basis=basis, **kwargs)
+    monkeypatch.setattr(dcopf_mod, "solve_dcopf", recording)
+    hours = (5, 6, 6, 9)  # in the given order; a repeated hour is solved once
+    day = SeasonDispatch(bundled_net, bundled_demand, "summer", hours)
+    assert len(given) == 3 and given[0] is None
+    assert given[1] is day.base(5).basis and given[2] is day.base(6).basis

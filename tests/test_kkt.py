@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gridshock.dcopf import solve_dcopf
-from gridshock.kkt import kkt_residuals, residual_rows, verify_equilibrium
+from gridshock.kkt import (PAIR_BLOCKS, PAIR_DUALS, KktResiduals, complementarity_pairs,
+                           kkt_residuals, residual_rows, verify_equilibrium)
+from gridshock.network import incidence_matrix
 from support import profile_for, tight_two_bus, triangle, two_bus
 
 
@@ -89,3 +91,98 @@ def test_residual_rows_flatten():
     assert "stat_g" in blocks and "primal:balance" in blocks
     assert "comp:gen_up" in blocks and "dual:gen_up" in blocks
     assert all(isinstance(r[2], float) for r in rows)
+
+
+# -- the certificate as it was before the network's arrays were cached: a
+# reference copy that rebuilds every array from the network's lists
+def _reference_pairs(net, sol, zg, zf, zt):
+    A = incidence_matrix(net)
+    g_lo, g_up = net.gen_limits()
+    f_cap = net.flow_limits()
+    t_cap = net.angle_limits()
+    if zg is not None:
+        g_up = g_up - np.asarray(zg, dtype=float)
+    if zf is not None:
+        f_cap = f_cap - np.asarray(zf, dtype=float)
+    if zt is not None:
+        t_cap = t_cap - np.asarray(zt, dtype=float)
+    angle_diff = A @ sol.theta
+    slacks = {
+        "gen_lo": sol.g - g_lo, "gen_up": g_up - sol.g,
+        "flow_lo": sol.f + f_cap, "flow_up": f_cap - sol.f,
+        "angle_lo": angle_diff + t_cap, "angle_up": t_cap - angle_diff,
+        "unserved_lo": sol.u, "unserved_up": sol.demand - sol.u,
+    }
+    return slacks, {pair: getattr(sol, fld) for pair, fld in PAIR_DUALS.items()}
+
+
+def _reference_residuals(net, sol, zg, zf, zt):
+    A = incidence_matrix(net)
+    Bmw = net.susceptance_mw_per_rad()
+    M = net.gen_node_map()
+    ref = net.node_index()[net.reference_node]
+    e_ref = np.zeros(net.num_nodes)
+    e_ref[ref] = 1.0
+    stationarity = {
+        "stat_g": net.gen_costs() - sol.rho_g_lo + sol.rho_g_up - M.T @ sol.pi_d,
+        "stat_f": A @ sol.pi_d + sol.pi_f - sol.rho_f_lo + sol.rho_f_up,
+        "stat_theta": A.T @ (-Bmw * sol.pi_f - sol.rho_th_lo + sol.rho_th_up)
+        + e_ref * sol.delta,
+        "stat_u": sol.voll - sol.rho_u_lo + sol.rho_u_up - sol.pi_d,
+    }
+    slacks, duals = _reference_pairs(net, sol, zg, zf, zt)
+    primal = {
+        "balance": np.abs(M @ sol.g + sol.u - sol.demand - A.T @ sol.f),
+        "flow_law": np.abs(sol.f - Bmw * (A @ sol.theta)),
+        "reference": np.array([abs(sol.theta[ref])]),
+    }
+    for k, s in slacks.items():
+        primal[k] = np.maximum(-s, 0.0)
+    complementarity = {k: np.abs(duals[k] * slacks[k]) for k in PAIR_BLOCKS}
+    dual_sign = {k: np.maximum(-duals[k], 0.0) for k in PAIR_BLOCKS}
+    res = KktResiduals(stationarity, primal, complementarity, dual_sign)
+    return res, max(res.block_max().values(), default=0.0)
+
+
+def _random_points(net, demand, seed):
+    """Attacked dispatches of the bundled day and perturbed copies of them,
+    so that every residual block is exercised, zero and nonzero."""
+    rng = np.random.default_rng(seed)
+    g_lo, g_up = net.gen_limits()
+    for hour in rng.choice(24, size=3, replace=False):
+        zs = [np.where(rng.random(r.size) < 0.3, 0.6 * rng.random(r.size) * r, 0.0)
+              for r in (g_up - g_lo, net.flow_limits(), net.angle_limits())]
+        sol = solve_dcopf(net, demand, "summer", int(hour), *zs)
+        yield sol, zs
+        yield sol, (None, None, None)
+        noisy = {name: getattr(sol, name) + rng.normal(0, 1.0, getattr(sol, name).shape)
+                 for name in ("g", "theta", "pi_d", "rho_f_up", "rho_u_lo")}
+        yield replace(sol, delta=sol.delta + 0.5, **noisy), zs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_matches_its_reference_bit_for_bit(bundled_net, bundled_demand, seed):
+    for sol, zs in _random_points(bundled_net, bundled_demand, seed):
+        res = kkt_residuals(bundled_net, sol, *zs)
+        ref, ref_max = _reference_residuals(bundled_net, sol, *zs)
+        blocks = dict(res.named_blocks())
+        ref_blocks = dict(ref.named_blocks())
+        assert list(blocks) == list(ref_blocks)
+        for key, v in ref_blocks.items():
+            assert np.array_equal(blocks[key], v), key
+        assert res.block_max() == ref.block_max()
+        assert res.overall_max() == ref_max
+        slacks, duals = complementarity_pairs(bundled_net, sol, *zs)
+        ref_slacks, ref_duals = _reference_pairs(bundled_net, sol, *zs)
+        for k in PAIR_BLOCKS:
+            assert np.array_equal(slacks[k], ref_slacks[k]) and duals[k] is ref_duals[k], k
+
+
+def test_overall_max_propagates_nan():
+    net = two_bus()
+    sol = solve_dcopf(net, profile_for(net, [[0.0, 80.0]]), "summer", 0)
+    # a NaN in any block, not only the first one, fails the certificate
+    broken = replace(sol, rho_u_up=np.array([0.0, np.nan]))
+    res = kkt_residuals(net, broken)
+    assert np.isnan(res.overall_max())
+    assert not verify_equilibrium(res, 1e-5)

@@ -189,3 +189,25 @@ def test_demand_voll_must_dominate(tmp_path):
 def test_profiles_are_immutable(bundled_demand):
     with pytest.raises(ValueError):
         bundled_demand.demand["summer"][0, 0] = 999.0
+
+
+def test_network_arrays_are_built_once_and_read_only(bundled_net):
+    arr = bundled_net.arrays
+    assert bundled_net.arrays is arr
+    g_lo, g_up = bundled_net.gen_limits()
+    for got, want in ((arr.incidence, incidence_matrix(bundled_net)),
+                      (arr.gen_node_map, bundled_net.gen_node_map()),
+                      (arr.susceptance_mw, bundled_net.susceptance_mw_per_rad()),
+                      (arr.gen_costs, bundled_net.gen_costs()), (arr.g_lo, g_lo),
+                      (arr.g_up, g_up), (arr.f_cap, bundled_net.flow_limits()),
+                      (arr.t_cap, bundled_net.angle_limits())):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert arr.e_ref[arr.ref] == 1.0 and arr.e_ref.sum() == 1.0
+    assert bundled_net.nodes[arr.ref].id == bundled_net.reference_node
+    # the per-node index: generators and incident edges in entity order
+    M, A = arr.gen_node_map, arr.incidence
+    for n in range(bundled_net.num_nodes):
+        assert arr.node_gens[n] == tuple(np.flatnonzero(M[n]))
+        assert arr.node_edges[n] == tuple(np.flatnonzero(A[:, n]))
+        assert arr.node_floor[n] == sum(g_lo[k] for k in arr.node_gens[n])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridshock import simplex
@@ -240,19 +240,32 @@ def hour17(bundled_net, bundled_demand):
 fractions = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), keep=fractions)
-def test_warm_dispatch_matches_cold_under_tighter_bounds(hour17, seed, keep):
-    """Lowered generator, flow and angle limits: warm equals cold."""
-    net, demand, basis = hour17
+def _lowered_dispatch(net, demand, seed, keep):
     rng = np.random.default_rng(seed)
     g_lo, g_up = net.gen_limits()
     pick = lambda k, p: rng.random(k) < p  # noqa: E731
     zg = np.where(pick(net.num_generators, 0.4), (1 - keep[0]) * (g_up - g_lo), 0.0)
     zf = np.where(pick(net.num_edges, 0.3), (1 - keep[1]) * net.flow_limits(), 0.0)
     zt = np.where(pick(net.num_edges, 0.2), (1 - keep[2]) * net.angle_limits(), 0.0)
-    p = build_dcopf(net, demand, "summer", 17, zg, zf, zt)
+    return build_dcopf(net, demand, "summer", 17, zg, zf, zt)
+
+
+# flow and angle limits cut to 1e-7 of their size: the cold ratio test's
+# band once left a basic flow 5e-5 past its 4e-5 limit
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), keep=fractions)
+@example(seed=285415, keep=[0.0, 1e-7, 1e-7])
+def test_warm_dispatch_matches_cold_under_tighter_bounds(hour17, seed, keep):
+    """Lowered generator, flow and angle limits: warm equals cold."""
+    net, demand, basis = hour17
+    p = _lowered_dispatch(net, demand, seed, keep)
     _same_answer(solve_lp(p, basis=basis), solve_lp(p))
+
+
+def test_cold_solve_clears_basic_values_past_tiny_bounds(hour17):
+    net, demand, _ = hour17
+    cold = solve_lp(_lowered_dispatch(net, demand, 285415, [0.0, 1e-7, 1e-7]))
+    assert cold.status == "optimal" and _certified(cold)
 
 
 def _random_lp(rng):
