@@ -20,9 +20,13 @@ Two exact reformulation details beyond the plain big-M recipe:
   marginal cost); the corresponding logic rows are added as valid cuts.
 
 The cross-hour step of the decomposition replaces a general nonlinear
-restart with deterministic coordinate ascent on the hourly budget split:
-move one budget quantum at a time from the hour losing least to the hour
-gaining most, re-solving the two hourly problems, until no move improves.
+restart with deterministic coordinate ascent on the hourly budget split,
+with two moves tried until neither improves: the pooled move hands the
+whole allocation of every hour whose attack adds nothing over its
+unattacked dispatch to the single hour that gains most from the pooled
+sum; the quantum move shifts one budget quantum from the hour losing
+least to the hour gaining most.  Each move re-solves only the hourly
+problems it touches.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcopf import OpfSolution, SeasonDispatch, solve_dcopf
+from .dcopf import OpfSolution, SeasonDispatch, dispatch_vertex, solve_dcopf
 from .kkt import (PAIR_BLOCKS, PAIR_DUALS, complementarity_pairs, kkt_residuals,
                   verify_equilibrium)
 from .milp import MilpProblem, solve_milp
@@ -453,8 +457,6 @@ def _zone_packages(
         items += [(costs.cf[e], "f", e, arr.f_cap[e]) for e in arr.node_edges[n]]
         supply = sum(cap for _, _, _, cap in items) + arr.node_floor[n]
         margin = supply - d[n]
-        if margin >= supply:
-            continue
         items.sort(key=lambda t: (t[0], t[1], t[2]))
         remaining = budget
         bought = 0.0
@@ -503,7 +505,11 @@ def greedy_attack(
     :func:`_zone_packages`) exactly.  Stage two repeatedly buys the best
     single capacity reduction, shortlisted by the current dispatch's
     capacity rents; each evaluation is one dispatch LP, warm-started from
-    the unattacked dispatch's basis.  Deterministic.
+    the unattacked dispatch's basis.  Candidates are ranked on the shed of
+    their optimal vertex (:func:`dispatch_vertex`); only the package and
+    the moves the search adopts are finished into an :class:`OpfSolution`,
+    the same one :func:`solve_dcopf` returns, and the other vertices are
+    dropped as soon as they lose.  Deterministic.
 
     ``dispatch`` is the run's :class:`SeasonDispatch` (see
     :func:`_run_dispatch`); the search opens from its unattacked dispatch.
@@ -523,12 +529,12 @@ def greedy_attack(
 
     best_pack = None
     for pzg, pzf in _zone_packages(net, demand, season, hour, costs, budget):
-        sol = solve_dcopf(net, demand, season, hour, pzg, pzf, zt, basis=basis, form=form)
-        if sol.shed_cost > current.shed_cost + 1e-9 and (
-                best_pack is None or sol.shed_cost > best_pack[2].shed_cost):
-            best_pack = (pzg, pzf, sol)
+        vx = dispatch_vertex(net, demand, season, hour, pzg, pzf, zt, basis=basis, form=form)
+        if vx.shed_cost > current.shed_cost + 1e-9 and (
+                best_pack is None or vx.shed_cost > best_pack[2].shed_cost):
+            best_pack = (pzg, pzf, vx)
     if best_pack is not None:
-        zg, zf, current = best_pack[0].copy(), best_pack[1].copy(), best_pack[2]
+        zg, zf, current = best_pack[0].copy(), best_pack[1].copy(), best_pack[2].finish()
         remaining = budget - costs.spend(zg, zf, zt)
 
     for _ in range(2 * (G + E)):
@@ -551,13 +557,14 @@ def greedy_attack(
         for _, kind, idx, amount, price in cands[:GREEDY_SHORTLIST]:
             tg, tf = zg.copy(), zf.copy()
             (tf if kind else tg)[idx] += amount
-            sol = solve_dcopf(net, demand, season, hour, tg, tf, zt, basis=basis, form=form)
-            gain = sol.shed_cost - current.shed_cost
+            vx = dispatch_vertex(net, demand, season, hour, tg, tf, zt, basis=basis, form=form)
+            gain = vx.shed_cost - current.shed_cost
             if gain > best_gain + 1e-9:
-                best_gain, best = gain, (tg, tf, sol, amount * price)
+                best_gain, best = gain, (tg, tf, vx, amount * price)
         if best is None:
             break
-        zg, zf, current, cost = best
+        zg, zf, vx, cost = best
+        current = vx.finish()
         remaining -= cost
     return zg, zf, zt, current
 
@@ -685,9 +692,11 @@ def solve_hourly_attack(
 ) -> HourlyAttack:
     """Solve the one-hour disruption problem; certify the returned point.
 
-    The branch-and-bound search starts from a greedy incumbent (and any
-    caller-provided warm plan whose spend fits the budget and attacks
-    something).  The reported equilibrium is verified against the shifted
+    The branch-and-bound search starts from the better of a greedy
+    incumbent and any caller-provided warm plan that attacks something and
+    whose spend fits the budget; the warm plan's dispatch is ranked on its
+    vertex and finished only when it sheds more than greedy's.  The
+    reported equilibrium is verified against the shifted
     bounds and the big-M max-norm test is applied post hoc, growing M on
     failure.
 
@@ -709,24 +718,20 @@ def solve_hourly_attack(
                                np.zeros(E), dispatch.base(hour), "optimal", 0,
                                bigm.m_value)
 
-    zg, zf, zt, gsol = greedy_attack(net, demand, season, hour, costs, hourly_budget,
-                                     dispatch)
-    candidates = [(zg, zf, zt, gsol)]
+    best = greedy_attack(net, demand, season, hour, costs, hourly_budget, dispatch)
     # an all-zero warm attack is the unattacked dispatch, which greedy never
-    # falls below; the stable sort would keep greedy first anyway
+    # falls below; greedy stays the candidate on a tie
     if warm is not None and any(np.any(z) for z in (warm.zg, warm.zf, warm.zt)):
         if costs.spend(warm.zg, warm.zf, warm.zt) <= hourly_budget + 1e-9:
-            candidates.append(
-                (warm.zg, warm.zf, warm.zt,
-                 solve_dcopf(net, demand, season, hour, warm.zg, warm.zf, warm.zt,
-                             basis=gsol.basis, form=dispatch.form)))
-    candidates.sort(key=lambda t: -t[3].shed_cost)
+            vx = dispatch_vertex(net, demand, season, hour, warm.zg, warm.zf, warm.zt,
+                                 basis=best[3].basis, form=dispatch.form)
+            if vx.shed_cost > best[3].shed_cost:
+                best = (warm.zg, warm.zf, warm.zt, vx.finish())
 
     if node_limit == 0:
-        return _certified_hour(dispatch, hour, costs, *candidates[0], "heuristic", 0,
-                               bigm.m_value)
+        return _certified_hour(dispatch, hour, costs, *best, "heuristic", 0, bigm.m_value)
     return _solve_certified(dispatch, [hour], costs, [hourly_budget], bigm, node_limit,
-                            candidates[:1])[0]
+                            [best])[0]
 
 
 # dense entries of A (rows x columns) above which solve_full_milp refuses to build

@@ -211,6 +211,7 @@ def cmd_verify(args) -> int:
     worst = 0.0
     dump_rows = []
     failed = None
+    unserved = {}
     for (season, hour), quantities in sorted(data.items()):
         d = profile.demand[season][hour]
         voll = profile.voll[season][hour]
@@ -219,6 +220,7 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             print(f"FAIL {exc}")
             return EXIT_SOLVER
+        unserved[season, hour] = sol.u
         z = attacks.get((season, hour), {})
         res = kkt_residuals(net, sol, z.get("zg"), z.get("zf"), z.get("zt"))
         worst = max(worst, res.overall_max())
@@ -238,6 +240,12 @@ def cmd_verify(args) -> int:
             w.writerows(dump_rows)
     if failed is not None:
         print(f"FAIL {failed[0]}/{failed[1]}: max residual {failed[2]:.3e}")
+        return EXIT_SOLVER
+    try:
+        # the headline numbers must be those of the u rows just verified
+        reporting.check_manifest_totals(soldir / "manifest.json", unserved)
+    except ValueError as exc:
+        print(f"FAIL {exc}")
         return EXIT_SOLVER
     print(f"verified {len(data)} hourly solutions, max residual {worst:.3e}")
     return EXIT_OK

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import DemandProfile, PowerNetwork
-from .simplex import LpForm, LpProblem, LpSolution, SolverNumericalError, solve_lp
+from .simplex import (LpForm, LpProblem, LpSolution, LpVertex, SolverNumericalError,
+                      finish_lp, optimize_lp, solve_lp)
 
 
 class OpfInfeasibleError(RuntimeError):
@@ -251,6 +252,32 @@ def dispatch_form(net: PowerNetwork) -> LpForm:
     return _DispatchForm(net)
 
 
+def _dispatch_lp(
+    net: PowerNetwork,
+    demand: DemandProfile,
+    season: str,
+    hour: int,
+    zg: np.ndarray | None,
+    zf: np.ndarray | None,
+    zt: np.ndarray | None,
+    form: LpForm | None,
+) -> tuple[LpProblem, LpForm]:
+    """The hourly dispatch LP over ``form``, :func:`dispatch_form` of ``net``
+    (one is built when it is None), with that form."""
+    form = form if form is not None else dispatch_form(net)
+    if not (isinstance(form, _DispatchForm) and form.net is net):
+        raise ValueError("form is not the dispatch form of this network")
+    return _hour_lp(form, demand, season, hour, zg, zf, zt), form
+
+
+def _check_status(status: str, season: str, hour: int) -> None:
+    if status == "infeasible":
+        raise OpfInfeasibleError(
+            f"dispatch infeasible at {season}/{hour} (attack exceeds capacities?)")
+    if status != "optimal":
+        raise SolverNumericalError(f"dispatch ended with status {status}")
+
+
 def solve_dcopf(
     net: PowerNetwork,
     demand: DemandProfile,
@@ -269,19 +296,65 @@ def solve_dcopf(
     the hour before; it warm-starts the LP solve.  ``form`` is
     :func:`dispatch_form` of ``net``, shared by the solves of one run;
     without it the solve builds its own.  The answer does not depend on it.
-    Raises ValueError for a form of another network.
+    Raises ValueError for a form of another network.  A caller that only
+    ranks attacks by their shed uses :func:`dispatch_vertex` instead and
+    finishes the one it keeps into this same solution.
     """
-    form = form if form is not None else dispatch_form(net)
-    if not (isinstance(form, _DispatchForm) and form.net is net):
-        raise ValueError("form is not the dispatch form of this network")
-    lp = _hour_lp(form, demand, season, hour, zg, zf, zt)
+    lp, form = _dispatch_lp(net, demand, season, hour, zg, zf, zt, form)
     sol = solve_lp(lp, basis=basis, form=form)
-    if sol.status == "infeasible":
-        raise OpfInfeasibleError(
-            f"dispatch infeasible at {season}/{hour} (attack exceeds capacities?)")
-    if sol.status != "optimal":
-        raise SolverNumericalError(f"dispatch ended with status {sol.status}")
+    _check_status(sol.status, season, hour)
     return extract_solution(net, demand, season, hour, sol)
+
+
+@dataclass
+class DispatchVertex:
+    """The optimal vertex of one hourly dispatch LP, with its shed cost.
+
+    ``shed_cost`` is ``voll @ u`` at the vertex, the same float as the
+    ``shed_cost`` of the finished solution; :meth:`finish` derives the
+    duals and returns the :class:`OpfSolution` that :func:`solve_dcopf`
+    would have returned for the same arguments, bit for bit.
+    """
+
+    net: PowerNetwork
+    demand: DemandProfile
+    season: str
+    hour: int
+    lp: LpVertex
+    shed_cost: float
+
+    def finish(self) -> OpfSolution:
+        return extract_solution(self.net, self.demand, self.season, self.hour,
+                                finish_lp(self.lp))
+
+
+def dispatch_vertex(
+    net: PowerNetwork,
+    demand: DemandProfile,
+    season: str,
+    hour: int,
+    zg: np.ndarray | None = None,
+    zf: np.ndarray | None = None,
+    zt: np.ndarray | None = None,
+    basis: np.ndarray | None = None,
+    form: LpForm | None = None,
+) -> DispatchVertex:
+    """The optimize stage of :func:`solve_dcopf`: the dispatch's vertex and
+    shed cost, without its duals.
+
+    Takes the arguments of :func:`solve_dcopf` and raises what it raises,
+    where it raises it (:class:`OpfInfeasibleError`,
+    :class:`SolverNumericalError`, ValueError).  The vertex holds its
+    simplex tableau until it is finished or dropped, so keep it no longer
+    than the search that compares it.
+    """
+    lp, form = _dispatch_lp(net, demand, season, hour, zg, zf, zt, form)
+    vertex = optimize_lp(lp, basis=basis, form=form)
+    _check_status(vertex.status, season, hour)
+    G, E, N = net.num_generators, net.num_edges, net.num_nodes
+    u = vertex.x[G + E:G + E + N]
+    return DispatchVertex(net, demand, season, hour, vertex,
+                          float(demand.voll[season][hour] @ u))
 
 
 class SeasonDispatch:

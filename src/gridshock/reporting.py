@@ -23,6 +23,7 @@ from .scenarios import ScenarioResult, SweepPoint
 
 SECTOR_TAG = "Utilities"
 ATTACK_RTOL = 1e-9  # relative tolerance of read_attack_csv's spend and capacity checks
+MANIFEST_RTOL = 1e-9  # relative tolerance of check_manifest_totals
 
 
 def fmt(x: float, digits: int = 6) -> str:
@@ -208,6 +209,50 @@ def read_heatwave_factor(path: str | Path) -> float | None:
         return None
     factor = json.loads(path.read_text()).get("heatwave_factor")
     return None if factor is None else float(factor)
+
+
+def check_manifest_totals(path: str | Path,
+                          unserved: dict[tuple[str, int], np.ndarray]) -> None:
+    """Check a run's manifest.json headline numbers against its unserved power.
+
+    ``unserved`` maps each (season, hour) of opf_solution.csv to the hour's
+    ``u`` in network node order.  ``total_unserved_mwh`` and
+    ``peak_shed_mw`` are re-derived over the manifest's season as the run
+    derived them and must match within a relative ``MANIFEST_RTOL``;
+    ``peak_hour`` must be an hour whose shed is that peak, within the same
+    tolerance.  Nothing is checked when the file is absent.  Raises
+    ValueError, its message starting with the file name, on a mismatch or
+    a missing entry.
+    """
+    path = Path(path)
+    if not path.exists():
+        return
+    manifest = json.loads(path.read_text())
+    keys = ("total_unserved_mwh", "peak_shed_mw", "peak_hour")
+    try:
+        season = manifest["season"]
+        claimed = {key: float(manifest[key]) for key in keys}
+    except KeyError as exc:
+        raise ValueError(f"{path.name}: no entry {exc}") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{path.name}: {', '.join(keys)} are not all numbers") from None
+    hours = sorted(h for s, h in unserved if s == season)
+    if not hours:
+        raise ValueError(f"{path.name}: no opf_solution.csv rows for its season {season!r}")
+    u = np.array([unserved[season, h] for h in hours])
+    hourly = u.sum(axis=1)
+    peak = float(hourly.max())
+
+    def close(a: float, b: float) -> bool:
+        return abs(a - b) <= MANIFEST_RTOL * max(abs(a), abs(b))  # NaN fails too
+    for key, value in (("total_unserved_mwh", float(u.sum())), ("peak_shed_mw", peak)):
+        if not close(claimed[key], value):
+            raise ValueError(f"{path.name}: {key} is {manifest[key]!r}, but the u rows of "
+                             f"opf_solution.csv give {value!r}")
+    hour = claimed["peak_hour"]
+    if hour not in hours or not close(float(hourly[hours.index(hour)]), peak):
+        raise ValueError(f"{path.name}: peak_hour is {manifest['peak_hour']!r}, but the u "
+                         f"rows of opf_solution.csv peak at hour {hours[int(hourly.argmax())]}")
 
 
 def read_attack_costs(path: str | Path, net: PowerNetwork) -> AttackCosts | None:

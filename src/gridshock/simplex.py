@@ -58,6 +58,16 @@ column, is the answer.  A re-solve whose starting basis stays optimal thus
 prices once and factorizes nothing, with the same solution, basis and
 iteration count as the full recheck.
 
+Two stages.  :func:`solve_lp` is :func:`optimize_lp`, which runs the
+simplex and returns the optimal vertex -- status, iterations, basis, ``x``
+and objective -- holding its final tableau, followed by :func:`finish_lp`,
+which derives the duals, reduced costs, primal residual, duality gap and
+complementarity from that tableau.  The tableau belongs to the vertex
+alone (a form's slot inverse it shares is never written), so a vertex
+finished later, after other solves over the same form, gives the same
+answer bit for bit.  A caller that compares many candidate LPs by their
+vertex finishes only the one it keeps.
+
 Dual sign convention (documented for callers):
   * minimization: row dual y_i >= 0 when the row's lower bound is active,
     y_i <= 0 when the upper bound is active; d(obj)/d(bound) = y_i.
@@ -161,6 +171,21 @@ class LpSolution:
     duality_gap: float = 0.0
     cs_residual: float = 0.0
     basis: np.ndarray | None = None  # basic column indices: a warm start
+
+
+@dataclass
+class LpVertex:
+    """What :func:`optimize_lp` found: the status and, when optimal, the
+    vertex ``x``, its objective and basis, with the final tableau that
+    :func:`finish_lp` derives the rest of the :class:`LpSolution` from."""
+
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: np.ndarray | None
+    objective: float | None
+    iterations: int = 0
+    basis: np.ndarray | None = None
+    # (problem, form, tableau, phase-2 costs) of an optimal vertex
+    _state: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def dump_lp(problem: LpProblem) -> str:
@@ -742,23 +767,13 @@ def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.nda
     raise last_exc
 
 
-def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
-             form: LpForm | None = None) -> LpSolution:
-    """Solve an LP; optimal solutions carry duals, reduced costs, residuals
-    and their basis.
+def optimize_lp(problem: LpProblem, basis: np.ndarray | None = None,
+                form: LpForm | None = None) -> LpVertex:
+    """The optimize stage of :func:`solve_lp`: its vertex, without the duals.
 
-    ``basis``, taken from an earlier solve of a problem with the same
-    ``A`` (and usually the same ``c``), warm-starts a bounded dual simplex
-    (see the module docstring); without one, or when it cannot be used,
-    the cold two-phase primal simplex runs.  ``form`` is an
-    :class:`LpForm` built from ``problem.A``, shared by the LPs over that
-    matrix; without one, the solve builds its own.  Either way the answer is the same, bit for bit.
-    Deterministic for a fixed BLAS thread count: identical inputs, basis
-    included, yield bit-identical outputs, but a different thread count can
-    change rounding, pivots and the vertex (``OPENBLAS_NUM_THREADS=1`` gives
-    reproducible B&B trees).  Raises :class:`SolverNumericalError` on
-    iteration caps or singular bases, and ValueError for a form built from
-    another matrix.
+    Takes the same arguments, runs the same warm or cold simplex, and
+    raises the same errors; :func:`finish_lp` turns the vertex into the
+    :class:`LpSolution` that :func:`solve_lp` returns.
     """
     if form is not None and form.A is not problem.A:
         raise ValueError("form was built from another constraint matrix")
@@ -767,14 +782,13 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
     c_user = problem.c
 
     if m == 0:
-        # pure bound problem: minimize each cost term independently; with no
-        # rows to price, every reduced cost is the cost itself
+        # pure bound problem: minimize each cost term independently
         lb, ub = problem.lb, problem.ub
         x = np.where(sign * c_user > 0, lb, np.where(
             sign * c_user < 0, ub, _nonbasic_values(_initial_status(lb, ub), lb, ub)))
         if not np.isfinite(x).all():
-            return LpSolution("unbounded", None, None, None, None)
-        return LpSolution("optimal", x, np.zeros(0), c_user.copy(), float(c_user @ x))
+            return LpVertex("unbounded", None, None)
+        return LpVertex("optimal", x, float(c_user @ x), _state=(problem, None, None, None))
 
     # equilibrate: scaled vars x' = x / C, scaled rows R * A * C, and the
     # standard form [A_sc | -I][x; t] = 0 with t the row activity
@@ -798,22 +812,42 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
     else:
         tab, c2, status2, iters = _cold_solve(form.A_std, lb, ub, c_int, max_iter)
 
-    if status2 == "infeasible":
-        return LpSolution("infeasible", None, None, None, None, iterations=iters)
-    if status2 == "unbounded":
-        return LpSolution("unbounded", None, None, None, None, iterations=iters)
+    if status2 != "optimal":
+        return LpVertex(status2, None, None, iterations=iters)
+    x = C * tab.full_x()[:n]  # back to the caller's variable scale
+    out_basis = None
+    if (tab.basis < ncols).all():  # no phase-1 artificial left basic
+        out_basis = tab.basis.astype(np.int32)
+    return LpVertex("optimal", x, float(c_user @ x), iters, out_basis,
+                    _state=(problem, form, tab, c2))
 
-    # both paths end on the fresh factorization of the optimality recheck
-    xfull = tab.full_x()
-    x = C * xfull[:n]  # back to the caller's variable scale
+
+def finish_lp(vertex: LpVertex) -> LpSolution:
+    """The finish stage of :func:`solve_lp`: duals, reduced costs, the primal
+    residual, the duality gap and complementarity of ``vertex``.
+
+    Reads only what the vertex holds, so the answer is the same whenever
+    the vertex is finished, after any other solve over its form.
+    """
+    if vertex.status != "optimal":
+        return LpSolution(vertex.status, None, None, None, None,
+                          iterations=vertex.iterations)
+    problem, form, tab, c2 = vertex._state
+    c_user, x, obj = problem.c, vertex.x, vertex.objective
+    if tab is None:
+        # no rows to price: every reduced cost is the cost itself
+        return LpSolution("optimal", x, np.zeros(0), c_user.copy(), obj)
+    n = problem.num_cols
+    sign = 1.0 if problem.sense == "min" else -1.0
+
+    # the tableau ends on the fresh factorization of the optimality recheck
     y_int = tab.binv.T @ c2[tab.basis]
-    y_rows = R * y_int[:m]
+    y_rows = form.R * y_int[:problem.num_rows]
     # duals of the original rows: rc of activity var t_i is +y_i (scaled back)
     rc_int = sign * c_user - problem.A.T @ y_rows
     y_user = sign * y_rows
     rc_user = sign * rc_int
 
-    obj = float(c_user @ x)
     act = problem.A @ x
     # the columns, then the rows: multiplier, bounds and value
     mult = np.concatenate([rc_int, y_rows])
@@ -838,18 +872,40 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
     dual_obj = 0.0 + float(terms[:k].sum()) + float(terms[k:].sum())
     gap = abs(sign * obj - dual_obj) / max(1.0, abs(obj))
 
-    out_basis = None
-    if (tab.basis < ncols).all():  # no phase-1 artificial left basic
-        out_basis = tab.basis.astype(np.int32)
     return LpSolution(
         status="optimal",
         x=x,
         duals=y_user,
         reduced_costs=rc_user,
         objective=obj,
-        iterations=iters,
+        iterations=vertex.iterations,
         max_primal_residual=primal_res,
         duality_gap=gap,
         cs_residual=cs,
-        basis=out_basis,
+        basis=vertex.basis,
     )
+
+
+def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
+             form: LpForm | None = None) -> LpSolution:
+    """Solve an LP; optimal solutions carry duals, reduced costs, residuals
+    and their basis.
+
+    ``basis``, taken from an earlier solve of a problem with the same
+    ``A`` (and usually the same ``c``), warm-starts a bounded dual simplex
+    (see the module docstring); without one, or when it cannot be used,
+    the cold two-phase primal simplex runs.  ``form`` is an
+    :class:`LpForm` built from ``problem.A``, shared by the LPs over that
+    matrix; without one, the solve builds its own.  Either way the answer is the same, bit for bit.
+    Deterministic for a fixed BLAS thread count: identical inputs, basis
+    included, yield bit-identical outputs, but a different thread count can
+    change rounding, pivots and the vertex (``OPENBLAS_NUM_THREADS=1`` gives
+    reproducible B&B trees).  Raises :class:`SolverNumericalError` on
+    iteration caps or singular bases, and ValueError for a form built from
+    another matrix.
+
+    The two stages, :func:`optimize_lp` and :func:`finish_lp`, run in
+    sequence; a caller that ranks many LPs by their vertex alone runs the
+    first on each and the second only on the ones it keeps.
+    """
+    return finish_lp(optimize_lp(problem, basis, form))

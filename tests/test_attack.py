@@ -529,3 +529,143 @@ def test_zone_packages_and_max_norm_match_their_references(bundled_net, bundled_
         opf = solve_dcopf(bundled_net, heated, "summer", hour, *zs)
         opf = replace(opf, delta=float(rng.normal(0, 1e4)))
         assert attack_mod._max_norm(*zs, opf) == _reference_max_norm(*zs, opf)
+
+
+# -- greedy candidates ranked on their vertex -----------------------------
+
+def _reference_greedy(net, demand, season, hour, costs, budget, dispatch):
+    """The greedy as it was when every candidate was finished by solve_dcopf;
+    also returns how many candidates it adopted (package and moves)."""
+    form = dispatch.form
+    G, E = net.num_generators, net.num_edges
+    g_lo, g_up = net.gen_limits()
+    kill_room = g_up - g_lo
+    f_cap = net.flow_limits()
+    zg, zf, zt = np.zeros(G), np.zeros(E), np.zeros(E)
+    remaining = budget
+    current = dispatch.base(hour)
+    basis = current.basis
+    adopted = 0
+    best_pack = None
+    for pzg, pzf in attack_mod._zone_packages(net, demand, season, hour, costs, budget):
+        sol = solve_dcopf(net, demand, season, hour, pzg, pzf, zt, basis=basis, form=form)
+        if sol.shed_cost > current.shed_cost + 1e-9 and (
+                best_pack is None or sol.shed_cost > best_pack[2].shed_cost):
+            best_pack = (pzg, pzf, sol)
+    if best_pack is not None:
+        zg, zf, current = best_pack[0].copy(), best_pack[1].copy(), best_pack[2]
+        remaining = budget - costs.spend(zg, zf, zt)
+        adopted += 1
+    for _ in range(2 * (G + E)):
+        if remaining <= 1e-9:
+            break
+        cands = []
+        for kind, room, prices, rents in (
+                (0, kill_room - zg, costs.cg, current.rho_g_up),
+                (1, f_cap - zf, costs.cf, np.maximum(current.rho_f_up, current.rho_f_lo))):
+            for i, price in enumerate(prices):
+                amount = min(room[i], remaining / price)
+                if amount > 1e-9:
+                    cands.append(((rents[i] + 1e-12) / price, kind, i, amount, price))
+        if not cands:
+            break
+        cands.sort(key=lambda t: (-t[0], t[1], t[2]))
+        best_gain, best = 0.0, None
+        for _, kind, idx, amount, price in cands[:attack_mod.GREEDY_SHORTLIST]:
+            tg, tf = zg.copy(), zf.copy()
+            (tf if kind else tg)[idx] += amount
+            sol = solve_dcopf(net, demand, season, hour, tg, tf, zt, basis=basis, form=form)
+            gain = sol.shed_cost - current.shed_cost
+            if gain > best_gain + 1e-9:
+                best_gain, best = gain, (tg, tf, sol, amount * price)
+        if best is None:
+            break
+        zg, zf, current, cost = best
+        remaining -= cost
+        adopted += 1
+    return zg, zf, zt, current, adopted
+
+
+def _assert_bitwise_opf(a, b):
+    for fld in fields(OpfSolution):
+        x, y = getattr(a, fld.name), getattr(b, fld.name)
+        if x is None or y is None:
+            assert x is None and y is None, fld.name
+            continue
+        x, y = np.asarray(x), np.asarray(y)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), fld.name
+
+
+GREEDY_HOURS = (13, 16, 17, 18, 19)  # heated hours where attacks shed
+# (budget, wire/generator price ratio); cheap wires make the greedy adopt a
+# move after its package at hours 16 and 17
+GREEDY_CASES = [(3.125, 5.0), (12.5, 5.0), (287.5, 5.0), (300.0, 5.0), (287.5, 0.2),
+                (300.0, 0.2)]
+
+
+@pytest.fixture(scope="module")
+def heated(bundled_demand):
+    return apply_heatwave(bundled_demand, 1.09)
+
+
+@pytest.mark.parametrize("budget, cost_ratio", GREEDY_CASES)
+def test_greedy_matches_the_greedy_that_finishes_every_candidate(bundled_net, heated,
+                                                                 budget, cost_ratio):
+    net = bundled_net
+    costs = default_costs(net, budget, cost_ratio)
+    dispatch = SeasonDispatch(net, heated, "summer", GREEDY_HOURS)
+    for hour in GREEDY_HOURS:
+        got = greedy_attack(net, heated, "summer", hour, costs, budget, dispatch)
+        want = _reference_greedy(net, heated, "summer", hour, costs, budget, dispatch)
+        for z, rz in zip(got[:3], want[:3]):
+            assert (z.dtype, z.tobytes()) == (rz.dtype, rz.tobytes())
+        _assert_bitwise_opf(got[3], want[3])
+
+
+@pytest.mark.parametrize("budget, cost_ratio", GREEDY_CASES)
+def test_greedy_finishes_only_what_it_adopts(bundled_net, heated, budget, cost_ratio,
+                                            monkeypatch):
+    """One finished dispatch per adopted package or move; every other
+    candidate is ranked on its vertex alone, and no vertex outlives the
+    greedy call that made it."""
+    net = bundled_net
+    costs = default_costs(net, budget, cost_ratio)
+    dispatch = SeasonDispatch(net, heated, "summer", GREEDY_HOURS)
+    adopted = {hour: _reference_greedy(net, heated, "summer", hour, costs, budget,
+                                       dispatch)[4] for hour in GREEDY_HOURS}
+    if cost_ratio < 1.0:
+        assert max(adopted.values()) == 2  # a package and a move
+    real = dcopf_mod.extract_solution
+    finished = Counter()
+
+    def counting(net, demand, season, hour, lp_sol):
+        finished[hour] += 1
+        return real(net, demand, season, hour, lp_sol)
+    monkeypatch.setattr(dcopf_mod, "extract_solution", counting)
+    vertices = []
+
+    def tracked(*args, **kwargs):
+        vertex = real_vertex(*args, **kwargs)
+        vertices.append(weakref.ref(vertex))
+        return vertex
+    real_vertex = attack_mod.dispatch_vertex
+    monkeypatch.setattr(attack_mod, "dispatch_vertex", tracked)
+    for hour in GREEDY_HOURS:
+        greedy_attack(net, heated, "summer", hour, costs, budget, dispatch)
+        assert finished[hour] == adopted[hour], hour
+    assert vertices and all(ref() is None for ref in vertices)
+
+
+def test_greedy_raises_on_an_infeasible_candidate():
+    """A must-run unit exporting at the line limit: the line cut the greedy
+    evaluates leaves it more output than the node can take or send, and the
+    dispatch error leaves greedy_attack as it did when candidates were
+    finished."""
+    net = two_bus(fbar=50.0)
+    gens = (net.generators[0], replace(net.generators[1], g_min=60.0))
+    net = replace(net, generators=gens)
+    prof = profile_for(net, [[80.0, 10.0]])
+    costs = uniform_costs(net, 10.0, wire=1.0)
+    assert solve_dcopf(net, prof, "summer", 0).f[0] == pytest.approx(-50.0)  # n2 to n1
+    with pytest.raises(dcopf_mod.OpfInfeasibleError, match="summer/0"):
+        greedy_attack(net, prof, "summer", 0, costs, 10.0)

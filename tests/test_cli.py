@@ -272,3 +272,43 @@ def test_sweep_beta_subcommand(files):
                "--config", str(cfg2), "--out", str(tmp / "sw")])
     assert rc == 0
     assert (tmp / "sw" / "sweep_summary.csv").exists()
+
+
+@pytest.mark.parametrize("key, change, message", [
+    ("total_unserved_mwh", lambda v: 10 * v, "total_unserved_mwh is "),
+    ("peak_shed_mw", lambda v: v * (1 + 1e-8), "peak_shed_mw is "),
+    ("peak_hour", lambda v: v - 1, "peak_hour is "),
+    ("peak_hour", None, "no entry 'peak_hour'"),
+    ("peak_shed_mw", lambda v: None, "are not all numbers"),
+], ids=["total", "peak_shed", "peak_hour", "missing", "not_a_number"])
+def test_verify_rejects_manifest_totals_the_rows_do_not_give(cyber_run, tmp_path, capsys,
+                                                             key, change, message):
+    run = tmp_path / "run"
+    shutil.copytree(cyber_run, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["total_unserved_mwh"] > 0 and manifest["peak_hour"] == 17
+    if change is None:
+        del manifest[key]
+    else:
+        manifest[key] = change(manifest[key])
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL manifest.json: ") and message in out
+
+
+def test_verify_checks_a_beta_sweep_steps_manifest(tmp_path, capsys):
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text(bundled_path("cyberattack.cfg").read_text()
+                   .replace("beta_iterations = 6", "beta_iterations = 2"))
+    assert main(["sweep-beta", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
+    for kind in ("cyberattack", "compound"):
+        step = tmp_path / "sw" / "iter2" / kind
+        assert main(["verify", "--solution", str(step)]) == 0
+        manifest = json.loads((step / "manifest.json").read_text())
+        manifest["total_unserved_mwh"] *= 10
+        (step / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["verify", "--solution", str(step)]) == 2
+        assert capsys.readouterr().out.startswith("FAIL manifest.json: total_unserved_mwh")

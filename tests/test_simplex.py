@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from gridshock import simplex
 from gridshock.dcopf import build_dcopf
 from gridshock.network import apply_heatwave
-from gridshock.simplex import LpForm, LpProblem, dump_lp, solve_lp
+from gridshock.simplex import (LpForm, LpProblem, LpSolution, dump_lp, finish_lp,
+                               optimize_lp, solve_lp)
 
 INF = np.inf
 
@@ -379,3 +382,57 @@ def test_form_must_be_built_from_the_problems_matrix():
     for _ in range(2):  # a miss fills the slot, then a hit
         _identical(solve_lp(child, basis=parent.basis, form=form),
                    solve_lp(child, basis=parent.basis))
+
+
+# -- the two stages of solve_lp --------------------------------------------
+
+def _bitwise(a, b):
+    """Every LpSolution field equal, bit for bit (dtype and -0.0 included)."""
+    for f in fields(LpSolution):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x is None or y is None:
+            assert x is None and y is None, f.name
+            continue
+        x, y = np.asarray(x), np.asarray(y)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_finished_vertex_is_solve_lp_bit_for_bit(seed):
+    """optimize_lp then finish_lp is solve_lp, cold and warm, on a shared form
+    and without one, even when the vertex is finished only after later
+    solves have replaced the form's slot."""
+    rng = np.random.default_rng(seed)
+    p = _random_lp(rng)
+    form = LpForm(p.A)
+    vertices = [(optimize_lp(p, form=form), solve_lp(p))]
+    parent = solve_lp(p)
+    if parent.status == "optimal" and parent.basis is not None:
+        for _ in range(2):  # the first warm start fills the slot, the second reads it
+            child = _tightened(p, rng)
+            vertices.append((optimize_lp(child, basis=parent.basis, form=form),
+                             solve_lp(child, basis=parent.basis)))
+        assert np.array_equal(form._basis, parent.basis)
+    # a warm start from the slack basis factorizes it into the slot, whether
+    # or not that basis is dual feasible
+    m, n = p.A.shape
+    slack = np.arange(n, n + m)
+    solve_lp(_tightened(p, rng), basis=slack, form=form)
+    assert np.array_equal(form._basis, slack)
+    for vertex, want in vertices:
+        got = finish_lp(vertex)
+        _bitwise(got, want)
+        assert got.x is vertex.x and got.basis is vertex.basis
+        assert (got.status, got.objective, got.iterations) == \
+            (vertex.status, vertex.objective, vertex.iterations)
+
+
+@pytest.mark.parametrize("sense, c, status", [
+    ("min", [1.0, -2.0], "optimal"), ("max", [0.0, 3.0], "optimal"),
+    ("min", [-1.0, 0.0], "unbounded")])
+def test_finished_vertex_without_rows(sense, c, status):
+    p = LpProblem(sense, c, np.zeros((0, 2)), [], [], [0.0, -1.0], [INF, 4.0])
+    vertex = optimize_lp(p)
+    assert vertex.status == status
+    _bitwise(finish_lp(vertex), solve_lp(p))
