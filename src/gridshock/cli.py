@@ -242,8 +242,9 @@ def cmd_verify(args) -> int:
         print(f"FAIL {failed[0]}/{failed[1]}: max residual {failed[2]:.3e}")
         return EXIT_SOLVER
     try:
-        # the headline numbers must be those of the u rows just verified
-        reporting.check_manifest_totals(soldir / "manifest.json", unserved)
+        # the headline numbers and the shock file must be those of the u
+        # rows just verified
+        reporting.check_run_totals(soldir, unserved, profile, net)
     except ValueError as exc:
         print(f"FAIL {exc}")
         return EXIT_SOLVER

@@ -1,4 +1,4 @@
-"""Branch-and-bound MILP solver over the dense LP core.
+"""Branch-and-bound MILP solver over the LP core.
 
 Binary variables only (bounds restricted to [0, 1]).  Search is
 deterministic: most-fractional branching with lowest-index tie-breaking,

@@ -18,12 +18,12 @@ import numpy as np
 
 from .attack import AttackCosts, attack_rows
 from .dcopf import OPF_ARRAYS, OpfSolution, solution_rows
-from .network import PowerNetwork
-from .scenarios import ScenarioResult, SweepPoint
+from .network import DemandProfile, PowerNetwork
+from .scenarios import ScenarioResult, SweepPoint, percent_unserved, shed_metrics
 
 SECTOR_TAG = "Utilities"
 ATTACK_RTOL = 1e-9  # relative tolerance of read_attack_csv's spend and capacity checks
-MANIFEST_RTOL = 1e-9  # relative tolerance of check_manifest_totals
+MANIFEST_RTOL = 1e-9  # relative tolerance of check_run_totals
 
 
 def fmt(x: float, digits: int = 6) -> str:
@@ -211,24 +211,30 @@ def read_heatwave_factor(path: str | Path) -> float | None:
     return None if factor is None else float(factor)
 
 
-def check_manifest_totals(path: str | Path,
-                          unserved: dict[tuple[str, int], np.ndarray]) -> None:
-    """Check a run's manifest.json headline numbers against its unserved power.
+def check_run_totals(soldir: str | Path, unserved: dict[tuple[str, int], np.ndarray],
+                     profile: DemandProfile, net: PowerNetwork) -> None:
+    """Check a run's manifest.json headline numbers and its shock.csv
+    against its unserved power and demand.
 
     ``unserved`` maps each (season, hour) of opf_solution.csv to the hour's
-    ``u`` in network node order.  ``total_unserved_mwh`` and
-    ``peak_shed_mw`` are re-derived over the manifest's season as the run
-    derived them and must match within a relative ``MANIFEST_RTOL``;
-    ``peak_hour`` must be an hour whose shed is that peak, within the same
-    tolerance.  Nothing is checked when the file is absent.  Raises
-    ValueError, its message starting with the file name, on a mismatch or
-    a missing entry.
+    ``u`` in network node order, and ``profile`` is the demand the run
+    dispatched.  Over the manifest's season, :func:`scenarios.shed_metrics`
+    re-derives the numbers as the run derived them.  ``total_unserved_mwh``,
+    ``peak_shed_mw``, ``percent_unserved`` and each region's shock.csv
+    ``percent_reduction`` must match within a relative ``MANIFEST_RTOL``
+    and ``customers_affected`` exactly; ``peak_hour`` must be an hour whose
+    shed is that peak, within the same tolerance, and shock.csv must have
+    one ``Utilities`` row per network node.  Nothing is checked when
+    manifest.json is absent, and shock.csv only when it is present or the
+    manifest lists it.  Raises ValueError, its message starting with the
+    file name, on a mismatch or a missing entry.
     """
-    path = Path(path)
+    path = Path(soldir) / "manifest.json"
     if not path.exists():
         return
     manifest = json.loads(path.read_text())
-    keys = ("total_unserved_mwh", "peak_shed_mw", "peak_hour")
+    keys = ("total_unserved_mwh", "peak_shed_mw", "peak_hour", "percent_unserved",
+            "customers_affected")
     try:
         season = manifest["season"]
         claimed = {key: float(manifest[key]) for key in keys}
@@ -240,19 +246,51 @@ def check_manifest_totals(path: str | Path,
     if not hours:
         raise ValueError(f"{path.name}: no opf_solution.csv rows for its season {season!r}")
     u = np.array([unserved[season, h] for h in hours])
+    derived = shed_metrics(u, np.asarray(profile.demand[season])[hours], net.total_customers)
+    derived["percent_unserved"] = percent_unserved(derived["total_unserved_mwh"],
+                                                   derived["demand_energy_mwh"])
     hourly = u.sum(axis=1)
-    peak = float(hourly.max())
+    peak = derived["peak_shed_mw"]
 
     def close(a: float, b: float) -> bool:
         return abs(a - b) <= MANIFEST_RTOL * max(abs(a), abs(b))  # NaN fails too
-    for key, value in (("total_unserved_mwh", float(u.sum())), ("peak_shed_mw", peak)):
-        if not close(claimed[key], value):
+    matches = {key: close(claimed[key], derived[key])
+               for key in ("total_unserved_mwh", "peak_shed_mw", "percent_unserved")}
+    matches["customers_affected"] = claimed["customers_affected"] == derived["customers_affected"]
+    for key, ok in matches.items():
+        if not ok:
             raise ValueError(f"{path.name}: {key} is {manifest[key]!r}, but the u rows of "
-                             f"opf_solution.csv give {value!r}")
+                             f"opf_solution.csv give {derived[key]!r}")
     hour = claimed["peak_hour"]
     if hour not in hours or not close(float(hourly[hours.index(hour)]), peak):
         raise ValueError(f"{path.name}: peak_hour is {manifest['peak_hour']!r}, but the u "
                          f"rows of opf_solution.csv peak at hour {hours[int(hourly.argmax())]}")
+
+    shock = Path(soldir) / "shock.csv"
+    if not shock.exists():
+        if "shock.csv" in manifest.get("files", {}):
+            raise ValueError(f"{shock.name}: listed in {path.name} but missing")
+        return
+    want = dict(zip((nd.id for nd in net.nodes), derived["shock_percent"].tolist()))
+    with open(shock, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    regions = [row.get("region") for row in rows]
+    if sorted(regions, key=str) != sorted(want):
+        raise ValueError(f"{shock.name}: regions {regions} are not the network's nodes "
+                         f"{sorted(want)}, one row each")
+    for row in rows:
+        region, text = row["region"], row.get("percent_reduction")
+        try:
+            value = float(text)
+        except (TypeError, ValueError):
+            raise ValueError(f"{shock.name}: percent_reduction of {region} is "
+                             f"{text!r}, not a number") from None
+        if row.get("sector") != SECTOR_TAG:
+            raise ValueError(f"{shock.name}: sector of {region} is {row.get('sector')!r}, "
+                             f"not {SECTOR_TAG!r}")
+        if not close(value, want[region]):
+            raise ValueError(f"{shock.name}: percent_reduction of {region} is {text}, "
+                             f"but the u rows of opf_solution.csv give {want[region]!r}")
 
 
 def read_attack_costs(path: str | Path, net: PowerNetwork) -> AttackCosts | None:

@@ -1,4 +1,4 @@
-"""Dense bounded-variable revised simplex solver with dual extraction.
+"""Bounded-variable revised simplex solver with dual extraction.
 
 Solves  min/max  c.x  subject to  row_lb <= A x <= row_ub,  lb <= x <= ub.
 Rows with row_lb == row_ub are equalities; infinite bounds are allowed on
@@ -15,6 +15,21 @@ is deterministic (Dantzig pricing with lowest-index tie-breaking, Bland's
 rule fallback after a degenerate stall).  The ratio test's tolerance band
 can leave a basic value past its bounds; when the optimal basis of phase 2
 does, the bounded dual simplex below removes that before the answer stands.
+
+Sparse products, dense inverse.  The standard form ``A_std`` is held in
+compressed-column form, and every product with it runs over its nonzeros:
+the entering column ``B^-1 a_q`` gathers only the columns of the inverse
+where ``a_q`` is nonzero, pricing forms ``y`` from the rows of the inverse
+with a nonzero basic cost and ``c - A^T y`` as a segment sum, and the dual
+simplex row and the basic values are segment sums too.  The basis inverse
+stays a dense array.  An eta update changes only the entries in a row
+where eta is nonzero and a column where the pivot row is; it updates just
+those unless they cover a large share of the inverse, when the dense
+update costs less.  A refactorization inverts the dense block of the basis
+that the basic row activities leave (see :meth:`_Tableau.refactorize`).
+A form small enough that numpy's fixed cost per indexed product outweighs
+the dense arithmetic (the 16-zone dispatch LP's 51 x 120 entries) keeps
+its dense array as well and multiplies with that.
 
 Warm start.  An optimal solve returns its basis: the m basic column
 indices of the standard form in basis order, as an int32 array
@@ -92,6 +107,16 @@ _REFACTOR_EVERY = 64
 _STALL_LIMIT = 200
 _VERIFY_ROUNDS = 6
 _DUAL_FEAS_TOL = 1e-9  # relative primal infeasibility the dual phase removes
+# the eta update touches only its nonzero pattern when that costs less than
+# the dense update of all m^2 entries: an indexed entry costs about 8 dense
+# ones, plus a fixed cost of about 4096 for the index arithmetic
+_SPARSE_ETA_COST = 8
+_SPARSE_ETA_OVERHEAD = 4096
+# a standard form with at most this many entries multiplies densely: at the
+# 16-zone dispatch LP's 51 x 120 a dense product is faster than the index
+# arithmetic of a sparse one; at the hour-17 attack MILP's 390 x 827 (0.5%
+# nonzero) the sparse one is faster by a factor of 3 to 13
+_DENSE_MAX_ENTRIES = 16384
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -271,6 +296,66 @@ def _in_band(ratios: np.ndarray) -> np.ndarray:
     return (ratios <= step + 1e-9 * (1.0 + abs(step))).nonzero()[0]
 
 
+class _Csc:
+    """A matrix in compressed-column form, built with vectorized numpy.
+
+    The nonzeros of column j are ``rows[ptr[j]:ptr[j + 1]]`` with values
+    ``vals[ptr[j]:ptr[j + 1]]``; ``cols`` holds each nonzero's column, so
+    the products with the matrix are segment sums over the nonzeros.  A
+    matrix of at most ``_DENSE_MAX_ENTRIES`` entries also keeps its dense
+    array ``full`` and multiplies with that: at that size a dense product
+    costs less than the index arithmetic of a sparse one.
+    """
+
+    def __init__(self, ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray, m: int):
+        self.ptr, self.rows, self.vals = ptr, rows, vals
+        self.shape = (m, ptr.size - 1)
+        self.cols = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+        self.full = None
+        if m * (ptr.size - 1) <= _DENSE_MAX_ENTRIES:
+            self.full = np.zeros(self.shape)
+            self.full[rows, self.cols] = vals
+
+    @classmethod
+    def standard_form(cls, A_sc: np.ndarray) -> _Csc:
+        """``[A_sc | -I]``: the columns of ``A_sc``, then one -e_i per row."""
+        m, n = A_sc.shape
+        cols, rows = np.nonzero(A_sc.T)  # column-major order
+        counts = np.concatenate([np.bincount(cols, minlength=n), np.ones(m, dtype=np.intp)])
+        ptr = np.zeros(n + m + 1, dtype=np.intp)
+        np.cumsum(counts, out=ptr[1:])
+        return cls(ptr, np.concatenate([rows, np.arange(m)]),
+                   np.concatenate([A_sc.T[cols, rows], np.full(m, -1.0)]), m)
+
+    def with_unit_columns(self, rows: np.ndarray, signs: np.ndarray) -> _Csc:
+        """This matrix with the columns ``signs[k] * e_{rows[k]}`` appended."""
+        ptr = np.concatenate([self.ptr, self.ptr[-1] + np.arange(1, rows.size + 1)])
+        return _Csc(ptr, np.concatenate([self.rows, rows]),
+                    np.concatenate([self.vals, signs]), self.shape[0])
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x``."""
+        if self.full is not None:
+            return self.full @ x
+        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        """``A.T @ y``."""
+        if self.full is not None:
+            return y @ self.full
+        return np.bincount(self.cols, weights=self.vals * y[self.rows], minlength=self.shape[1])
+
+    def dense_columns(self, cols: np.ndarray) -> np.ndarray:
+        """``A[:, cols]`` as a dense array."""
+        starts = self.ptr[cols]
+        counts = self.ptr[cols + 1] - starts
+        owner = np.repeat(np.arange(cols.size), counts)
+        nz = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        out = np.zeros((self.shape[0], cols.size))
+        out[self.rows[nz], owner] = self.vals[nz]
+        return out
+
+
 class _Tableau:
     """Working state for one simplex run on the standard bounded form.
 
@@ -280,7 +365,7 @@ class _Tableau:
     no pivot and no bound flip happened since.
     """
 
-    def __init__(self, A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, n: int):
+    def __init__(self, A_std: _Csc, lb: np.ndarray, ub: np.ndarray, n: int):
         self.A = A_std
         self.n = n
         self.m, self.ncols = A_std.shape
@@ -310,8 +395,8 @@ class _Tableau:
         # A basic row activity is a column -e_i, fixed by row i once the
         # other basic values are known; so B x = b needs only the block A11
         # of the other basic columns S on the rows R without a basic
-        # activity:  x_S = A11^-1 b_R  and  x_T = A21 x_S - b_T.  One solve
-        # with A11^T gives both A11^-1 and A21 A11^-1.
+        # activity:  x_S = A11^-1 b_R  and  x_T = A21 x_S - b_T.  The
+        # inverse of B holds A11^-1 and A21 A11^-1.
         basis = self.basis
         is_act = (basis >= self.n) & (basis < self.n + self.m)
         S = np.flatnonzero(~is_act)
@@ -320,15 +405,16 @@ class _Tableau:
         uncovered = np.ones(self.m, dtype=bool)
         uncovered[rows_T] = False
         rows_R = np.flatnonzero(uncovered)
-        cols_S = basis[S]
-        rhs = np.hstack([np.eye(S.size), self.A[np.ix_(rows_T, cols_S)].T])
+        B_S = self.A.dense_columns(basis[S])
         try:
-            blocks = np.linalg.solve(self.A[np.ix_(rows_R, cols_S)].T, rhs).T
+            inv11 = np.linalg.inv(B_S[rows_R])
         except np.linalg.LinAlgError as exc:
             raise SolverNumericalError("singular basis during refactorization") from exc
+        cols_R = np.empty((self.m, S.size))  # the columns rows_R of the inverse
+        cols_R[S] = inv11
+        cols_R[T] = B_S[rows_T] @ inv11
         binv = np.zeros((self.m, self.m))
-        binv[np.ix_(S, rows_R)] = blocks[:S.size]
-        binv[np.ix_(T, rows_R)] = blocks[S.size:]
+        binv[:, rows_R] = cols_R
         binv[T, rows_T] = -1.0
         self.use_inverse(binv)
         self.recompute_basic_values()
@@ -343,11 +429,24 @@ class _Tableau:
     def recompute_basic_values(self):
         """Basic values from scratch: A_N x_N + B x_B = 0."""
         x = _nonbasic_values(self.status, self.lb, self.ub)  # 0 at the basic columns
-        self.xB = self.binv @ (self.A @ -x)
+        self.xB = self.binv @ -self.A.dot(x)
+
+    def entering_column(self, q: int) -> np.ndarray:
+        """w = B^-1 a_q, from the columns of the inverse where a_q is nonzero."""
+        A = self.A
+        if A.full is not None:
+            return self.binv @ A.full[:, q]
+        lo, hi = A.ptr[q], A.ptr[q + 1]
+        return self.binv[:, A.rows[lo:hi]] @ A.vals[lo:hi]
 
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        y = self.binv.T @ c[self.basis]
-        return c - self.A.T @ y
+        c_B = c[self.basis]
+        if self.A.full is not None:
+            y = c_B @ self.binv  # a small inverse: gathering rows costs more
+        else:
+            nz = c_B.nonzero()[0]  # a zero basic cost adds nothing to y
+            y = c_B[nz] @ self.binv[nz]
+        return c - self.A.tdot(y)
 
     def pivot(self, pos: int, q: int, enter_val: float, leave_status: int,
               w: np.ndarray, refactor_every: int):
@@ -362,7 +461,10 @@ class _Tableau:
     def eta_update(self, w: np.ndarray, pos: int, refactor_every: int):
         """Replace basis column ``pos`` in the inverse given w = B^-1 a_q.
 
-        A relatively small pivot is tolerated for one step but forces an
+        Only the entries in a row where eta is nonzero and a column where
+        row ``pos`` of the inverse is nonzero change; the update touches
+        just those unless they make a large share of the matrix.  A
+        relatively small pivot is tolerated for one step but forces an
         immediate refactorization.
         """
         piv = w[pos]
@@ -374,7 +476,14 @@ class _Tableau:
         if not self.binv.flags.writeable:
             self.binv = self.binv.copy()  # the inverse is a form's slot
         row = self.binv[pos, :].copy()
-        self.binv += eta[:, None] * row
+        dense = True
+        if self.m * self.m > _SPARSE_ETA_OVERHEAD:
+            I, J = eta.nonzero()[0], row.nonzero()[0]
+            dense = _SPARSE_ETA_COST * I.size * J.size + _SPARSE_ETA_OVERHEAD >= self.m * self.m
+        if dense:
+            self.binv += eta[:, None] * row
+        else:
+            self.binv[np.ix_(I, J)] += np.multiply.outer(eta[I], row[J])
         self.binv[pos, :] = row / piv
         self.pivots_since_refactor += 1
         self.fresh = False
@@ -416,7 +525,7 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
         direction = 1.0 if (tab.status[q] == _AT_LOWER or
                             (tab.status[q] == _AT_ZERO and rc[q] < 0.0)) else -1.0
 
-        w = tab.binv @ tab.A[:, q]
+        w = tab.entering_column(q)
         d = -direction * w  # basic variables move by d * step
 
         # ratio test: pivot on the largest direction component in the band
@@ -489,7 +598,7 @@ class LpForm:
     """The scaled standard form of one constraint matrix, for every LP over it.
 
     Holds the equilibration factors ``R``, ``C`` of ``A`` and the standard
-    form ``A_std = [R A C | -I]``, built once, plus a single slot with the
+    form ``A_std = [R A C | -I]`` in compressed-column form, built once, plus a single slot with the
     basis inverse of the last warm-start basis factorized over it (see the
     module docstring).  :func:`solve_lp` takes it only for a problem whose
     ``A`` is this very array, so build it from ``problem.A`` and share that
@@ -499,8 +608,7 @@ class LpForm:
     def __init__(self, A: np.ndarray):
         self.A = A
         self.R, self.C = _equilibrate(A)
-        A_sc = A * self.R[:, None] * self.C[None, :]
-        self.A_std = np.hstack([A_sc, -np.eye(A.shape[0])])
+        self.A_std = _Csc.standard_form(A * self.R[:, None] * self.C[None, :])
         self._basis: np.ndarray | None = None
         self._binv: np.ndarray | None = None
 
@@ -586,7 +694,7 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int,
         else:
             r = int(np.where(bad, viol, 0.0).argmax())
         to_lower = bool(below[r] > 0.0)
-        alpha = tab.binv[r, :] @ tab.A
+        alpha = tab.A.tdot(tab.binv[r])  # row r of B^-1 A
         # the step t >= 0 moves reduced costs to rc - t * ahat
         ahat = -alpha if to_lower else alpha
         st = tab.status
@@ -618,7 +726,7 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int,
         else:
             q = int(in_band[np.abs(alpha[in_band]).argmax()])
 
-        w = tab.binv @ tab.A[:, q]
+        w = tab.entering_column(q)
         piv = w[r]
         if abs(piv) < _PIVOT_TOL or abs(piv - alpha[q]) > 1e-6 * (1.0 + abs(piv)):
             # row and column of the inverse disagree: it has drifted
@@ -696,7 +804,7 @@ def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
     return tab, "optimal", it1 + it2
 
 
-def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.ndarray,
+def _cold_solve(A_std: _Csc, lb: np.ndarray, ub: np.ndarray, c_int: np.ndarray,
                 max_iter: int) -> tuple[_Tableau, np.ndarray, str, int]:
     """Two-phase primal simplex from the slack basis, with a retry ladder.
 
@@ -705,26 +813,25 @@ def _cold_solve(A_std: np.ndarray, lb: np.ndarray, ub: np.ndarray, c_int: np.nda
     m, ncols = A_std.shape
     n = ncols - m
     rlb_sc, rub_sc = lb[n:], ub[n:]  # the row activities' bounds
-    init_status = _initial_status(lb, ub)
     finite_bounds = np.concatenate([
         rub_sc[np.isfinite(rub_sc)], rlb_sc[np.isfinite(rlb_sc)],
     ])
     ph1_tol = FEAS_TOL * (1.0 + (np.abs(finite_bounds).max() if finite_bounds.size else 0.0))
+    statuses = _initial_status(lb, ub)
+    x0 = _nonbasic_values(statuses, lb, ub)
+    x0[n:] = 0.0  # the row activity of the structural columns alone
+    act0 = A_std.dot(x0)
+    resid = act0 - np.clip(act0, rlb_sc, rub_sc)
+    # one artificial column per violated row, basic in that row's place;
+    # the row activity waits on the bound it violates
+    viol = np.flatnonzero(np.abs(resid) > FEAS_TOL)
+    n_art = viol.size
+    A_art = A_std.with_unit_columns(viol, -np.sign(resid[viol]))
+    statuses[n + viol] = np.where(resid[viol] > 0, _AT_UPPER, _AT_LOWER)
 
     def attempt(refactor_every: int, bland_start: bool):
         """One full two-phase solve; returns (tab, c2, status, iters)."""
-        statuses = init_status.copy()
-        x0 = _nonbasic_values(statuses, lb, ub)
-        act0 = A_std[:, :n] @ x0[:n]
-        resid = act0 - np.clip(act0, rlb_sc, rub_sc)
-        # one artificial column per violated row, basic in that row's place;
-        # the row activity waits on the bound it violates
-        viol = np.flatnonzero(np.abs(resid) > FEAS_TOL)
-        n_art = viol.size
-        art = np.zeros((m, n_art))
-        art[viol, np.arange(n_art)] = -np.sign(resid[viol])
-        statuses[n + viol] = np.where(resid[viol] > 0, _AT_UPPER, _AT_LOWER)
-        t = _Tableau(np.hstack([A_std, art]), np.concatenate([lb, np.zeros(n_art)]),
+        t = _Tableau(A_art, np.concatenate([lb, np.zeros(n_art)]),
                      np.concatenate([ub, np.full(n_art, np.inf)]), n)
         t.basis = np.arange(n, ncols, dtype=np.int64)
         t.basis[viol] = np.arange(ncols, ncols + n_art)

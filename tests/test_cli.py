@@ -280,7 +280,11 @@ def test_sweep_beta_subcommand(files):
     ("peak_hour", lambda v: v - 1, "peak_hour is "),
     ("peak_hour", None, "no entry 'peak_hour'"),
     ("peak_shed_mw", lambda v: None, "are not all numbers"),
-], ids=["total", "peak_shed", "peak_hour", "missing", "not_a_number"])
+    ("percent_unserved", lambda v: 10 * v, "percent_unserved is "),
+    ("customers_affected", lambda v: 10 * v, "customers_affected is "),
+    ("customers_affected", lambda v: v + 1, "customers_affected is "),
+], ids=["total", "peak_shed", "peak_hour", "missing", "not_a_number", "percent",
+        "customers", "customers_plus_one"])
 def test_verify_rejects_manifest_totals_the_rows_do_not_give(cyber_run, tmp_path, capsys,
                                                              key, change, message):
     run = tmp_path / "run"
@@ -312,3 +316,47 @@ def test_verify_checks_a_beta_sweep_steps_manifest(tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", "--solution", str(step)]) == 2
         assert capsys.readouterr().out.startswith("FAIL manifest.json: total_unserved_mwh")
+
+
+def _edit_shock(run, edit):
+    shock = run / "shock.csv"
+    lines = shock.read_text().splitlines()
+    shock.write_text("\n".join(edit(lines)) + "\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: [ls[0], "Z01,Utilities,99"] + ls[2:], "percent_reduction of Z01 is 99, "),
+    (lambda ls: ls[:-1], "are not the network's nodes"),
+    (lambda ls: ls + [ls[-1]], "are not the network's nodes"),
+    (lambda ls: [ls[0], ls[1].replace("Utilities", "Power")] + ls[2:], "sector of Z01 is"),
+    (lambda ls: [ls[0], "Z01,Utilities,n/a"] + ls[2:], "percent_reduction of Z01 is 'n/a'"),
+], ids=["value", "missing_row", "duplicate_row", "sector", "not_a_number"])
+def test_verify_rejects_a_shock_file_the_rows_do_not_give(compound_run, tmp_path, capsys,
+                                                          edit, message):
+    run = tmp_path / "run"
+    shutil.copytree(compound_run, run)
+    _edit_shock(run, edit)
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL shock.csv: ") and message in out
+
+
+def test_verify_checks_each_region_of_the_shock_file(compound_run, tmp_path, capsys):
+    # the peak-hour attack sheds in some regions: each one's percent is
+    # re-derived, to the 12 digits the file carries
+    rows = list(csv.reader((compound_run / "shock.csv").open()))[1:]
+    shed = [r for r in rows if float(r[2]) > 0]
+    assert shed
+    run = tmp_path / "run"
+    shutil.copytree(compound_run, run)
+    region, _, value = shed[0]
+    _edit_shock(run, lambda ls: [ln if not ln.startswith(region + ",") else
+                                 f"{region},Utilities,{float(value) * (1 + 1e-8)!r}"
+                                 for ln in ls])
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    assert capsys.readouterr().out.startswith(f"FAIL shock.csv: percent_reduction of {region}")
+    (run / "shock.csv").unlink()
+    assert main(["verify", "--solution", str(run)]) == 2
+    assert "shock.csv: listed in manifest.json but missing" in capsys.readouterr().out

@@ -214,3 +214,21 @@ def test_bad_node_without_incumbent_reraises(monkeypatch):
     monkeypatch.setattr(milp, "solve_lp", solve)
     with pytest.raises(SolverNumericalError):
         solve_milp(prob)
+
+
+def test_hour17_tree_is_pinned(bundled_net, bundled_demand):
+    """Branch and bound on the bundled Compound peak hour at its whole
+    budget, cut at 12 nodes: the tree and the incumbent the solver found
+    before its products ran over the matrix's nonzeros."""
+    from gridshock import attack, scenarios
+    from gridshock.cli import bundled_path
+    from gridshock.network import apply_heatwave
+    cfg = scenarios.load_config(bundled_path("compound.cfg"))
+    heated = apply_heatwave(bundled_demand, cfg.heatwave_factor)
+    part = attack.solve_hourly_attack(bundled_net, heated, "summer", 17,
+                                      scenarios.scenario_costs(cfg, bundled_net), 300.0,
+                                      node_limit=12)
+    assert (part.status, part.nodes) == ("feasible-limit", 13)
+    assert part.objective == pytest.approx(269360.00000000006, rel=1e-12)
+    assert part.spend == pytest.approx(300.0, rel=1e-12)
+    assert part.certificate_ok and part.bigm_valid

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import fields
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridshock import simplex
+from gridshock.cli import bundled_path
 from gridshock.dcopf import build_dcopf
 from gridshock.network import apply_heatwave
 from gridshock.simplex import (LpForm, LpProblem, LpSolution, dump_lp, finish_lp,
@@ -436,3 +438,215 @@ def test_finished_vertex_without_rows(sense, c, status):
     vertex = optimize_lp(p)
     assert vertex.status == status
     _bitwise(finish_lp(vertex), solve_lp(p))
+
+
+# -- sparse products and the eta update ---------------------------------------
+
+def _sparse_lp(rng):
+    """A random feasible, bounded LP whose matrix is 1-10% nonzero, with
+    equality, ranged, one-sided and free rows, and boxed, one-sided, free
+    and fixed columns: the rows are set around the activity of a point
+    within the column bounds, and only boxed and fixed columns may have a
+    negative cost."""
+    m = int(rng.integers(65, 111))
+    n = int(rng.integers(5, 2 * m))
+    A = np.where(rng.random((m, n)) < rng.uniform(0.01, 0.10),
+                 rng.normal(size=(m, n)).round(3), 0.0)
+    col = rng.integers(0, 4, n)  # boxed, lower only, free, fixed
+    lo = rng.uniform(-3.0, 0.0, n)
+    width = rng.uniform(0.5, 4.0, n)
+    lb = np.where(col == 2, -INF, lo)
+    ub = np.select([col == 0, col == 3], [lo + width, lo], INF)
+    x0 = np.select([col == 0, col == 1, col == 2],
+                   [lo + rng.random(n) * width, lo + rng.exponential(size=n),
+                    rng.normal(size=n)], lo)
+    act = A @ x0
+    row = rng.integers(0, 4, m)  # equality, ranged, one-sided, free
+    rl = np.select([row == 0, row == 1, row == 2],
+                   [act, act - rng.uniform(0.0, 2.0, m), act - rng.uniform(0.0, 2.0, m)], -INF)
+    ru = np.select([row == 0, row == 1], [act, act + rng.uniform(0.0, 2.0, m)], INF)
+    c = rng.normal(size=n).round(3)
+    c = np.select([col == 1, col == 2], [np.abs(c), 0.0], c)
+    return LpProblem("min", c, A, rl, ru, lb, ub)
+
+
+@pytest.fixture(scope="module")
+def hour17_milp(bundled_net, bundled_demand):
+    from gridshock import attack, scenarios
+    cfg = scenarios.load_config(bundled_path("compound.cfg"))
+    heated = apply_heatwave(bundled_demand, cfg.heatwave_factor)
+    costs = scenarios.scenario_costs(cfg, bundled_net)
+    return attack.build_hourly_attack_milp(bundled_net, heated, "summer", 17, costs,
+                                           300.0).lp
+
+
+def _sparse_only(form):
+    """The form's compressed view without its dense array: every product
+    runs over the nonzeros, whatever the size."""
+    view = copy.copy(form.A_std)
+    view.full = None
+    return view
+
+
+def _slack_tableau(A_std):
+    m, ncols = A_std.shape
+    tab = simplex._Tableau(A_std, np.zeros(ncols), np.ones(ncols), ncols - m)
+    tab.basis = np.arange(ncols - m, ncols)
+    tab.status[:] = simplex._AT_LOWER
+    tab.status[tab.basis] = simplex._BASIC
+    tab.refactorize()
+    return tab
+
+
+def _within_rounding(got, terms):
+    """|got - want| within 1e-12 of the summed magnitudes of its terms."""
+    want, scale = terms
+    assert np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300)
+
+
+def _check_eta_against_refactorization(p, seed, steps):
+    form = LpForm(p.A)
+    m = p.num_rows
+    dense = np.hstack([p.A * form.R[:, None] * form.C[None, :], -np.eye(m)])
+    assert np.array_equal(form.A_std.dense_columns(np.arange(dense.shape[1])), dense)
+    view = _sparse_only(form)
+    tab = _slack_tableau(view)
+    rng = np.random.default_rng(seed)
+    pivots = 0
+    for _ in range(steps):
+        q = int(rng.choice(np.flatnonzero(tab.status != simplex._BASIC)))
+        w = tab.entering_column(q)
+        big = np.flatnonzero(np.abs(w) >= max(0.5 * np.abs(w).max(), 1e-3))
+        if not big.size:
+            continue
+        # a threshold pivot: neither the eta update nor its stability test refactorizes
+        tab.pivot(int(rng.choice(big)), q, 0.0, simplex._AT_LOWER, w, 10**9)
+        pivots += 1
+        assert tab.pivots_since_refactor == pivots
+    binv = tab.binv
+    fresh = _slack_tableau(view)
+    fresh.basis, fresh.status = tab.basis.copy(), tab.status.copy()
+    fresh.refactorize()
+    assert np.abs(binv - fresh.binv).max() <= 1e-9 * max(1.0, np.abs(fresh.binv).max())
+
+    # the products over the nonzeros against the dense formulas
+    ab, adense = np.abs(binv), np.abs(dense)
+    for q in rng.choice(dense.shape[1], size=8):
+        _within_rounding(tab.entering_column(int(q)), (binv @ dense[:, q], ab @ adense[:, q]))
+    for r in rng.choice(m, size=8):
+        _within_rounding(view.tdot(binv[r]), (binv[r] @ dense, ab[r] @ adense))
+    c = np.where(rng.random(dense.shape[1]) < 0.5, rng.normal(size=dense.shape[1]), 0.0)
+    y = binv.T @ c[tab.basis]
+    _within_rounding(tab.reduced_costs(c),
+                     (c - dense.T @ y, np.abs(c) + adense.T @ (ab.T @ np.abs(c[tab.basis]))))
+    x = rng.normal(size=dense.shape[1])
+    _within_rounding(view.dot(x), (dense @ x, adense @ np.abs(x)))
+    return pivots
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_eta_updates_match_a_fresh_refactorization_on_sparse_forms(seed):
+    rng = np.random.default_rng(seed)
+    assert _check_eta_against_refactorization(_sparse_lp(rng), seed, 40) > 0
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_eta_updates_match_a_fresh_refactorization_on_the_hour17_milp(hour17_milp, seed):
+    # the bundled form is large enough that every product is over the nonzeros
+    assert LpForm(hour17_milp.A).A_std.full is None
+    assert _check_eta_against_refactorization(hour17_milp, seed, 60) > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sparse_products_solve_like_dense_ones(seed):
+    """A form small enough for dense products solves, cold and warm, to
+    the same answer with every product over the nonzeros."""
+    rng = np.random.default_rng(seed)
+    p = _sparse_lp(rng)
+    dense = solve_lp(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_DENSE_MAX_ENTRIES", 0)
+        assert LpForm(p.A).A_std.full is None
+        sparse = solve_lp(p)
+        warm = None
+        if dense.basis is not None:
+            warm = solve_lp(_tightened(p, np.random.default_rng(seed)), basis=dense.basis)
+    assert sparse.status == dense.status
+    if dense.status == "optimal":
+        assert sparse.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-9)
+        assert _certified(sparse)
+    if warm is not None:
+        _same_answer(warm, solve_lp(_tightened(p, np.random.default_rng(seed))))
+
+
+# -- refactorization edge cases ------------------------------------------------
+
+def _basis_tableau(A, basis):
+    form = LpForm(np.asarray(A, dtype=float))
+    tab = _slack_tableau(_sparse_only(form))
+    tab.basis = np.asarray(basis)
+    tab.status[:] = simplex._AT_LOWER
+    tab.status[tab.basis] = simplex._BASIC
+    return tab, np.hstack([form.A * form.R[:, None] * form.C[None, :],
+                           -np.eye(form.A.shape[0])])
+
+
+def test_refactorize_without_a_basic_row_activity():
+    # every basic column is a structural one: A11 is the whole basis
+    rng = np.random.default_rng(5)
+    A = np.eye(70) * 2.0 + np.where(rng.random((70, 70)) < 0.05, rng.normal(size=(70, 70)), 0)
+    tab, dense = _basis_tableau(A, np.arange(70))
+    tab.refactorize()
+    np.testing.assert_allclose(tab.binv @ dense[:, tab.basis], np.eye(70), atol=1e-10)
+
+
+def test_refactorize_with_only_row_activities():
+    tab, _ = _basis_tableau(np.ones((3, 2)), [2, 4, 3])
+    tab.refactorize()
+    want = np.zeros((3, 3))
+    want[[0, 1, 2], [0, 2, 1]] = -1.0  # position k holds the activity of row basis[k] - 2
+    assert np.array_equal(tab.binv, want)
+
+
+def _twin_column_lp():
+    # columns 0 and 1 are equal, so no basis holds both
+    A = [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 1.0]]
+    return LpProblem("min", [1.0, 2.0, -1.0], A, [1.0, 0.0, -INF], [4.0, 6.0, 2.0],
+                     np.zeros(3), np.full(3, 5.0))
+
+
+def test_singular_a11_raises_and_the_warm_path_falls_back_cold():
+    p = _twin_column_lp()
+    tab, _ = _basis_tableau(p.A, [0, 1, 5])
+    with pytest.raises(simplex.SolverNumericalError, match="singular basis"):
+        tab.refactorize()
+    cold = solve_lp(p)
+    assert cold.status == "optimal"
+    _identical(solve_lp(p, basis=np.array([0, 1, 5])), cold)
+
+
+def test_singular_refactorization_runs_the_cold_retry_ladder(monkeypatch):
+    p = _twin_column_lp()
+    cold = solve_lp(p)
+    real = simplex._Tableau.refactorize
+    calls = []
+
+    def singular_first(tab):
+        calls.append(tab)
+        if len(calls) == 1:  # the first attempt's first factorization
+            raise simplex.SolverNumericalError("singular basis during refactorization")
+        return real(tab)
+    monkeypatch.setattr(simplex._Tableau, "refactorize", singular_first)
+    retried = solve_lp(p)
+    assert len({id(t) for t in calls}) == 2  # a second attempt on a new tableau
+    assert retried.status == "optimal"
+    assert retried.objective == pytest.approx(cold.objective, abs=1e-9)
+
+    def singular(tab):
+        raise simplex.SolverNumericalError("singular basis during refactorization")
+    monkeypatch.setattr(simplex._Tableau, "refactorize", singular)
+    with pytest.raises(simplex.SolverNumericalError, match="singular basis"):
+        solve_lp(p)
