@@ -27,9 +27,6 @@ where eta is nonzero and a column where the pivot row is; it updates just
 those unless they cover a large share of the inverse, when the dense
 update costs less.  A refactorization inverts the dense block of the basis
 that the basic row activities leave (see :meth:`_Tableau.refactorize`).
-A form small enough that numpy's fixed cost per indexed product outweighs
-the dense arithmetic (the 16-zone dispatch LP's 51 x 120 entries) keeps
-its dense array as well and multiplies with that.
 
 Warm start.  An optimal solve returns its basis: the m basic column
 indices of the standard form in basis order, as an int32 array
@@ -108,15 +105,13 @@ _STALL_LIMIT = 200
 _VERIFY_ROUNDS = 6
 _DUAL_FEAS_TOL = 1e-9  # relative primal infeasibility the dual phase removes
 # the eta update touches only its nonzero pattern when that costs less than
-# the dense update of all m^2 entries: an indexed entry costs about 8 dense
-# ones, plus a fixed cost of about 4096 for the index arithmetic
-_SPARSE_ETA_COST = 8
-_SPARSE_ETA_OVERHEAD = 4096
-# a standard form with at most this many entries multiplies densely: at the
-# 16-zone dispatch LP's 51 x 120 a dense product is faster than the index
-# arithmetic of a sparse one; at the hour-17 attack MILP's 390 x 827 (0.5%
-# nonzero) the sparse one is faster by a factor of 3 to 13
-_DENSE_MAX_ENTRIES = 16384
+# the dense update of all m^2 entries.  Timed with numpy on one core for m
+# from 64 to 500, the two break even where m^2 = 6.5 to 7.8 times the
+# pattern's entries plus 11,000 to 11,500: an indexed entry costs about 7
+# dense ones, and the index arithmetic about 11,000, so a basis of fewer
+# than 105 rows (the 16-zone dispatch LP's 51) always takes the dense one.
+_SPARSE_ETA_COST = 7
+_SPARSE_ETA_OVERHEAD = 11000
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -301,20 +296,13 @@ class _Csc:
 
     The nonzeros of column j are ``rows[ptr[j]:ptr[j + 1]]`` with values
     ``vals[ptr[j]:ptr[j + 1]]``; ``cols`` holds each nonzero's column, so
-    the products with the matrix are segment sums over the nonzeros.  A
-    matrix of at most ``_DENSE_MAX_ENTRIES`` entries also keeps its dense
-    array ``full`` and multiplies with that: at that size a dense product
-    costs less than the index arithmetic of a sparse one.
+    the products with the matrix are segment sums over the nonzeros.
     """
 
     def __init__(self, ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray, m: int):
         self.ptr, self.rows, self.vals = ptr, rows, vals
         self.shape = (m, ptr.size - 1)
         self.cols = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
-        self.full = None
-        if m * (ptr.size - 1) <= _DENSE_MAX_ENTRIES:
-            self.full = np.zeros(self.shape)
-            self.full[rows, self.cols] = vals
 
     @classmethod
     def standard_form(cls, A_sc: np.ndarray) -> _Csc:
@@ -335,14 +323,10 @@ class _Csc:
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """``A @ x``."""
-        if self.full is not None:
-            return self.full @ x
         return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
 
     def tdot(self, y: np.ndarray) -> np.ndarray:
         """``A.T @ y``."""
-        if self.full is not None:
-            return y @ self.full
         return np.bincount(self.cols, weights=self.vals * y[self.rows], minlength=self.shape[1])
 
     def dense_columns(self, cols: np.ndarray) -> np.ndarray:
@@ -434,18 +418,13 @@ class _Tableau:
     def entering_column(self, q: int) -> np.ndarray:
         """w = B^-1 a_q, from the columns of the inverse where a_q is nonzero."""
         A = self.A
-        if A.full is not None:
-            return self.binv @ A.full[:, q]
         lo, hi = A.ptr[q], A.ptr[q + 1]
         return self.binv[:, A.rows[lo:hi]] @ A.vals[lo:hi]
 
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
         c_B = c[self.basis]
-        if self.A.full is not None:
-            y = c_B @ self.binv  # a small inverse: gathering rows costs more
-        else:
-            nz = c_B.nonzero()[0]  # a zero basic cost adds nothing to y
-            y = c_B[nz] @ self.binv[nz]
+        nz = c_B.nonzero()[0]  # a zero basic cost adds nothing to y
+        y = c_B[nz] @ self.binv[nz]
         return c - self.A.tdot(y)
 
     def pivot(self, pos: int, q: int, enter_val: float, leave_status: int,

@@ -1,4 +1,3 @@
-import copy
 from dataclasses import fields
 
 import numpy as np
@@ -480,14 +479,6 @@ def hour17_milp(bundled_net, bundled_demand):
                                            300.0).lp
 
 
-def _sparse_only(form):
-    """The form's compressed view without its dense array: every product
-    runs over the nonzeros, whatever the size."""
-    view = copy.copy(form.A_std)
-    view.full = None
-    return view
-
-
 def _slack_tableau(A_std):
     m, ncols = A_std.shape
     tab = simplex._Tableau(A_std, np.zeros(ncols), np.ones(ncols), ncols - m)
@@ -509,7 +500,7 @@ def _check_eta_against_refactorization(p, seed, steps):
     m = p.num_rows
     dense = np.hstack([p.A * form.R[:, None] * form.C[None, :], -np.eye(m)])
     assert np.array_equal(form.A_std.dense_columns(np.arange(dense.shape[1])), dense)
-    view = _sparse_only(form)
+    view = form.A_std
     tab = _slack_tableau(view)
     rng = np.random.default_rng(seed)
     pivots = 0
@@ -548,37 +539,47 @@ def _check_eta_against_refactorization(p, seed, steps):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_eta_updates_match_a_fresh_refactorization_on_sparse_forms(seed):
     rng = np.random.default_rng(seed)
-    assert _check_eta_against_refactorization(_sparse_lp(rng), seed, 40) > 0
+    with pytest.MonkeyPatch.context() as mp:  # every eta update over its nonzero pattern
+        mp.setattr(simplex, "_SPARSE_ETA_COST", 0)
+        mp.setattr(simplex, "_SPARSE_ETA_OVERHEAD", 0)
+        assert _check_eta_against_refactorization(_sparse_lp(rng), seed, 40) > 0
 
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_eta_updates_match_a_fresh_refactorization_on_the_hour17_milp(hour17_milp, seed):
-    # the bundled form is large enough that every product is over the nonzeros
-    assert LpForm(hour17_milp.A).A_std.full is None
     assert _check_eta_against_refactorization(hour17_milp, seed, 60) > 0
+
+
+def _solve_with_eta_updates(p, sparse, seed):
+    """Cold, then warm on a tightened child, with every eta update over
+    its nonzero pattern (``sparse``) or over the whole inverse."""
+    with pytest.MonkeyPatch.context() as mp:
+        if sparse:
+            mp.setattr(simplex, "_SPARSE_ETA_COST", 0)
+            mp.setattr(simplex, "_SPARSE_ETA_OVERHEAD", 0)
+        else:
+            mp.setattr(simplex, "_SPARSE_ETA_OVERHEAD", np.inf)
+        cold = solve_lp(p)
+        warm = None
+        if cold.basis is not None:
+            warm = solve_lp(_tightened(p, np.random.default_rng(seed)), basis=cold.basis)
+    return cold, warm
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_sparse_products_solve_like_dense_ones(seed):
-    """A form small enough for dense products solves, cold and warm, to
-    the same answer with every product over the nonzeros."""
-    rng = np.random.default_rng(seed)
-    p = _sparse_lp(rng)
-    dense = solve_lp(p)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "_DENSE_MAX_ENTRIES", 0)
-        assert LpForm(p.A).A_std.full is None
-        sparse = solve_lp(p)
-        warm = None
-        if dense.basis is not None:
-            warm = solve_lp(_tightened(p, np.random.default_rng(seed)), basis=dense.basis)
-    assert sparse.status == dense.status
-    if dense.status == "optimal":
-        assert sparse.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-9)
-        assert _certified(sparse)
+def test_sparse_and_dense_eta_updates_solve_alike(seed):
+    """A form solves, cold and warm, to the same certified answer whichever
+    eta update runs."""
+    p = _sparse_lp(np.random.default_rng(seed))
+    cold, warm = _solve_with_eta_updates(p, True, seed)
+    cold_d, warm_d = _solve_with_eta_updates(p, False, seed)
+    _same_answer(cold, cold_d)
+    assert _certified(cold_d) or cold_d.status != "optimal"
+    assert (warm is None) == (warm_d is None)
     if warm is not None:
+        _same_answer(warm, warm_d)
         _same_answer(warm, solve_lp(_tightened(p, np.random.default_rng(seed))))
 
 
@@ -586,7 +587,7 @@ def test_sparse_products_solve_like_dense_ones(seed):
 
 def _basis_tableau(A, basis):
     form = LpForm(np.asarray(A, dtype=float))
-    tab = _slack_tableau(_sparse_only(form))
+    tab = _slack_tableau(form.A_std)
     tab.basis = np.asarray(basis)
     tab.status[:] = simplex._AT_LOWER
     tab.status[tab.basis] = simplex._BASIC
