@@ -72,10 +72,10 @@ class AttackCosts:
         for name in ("cg", "cf", "ct"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if np.any(arr <= 0):
-                raise ValueError(f"attack costs {name} must be strictly positive")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+            if not np.all((arr > 0) & (arr < np.inf)):
+                raise ValueError(f"attack costs {name} must be finite and strictly positive")
+        if not 0 <= self.budget < np.inf:
+            raise ValueError(f"budget must be finite and nonnegative, got {self.budget}")
 
     def spend(self, zg: np.ndarray, zf: np.ndarray, zt: np.ndarray) -> float:
         """Budget units an attack (zg, zf, zt) costs."""
@@ -637,11 +637,12 @@ def _solve_certified(
     budgets: list[float] | float,
     bigm: BigMConfig,
     node_limit: int,
-    warm_parts: list[tuple] | None,
+    warm_parts: list[tuple],
 ) -> list[HourlyAttack]:
     """Solve the attack MILP over ``hours`` and certify every hour.
 
-    ``warm_parts`` holds one (zg, zf, zt, dispatch) candidate per hour.  An
+    ``warm_parts`` holds one (zg, zf, zt, dispatch) candidate per hour, the
+    branch-and-bound ``warm_start`` when it is feasible.  An
     infeasible MILP (an undersized M cuts off even the unattacked
     equilibrium) or a reported point whose max-norm reaches M grows M and
     solves again.
@@ -651,11 +652,9 @@ def _solve_certified(
     for attempt in range(BIGM_RETRIES + 1):
         prob, lay = _build_attack_milp(net, demand, season, hours, costs, budgets,
                                        BigMConfig(m_value))
-        x0 = None
-        if warm_parts is not None:
-            x0 = np.zeros(lay.n_cols)
-            for hp, (zg, zf, zt, sol) in enumerate(warm_parts):
-                _milp_point_from_dispatch(net, lay, hp, zg, zf, zt, sol, x0)
+        x0 = np.zeros(lay.n_cols)
+        for hp, (zg, zf, zt, sol) in enumerate(warm_parts):
+            _milp_point_from_dispatch(net, lay, hp, zg, zf, zt, sol, x0)
         res = solve_milp(prob, node_limit=node_limit, warm_start=x0)
         if res.status == "infeasible":
             m_value *= BIGM_GROWTH
@@ -672,12 +671,6 @@ def _solve_certified(
     raise BigMInvalidError(f"big-M {m_value} not above solution magnitude after retries")
 
 
-def _warm_hour(warm: AttackPlan | None, hour: int) -> HourlyAttack | None:
-    """The warm plan's result for ``hour``, if it has one."""
-    hours = warm.hours if warm is not None else []
-    return next((hh for hh in hours if hh.hour == hour), None)
-
-
 def solve_hourly_attack(
     net: PowerNetwork,
     demand: DemandProfile,
@@ -687,18 +680,14 @@ def solve_hourly_attack(
     hourly_budget: float,
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
-    warm: HourlyAttack | None = None,
     dispatch: SeasonDispatch | None = None,
 ) -> HourlyAttack:
     """Solve the one-hour disruption problem; certify the returned point.
 
-    The branch-and-bound search starts from the better of a greedy
-    incumbent and any caller-provided warm plan that attacks something and
-    whose spend fits the budget; the warm plan's dispatch is ranked on its
-    vertex and finished only when it sheds more than greedy's.  The
-    reported equilibrium is verified against the shifted
-    bounds and the big-M max-norm test is applied post hoc, growing M on
-    failure.
+    The branch-and-bound search starts from the greedy incumbent
+    (:func:`greedy_attack`).  The reported equilibrium is verified against
+    the shifted bounds and the big-M max-norm test is applied post hoc,
+    growing M on failure.
 
     ``dispatch`` is the run's :class:`SeasonDispatch`: the greedy search
     opens from its unattacked dispatch of the hour and a zero budget reports
@@ -719,15 +708,6 @@ def solve_hourly_attack(
                                bigm.m_value)
 
     best = greedy_attack(net, demand, season, hour, costs, hourly_budget, dispatch)
-    # an all-zero warm attack is the unattacked dispatch, which greedy never
-    # falls below; greedy stays the candidate on a tie
-    if warm is not None and any(np.any(z) for z in (warm.zg, warm.zf, warm.zt)):
-        if costs.spend(warm.zg, warm.zf, warm.zt) <= hourly_budget + 1e-9:
-            vx = dispatch_vertex(net, demand, season, hour, warm.zg, warm.zf, warm.zt,
-                                 basis=best[3].basis, form=dispatch.form)
-            if vx.shed_cost > best[3].shed_cost:
-                best = (warm.zg, warm.zf, warm.zt, vx.finish())
-
     if node_limit == 0:
         return _certified_hour(dispatch, hour, costs, *best, "heuristic", 0, bigm.m_value)
     return _solve_certified(dispatch, [hour], costs, [hourly_budget], bigm, node_limit,
@@ -747,7 +727,6 @@ def solve_full_milp(
     hours: list[int] | None = None,
     bigm: BigMConfig | None = None,
     node_limit: int = 500_000,
-    warm: AttackPlan | None = None,
 ) -> AttackPlan:
     """Jointly optimal attack across hours (single budget row).
 
@@ -766,21 +745,9 @@ def solve_full_milp(
     bigm = bigm or BigMConfig.for_network(net, demand)
     dispatch = SeasonDispatch(net, demand, season)
 
-    # warm candidate: the caller's plan where it fits, else greedy at budget / H
-    per_hour = budget / len(hours) if hours else 0.0
-    warm_parts = []
-    for h in hours:
-        mh = _warm_hour(warm, h)
-        if mh is not None and mh.spend <= budget + 1e-9:
-            warm_parts.append((mh.zg, mh.zf, mh.zt,
-                               solve_dcopf(net, demand, season, h, mh.zg, mh.zf, mh.zt,
-                                           form=dispatch.form)))
-        else:
-            warm_parts.append(greedy_attack(net, demand, season, h, costs, per_hour,
-                                            dispatch))
-    if sum(costs.spend(*p[:3]) for p in warm_parts) > budget + 1e-9:
-        warm_parts = None
-
+    # warm candidate: greedy at budget / H in every hour
+    warm_parts = [greedy_attack(net, demand, season, h, costs, budget / len(hours), dispatch)
+                  for h in hours]
     parts = _solve_certified(dispatch, hours, costs, budget, bigm, node_limit, warm_parts)
     return AttackPlan(season, parts, budget)
 
@@ -793,43 +760,20 @@ def decompose_attack(
     budget: float,
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
-    warm: AttackPlan | None = None,
     dispatch: SeasonDispatch | None = None,
 ) -> AttackPlan:
     """Decoupled stage: one hourly problem per hour at budget / H.
 
-    ``dispatch`` is the run's :class:`SeasonDispatch` (see
-    :func:`attack_with_allocation`).
-    """
-    H = demand.hours(season)
-    plan = attack_with_allocation(net, demand, season, costs, [budget / H] * H, bigm,
-                                  node_limit, warm, dispatch)
-    # the split need not sum back to the budget exactly
-    return AttackPlan(season, plan.hours, budget)
-
-
-def attack_with_allocation(
-    net: PowerNetwork,
-    demand: DemandProfile,
-    season: str,
-    costs: AttackCosts,
-    alloc: list[float],
-    bigm: BigMConfig | None = None,
-    node_limit: int = 20_000,
-    warm: AttackPlan | None = None,
-    dispatch: SeasonDispatch | None = None,
-) -> AttackPlan:
-    """Solve each hour at a caller-chosen budget split (sum is the budget).
-
     ``dispatch`` is the run's :class:`SeasonDispatch`; every hour solves on
     its dispatch form and opens from its unattacked dispatch.  Without it,
-    the call makes one for its hours.
+    the call makes one.
     """
     dispatch = _run_dispatch(net, demand, season, dispatch)
-    parts = [solve_hourly_attack(net, demand, season, h, costs, b, bigm, node_limit,
-                                 warm=_warm_hour(warm, h), dispatch=dispatch)
-             for h, b in enumerate(alloc)]
-    return AttackPlan(season, parts, float(sum(alloc)))
+    H = demand.hours(season)
+    parts = [solve_hourly_attack(net, demand, season, h, costs, budget / H, bigm, node_limit,
+                                 dispatch=dispatch)
+             for h in range(H)]
+    return AttackPlan(season, parts, budget)
 
 
 def refine_budget_allocation(
@@ -876,10 +820,9 @@ def refine_budget_allocation(
     gain_cache: dict[int, tuple[float, HourlyAttack]] = {}
     loss_cache: dict[int, tuple[float, HourlyAttack]] = {}
 
-    def eval_at(h: int, b: float, warm_part: HourlyAttack | None) -> HourlyAttack:
+    def eval_at(h: int, b: float) -> HourlyAttack:
         return solve_hourly_attack(net, demand, season, parts[h].hour, costs,
-                                   max(b, 0.0), bigm, node_limit, warm=warm_part,
-                                   dispatch=dispatch)
+                                   max(b, 0.0), bigm, node_limit, dispatch=dispatch)
 
     def adopt(h: int, b: float, part: HourlyAttack) -> None:
         alloc[h] = b
@@ -900,7 +843,7 @@ def refine_budget_allocation(
             extra = pool - (alloc[r] if r in idle else 0.0)
             if extra <= 1e-12:
                 continue
-            cand = eval_at(r, alloc[r] + extra, parts[r])
+            cand = eval_at(r, alloc[r] + extra)
             gain = cand.objective - parts[r].objective
             if gain > 1e-6 and (best is None or gain > best[0] + 1e-12):
                 best = (gain, r, cand)
@@ -911,18 +854,18 @@ def refine_budget_allocation(
         for h in idle:
             if h != r:
                 taken += alloc[h]
-                adopt(h, 0.0, eval_at(h, 0.0, None))
+                adopt(h, 0.0, eval_at(h, 0.0))
         adopt(r, alloc[r] + taken, cand)
         return True
 
     def quantum_move() -> bool:
         for h in range(H):
             if h not in gain_cache:
-                cand = eval_at(h, alloc[h] + quantum, parts[h])
+                cand = eval_at(h, alloc[h] + quantum)
                 gain_cache[h] = (cand.objective - parts[h].objective, cand)
             if h not in loss_cache:
                 if alloc[h] >= quantum - 1e-12:
-                    cand = eval_at(h, alloc[h] - quantum, None)
+                    cand = eval_at(h, alloc[h] - quantum)
                     loss_cache[h] = (parts[h].objective - cand.objective, cand)
                 else:
                     loss_cache[h] = (np.inf, parts[h])
@@ -967,7 +910,6 @@ def run_attack(
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
     refine: bool = True,
-    warm: AttackPlan | None = None,
 ) -> AttackPlan:
     """Decomposition entry point: hourly problems at budget/H, then reallocation.
 
@@ -976,7 +918,7 @@ def run_attack(
     """
     dispatch = SeasonDispatch(net, demand, season, range(demand.hours(season)))
     plan = decompose_attack(net, demand, season, costs, budget, bigm,
-                            node_limit, warm=warm, dispatch=dispatch)
+                            node_limit, dispatch=dispatch)
     if not refine or budget <= 0:
         return plan
     return refine_budget_allocation(net, demand, season, costs, plan.hours,

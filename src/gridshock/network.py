@@ -365,9 +365,9 @@ class DemandProfile:
 
 
 def apply_heatwave(profile: DemandProfile, factor: float) -> DemandProfile:
-    """Scale every demand entry by ``factor`` (VOLL unchanged); factor > 0."""
-    if not factor > 0:
-        raise ValueError(f"heatwave factor must be positive, got {factor}")
+    """Scale every demand entry by ``factor`` (VOLL unchanged); 0 < factor < inf."""
+    if not 0 < factor < np.inf:
+        raise ValueError(f"heatwave_factor must be finite and positive, got {factor}")
     return DemandProfile(
         node_ids=profile.node_ids,
         demand={s: np.array(a) * factor for s, a in profile.demand.items()},

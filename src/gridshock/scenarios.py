@@ -7,11 +7,12 @@ demand.  The two sensitivity ladders rescale attacker prices (gamma: wires
 per step), six iterations each, evaluating both attack scenarios per
 iteration.
 
-Sweeps chain warm starts along the ladder and re-solve from the previous
-iteration's final budget split whenever the chained run fails to improve,
-so reported disruption is nondecreasing along each ladder whenever the
-true optimum is (larger budgets and cheaper wires only enlarge what the
-attacker can buy).
+Each ladder step is a fresh attack run.  When a step sheds less than the
+step before, the previous plan, re-costed at the step's prices, is refined
+instead and the better of the two is kept.  A beta step is therefore never
+below its predecessor (a larger budget at the same prices still affords the
+previous plan); a gamma step is only while the previous plan stays
+affordable at the dearer generator prices.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ import numpy as np
 from .attack import (
     AttackCosts,
     AttackPlan,
-    attack_with_allocation,
     default_costs,
     refine_budget_allocation,
     run_attack,
 )
-from .dcopf import OpfSolution, SeasonDispatch, solve_day
+from .dcopf import OpfSolution, solve_day
 from .network import DemandProfile, PowerNetwork, apply_heatwave
 
 SCENARIO_KINDS = ("Baseline", "Heatwave", "Cyberattack", "Compound")
@@ -59,12 +59,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if not self.heatwave_factor > 0:
-            raise ValueError("heatwave factor must be positive")
-        if not self.cost_ratio > 0:
-            raise ValueError("cost ratio must be positive")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+        for name in ("heatwave_factor", "cost_ratio", "gen_attack_cost"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0 <= self.budget < np.inf:
+            raise ValueError(f"budget must be finite and nonnegative, got {self.budget}")
+        if self.refine_steps < 1:
+            raise ValueError(f"refine_steps must be at least 1, got {self.refine_steps}")
+        if self.node_limit < 0:
+            raise ValueError(f"node_limit must be nonnegative, got {self.node_limit}")
 
 
 @dataclass
@@ -164,7 +168,6 @@ def run_scenario(
     net: PowerNetwork,
     demand: DemandProfile,
     costs: AttackCosts | None = None,
-    warm: AttackPlan | None = None,
 ) -> ScenarioResult:
     """Evaluate one scenario end to end and compute all derived metrics."""
     season = cfg.season
@@ -177,7 +180,7 @@ def run_scenario(
             costs = costs if costs is not None else scenario_costs(cfg, net)
             plan = run_attack(net, profile, season, costs, costs.budget,
                               step_count=cfg.refine_steps, node_limit=cfg.node_limit,
-                              refine=cfg.refine, warm=warm)
+                              refine=cfg.refine)
         hours = solve_day(net, profile, season) if plan is None else [h.opf for h in plan.hours]
         return _metrics(cfg, net, profile, hours, plan)
     except ScenarioError:
@@ -194,30 +197,29 @@ def _monotone_rerun(
     previous: ScenarioResult | None,
     result: ScenarioResult,
 ) -> ScenarioResult:
-    """Re-solve from the previous final budget split when a ladder step dips.
+    """Refine the previous step's plan when a ladder step sheds less.
 
-    The previous step's allocation stays affordable along both ladders, so
-    continuing from it cannot lose value; keep whichever run disrupts more.
+    The previous plan's hours are re-costed at this step's prices.  When
+    they fit the budget, the slack is spread evenly over the hours and the
+    budget refinement starts from that split (with ``cfg.refine`` off, the
+    re-costed plan is reported as it is); otherwise the fresh result stands.
+    Keep whichever run disrupts more.
     """
     if previous is None or previous.plan is None or result.plan is None:
         return result
     if result.total_unserved_mwh >= previous.total_unserved_mwh - 1e-9:
         return result
-    profile = scenario_profile(cfg, demand)
-    alloc = [max(h.spend, 0.0) for h in previous.plan.hours]
-    slack = costs.budget - sum(alloc)
+    hours = [replace(h, spend=costs.spend(h.zg, h.zf, h.zt)) for h in previous.plan.hours]
+    slack = costs.budget - sum(h.spend for h in hours)
     if slack < 0:
         return result
-    alloc = [a + slack / len(alloc) for a in alloc]
-    dispatch = SeasonDispatch(net, profile, cfg.season, range(profile.hours(cfg.season)))
-    plan = attack_with_allocation(net, profile, cfg.season, costs, alloc,
-                                  node_limit=cfg.node_limit, warm=previous.plan,
-                                  dispatch=dispatch)
+    profile = scenario_profile(cfg, demand)
+    plan = AttackPlan(cfg.season, hours, costs.budget)
     if cfg.refine:
-        plan = refine_budget_allocation(net, profile, cfg.season, costs, plan.hours,
+        alloc = [h.spend + slack / len(hours) for h in hours]
+        plan = refine_budget_allocation(net, profile, cfg.season, costs, hours,
                                         costs.budget, cfg.refine_steps,
-                                        node_limit=cfg.node_limit, alloc=alloc,
-                                        dispatch=dispatch)
+                                        node_limit=cfg.node_limit, alloc=alloc)
     rerun = _metrics(cfg, net, profile, [h.opf for h in plan.hours], plan)
     return rerun if rerun.total_unserved_mwh > result.total_unserved_mwh else result
 
@@ -272,8 +274,7 @@ def _sweep(
         results = {}
         for kind in ("Cyberattack", "Compound"):
             sub = replace(cfg, kind=kind, budget=costs.budget)
-            warm = prev[kind].plan if prev[kind] is not None else None
-            res = run_scenario(sub, net, demand, costs=costs, warm=warm)
+            res = run_scenario(sub, net, demand, costs=costs)
             res = _monotone_rerun(sub, net, demand, costs, prev[kind], res)
             results[kind] = res
             prev[kind] = res

@@ -338,3 +338,27 @@ def test_criterion_bigm_validity(bundled_runs, ladders):
     report("Big-M validity", ok,
            f"{len(_REGISTRY)} hourly attack solutions checked, "
            f"{bad_m} big-M escapes, {bad_cert} certificate failures")
+
+
+# USD of unserved energy (voll . u) of the shipped days and of each ladder
+# step, Cyberattack then Compound; every MWh these runs shed is valued at 2600
+SHIPPED_USD = (72_800.0, 269_360.0)
+GAMMA_USD = ((72_800.0, 83_200.0, 96_200.0, 790_400.0 / 7, 135_200.0, 166_400.0),
+             (269_360.0, 279_760.0, 292_760.0, 2_166_320.0 / 7, 331_760.0, 362_960.0))
+BETA_USD = tuple(tuple(usd + 31_200.0 * i for i in range(6)) for usd in SHIPPED_USD)
+
+
+def test_bundled_values_are_pinned(bundled_runs, ladders):
+    """The shipped days and both ladders, as the fixtures computed them.
+
+    A change that moves an attack value (a stronger attacker, another budget
+    split) updates these pins and says so."""
+    gamma, beta = ladders
+    runs = list(zip((bundled_runs["Cyberattack"], bundled_runs["Compound"]), SHIPPED_USD))
+    for points, pins in ((gamma, GAMMA_USD), (beta, BETA_USD)):
+        runs += zip([p.cyberattack for p in points], pins[0])
+        runs += zip([p.compound for p in points], pins[1])
+    assert len(runs) == 2 + 4 * 6
+    for res, usd in runs:
+        assert res.plan.objective == pytest.approx(usd, rel=1e-9)
+        assert res.total_unserved_mwh == pytest.approx(usd / 2600.0, rel=1e-9)

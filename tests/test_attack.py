@@ -12,7 +12,6 @@ from gridshock.attack import (
     AttackCosts,
     BigMConfig,
     attack_rows,
-    attack_with_allocation,
     build_hourly_attack_milp,
     decompose_attack,
     default_costs,
@@ -47,10 +46,22 @@ def grid_oracle_two_bus(net, prof, budget, step=1.0):
 
 
 def test_costs_validation():
+    one = np.array([1.0])
     with pytest.raises(ValueError):
-        AttackCosts(np.array([0.0]), np.array([1.0]), np.array([1.0]), 1.0)
-    with pytest.raises(ValueError):
-        AttackCosts(np.array([1.0]), np.array([1.0]), np.array([1.0]), -1.0)
+        AttackCosts(np.array([0.0]), one, one, 1.0)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="cg"):
+            AttackCosts(np.array([value]), one, one, 1.0)
+        with pytest.raises(ValueError, match="cf"):
+            AttackCosts(one, np.array([1.0, value]), one, 1.0)
+        with pytest.raises(ValueError, match="ct"):
+            AttackCosts(one, one, np.array([value]), 1.0)
+    for budget in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="budget"):
+            AttackCosts(one, one, one, budget)
+    for factor in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="heatwave_factor"):
+            apply_heatwave(profile_for(tight_two_bus(), [[10.0, 60.0]]), factor)
 
 
 def test_structural_binary_count():
@@ -258,16 +269,6 @@ def test_refinement_crosses_activation_thresholds():
     assert spends[1] == pytest.approx(16.0, abs=1e-9)
 
 
-def test_warm_start_is_respected():
-    net = tight_two_bus()
-    prof = profile_for(net, [[10.0, 80.0]])
-    costs = uniform_costs(net, 30.0)
-    first = solve_hourly_attack(net, prof, "summer", 0, costs, 30.0, node_limit=0)
-    warm = solve_hourly_attack(net, prof, "summer", 0, costs, 30.0,
-                               node_limit=0, warm=first)
-    assert warm.objective >= first.objective - 1e-9
-
-
 def test_bigm_test_applies_to_reported_point(monkeypatch):
     # an optimal MILP point whose multiplier sits at M fails the max-norm
     # test, but the dispatch LP at the same attack passes it; that point is
@@ -381,23 +382,16 @@ def _hour_fingerprint(ha):
             ha.status, ha.nodes, ha.bigm_valid, ha.certificate_ok, ha.opf.u.tolist())
 
 
-@pytest.mark.parametrize("budget, zero_warm, node_limit", [
-    (0.0, False, 0), (30.0, False, 0), (30.0, True, 0), (30.0, False, 2000),
-    (30.0, True, 2000)])
-def test_shared_base_gives_the_same_hour(budget, zero_warm, node_limit):
+@pytest.mark.parametrize("budget, node_limit", [(0.0, 0), (30.0, 0), (30.0, 2000)])
+def test_shared_base_gives_the_same_hour(budget, node_limit):
     net = tight_two_bus()
     prof = profile_for(net, [[10.0, 80.0]])
     costs = uniform_costs(net, budget)
-    warm = None
-    if zero_warm:
-        warm = solve_hourly_attack(net, prof, "summer", 0, costs, 0.0)
-        assert not (warm.zg.any() or warm.zf.any() or warm.zt.any())
     dispatch = SeasonDispatch(net, prof, "summer")
     base = dispatch.base(0)
-    kwargs = dict(node_limit=node_limit, warm=warm)
-    alone = solve_hourly_attack(net, prof, "summer", 0, costs, budget, **kwargs)
-    shared = solve_hourly_attack(net, prof, "summer", 0, costs, budget, dispatch=dispatch,
-                                 **kwargs)
+    alone = solve_hourly_attack(net, prof, "summer", 0, costs, budget, node_limit=node_limit)
+    shared = solve_hourly_attack(net, prof, "summer", 0, costs, budget,
+                                 node_limit=node_limit, dispatch=dispatch)
     assert _hour_fingerprint(shared) == _hour_fingerprint(alone)
     if budget > 0:
         assert alone.objective > base.shed_cost
@@ -408,8 +402,8 @@ def test_shared_bases_are_not_modified():
     dispatch = SeasonDispatch(net, prof, "summer")
     bases = [dispatch.base(h) for h in range(3)]
     before = copy.deepcopy(bases)
-    plan = attack_with_allocation(net, prof, "summer", costs, [16.0 / 3] * 3,
-                                  node_limit=0, dispatch=dispatch)
+    plan = decompose_attack(net, prof, "summer", costs, 16.0, node_limit=0,
+                            dispatch=dispatch)
     ref = refine_budget_allocation(net, prof, "summer", costs, plan.hours, 16.0,
                                    node_limit=0, dispatch=dispatch)
     again = run_attack(net, prof, "summer", costs, 16.0, node_limit=0)

@@ -41,6 +41,23 @@ def test_missing_network_exits_1(files, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("--budget", "nan"), ("--budget", "inf"), ("--cost-ratio", "inf"),
+    ("--heatwave-factor", "inf"), ("gen_attack_cost", "nan"), ("refine_steps", "0"),
+    ("node_limit", "-1")])
+def test_nonfinite_or_out_of_range_config_exits_1(files, capsys, key, value):
+    """A command-line option (``--key``) or a config key out of range."""
+    net, net_path, dem_path, cfg_path, tmp = files
+    cfg = tmp / "bad.cfg"
+    flags = [key, value] if key.startswith("--") else []
+    cfg.write_text(cfg_path.read_text() + ("" if flags else f"{key} = {value}\n"))
+    rc = main(["attack", "--network", str(net_path), "--demand", str(dem_path),
+               "--config", str(cfg), "--out", str(tmp / "atk"), *flags])
+    assert rc == 1
+    assert key.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not (tmp / "atk").exists()
+
+
 def test_solve_opf_and_dump_lp(files):
     net, net_path, dem_path, cfg_path, tmp = files
     rc = main(["solve-opf", "--network", str(net_path), "--demand", str(dem_path),

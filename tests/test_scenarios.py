@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import gridshock.scenarios as scenarios
 from gridshock.scenarios import (
+    GAMMA_WIRE_STEP,
     ScenarioConfig,
     beta_multiplier,
     beta_sweep,
@@ -32,10 +34,15 @@ def cfg_for(kind, **kw):
 def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(kind="Meteor")
-    with pytest.raises(ValueError):
-        ScenarioConfig(heatwave_factor=0.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(budget=-1.0)
+    bad = [("heatwave_factor", 0.0), ("budget", -1.0)]
+    bad += [(name, value) for name in ("heatwave_factor", "cost_ratio", "gen_attack_cost",
+                                       "budget")
+            for value in (np.nan, np.inf)]
+    bad += [("cost_ratio", -np.inf), ("gen_attack_cost", 0.0), ("refine_steps", 0),
+            ("node_limit", -1)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: value})
 
 
 def test_baseline_and_heatwave_serve_everything(small):
@@ -184,25 +191,63 @@ def test_config_file_refine_flag(tmp_path):
     assert load_config(path).refine is True
 
 
-def test_monotone_rerun_honours_refine_off(small, monkeypatch):
-    import gridshock.scenarios as scenarios
+def test_dipping_beta_step_refines_the_previous_plan(small):
+    # step 3's fresh run splits 42 as 21 + 21 and sheds 36.4 MWh, less than
+    # step 2's 38.4; refining step 2's plan from the larger budget puts it
+    # all on hour 1
     net, prof = small
-    cfg = cfg_for("Cyberattack", refine=False)
-    costs = scenarios.scenario_costs(cfg, net)
-    result = run_scenario(cfg, net, prof)
-    # the heated run at the same budget sheds more, so the rerun path runs
-    previous = run_scenario(cfg_for("Compound", refine=False), net, prof)
-    assert previous.total_unserved_mwh > result.total_unserved_mwh + 1e-9
-    assert sum(h.spend for h in previous.plan.hours) <= costs.budget
+    pts = beta_sweep(cfg_for("Compound", beta_iterations=3), net, prof)
+    fresh = run_scenario(cfg_for("Compound", budget=pts[2].budget), net, prof,
+                         costs=pts[2].costs)
+    assert pts[1].compound.total_unserved_mwh == pytest.approx(38.4, rel=1e-12)
+    assert fresh.total_unserved_mwh == pytest.approx(36.4, rel=1e-12)
+    step3 = pts[2].compound
+    assert step3.total_unserved_mwh == pytest.approx(39.6, rel=1e-12)
+    assert [h.spend for h in step3.plan.hours] == pytest.approx([0.0, 42.0], abs=1e-9)
 
+
+def _gamma_step(cfg, net):
+    """The prices of gamma ladder step 2 at ``cfg``'s budget."""
+    return scenarios.scenario_costs(cfg, net).scaled(1.0 + GAMMA_WIRE_STEP,
+                                                     1.0 - GAMMA_WIRE_STEP)
+
+
+def _no_refine(monkeypatch):
     def refine(*args, **kwargs):
-        raise AssertionError("refined a ladder rerun with refine = off")
+        raise AssertionError("refined a ladder rerun")
 
     monkeypatch.setattr(scenarios, "refine_budget_allocation", refine)
-    calls = []
-    real = scenarios.attack_with_allocation
-    monkeypatch.setattr(scenarios, "attack_with_allocation",
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
+
+
+def test_monotone_rerun_honours_refine_off(small, monkeypatch):
+    # step 1 kills 15 MW of g2 for 15; step 2's dearer generators make that
+    # 16.5 of its 30, and its fresh run sheds less
+    net, prof = small
+    cfg = cfg_for("Cyberattack", refine=False)
+    costs = _gamma_step(cfg, net)
+    previous = run_scenario(cfg, net, prof)
+    result = run_scenario(cfg, net, prof, costs=costs)
+    assert previous.total_unserved_mwh > result.total_unserved_mwh + 1e-9
+    _no_refine(monkeypatch)
     out = scenarios._monotone_rerun(cfg, net, prof, costs, previous, result)
-    assert len(calls) == 1
-    assert out.total_unserved_mwh >= result.total_unserved_mwh
+    assert out.total_unserved_mwh == previous.total_unserved_mwh
+    for old, new in zip(previous.plan.hours, out.plan.hours):
+        for name in ("zg", "zf", "zt"):
+            assert np.array_equal(getattr(new, name), getattr(old, name))
+        assert new.spend == costs.spend(old.zg, old.zf, old.zt)
+        assert new.opf is old.opf
+    assert [h.spend for h in out.plan.hours] == pytest.approx([0.0, 16.5], rel=1e-12)
+
+
+def test_unaffordable_previous_plan_keeps_the_fresh_result(small, monkeypatch):
+    # the previous plan buys 30 of generators; at step 2's prices it costs 33
+    net, prof = small
+    cfg = cfg_for("Compound")
+    costs = _gamma_step(cfg, net)
+    previous = run_scenario(cfg, net, prof)
+    result = run_scenario(cfg, net, prof, costs=costs)
+    assert previous.total_unserved_mwh > result.total_unserved_mwh + 1e-9
+    assert sum(costs.spend(h.zg, h.zf, h.zt)
+               for h in previous.plan.hours) == pytest.approx(33.0, rel=1e-12)
+    _no_refine(monkeypatch)
+    assert scenarios._monotone_rerun(cfg, net, prof, costs, previous, result) is result
