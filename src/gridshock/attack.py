@@ -19,14 +19,13 @@ Two exact reformulation details beyond the plain big-M recipe:
   (their capacity rent is strictly positive because VOLL exceeds every
   marginal cost); the corresponding logic rows are added as valid cuts.
 
-The cross-hour step of the decomposition replaces a general nonlinear
-restart with deterministic coordinate ascent on the hourly budget split,
-with two moves tried until neither improves: the pooled move hands the
-whole allocation of every hour whose attack adds nothing over its
-unattacked dispatch to the single hour that gains most from the pooled
-sum; the quantum move shifts one budget quantum from the hour losing
-least to the hour gaining most.  Each move re-solves only the hourly
-problems it touches.
+The day's plan splits one seasonal budget over the hours in a single
+pass: every hour is solved at the whole budget, the hours that shed more
+for it are tabulated on a grid of budget steps, and a knapsack over those
+values picks the split with the largest total (see
+:func:`refine_budget_allocation`).  Among the hours the screen keeps, the
+split is the best one on the grid for the hourly values the attack search
+reports.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .simplex import LpProblem
 MICRO_PENALTY = 1e-9  # prefers minimal-effort attacks among ties
 ZONE_PACKAGES = 3  # zone opening packages the greedy attack evaluates exactly
 GREEDY_SHORTLIST = 12  # single moves per greedy step, ranked by capacity rent
-REFINE_MOVES = 4  # refinement move cap per hour and budget quantum
 CERT_TOL = 1e-5
 BIGM_GROWTH = 10.0
 BIGM_RETRIES = 3
@@ -752,28 +750,9 @@ def solve_full_milp(
     return AttackPlan(season, parts, budget)
 
 
-def decompose_attack(
-    net: PowerNetwork,
-    demand: DemandProfile,
-    season: str,
-    costs: AttackCosts,
-    budget: float,
-    bigm: BigMConfig | None = None,
-    node_limit: int = 20_000,
-    dispatch: SeasonDispatch | None = None,
-) -> AttackPlan:
-    """Decoupled stage: one hourly problem per hour at budget / H.
-
-    ``dispatch`` is the run's :class:`SeasonDispatch`; every hour solves on
-    its dispatch form and opens from its unattacked dispatch.  Without it,
-    the call makes one.
-    """
-    dispatch = _run_dispatch(net, demand, season, dispatch)
-    H = demand.hours(season)
-    parts = [solve_hourly_attack(net, demand, season, h, costs, budget / H, bigm, node_limit,
-                                 dispatch=dispatch)
-             for h in range(H)]
-    return AttackPlan(season, parts, budget)
+def _beats(value: float, reference: float) -> bool:
+    """``value`` exceeds ``reference`` by more than rounding."""
+    return value > reference + 1e-9 * max(1.0, abs(reference))
 
 
 def refine_budget_allocation(
@@ -786,118 +765,64 @@ def refine_budget_allocation(
     step_count: int = 4,
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
-    alloc: list[float] | None = None,
     dispatch: SeasonDispatch | None = None,
 ) -> AttackPlan:
-    """Cross-hour budget reallocation by deterministic coordinate ascent.
+    """The best split of ``budget`` over the hours on a grid of ``step_count`` steps.
 
-    Starting from the homogeneous split (or a caller-provided allocation
-    matching ``hourly``), two move types are tried until none improves:
+    One pass, K = ``step_count`` and q = budget / K:
 
-    * pooled move: hours whose attack currently adds nothing over their
-      unattacked dispatch surrender their whole allocation (a provably
-      lossless withdrawal, since hourly value is nondecreasing in budget)
-      to the single recipient that gains most from the pooled sum;
-    * quantum move: one quantum (budget / (H * step_count)) moves from
-      the hour whose objective drops least to the hour that gains most.
+    * screen: every hour is solved at the whole budget; an hour that then
+      sheds no more than its unattacked dispatch drops out;
+    * tabulate: every remaining (live) hour is solved at k * q for
+      k = 1 .. K - 1; k = 0 is the hour's zero-budget part (its part in
+      ``hourly`` when that spends nothing) and k = K the screen's solve;
+    * knapsack: a dynamic program over the live hours, O(H * K^2), finds the
+      split of at most K steps with the largest total, the fewest steps
+      among equal totals;
+    * compare: that plan is returned only if it beats ``hourly``, the plan
+      it was given; otherwise ``hourly`` is.
 
-    Both re-solve only the touched hourly problems.  The result is never
-    worse than the initialization.  ``dispatch`` is the run's
-    :class:`SeasonDispatch`, shared by every re-solve; without it the call
+    That costs H + live * (K - 1) hourly solves.  ``dispatch`` is the run's
+    :class:`SeasonDispatch`, shared by every solve; without it the call
     makes one, so each hour's unattacked dispatch is still solved once here.
     """
-    H = len(hourly)
-    if H == 0:
-        return AttackPlan(season, [], budget)
-    quantum = budget / (H * step_count) if budget > 0 else 0.0
-    alloc = list(alloc) if alloc is not None else [budget / H] * H
-    parts = list(hourly)
-    if quantum <= 0:
-        return AttackPlan(season, parts, budget)
-
+    given = AttackPlan(season, list(hourly), budget)
+    if not hourly or budget <= 0:
+        return given
     dispatch = _run_dispatch(net, demand, season, dispatch)
-    base_shed = [dispatch.base(p.hour).shed_cost for p in parts]
-    gain_cache: dict[int, tuple[float, HourlyAttack]] = {}
-    loss_cache: dict[int, tuple[float, HourlyAttack]] = {}
+    K = step_count
 
-    def eval_at(h: int, b: float) -> HourlyAttack:
-        return solve_hourly_attack(net, demand, season, parts[h].hour, costs,
-                                   max(b, 0.0), bigm, node_limit, dispatch=dispatch)
+    def solve(hour: int, b: float) -> HourlyAttack:
+        return solve_hourly_attack(net, demand, season, hour, costs, b, bigm, node_limit,
+                                   dispatch=dispatch)
 
-    def adopt(h: int, b: float, part: HourlyAttack) -> None:
-        alloc[h] = b
-        parts[h] = part
-        gain_cache.pop(h, None)
-        loss_cache.pop(h, None)
+    full = [solve(p.hour, budget) for p in hourly]
+    live = [i for i, p in enumerate(hourly)
+            if full[i].objective > dispatch.base(p.hour).shed_cost + 1e-6]
+    zero = [p if p.spend <= 1e-12 else solve(p.hour, 0.0) for p in hourly]
+    # grid[i][k]: live hour i's part at k steps
+    grid = {i: [zero[i]] + [solve(hourly[i].hour, k * budget / K) for k in range(1, K)]
+               + [full[i]] for i in live}
 
-    def pooled_move() -> bool:
-        idle = [h for h in range(H)
-                if alloc[h] > 1e-12 and parts[h].objective <= base_shed[h] + 1e-6]
-        pool = sum(alloc[h] for h in idle)
-        if pool <= 1e-9:
-            return False
-        best: tuple[float, int, HourlyAttack] | None = None
-        for r in range(H):
-            # idle hours are probed as recipients too: the pooled sum may
-            # cross a threshold their own allocation cannot
-            extra = pool - (alloc[r] if r in idle else 0.0)
-            if extra <= 1e-12:
-                continue
-            cand = eval_at(r, alloc[r] + extra)
-            gain = cand.objective - parts[r].objective
-            if gain > 1e-6 and (best is None or gain > best[0] + 1e-12):
-                best = (gain, r, cand)
-        if best is None:
-            return False
-        _, r, cand = best
-        taken = 0.0
-        for h in idle:
-            if h != r:
-                taken += alloc[h]
-                adopt(h, 0.0, eval_at(h, 0.0))
-        adopt(r, alloc[r] + taken, cand)
-        return True
-
-    def quantum_move() -> bool:
-        for h in range(H):
-            if h not in gain_cache:
-                cand = eval_at(h, alloc[h] + quantum)
-                gain_cache[h] = (cand.objective - parts[h].objective, cand)
-            if h not in loss_cache:
-                if alloc[h] >= quantum - 1e-12:
-                    cand = eval_at(h, alloc[h] - quantum)
-                    loss_cache[h] = (parts[h].objective - cand.objective, cand)
-                else:
-                    loss_cache[h] = (np.inf, parts[h])
-        order_gain = sorted(range(H), key=lambda h: (-gain_cache[h][0], h))
-        for recipient in order_gain:
-            gain, new_r = gain_cache[recipient]
-            if gain <= 1e-9:
-                return False
-            donors = sorted(
-                (h for h in range(H)
-                 if h != recipient and np.isfinite(loss_cache[h][0])),
-                key=lambda h: (loss_cache[h][0], h))
-            if not donors:
-                continue
-            donor = donors[0]
-            loss, new_d = loss_cache[donor]
-            if gain - loss > 1e-9 * max(1.0, abs(parts[recipient].objective)):
-                adopt(recipient, alloc[recipient] + quantum, new_r)
-                adopt(donor, alloc[donor] - quantum, new_d)
-                return True
-        return False
-
-    moves = 0
-    while moves < REFINE_MOVES * H * step_count:
-        if pooled_move():
-            moves += 1
-            continue
-        if quantum_move():
-            moves += 1
-            continue
-        break
-    return AttackPlan(season, parts, budget)
+    # best[s]: (total value, steps per live hour) of the best split of exactly s steps
+    best: dict[int, tuple[float, tuple[int, ...]]] = {0: (0.0, ())}
+    for i in live:
+        nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
+        for s, (total, steps) in best.items():
+            for k in range(K + 1 - s):
+                value = total + grid[i][k].objective
+                if s + k not in nxt or value > nxt[s + k][0]:
+                    nxt[s + k] = (value, steps + (k,))
+        best = nxt
+    chosen = best[0]
+    for s in sorted(best)[1:]:
+        if _beats(best[s][0], chosen[0]):
+            chosen = best[s]
+    parts = list(zero)
+    for i, k in zip(live, chosen[1]):
+        parts[i] = grid[i][k]
+    plan = AttackPlan(season, parts, budget)
+    return plan if _beats(plan.objective, given.objective) else given
 
 
 def run_attack(
@@ -909,21 +834,22 @@ def run_attack(
     step_count: int = 4,
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
-    refine: bool = True,
 ) -> AttackPlan:
-    """Decomposition entry point: hourly problems at budget/H, then reallocation.
+    """A day's attack: every hour at no budget, then the best split on the grid.
 
-    Both stages share one :class:`SeasonDispatch`: one dispatch form for
-    every hour, and each hour's unattacked dispatch solved once, first.
+    The zero-budget plan certifies each hour's unattacked dispatch;
+    :func:`refine_budget_allocation` then screens the hours, tabulates the
+    live ones and splits ``budget`` by a knapsack over ``step_count`` steps.
+    Both share one :class:`SeasonDispatch`: one dispatch form for every
+    hour, and each hour's unattacked dispatch solved once, first.
     """
-    dispatch = SeasonDispatch(net, demand, season, range(demand.hours(season)))
-    plan = decompose_attack(net, demand, season, costs, budget, bigm,
-                            node_limit, dispatch=dispatch)
-    if not refine or budget <= 0:
-        return plan
-    return refine_budget_allocation(net, demand, season, costs, plan.hours,
-                                    budget, step_count, bigm, node_limit,
-                                    dispatch=dispatch)
+    hours = range(demand.hours(season))
+    dispatch = SeasonDispatch(net, demand, season, hours)
+    zero = [solve_hourly_attack(net, demand, season, h, costs, 0.0, bigm, node_limit,
+                                dispatch=dispatch)
+            for h in hours]
+    return refine_budget_allocation(net, demand, season, costs, zero, budget, step_count,
+                                    bigm, node_limit, dispatch=dispatch)
 
 
 def attack_rows(plan: AttackPlan, net: PowerNetwork,

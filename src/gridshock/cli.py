@@ -28,6 +28,7 @@ from .network import (
 from .scenarios import (
     ScenarioConfig,
     ScenarioError,
+    _heated,
     scenario_profile,
     gamma_sweep,
     beta_sweep,
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (
         ("solve-opf", "solve the hourly dispatch for a whole day"),
-        ("attack", "run the budgeted attacker (decomposition + refinement)"),
+        ("attack", "run the budgeted attacker (hourly screen + budget knapsack)"),
         ("scenario", "run a named scenario from a config file"),
         ("sweep-gamma", "attacker price-ratio sensitivity ladder"),
         ("sweep-beta", "attacker budget sensitivity ladder"),
@@ -126,18 +127,23 @@ def cmd_solve_opf(args) -> int:
 
 def cmd_attack(args) -> int:
     net, demand = _load_inputs(args)
-    kind = "Compound" if (args.heatwave_factor or 1.0) != 1.0 else "Cyberattack"
-    cfg = replace(_config(args), kind=kind)
+    cfg = _config(args)
+    # heated demand when --heatwave-factor asks for a factor other than 1,
+    # or, without that flag, when the config's scenario is a heated one
+    factor = args.heatwave_factor
+    heated = factor != 1.0 if factor is not None else _heated(cfg)
+    kind = "Compound" if heated else "Cyberattack"
+    cfg = replace(cfg, kind=kind)
     costs = scenario_costs(cfg, net)
     result = run_scenario(cfg, net, demand, costs=costs)
     manifest = reporting.export_results(result, args.out, net, costs)
     if args.dump_lp and result.plan is not None:
         from .attack import build_hourly_attack_milp
-        # dump the MILP of the demand the attack was planned on
-        profile = scenario_profile(cfg, demand)
-        prob = build_hourly_attack_milp(
-            net, profile, cfg.season, result.peak_hour, costs,
-            costs.budget / profile.hours(cfg.season))
+        # dump the peak hour's MILP on the demand the attack was planned on,
+        # at the budget the plan spends on that hour
+        (part,) = (h for h in result.plan.hours if h.hour == result.peak_hour)
+        prob = build_hourly_attack_milp(net, scenario_profile(cfg, demand), cfg.season,
+                                        result.peak_hour, costs, part.spend)
         (Path(args.out) / f"attack_h{result.peak_hour}.lp").write_text(dump_lp(prob.lp))
     print(f"{kind}: unserved {result.total_unserved_mwh:.6g} MWh, "
           f"peak {result.peak_shed_mw:.6g} MW at hour {result.peak_hour}, "

@@ -8,9 +8,9 @@ per step), six iterations each, evaluating both attack scenarios per
 iteration.
 
 Each ladder step is a fresh attack run.  When a step sheds less than the
-step before, the previous plan, re-costed at the step's prices, is refined
-instead and the better of the two is kept.  A beta step is therefore never
-below its predecessor (a larger budget at the same prices still affords the
+step before, the previous plan, re-costed at the step's prices, is reported
+instead if it fits the step's budget.  A beta step is therefore never below
+its predecessor (a larger budget at the same prices still affords the
 previous plan); a gamma step is only while the previous plan stays
 affordable at the dearer generator prices.
 """
@@ -26,7 +26,6 @@ from .attack import (
     AttackCosts,
     AttackPlan,
     default_costs,
-    refine_budget_allocation,
     run_attack,
 )
 from .dcopf import OpfSolution, solve_day
@@ -53,7 +52,6 @@ class ScenarioConfig:
     gamma_iterations: int = SWEEP_ITERATIONS
     beta_iterations: int = SWEEP_ITERATIONS
     refine_steps: int = 4
-    refine: bool = True
     node_limit: int = 0  # 0 = certificate-only attack mode (fast sweeps)
 
     def __post_init__(self):
@@ -179,8 +177,7 @@ def run_scenario(
         if cfg.kind in ("Cyberattack", "Compound"):
             costs = costs if costs is not None else scenario_costs(cfg, net)
             plan = run_attack(net, profile, season, costs, costs.budget,
-                              step_count=cfg.refine_steps, node_limit=cfg.node_limit,
-                              refine=cfg.refine)
+                              step_count=cfg.refine_steps, node_limit=cfg.node_limit)
         hours = solve_day(net, profile, season) if plan is None else [h.opf for h in plan.hours]
         return _metrics(cfg, net, profile, hours, plan)
     except ScenarioError:
@@ -197,31 +194,22 @@ def _monotone_rerun(
     previous: ScenarioResult | None,
     result: ScenarioResult,
 ) -> ScenarioResult:
-    """Refine the previous step's plan when a ladder step sheds less.
+    """The previous step's plan when a ladder step sheds less than it.
 
-    The previous plan's hours are re-costed at this step's prices.  When
-    they fit the budget, the slack is spread evenly over the hours and the
-    budget refinement starts from that split (with ``cfg.refine`` off, the
-    re-costed plan is reported as it is); otherwise the fresh result stands.
-    Keep whichever run disrupts more.
+    The previous plan's hours are re-costed at this step's prices and
+    reported as they are when they fit the step's budget; otherwise the
+    fresh result stands.  The ladder keeps the demand, so the previous
+    plan's dispatch is this step's too.
     """
     if previous is None or previous.plan is None or result.plan is None:
         return result
     if result.total_unserved_mwh >= previous.total_unserved_mwh - 1e-9:
         return result
     hours = [replace(h, spend=costs.spend(h.zg, h.zf, h.zt)) for h in previous.plan.hours]
-    slack = costs.budget - sum(h.spend for h in hours)
-    if slack < 0:
+    if sum(h.spend for h in hours) > costs.budget:
         return result
-    profile = scenario_profile(cfg, demand)
     plan = AttackPlan(cfg.season, hours, costs.budget)
-    if cfg.refine:
-        alloc = [h.spend + slack / len(hours) for h in hours]
-        plan = refine_budget_allocation(net, profile, cfg.season, costs, hours,
-                                        costs.budget, cfg.refine_steps,
-                                        node_limit=cfg.node_limit, alloc=alloc)
-    rerun = _metrics(cfg, net, profile, [h.opf for h in plan.hours], plan)
-    return rerun if rerun.total_unserved_mwh > result.total_unserved_mwh else result
+    return _metrics(cfg, net, scenario_profile(cfg, demand), [h.opf for h in hours], plan)
 
 
 @dataclass
@@ -296,17 +284,8 @@ def beta_sweep(cfg: ScenarioConfig, net: PowerNetwork,
     return _sweep(cfg, net, demand, "beta")
 
 
-def _parse_bool(text: str) -> bool:
-    word = text.strip().lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
-
-
 # parser of each config key, read off the ScenarioConfig annotations
-_PARSERS = {"str": str, "float": float, "int": int, "bool": _parse_bool}
+_PARSERS = {"str": str, "float": float, "int": int}
 _CONFIG_FIELDS = {f.name: _PARSERS[f.type] for f in fields(ScenarioConfig)}
 
 

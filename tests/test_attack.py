@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import weakref
 from collections import Counter
 from dataclasses import fields, replace
@@ -10,10 +11,10 @@ import pytest
 import gridshock.attack as attack_mod
 from gridshock.attack import (
     AttackCosts,
+    AttackPlan,
     BigMConfig,
     attack_rows,
     build_hourly_attack_milp,
-    decompose_attack,
     default_costs,
     greedy_attack,
     refine_budget_allocation,
@@ -173,12 +174,20 @@ def test_full_milp_uniform_hours_doubles_single_hour():
     assert both.objective == pytest.approx(2 * single.objective, rel=1e-6)
 
 
+def even_split(net, prof, costs, budget, node_limit):
+    """Every hour solved at budget / H: a start for the budget split."""
+    H = prof.hours("summer")
+    return AttackPlan("summer", [solve_hourly_attack(net, prof, "summer", h, costs, budget / H,
+                                                     node_limit=node_limit)
+                                 for h in range(H)], budget)
+
+
 def test_refinement_matches_full_milp():
     net = tight_two_bus()
     prof = profile_for(net, [[10.0, 40.0], [10.0, 80.0]])
     costs = uniform_costs(net, 30.0)
     full = solve_full_milp(net, prof, "summer", costs, 30.0, node_limit=500_000)
-    dec = decompose_attack(net, prof, "summer", costs, 30.0, node_limit=200_000)
+    dec = even_split(net, prof, costs, 30.0, node_limit=200_000)
     ref = refine_budget_allocation(net, prof, "summer", costs, dec.hours, 30.0,
                                    step_count=4, node_limit=200_000)
     assert ref.objective >= dec.objective - 1e-9  # never worse than its start
@@ -189,7 +198,7 @@ def test_refinement_identical_hours_keeps_split():
     net = tight_two_bus()
     prof = profile_for(net, [[10.0, 80.0], [10.0, 80.0]])
     costs = uniform_costs(net, 60.0)
-    dec = decompose_attack(net, prof, "summer", costs, 60.0, node_limit=200_000)
+    dec = even_split(net, prof, costs, 60.0, node_limit=200_000)
     ref = refine_budget_allocation(net, prof, "summer", costs, dec.hours, 60.0,
                                    step_count=4, node_limit=200_000)
     assert ref.objective == pytest.approx(dec.objective, rel=1e-9)
@@ -242,8 +251,7 @@ def test_bigm_grows_until_valid():
 
 def test_attack_rows_breakdown(bundled_net, bundled_demand):
     costs = default_costs(bundled_net, 300.0, 5.0)
-    plan = run_attack(bundled_net, bundled_demand, "summer", costs, 300.0,
-                      node_limit=0, refine=True)
+    plan = run_attack(bundled_net, bundled_demand, "summer", costs, 300.0, node_limit=0)
     rows = attack_rows(plan, bundled_net, costs)
     assert rows, "default budget should buy a nonempty strategy"
     kinds = {r[2] for r in rows}
@@ -252,14 +260,41 @@ def test_attack_rows_breakdown(bundled_net, bundled_demand):
         assert z > 0 and spend > 0
 
 
+def test_bundled_compound_day_is_the_best_grid_split(bundled_net, bundled_demand):
+    """The shipped Compound day against every split of its budget on the grid.
+
+    Each of the 24 hours is solved at k * 75, k = 1..4, and every way to put
+    at most 4 steps on the hours is summed.  Nothing screens the hours here,
+    so this checks the screen as well as the knapsack."""
+    heated = apply_heatwave(bundled_demand, 1.09)
+    costs = default_costs(bundled_net, 300.0, 5.0)
+    hours, steps = range(24), 4
+    dispatch = SeasonDispatch(bundled_net, heated, "summer", hours)
+    value = np.array([[dispatch.base(h).shed_cost]
+                      + [solve_hourly_attack(bundled_net, heated, "summer", h, costs,
+                                             k * 300.0 / steps, node_limit=0,
+                                             dispatch=dispatch).objective
+                         for k in range(1, steps + 1)] for h in hours])
+    gain = value - value[:, :1]
+    # a split is a multiset of steps over the hours; hour 24 is a step unspent
+    splits = list(itertools.combinations_with_replacement(range(25), steps))
+    assert len(splits) == 20_475
+    best = value[:, 0].sum() + max(sum(gain[h, k] for h, k in Counter(s).items() if h < 24)
+                                   for s in splits)
+    plan = run_attack(bundled_net, heated, "summer", costs, 300.0, step_count=steps,
+                      node_limit=0)
+    assert plan.objective == pytest.approx(best, rel=1e-9)
+    assert plan.objective == pytest.approx(287_497.6, rel=1e-9)
+
+
 def test_refinement_crosses_activation_thresholds():
-    # both hours are worthless at the homogeneous split (8 < the 10 MW
-    # margin) but pooling the whole budget into one hour sheds; the
-    # reallocation must find it rather than stall at zero
+    # both hours are worthless at the even split (8 < the 10 MW margin) but
+    # the whole budget in one hour sheds; the split must find it rather than
+    # stall at zero
     net = tight_two_bus()
     prof = profile_for(net, [[10.0, 70.0], [10.0, 70.0]])
     costs = uniform_costs(net, 16.0)
-    dec = decompose_attack(net, prof, "summer", costs, 16.0, node_limit=0)
+    dec = even_split(net, prof, costs, 16.0, node_limit=0)
     assert dec.objective == pytest.approx(0.0, abs=1e-9)
     ref = refine_budget_allocation(net, prof, "summer", costs, dec.hours, 16.0,
                                    step_count=4, node_limit=0)
@@ -350,8 +385,8 @@ def test_attack_milp_build_is_unchanged(bundled_net, bundled_demand):
 
 
 def _threshold_instance():
-    # the refinement instance above plus a third hour: pooled and quantum
-    # moves both re-solve hours, zero-budget hours among them
+    # the threshold instance above plus a third hour: only hour 2 sheds at
+    # 4 of the 16, and all three shed at the whole budget
     net = tight_two_bus()
     prof = profile_for(net, [[10.0, 70.0], [10.0, 70.0], [10.0, 78.0]])
     return net, prof, uniform_costs(net, 16.0)
@@ -369,9 +404,9 @@ def test_run_attack_solves_each_unattacked_hour_once(monkeypatch):
 
     monkeypatch.setattr(dcopf_mod, "solve_dcopf", counting)
     monkeypatch.setattr(attack_mod, "solve_dcopf", counting)
-    plan = run_attack(net, prof, "summer", costs, 16.0, node_limit=0, refine=True)
-    # refinement pooled the whole budget into hour 2: a 16 MW kill against
-    # its 2 MW margin sheds 14 MW
+    plan = run_attack(net, prof, "summer", costs, 16.0, node_limit=0)
+    # the split puts the whole budget on hour 2: a 16 MW kill against its
+    # 2 MW margin sheds 14 MW
     assert [h.spend for h in plan.hours] == pytest.approx([0.0, 0.0, 16.0], abs=1e-9)
     assert plan.objective == pytest.approx(14_000.0, rel=1e-9)
     assert unattacked == Counter({0: 1, 1: 1, 2: 1})
@@ -402,9 +437,9 @@ def test_shared_bases_are_not_modified():
     dispatch = SeasonDispatch(net, prof, "summer")
     bases = [dispatch.base(h) for h in range(3)]
     before = copy.deepcopy(bases)
-    plan = decompose_attack(net, prof, "summer", costs, 16.0, node_limit=0,
-                            dispatch=dispatch)
-    ref = refine_budget_allocation(net, prof, "summer", costs, plan.hours, 16.0,
+    zero = [solve_hourly_attack(net, prof, "summer", h, costs, 0.0, node_limit=0,
+                                dispatch=dispatch) for h in range(3)]
+    ref = refine_budget_allocation(net, prof, "summer", costs, zero, 16.0,
                                    node_limit=0, dispatch=dispatch)
     again = run_attack(net, prof, "summer", costs, 16.0, node_limit=0)
     assert ([_hour_fingerprint(h) for h in ref.hours]
@@ -429,7 +464,7 @@ def test_run_dispatch_dies_with_the_run(monkeypatch):
             super().__init__(*args, **kwargs)
             made.append(weakref.ref(self))
     monkeypatch.setattr(attack_mod, "SeasonDispatch", Tracked)
-    plan = run_attack(net, prof, "summer", costs, 16.0, node_limit=0, refine=True)
+    plan = run_attack(net, prof, "summer", costs, 16.0, node_limit=0)
     assert plan.objective == pytest.approx(14_000.0, rel=1e-9)
     assert len(made) == 1
     assert made[0]() is None

@@ -93,6 +93,29 @@ def test_attack_dump_lp_uses_heated_demand(files):
             balance[label] = rhs
     demand = np.array([[10.0, 60.0], [10.0, 80.0]])[hour] * factor
     assert balance == pytest.approx({f"bal[{hour}][{n}]": d for n, d in enumerate(demand)})
+    # the budget row is the plan's spend on that hour, not an even share
+    with open(tmp / "atk" / "attack_strategy.csv", newline="") as fh:
+        spend = sum(float(r["spend"]) for r in csv.DictReader(fh) if int(r["hour"]) == hour)
+    (bound,) = (float(line.rsplit("<=", 1)[1]) for line in dump.read_text().splitlines()
+                if line.startswith(f" budget[{hour}]_up:"))
+    assert spend > 0
+    assert bound == pytest.approx(spend, rel=1e-12)
+
+
+@pytest.mark.parametrize("config, flags, scenario, factor", [
+    ("compound.cfg", [], "Compound", 1.09),
+    ("cyberattack.cfg", [], "Cyberattack", 1.0),
+    ("cyberattack.cfg", ["--heatwave-factor", "1.09"], "Compound", 1.09),
+    ("compound.cfg", ["--heatwave-factor", "1.0"], "Cyberattack", 1.0),
+])
+def test_attack_runs_the_configs_scenario(tmp_path, config, flags, scenario, factor):
+    # --heatwave-factor decides when given; otherwise the config's kind does
+    out = tmp_path / "atk"
+    assert main(["attack", "--config", str(bundled_path(config)), "--out", str(out),
+                 *flags]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenario"] == scenario
+    assert manifest["heatwave_factor"] == factor
 
 
 def test_verify_roundtrip_and_corruption(files):

@@ -184,26 +184,27 @@ def test_config_file_bad_value_names_file_and_line(tmp_path, line):
 
 
 def test_config_file_refine_flag(tmp_path):
+    # the budget split is always the knapsack over the grid: no key selects
+    # another one
     path = tmp_path / "flag.cfg"
     path.write_text("refine = off\n")
-    assert load_config(path).refine is False
-    path.write_text("refine = Yes\n")
-    assert load_config(path).refine is True
+    with pytest.raises(ValueError, match="unknown config key 'refine'"):
+        load_config(path)
 
 
-def test_dipping_beta_step_refines_the_previous_plan(small):
-    # step 3's fresh run splits 42 as 21 + 21 and sheds 36.4 MWh, less than
-    # step 2's 38.4; refining step 2's plan from the larger budget puts it
-    # all on hour 1
+def test_fresh_beta_step_sheds_more_than_the_step_before(small):
+    # step 3's own run puts all of its 42 on hour 1 and sheds 39.6 MWh, more
+    # than step 2's 38.4, so the ladder reports it as it is
     net, prof = small
     pts = beta_sweep(cfg_for("Compound", beta_iterations=3), net, prof)
     fresh = run_scenario(cfg_for("Compound", budget=pts[2].budget), net, prof,
                          costs=pts[2].costs)
     assert pts[1].compound.total_unserved_mwh == pytest.approx(38.4, rel=1e-12)
-    assert fresh.total_unserved_mwh == pytest.approx(36.4, rel=1e-12)
+    assert fresh.total_unserved_mwh == pytest.approx(39.6, rel=1e-12)
+    assert [h.spend for h in fresh.plan.hours] == pytest.approx([0.0, 42.0], abs=1e-9)
     step3 = pts[2].compound
-    assert step3.total_unserved_mwh == pytest.approx(39.6, rel=1e-12)
-    assert [h.spend for h in step3.plan.hours] == pytest.approx([0.0, 42.0], abs=1e-9)
+    assert step3.total_unserved_mwh == fresh.total_unserved_mwh
+    assert [h.spend for h in step3.plan.hours] == [h.spend for h in fresh.plan.hours]
 
 
 def _gamma_step(cfg, net):
@@ -212,25 +213,27 @@ def _gamma_step(cfg, net):
                                                      1.0 - GAMMA_WIRE_STEP)
 
 
-def _no_refine(monkeypatch):
-    def refine(*args, **kwargs):
-        raise AssertionError("refined a ladder rerun")
+def _no_attack(monkeypatch):
+    def attack(*args, **kwargs):
+        raise AssertionError("a ladder rerun solved an attack")
 
-    monkeypatch.setattr(scenarios, "refine_budget_allocation", refine)
+    monkeypatch.setattr(scenarios, "run_attack", attack)
 
 
-def test_monotone_rerun_honours_refine_off(small, monkeypatch):
-    # step 1 kills 15 MW of g2 for 15; step 2's dearer generators make that
-    # 16.5 of its 30, and its fresh run sheds less
+def test_dipping_step_reports_the_recosted_previous_plan(small, monkeypatch):
+    # a hand-built dipping pair: the previous step kills 15 MW of g2 for 15,
+    # which step 2's dearer generators make 16.5 of its 30; the step's result
+    # is its run at half that budget, which sheds less
     net, prof = small
-    cfg = cfg_for("Cyberattack", refine=False)
+    cfg = cfg_for("Cyberattack")
     costs = _gamma_step(cfg, net)
-    previous = run_scenario(cfg, net, prof)
-    result = run_scenario(cfg, net, prof, costs=costs)
+    previous = run_scenario(cfg_for("Cyberattack", budget=15.0), net, prof)
+    result = run_scenario(cfg, net, prof, costs=costs.scaled(budget_factor=0.5))
     assert previous.total_unserved_mwh > result.total_unserved_mwh + 1e-9
-    _no_refine(monkeypatch)
+    _no_attack(monkeypatch)
     out = scenarios._monotone_rerun(cfg, net, prof, costs, previous, result)
     assert out.total_unserved_mwh == previous.total_unserved_mwh
+    assert out.plan.budget == costs.budget
     for old, new in zip(previous.plan.hours, out.plan.hours):
         for name in ("zg", "zf", "zt"):
             assert np.array_equal(getattr(new, name), getattr(old, name))
@@ -249,5 +252,5 @@ def test_unaffordable_previous_plan_keeps_the_fresh_result(small, monkeypatch):
     assert previous.total_unserved_mwh > result.total_unserved_mwh + 1e-9
     assert sum(costs.spend(h.zg, h.zf, h.zt)
                for h in previous.plan.hours) == pytest.approx(33.0, rel=1e-12)
-    _no_refine(monkeypatch)
+    _no_attack(monkeypatch)
     assert scenarios._monotone_rerun(cfg, net, prof, costs, previous, result) is result
