@@ -2,9 +2,10 @@
 
 Solves hourly DC optimal power flow, certifies dispatch optimality through
 its complementarity system, computes budget-constrained worst-case attacks
-on generation and transmission capacity via a big-M MILP with an hourly
-decomposition, evaluates Heatwave / Cyberattack / Compound scenarios, and
-exports regional supply-shock files for downstream economy-wide models.
+on generation and transmission capacity via a big-M MILP per hour and a
+knapsack split of the day's budget over the hours, evaluates Heatwave /
+Cyberattack / Compound scenarios, and exports regional supply-shock files
+for downstream economy-wide models.
 """
 
 from .attack import (
@@ -14,7 +15,6 @@ from .attack import (
     HourlyAttack,
     build_hourly_attack_milp,
     default_costs,
-    refine_budget_allocation,
     run_attack,
     solve_full_milp,
     solve_hourly_attack,
@@ -47,8 +47,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackCosts", "AttackPlan", "BigMConfig", "HourlyAttack",
-    "build_hourly_attack_milp", "default_costs", "refine_budget_allocation",
-    "run_attack", "solve_full_milp", "solve_hourly_attack",
+    "build_hourly_attack_milp", "default_costs", "run_attack", "solve_full_milp",
+    "solve_hourly_attack",
     "OpfSolution", "build_dcopf", "solve_dcopf", "solve_day",
     "KktResiduals", "kkt_residuals", "verify_equilibrium",
     "MilpProblem", "MilpSolution", "solve_milp",

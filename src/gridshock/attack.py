@@ -21,11 +21,10 @@ Two exact reformulation details beyond the plain big-M recipe:
 
 The day's plan splits one seasonal budget over the hours in a single
 pass: every hour is solved at the whole budget, the hours that shed more
-for it are tabulated on a grid of budget steps, and a knapsack over those
-values picks the split with the largest total (see
-:func:`refine_budget_allocation`).  Among the hours the screen keeps, the
-split is the best one on the grid for the hourly values the attack search
-reports.
+for it are tabulated on a grid of ``BUDGET_STEPS`` budget steps, and a
+knapsack over those values picks the split with the largest total (see
+:func:`run_attack`).  Among the hours the screen keeps, the split is the
+best one on the grid for the hourly values the attack search reports.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ GREEDY_SHORTLIST = 12  # single moves per greedy step, ranked by capacity rent
 CERT_TOL = 1e-5
 BIGM_GROWTH = 10.0
 BIGM_RETRIES = 3
+BUDGET_STEPS = 4  # K: a day's budget is split in steps of budget / K
 
 
 class BigMInvalidError(RuntimeError):
@@ -122,12 +122,16 @@ class HourlyAttack:
     zf: np.ndarray
     zt: np.ndarray
     spend: float
-    objective: float  # voll . u at the induced equilibrium
     opf: OpfSolution
     status: str
     nodes: int
     bigm_valid: bool
     certificate_ok: bool
+
+    @property
+    def objective(self) -> float:
+        """voll . u at the induced equilibrium."""
+        return self.opf.shed_cost
 
 
 @dataclass
@@ -166,8 +170,8 @@ class _Layout:
                 pos += sz
             self.offsets.append(offs)
         self.n_cols = pos
-        # rows when no angle pair is presolved away, one budget row per hour
-        self.max_rows = n_hours * (7 * G + 14 * E + 7 * N + 2)
+        # rows when no angle pair is presolved away, and the one budget row
+        self.max_rows = n_hours * (7 * G + 14 * E + 7 * N + 1) + 1
 
     def sl(self, hour_pos: int, name: str) -> slice:
         off = self.offsets[hour_pos][name]
@@ -201,14 +205,13 @@ def _build_attack_milp(
     season: str,
     hours: list[int],
     costs: AttackCosts,
-    budgets: list[float] | float,
+    budget: float,
     bigm: BigMConfig,
 ) -> tuple[MilpProblem, _Layout]:
-    """Assemble the attack MILP over the given hours.
+    """Assemble the attack MILP over the given hours under one ``budget`` row.
 
-    ``budgets`` is either one row over all hours (a float: the joint
-    formulation) or one row per hour (a list: the decoupled formulation).
-    Each row family is one block of rows over the hour's column blocks.
+    Each row family is one block of rows over the hour's column blocks; the
+    budget row, last, spans every hour's attack columns.
     """
     G, E, N = net.num_generators, net.num_edges, net.num_nodes
     A = incidence_matrix(net)
@@ -221,13 +224,12 @@ def _build_attack_milp(
     ref = net.node_index()[net.reference_node]
     M = bigm.m_value
     lay = _Layout(net, len(hours))
-    joint = np.isscalar(budgets)
-    total_budget = float(budgets) if joint else float(sum(budgets))
+    budget = float(budget)
 
     # budget presolve: no single component can absorb more than the budget
-    zg_ub = np.minimum(g_up, total_budget / costs.cg)
-    zf_ub = np.minimum(f_cap, total_budget / costs.cf)
-    zt_ub = np.minimum(t_cap, total_budget / costs.ct)
+    zg_ub = np.minimum(g_up, budget / costs.cg)
+    zf_ub = np.minimum(f_cap, budget / costs.cf)
+    zt_ub = np.minimum(t_cap, budget / costs.ct)
     # angle pairs that can never bind given flow limits and affordable zt
     angle_slack = t_cap - zt_ub - f_cap / Bmw
     angle_dead = angle_slack > 1e-9
@@ -357,15 +359,13 @@ def _build_attack_milp(
                                          "gam_unserved_lo": Mmap.T * g_up[:, None]},
                              g_up, np.inf))
 
-        if not joint:
-            families.append(rows("budget", prices, -np.inf, budgets[hp]))
-
-    if joint:
-        row = np.zeros((1, n))
-        for hp in range(len(hours)):
-            for name, price in prices.items():
-                row[0, lay.sl(hp, name)] = price
-        families.append((row, np.array([-np.inf]), np.array([float(budgets)]), ["budget"]))
+    row = np.zeros((1, n))
+    for hp in range(len(hours)):
+        for name, price in prices.items():
+            row[0, lay.sl(hp, name)] = price
+    # one hour's row carries the hour like every other row of its MILP
+    label = f"budget[{hours[0]}]" if len(hours) == 1 else "budget"
+    families.append((row, np.array([-np.inf]), np.array([budget]), [label]))
 
     # negated blocks carry -0.0 off their pattern; adding 0.0 makes every
     # structural zero +0.0, so the matrix does not depend on how it was built
@@ -386,10 +386,9 @@ def build_hourly_attack_milp(
     hourly_budget: float,
     bigm: BigMConfig | None = None,
 ) -> MilpProblem:
-    """One-hour disruption MILP under an hourly budget (decoupled form)."""
+    """One-hour disruption MILP under an hourly budget."""
     bigm = bigm or BigMConfig.for_network(net, demand)
-    prob, _ = _build_attack_milp(net, demand, season, [hour], costs,
-                                 [hourly_budget], bigm)
+    prob, _ = _build_attack_milp(net, demand, season, [hour], costs, hourly_budget, bigm)
     return prob
 
 
@@ -478,8 +477,8 @@ def _run_dispatch(net: PowerNetwork, demand: DemandProfile, season: str,
                   dispatch: SeasonDispatch | None) -> SeasonDispatch:
     """``dispatch`` when given, else a new one for (net, demand, season).
 
-    An attack run makes one and hands it to every stage, so the hours share
-    one dispatch form and each hour's unattacked dispatch is solved once.
+    An attack run makes one and hands it to every hourly solve, so the hours
+    share one dispatch form and each hour's unattacked dispatch is solved once.
     """
     if dispatch is None:
         return SeasonDispatch(net, demand, season)
@@ -624,20 +623,20 @@ def _certified_hour(
     if not (cert and valid):
         opf = solve_dcopf(net, dispatch.demand, season, hour, zg, zf, zt, form=dispatch.form)
         cert, valid = checks(opf)
-    return HourlyAttack(season, hour, zg, zf, zt, costs.spend(zg, zf, zt), opf.shed_cost, opf,
-                        status, nodes, valid, cert)
+    return HourlyAttack(season, hour, zg, zf, zt, costs.spend(zg, zf, zt), opf, status, nodes,
+                        valid, cert)
 
 
 def _solve_certified(
     dispatch: SeasonDispatch,
     hours: list[int],
     costs: AttackCosts,
-    budgets: list[float] | float,
+    budget: float,
     bigm: BigMConfig,
     node_limit: int,
     warm_parts: list[tuple],
 ) -> list[HourlyAttack]:
-    """Solve the attack MILP over ``hours`` and certify every hour.
+    """Solve the attack MILP over ``hours`` under ``budget`` and certify every hour.
 
     ``warm_parts`` holds one (zg, zf, zt, dispatch) candidate per hour, the
     branch-and-bound ``warm_start`` when it is feasible.  An
@@ -648,7 +647,7 @@ def _solve_certified(
     net, demand, season = dispatch.net, dispatch.demand, dispatch.season
     m_value = bigm.m_value
     for attempt in range(BIGM_RETRIES + 1):
-        prob, lay = _build_attack_milp(net, demand, season, hours, costs, budgets,
+        prob, lay = _build_attack_milp(net, demand, season, hours, costs, budget,
                                        BigMConfig(m_value))
         x0 = np.zeros(lay.n_cols)
         for hp, (zg, zf, zt, sol) in enumerate(warm_parts):
@@ -708,7 +707,7 @@ def solve_hourly_attack(
     best = greedy_attack(net, demand, season, hour, costs, hourly_budget, dispatch)
     if node_limit == 0:
         return _certified_hour(dispatch, hour, costs, *best, "heuristic", 0, bigm.m_value)
-    return _solve_certified(dispatch, [hour], costs, [hourly_budget], bigm, node_limit,
+    return _solve_certified(dispatch, [hour], costs, hourly_budget, bigm, node_limit,
                             [best])[0]
 
 
@@ -721,12 +720,12 @@ def solve_full_milp(
     demand: DemandProfile,
     season: str,
     costs: AttackCosts,
-    budget: float,
     hours: list[int] | None = None,
+    *,
     bigm: BigMConfig | None = None,
     node_limit: int = 500_000,
 ) -> AttackPlan:
-    """Jointly optimal attack across hours (single budget row).
+    """Jointly optimal attack across hours under one ``costs.budget`` row.
 
     An oracle for small instances only: the MILP is dense and exponential
     in size.  Raises ValueError, before building anything, when its
@@ -743,6 +742,7 @@ def solve_full_milp(
     bigm = bigm or BigMConfig.for_network(net, demand)
     dispatch = SeasonDispatch(net, demand, season)
 
+    budget = costs.budget
     # warm candidate: greedy at budget / H in every hour
     warm_parts = [greedy_attack(net, demand, season, h, costs, budget / len(hours), dispatch)
                   for h in hours]
@@ -755,62 +755,58 @@ def _beats(value: float, reference: float) -> bool:
     return value > reference + 1e-9 * max(1.0, abs(reference))
 
 
-def refine_budget_allocation(
+def run_attack(
     net: PowerNetwork,
     demand: DemandProfile,
     season: str,
     costs: AttackCosts,
-    hourly: list[HourlyAttack],
-    budget: float,
-    step_count: int = 4,
+    *,
     bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
-    dispatch: SeasonDispatch | None = None,
 ) -> AttackPlan:
-    """The best split of ``budget`` over the hours on a grid of ``step_count`` steps.
+    """A day's attack: the best split of ``costs.budget`` over the hours on a grid.
 
-    One pass, K = ``step_count`` and q = budget / K:
+    One pass, K = ``BUDGET_STEPS`` and q = budget / K:
 
+    * zero: every hour is solved at no budget, which certifies its
+      unattacked dispatch; with no budget, that is the plan;
     * screen: every hour is solved at the whole budget; an hour that then
       sheds no more than its unattacked dispatch drops out;
     * tabulate: every remaining (live) hour is solved at k * q for
-      k = 1 .. K - 1; k = 0 is the hour's zero-budget part (its part in
-      ``hourly`` when that spends nothing) and k = K the screen's solve;
+      k = 1 .. K - 1; k = 0 is the hour's zero part and k = K its screen;
     * knapsack: a dynamic program over the live hours, O(H * K^2), finds the
       split of at most K steps with the largest total, the fewest steps
-      among equal totals;
-    * compare: that plan is returned only if it beats ``hourly``, the plan
-      it was given; otherwise ``hourly`` is.
+      among equal totals.
 
-    That costs H + live * (K - 1) hourly solves.  ``dispatch`` is the run's
-    :class:`SeasonDispatch`, shared by every solve; without it the call
-    makes one, so each hour's unattacked dispatch is still solved once here.
+    That costs H + H + live * (K - 1) hourly solves, all on one
+    :class:`SeasonDispatch`: one dispatch form for every hour, and each
+    hour's unattacked dispatch solved once, first.
     """
-    given = AttackPlan(season, list(hourly), budget)
-    if not hourly or budget <= 0:
-        return given
-    dispatch = _run_dispatch(net, demand, season, dispatch)
-    K = step_count
+    budget = costs.budget
+    hours = range(demand.hours(season))
+    dispatch = SeasonDispatch(net, demand, season, hours)
+    K = BUDGET_STEPS
 
     def solve(hour: int, b: float) -> HourlyAttack:
         return solve_hourly_attack(net, demand, season, hour, costs, b, bigm, node_limit,
                                    dispatch=dispatch)
 
-    full = [solve(p.hour, budget) for p in hourly]
-    live = [i for i, p in enumerate(hourly)
-            if full[i].objective > dispatch.base(p.hour).shed_cost + 1e-6]
-    zero = [p if p.spend <= 1e-12 else solve(p.hour, 0.0) for p in hourly]
-    # grid[i][k]: live hour i's part at k steps
-    grid = {i: [zero[i]] + [solve(hourly[i].hour, k * budget / K) for k in range(1, K)]
-               + [full[i]] for i in live}
+    zero = [solve(h, 0.0) for h in hours]
+    if budget <= 0:
+        return AttackPlan(season, zero, budget)
+    full = [solve(h, budget) for h in hours]
+    live = [h for h in hours if full[h].objective > dispatch.base(h).shed_cost + 1e-6]
+    # grid[h][k]: live hour h's part at k steps
+    grid = {h: [zero[h]] + [solve(h, k * budget / K) for k in range(1, K)] + [full[h]]
+            for h in live}
 
     # best[s]: (total value, steps per live hour) of the best split of exactly s steps
     best: dict[int, tuple[float, tuple[int, ...]]] = {0: (0.0, ())}
-    for i in live:
+    for h in live:
         nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
         for s, (total, steps) in best.items():
             for k in range(K + 1 - s):
-                value = total + grid[i][k].objective
+                value = total + grid[h][k].objective
                 if s + k not in nxt or value > nxt[s + k][0]:
                     nxt[s + k] = (value, steps + (k,))
         best = nxt
@@ -819,37 +815,9 @@ def refine_budget_allocation(
         if _beats(best[s][0], chosen[0]):
             chosen = best[s]
     parts = list(zero)
-    for i, k in zip(live, chosen[1]):
-        parts[i] = grid[i][k]
-    plan = AttackPlan(season, parts, budget)
-    return plan if _beats(plan.objective, given.objective) else given
-
-
-def run_attack(
-    net: PowerNetwork,
-    demand: DemandProfile,
-    season: str,
-    costs: AttackCosts,
-    budget: float,
-    step_count: int = 4,
-    bigm: BigMConfig | None = None,
-    node_limit: int = 20_000,
-) -> AttackPlan:
-    """A day's attack: every hour at no budget, then the best split on the grid.
-
-    The zero-budget plan certifies each hour's unattacked dispatch;
-    :func:`refine_budget_allocation` then screens the hours, tabulates the
-    live ones and splits ``budget`` by a knapsack over ``step_count`` steps.
-    Both share one :class:`SeasonDispatch`: one dispatch form for every
-    hour, and each hour's unattacked dispatch solved once, first.
-    """
-    hours = range(demand.hours(season))
-    dispatch = SeasonDispatch(net, demand, season, hours)
-    zero = [solve_hourly_attack(net, demand, season, h, costs, 0.0, bigm, node_limit,
-                                dispatch=dispatch)
-            for h in hours]
-    return refine_budget_allocation(net, demand, season, costs, zero, budget, step_count,
-                                    bigm, node_limit, dispatch=dispatch)
+    for h, k in zip(live, chosen[1]):
+        parts[h] = grid[h][k]
+    return AttackPlan(season, parts, budget)
 
 
 def attack_rows(plan: AttackPlan, net: PowerNetwork,

@@ -187,21 +187,22 @@ def cmd_verify(args) -> int:
     data = reporting.read_solution_csv(solfile)
     attacks = {}
     attack_file = soldir / "attack_strategy.csv"
-    if attack_file.exists():
-        try:
+    try:
+        manifest = reporting.read_manifest(soldir)
+        if attack_file.exists():
             # spends and their total are checked at the prices and budget the
             # run's manifest records, or, in a run directory whose manifest
             # lacks them, at the config's
-            costs = reporting.read_attack_costs(soldir / "manifest.json", net)
+            costs = reporting.read_attack_costs(manifest, net)
             costs = costs if costs is not None else scenario_costs(cfg, net)
             attacks = reporting.read_attack_csv(attack_file, net, costs)
-        except ValueError as exc:
-            print(f"FAIL {exc}")
-            return EXIT_SOLVER
+    except ValueError as exc:
+        print(f"FAIL {exc}")
+        return EXIT_SOLVER
     # the demand is scaled as --heatwave-factor says, else as the run recorded
     factor = args.heatwave_factor
-    if factor is None:
-        factor = reporting.read_heatwave_factor(soldir / "manifest.json")
+    if factor is None and manifest is not None:
+        factor = manifest.get("heatwave_factor")
     profile = apply_heatwave(demand, factor) if factor not in (None, 1.0) else demand
     # a run covers whole days: exactly the profile's hours of each season it names
     for season in sorted({season for season, _ in data}):
@@ -250,7 +251,7 @@ def cmd_verify(args) -> int:
     try:
         # the headline numbers and the shock file must be those of the u
         # rows just verified
-        reporting.check_run_totals(soldir, unserved, profile, net)
+        reporting.check_run_totals(soldir, manifest, unserved, profile, net)
     except ValueError as exc:
         print(f"FAIL {exc}")
         return EXIT_SOLVER

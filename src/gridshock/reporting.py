@@ -201,38 +201,60 @@ def rebuild_opf_solution(
     )
 
 
-def read_heatwave_factor(path: str | Path) -> float | None:
-    """The heatwave factor a run's manifest.json records, or None when the
-    file or its ``heatwave_factor`` entry is absent."""
-    path = Path(path)
+def read_manifest(soldir: str | Path) -> dict | None:
+    """A run directory's manifest.json, parsed, or None when it has none.
+
+    Its ``heatwave_factor``, when present, is returned as a float.  Raises
+    ValueError, its message starting with the file name, when the file is
+    not a JSON object, its ``files`` entry is there but not an object, or
+    that factor is not a finite positive number.
+    """
+    path = Path(soldir) / "manifest.json"
     if not path.exists():
         return None
-    factor = json.loads(path.read_text()).get("heatwave_factor")
-    return None if factor is None else float(factor)
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: not JSON ({exc})") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("files", {}), dict):
+        raise ValueError(f"{path.name}: not a JSON object with a files object")
+    factor = manifest.get("heatwave_factor")
+    if factor is not None:
+        try:
+            value = float(factor)
+        except (TypeError, ValueError):
+            value = np.nan
+        if not 0 < value < np.inf:
+            raise ValueError(f"{path.name}: heatwave_factor is {factor!r}, not a finite "
+                             f"positive number")
+        manifest["heatwave_factor"] = value
+    return manifest
 
 
-def check_run_totals(soldir: str | Path, unserved: dict[tuple[str, int], np.ndarray],
+def check_run_totals(soldir: str | Path, manifest: dict | None,
+                     unserved: dict[tuple[str, int], np.ndarray],
                      profile: DemandProfile, net: PowerNetwork) -> None:
     """Check a run's manifest.json headline numbers and its shock.csv
     against its unserved power and demand.
 
-    ``unserved`` maps each (season, hour) of opf_solution.csv to the hour's
-    ``u`` in network node order, and ``profile`` is the demand the run
-    dispatched.  Over the manifest's season, :func:`scenarios.shed_metrics`
-    re-derives the numbers as the run derived them.  ``total_unserved_mwh``,
-    ``peak_shed_mw``, ``percent_unserved`` and each region's shock.csv
-    ``percent_reduction`` must match within a relative ``MANIFEST_RTOL``
-    and ``customers_affected`` exactly; ``peak_hour`` must be an hour whose
-    shed is that peak, within the same tolerance, and shock.csv must have
-    one ``Utilities`` row per network node.  Nothing is checked when
-    manifest.json is absent, and shock.csv only when it is present or the
-    manifest lists it.  Raises ValueError, its message starting with the
+    ``manifest`` is the run's manifest as :func:`read_manifest` returns it
+    (None without one).  ``unserved`` maps each (season, hour) of
+    opf_solution.csv to the hour's ``u`` in network node order, and
+    ``profile`` is the demand the run dispatched.  Over the manifest's
+    season, :func:`scenarios.shed_metrics` re-derives the numbers as the
+    run derived them.  ``total_unserved_mwh``, ``peak_shed_mw``,
+    ``percent_unserved`` and each region's shock.csv ``percent_reduction``
+    must match within a relative ``MANIFEST_RTOL`` and
+    ``customers_affected`` exactly; ``peak_hour`` must be an hour whose shed
+    is that peak, within the same tolerance, and shock.csv must have one
+    ``Utilities`` row per network node.  Nothing is checked without a
+    manifest, and shock.csv only when it is present or the manifest lists
+    it.  Raises ValueError, its message starting with the
     file name, on a mismatch or a missing entry.
     """
-    path = Path(soldir) / "manifest.json"
-    if not path.exists():
+    if manifest is None:
         return
-    manifest = json.loads(path.read_text())
+    path = Path(soldir) / "manifest.json"
     keys = ("total_unserved_mwh", "peak_shed_mw", "peak_hour", "percent_unserved",
             "customers_affected")
     try:
@@ -293,17 +315,16 @@ def check_run_totals(soldir: str | Path, unserved: dict[tuple[str, int], np.ndar
                              f"but the u rows of opf_solution.csv give {want[region]!r}")
 
 
-def read_attack_costs(path: str | Path, net: PowerNetwork) -> AttackCosts | None:
-    """The attack prices and budget a run's manifest.json records, or None.
+def read_attack_costs(manifest: dict | None, net: PowerNetwork) -> AttackCosts | None:
+    """The attack prices and budget a run's manifest records, or None.
 
-    None when the file or its ``attack_costs`` entry is absent (a run
-    exported without prices).  Raises ValueError when the entry lacks the
-    budget or the price of an entity of ``net``.
+    ``manifest`` is as :func:`read_manifest` returns it.  None when it or
+    its ``attack_costs`` entry is absent (a run exported without prices).
+    Raises ValueError, its message starting with the file name, when the
+    entry lacks the budget or the price of an entity of ``net``, or holds
+    prices or a budget an attacker cannot have.
     """
-    path = Path(path)
-    if not path.exists():
-        return None
-    record = json.loads(path.read_text()).get("attack_costs")
+    record = None if manifest is None else manifest.get("attack_costs")
     if record is None:
         return None
     kinds = (("gen", net.generators), ("flow", net.edges), ("angle", net.edges))
@@ -311,7 +332,9 @@ def read_attack_costs(path: str | Path, net: PowerNetwork) -> AttackCosts | None
         return AttackCosts(*(np.array([float(record[kind][item.id]) for item in items])
                              for kind, items in kinds), float(record["budget"]))
     except KeyError as exc:
-        raise ValueError(f"{path}: attack_costs has no entry {exc}") from None
+        raise ValueError(f"manifest.json: attack_costs has no entry {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"manifest.json: attack_costs: {exc}") from None
 
 
 def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts

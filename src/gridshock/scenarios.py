@@ -2,10 +2,11 @@
 
 Baseline and Heatwave run the plain dispatch; Cyberattack runs the
 attacker on baseline demand; Compound runs the attacker on heatwave
-demand.  The two sensitivity ladders rescale attacker prices (gamma: wires
-10% cheaper and generators 10% dearer per step) or the budget (beta: +20%
-per step), six iterations each, evaluating both attack scenarios per
-iteration.
+demand.  Both spend the config's ``budget`` over the day's hours in one
+:func:`attack.run_attack` pass.  The two sensitivity ladders rescale
+attacker prices (gamma: wires 10% cheaper and generators 10% dearer per
+step) or the budget (beta: +20% per step), six iterations each,
+evaluating both attack scenarios per iteration.
 
 Each ladder step is a fresh attack run.  When a step sheds less than the
 step before, the previous plan, re-costed at the step's prices, is reported
@@ -22,12 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import (
-    AttackCosts,
-    AttackPlan,
-    default_costs,
-    run_attack,
-)
+from .attack import AttackCosts, AttackPlan, default_costs, run_attack
 from .dcopf import OpfSolution, solve_day
 from .network import DemandProfile, PowerNetwork, apply_heatwave
 
@@ -51,7 +47,6 @@ class ScenarioConfig:
     budget: float = 0.0
     gamma_iterations: int = SWEEP_ITERATIONS
     beta_iterations: int = SWEEP_ITERATIONS
-    refine_steps: int = 4
     node_limit: int = 0  # 0 = certificate-only attack mode (fast sweeps)
 
     def __post_init__(self):
@@ -63,8 +58,6 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0 <= self.budget < np.inf:
             raise ValueError(f"budget must be finite and nonnegative, got {self.budget}")
-        if self.refine_steps < 1:
-            raise ValueError(f"refine_steps must be at least 1, got {self.refine_steps}")
         if self.node_limit < 0:
             raise ValueError(f"node_limit must be nonnegative, got {self.node_limit}")
 
@@ -176,8 +169,7 @@ def run_scenario(
         plan = None
         if cfg.kind in ("Cyberattack", "Compound"):
             costs = costs if costs is not None else scenario_costs(cfg, net)
-            plan = run_attack(net, profile, season, costs, costs.budget,
-                              step_count=cfg.refine_steps, node_limit=cfg.node_limit)
+            plan = run_attack(net, profile, season, costs, node_limit=cfg.node_limit)
         hours = solve_day(net, profile, season) if plan is None else [h.opf for h in plan.hours]
         return _metrics(cfg, net, profile, hours, plan)
     except ScenarioError:

@@ -13,12 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from gridshock.attack import (
-    AttackCosts,
-    run_attack,
-    solve_full_milp,
-    solve_hourly_attack,
-)
+from gridshock.attack import AttackCosts, run_attack, solve_full_milp
 from gridshock.dcopf import solve_dcopf
 from gridshock.kkt import kkt_residuals, verify_equilibrium
 from gridshock.milp import MilpProblem, solve_milp
@@ -196,9 +191,9 @@ def test_criterion_attacker_oracle_equivalence():
     prof = profile_for(net, [[10.0, 40.0], [10.0, 80.0]])
     costs = AttackCosts(np.full(2, 1.0), np.full(1, 1000.0),
                         np.full(1, 600000.0), 30.0)
-    full = solve_full_milp(net, prof, "summer", costs, 30.0, node_limit=500_000)
+    full = solve_full_milp(net, prof, "summer", costs, node_limit=500_000)
     _register(full)
-    ref = run_attack(net, prof, "summer", costs, 30.0, step_count=4, node_limit=200_000)
+    ref = run_attack(net, prof, "summer", costs, node_limit=200_000)
     _register(ref)
     rel = abs(full.objective - ref.objective) / max(1.0, full.objective)
 
@@ -225,11 +220,9 @@ def test_criterion_attacker_oracle_equivalence():
     costs3 = AttackCosts(np.array([50.0, 50.0, 1.0]),
                          np.array([50.0, 2.0, 2.0]),
                          np.array([50.0, 2.0, 2.0]) * 600.0, 160.0)
-    full3 = solve_full_milp(net3, prof3, "summer", costs3, 160.0,
-                            node_limit=500_000)
+    full3 = solve_full_milp(net3, prof3, "summer", costs3, node_limit=500_000)
     _register(full3)
-    ref3 = run_attack(net3, prof3, "summer", costs3, 160.0, step_count=4,
-                      node_limit=200_000)
+    ref3 = run_attack(net3, prof3, "summer", costs3, node_limit=200_000)
     _register(ref3)
     rel3 = abs(full3.objective - ref3.objective) / max(1.0, full3.objective)
 

@@ -17,7 +17,6 @@ from gridshock.attack import (
     build_hourly_attack_milp,
     default_costs,
     greedy_attack,
-    refine_budget_allocation,
     run_attack,
     solve_full_milp,
     solve_hourly_attack,
@@ -147,7 +146,7 @@ def test_full_milp_concentrates_budget_on_peak_hour():
     net = tight_two_bus()
     prof = profile_for(net, [[10.0, 40.0], [10.0, 80.0]])
     costs = uniform_costs(net, 30.0)
-    plan = solve_full_milp(net, prof, "summer", costs, 30.0, node_limit=500_000)
+    plan = solve_full_milp(net, prof, "summer", costs, node_limit=500_000)
     spends = [h.spend for h in plan.hours]
     assert spends[1] == pytest.approx(30.0, abs=1e-6)
     assert spends[0] == pytest.approx(0.0, abs=1e-6)
@@ -158,7 +157,7 @@ def test_full_milp_zero_budget_is_baseline():
     net = tight_two_bus()
     prof = profile_for(net, [[10.0, 40.0], [10.0, 80.0]])
     costs = uniform_costs(net, 0.0)
-    plan = solve_full_milp(net, prof, "summer", costs, 0.0, node_limit=100_000)
+    plan = solve_full_milp(net, prof, "summer", costs, node_limit=100_000)
     base = sum(solve_dcopf(net, prof, "summer", h).shed_cost for h in range(2))
     assert plan.objective == pytest.approx(base, abs=1e-6)
 
@@ -170,7 +169,7 @@ def test_full_milp_uniform_hours_doubles_single_hour():
     costs = uniform_costs(net, 60.0)
     single = solve_hourly_attack(net, prof1, "summer", 0, costs, 30.0,
                                  node_limit=200_000)
-    both = solve_full_milp(net, prof2, "summer", costs, 60.0, node_limit=500_000)
+    both = solve_full_milp(net, prof2, "summer", costs, node_limit=500_000)
     assert both.objective == pytest.approx(2 * single.objective, rel=1e-6)
 
 
@@ -186,11 +185,10 @@ def test_refinement_matches_full_milp():
     net = tight_two_bus()
     prof = profile_for(net, [[10.0, 40.0], [10.0, 80.0]])
     costs = uniform_costs(net, 30.0)
-    full = solve_full_milp(net, prof, "summer", costs, 30.0, node_limit=500_000)
+    full = solve_full_milp(net, prof, "summer", costs, node_limit=500_000)
     dec = even_split(net, prof, costs, 30.0, node_limit=200_000)
-    ref = refine_budget_allocation(net, prof, "summer", costs, dec.hours, 30.0,
-                                   step_count=4, node_limit=200_000)
-    assert ref.objective >= dec.objective - 1e-9  # never worse than its start
+    ref = run_attack(net, prof, "summer", costs, node_limit=200_000)
+    assert ref.objective >= dec.objective - 1e-9  # the grid holds the even split
     assert abs(full.objective - ref.objective) <= 1e-4 * max(1.0, full.objective)
 
 
@@ -199,8 +197,7 @@ def test_refinement_identical_hours_keeps_split():
     prof = profile_for(net, [[10.0, 80.0], [10.0, 80.0]])
     costs = uniform_costs(net, 60.0)
     dec = even_split(net, prof, costs, 60.0, node_limit=200_000)
-    ref = refine_budget_allocation(net, prof, "summer", costs, dec.hours, 60.0,
-                                   step_count=4, node_limit=200_000)
+    ref = run_attack(net, prof, "summer", costs, node_limit=200_000)
     assert ref.objective == pytest.approx(dec.objective, rel=1e-9)
 
 
@@ -251,7 +248,7 @@ def test_bigm_grows_until_valid():
 
 def test_attack_rows_breakdown(bundled_net, bundled_demand):
     costs = default_costs(bundled_net, 300.0, 5.0)
-    plan = run_attack(bundled_net, bundled_demand, "summer", costs, 300.0, node_limit=0)
+    plan = run_attack(bundled_net, bundled_demand, "summer", costs, node_limit=0)
     rows = attack_rows(plan, bundled_net, costs)
     assert rows, "default budget should buy a nonempty strategy"
     kinds = {r[2] for r in rows}
@@ -268,7 +265,8 @@ def test_bundled_compound_day_is_the_best_grid_split(bundled_net, bundled_demand
     so this checks the screen as well as the knapsack."""
     heated = apply_heatwave(bundled_demand, 1.09)
     costs = default_costs(bundled_net, 300.0, 5.0)
-    hours, steps = range(24), 4
+    hours, steps = range(24), attack_mod.BUDGET_STEPS
+    assert steps == 4
     dispatch = SeasonDispatch(bundled_net, heated, "summer", hours)
     value = np.array([[dispatch.base(h).shed_cost]
                       + [solve_hourly_attack(bundled_net, heated, "summer", h, costs,
@@ -281,8 +279,7 @@ def test_bundled_compound_day_is_the_best_grid_split(bundled_net, bundled_demand
     assert len(splits) == 20_475
     best = value[:, 0].sum() + max(sum(gain[h, k] for h, k in Counter(s).items() if h < 24)
                                    for s in splits)
-    plan = run_attack(bundled_net, heated, "summer", costs, 300.0, step_count=steps,
-                      node_limit=0)
+    plan = run_attack(bundled_net, heated, "summer", costs, node_limit=0)
     assert plan.objective == pytest.approx(best, rel=1e-9)
     assert plan.objective == pytest.approx(287_497.6, rel=1e-9)
 
@@ -296,8 +293,7 @@ def test_refinement_crosses_activation_thresholds():
     costs = uniform_costs(net, 16.0)
     dec = even_split(net, prof, costs, 16.0, node_limit=0)
     assert dec.objective == pytest.approx(0.0, abs=1e-9)
-    ref = refine_budget_allocation(net, prof, "summer", costs, dec.hours, 16.0,
-                                   step_count=4, node_limit=0)
+    ref = run_attack(net, prof, "summer", costs, node_limit=0)
     assert ref.objective == pytest.approx(6.0 * 1000.0, rel=1e-9)
     spends = sorted(h.spend for h in ref.hours)
     assert spends[0] == pytest.approx(0.0, abs=1e-9)
@@ -336,7 +332,7 @@ def test_full_milp_refuses_bundled_day_before_building(bundled_net, bundled_dema
     monkeypatch.setattr(attack_mod, "greedy_attack", never)
     costs = default_costs(bundled_net, 300.0)
     with pytest.raises(ValueError, match="oracle for small instances"):
-        solve_full_milp(bundled_net, bundled_demand, "summer", costs, 300.0)
+        solve_full_milp(bundled_net, bundled_demand, "summer", costs)
 
 
 def _milp_digest(prob) -> str:
@@ -358,14 +354,14 @@ def _golden_instances():
                             np.array([50.0, 0.8, 0.8]) * 600.0, 150.0)
     tight = tight_two_bus()
     tight_prof = profile_for(tight, [[10.0, 80.0]])
-    yield ("tight_two_bus", tight, tight_prof, [0], uniform_costs(tight, 30.0), [30.0],
+    yield ("tight_two_bus", tight, tight_prof, [0], uniform_costs(tight, 30.0), 30.0,
            "76ca81d4e9accab5481d590aa1d7326b")
-    yield ("triangle", tri, tri_prof, [0], tri_costs, [150.0],
+    yield ("triangle", tri, tri_prof, [0], tri_costs, 150.0,
            "71ff3d13420a0a31ba518005b614be62")
     # e12's angle pair is presolved away, e13's and e23's stay
     live_costs = AttackCosts(tri_costs.cg, tri_costs.cf, np.array([30000.0, 0.8, 0.8]),
                              150.0)
-    yield ("triangle_live_angles", tri, tri_prof, [0], live_costs, [150.0],
+    yield ("triangle_live_angles", tri, tri_prof, [0], live_costs, 150.0,
            "d8e01b34046e6261f1e2f1d2579af2b1")
     two_hours = profile_for(tri, [[20.0, 60.0, 100.0], [30.0, 50.0, 90.0]])
     yield ("triangle_joint", tri, two_hours, [0, 1], tri_costs, 150.0,
@@ -377,9 +373,9 @@ def test_attack_milp_build_is_unchanged(bundled_net, bundled_demand):
     cases = list(_golden_instances())
     heated = apply_heatwave(bundled_demand, 1.09)
     cases.append(("bundled_h17", bundled_net, heated, [17], default_costs(bundled_net, 300.0),
-                  [300.0], "69b6a0ea1539caa269b4623b3c1a9fe9"))
-    for name, net, prof, hours, costs, budgets, expected in cases:
-        prob, _ = attack_mod._build_attack_milp(net, prof, "summer", hours, costs, budgets,
+                  300.0, "69b6a0ea1539caa269b4623b3c1a9fe9"))
+    for name, net, prof, hours, costs, budget, expected in cases:
+        prob, _ = attack_mod._build_attack_milp(net, prof, "summer", hours, costs, budget,
                                                 BigMConfig.for_network(net, prof))
         assert _milp_digest(prob) == expected, name
 
@@ -404,7 +400,7 @@ def test_run_attack_solves_each_unattacked_hour_once(monkeypatch):
 
     monkeypatch.setattr(dcopf_mod, "solve_dcopf", counting)
     monkeypatch.setattr(attack_mod, "solve_dcopf", counting)
-    plan = run_attack(net, prof, "summer", costs, 16.0, node_limit=0)
+    plan = run_attack(net, prof, "summer", costs, node_limit=0)
     # the split puts the whole budget on hour 2: a 16 MW kill against its
     # 2 MW margin sheds 14 MW
     assert [h.spend for h in plan.hours] == pytest.approx([0.0, 0.0, 16.0], abs=1e-9)
@@ -432,16 +428,15 @@ def test_shared_base_gives_the_same_hour(budget, node_limit):
         assert alone.objective > base.shed_cost
 
 
-def test_shared_bases_are_not_modified():
+def test_shared_bases_are_not_modified(monkeypatch):
     net, prof, costs = _threshold_instance()
+    again = run_attack(net, prof, "summer", costs, node_limit=0)
     dispatch = SeasonDispatch(net, prof, "summer")
     bases = [dispatch.base(h) for h in range(3)]
     before = copy.deepcopy(bases)
-    zero = [solve_hourly_attack(net, prof, "summer", h, costs, 0.0, node_limit=0,
-                                dispatch=dispatch) for h in range(3)]
-    ref = refine_budget_allocation(net, prof, "summer", costs, zero, 16.0,
-                                   node_limit=0, dispatch=dispatch)
-    again = run_attack(net, prof, "summer", costs, 16.0, node_limit=0)
+    # run_attack's every solve shares these bases
+    monkeypatch.setattr(attack_mod, "SeasonDispatch", lambda *args: dispatch)
+    ref = run_attack(net, prof, "summer", costs, node_limit=0)
     assert ([_hour_fingerprint(h) for h in ref.hours]
             == [_hour_fingerprint(h) for h in again.hours])
     for old, new in zip(before, bases):
@@ -464,7 +459,7 @@ def test_run_dispatch_dies_with_the_run(monkeypatch):
             super().__init__(*args, **kwargs)
             made.append(weakref.ref(self))
     monkeypatch.setattr(attack_mod, "SeasonDispatch", Tracked)
-    plan = run_attack(net, prof, "summer", costs, 16.0, node_limit=0)
+    plan = run_attack(net, prof, "summer", costs, node_limit=0)
     assert plan.objective == pytest.approx(14_000.0, rel=1e-9)
     assert len(made) == 1
     assert made[0]() is None

@@ -43,8 +43,7 @@ def test_missing_network_exits_1(files, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("--budget", "nan"), ("--budget", "inf"), ("--cost-ratio", "inf"),
-    ("--heatwave-factor", "inf"), ("gen_attack_cost", "nan"), ("refine_steps", "0"),
-    ("node_limit", "-1")])
+    ("--heatwave-factor", "inf"), ("gen_attack_cost", "nan"), ("node_limit", "-1")])
 def test_nonfinite_or_out_of_range_config_exits_1(files, capsys, key, value):
     """A command-line option (``--key``) or a config key out of range."""
     net, net_path, dem_path, cfg_path, tmp = files
@@ -336,6 +335,36 @@ def test_verify_rejects_manifest_totals_the_rows_do_not_give(cyber_run, tmp_path
     else:
         manifest[key] = change(manifest[key])
     (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL manifest.json: ") and message in out
+
+
+@pytest.mark.parametrize("text, attack_file, message", [
+    (None, True, "heatwave_factor is 'hot', not a finite positive number"),
+    (None, False, "heatwave_factor is 'hot', not a finite positive number"),
+    ("{not json", True, "not JSON ("),
+    ("{not json", False, "not JSON ("),
+    ("[]", True, "not a JSON object"),
+    ('{"files": 5}', False, "not a JSON object with a files object"),
+    ('{"attack_costs": {"gen": 1}}', True, "attack_costs: "),
+], ids=["factor", "factor_no_attack_file", "not_json", "not_json_no_attack_file",
+        "not_an_object", "files_not_an_object", "bad_prices"])
+def test_verify_rejects_a_malformed_manifest(cyber_run, tmp_path, capsys, text,
+                                             attack_file, message):
+    """Verification fails on the manifest, naming it, whether or not the run
+    directory holds an attack_strategy.csv; ``text`` None sets the recorded
+    heatwave factor to a word."""
+    run = tmp_path / "run"
+    shutil.copytree(cyber_run, run)
+    if not attack_file:
+        (run / "attack_strategy.csv").unlink()
+    if text is None:
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["heatwave_factor"] = "hot"
+        text = json.dumps(manifest)
+    (run / "manifest.json").write_text(text)
     capsys.readouterr()
     assert main(["verify", "--solution", str(run)]) == 2
     out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from gridshock.reporting import (
     fmt,
     read_attack_costs,
     read_attack_csv,
-    read_heatwave_factor,
+    read_manifest,
     read_solution_csv,
     rebuild_opf_solution,
     shock_rows,
@@ -198,21 +198,21 @@ def test_manifest_records_the_heatwave_factor(tmp_path, small_run):
     net, prof, cfg, costs, res = small_run
     assert res.heatwave_factor == cfg.heatwave_factor == 1.09
     export_results(res, tmp_path / "run", net, costs)
-    assert read_heatwave_factor(tmp_path / "run" / "manifest.json") == 1.09
+    assert read_manifest(tmp_path / "run")["heatwave_factor"] == 1.09
     cyber = run_scenario(replace(cfg, kind="Cyberattack"), net, prof, costs=costs)
     export_results(cyber, tmp_path / "cyber", net, costs)
-    assert read_heatwave_factor(tmp_path / "cyber" / "manifest.json") == 1.0
-    assert read_heatwave_factor(tmp_path / "none" / "manifest.json") is None
+    assert read_manifest(tmp_path / "cyber")["heatwave_factor"] == 1.0
+    assert read_manifest(tmp_path / "none") is None
 
 
 def test_manifest_records_the_attack_prices(tmp_path, small_run):
     net, prof, cfg, costs, res = small_run
     export_results(res, tmp_path / "run", net, costs.scaled(1.3, 0.7, 1.2))
-    back = read_attack_costs(tmp_path / "run" / "manifest.json", net)
+    back = read_attack_costs(read_manifest(tmp_path / "run"), net)
     want = costs.scaled(1.3, 0.7, 1.2)
     for name in ("cg", "cf", "ct"):
         assert getattr(back, name).tolist() == getattr(want, name).tolist()
     assert back.budget == want.budget
     export_results(res, tmp_path / "plain", net)
-    assert read_attack_costs(tmp_path / "plain" / "manifest.json", net) is None
-    assert read_attack_costs(tmp_path / "none" / "manifest.json", net) is None
+    assert read_attack_costs(read_manifest(tmp_path / "plain"), net) is None
+    assert read_attack_costs(read_manifest(tmp_path / "none"), net) is None

@@ -25,8 +25,7 @@ def small():
 
 
 def cfg_for(kind, **kw):
-    defaults = dict(kind=kind, budget=BUDGET, cost_ratio=5.0, refine_steps=4,
-                    node_limit=0)
+    defaults = dict(kind=kind, budget=BUDGET, cost_ratio=5.0, node_limit=0)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
 
@@ -38,8 +37,7 @@ def test_config_validation():
     bad += [(name, value) for name in ("heatwave_factor", "cost_ratio", "gen_attack_cost",
                                        "budget")
             for value in (np.nan, np.inf)]
-    bad += [("cost_ratio", -np.inf), ("gen_attack_cost", 0.0), ("refine_steps", 0),
-            ("node_limit", -1)]
+    bad += [("cost_ratio", -np.inf), ("gen_attack_cost", 0.0), ("node_limit", -1)]
     for name, value in bad:
         with pytest.raises(ValueError, match=name):
             ScenarioConfig(**{name: value})
@@ -158,7 +156,6 @@ def test_config_file_roundtrip(tmp_path):
         "budget = 300\n"
         "cost_ratio = 5.0\n"
         "heatwave_factor = 1.09\n"
-        "refine_steps = 4\n"
         "node_limit = 0\n"
     )
     cfg = load_config(path)
@@ -184,12 +181,13 @@ def test_config_file_bad_value_names_file_and_line(tmp_path, line):
 
 
 def test_config_file_refine_flag(tmp_path):
-    # the budget split is always the knapsack over the grid: no key selects
-    # another one
+    # the budget split is always the knapsack over a grid of BUDGET_STEPS
+    # steps: no key selects another split or another grid
     path = tmp_path / "flag.cfg"
-    path.write_text("refine = off\n")
-    with pytest.raises(ValueError, match="unknown config key 'refine'"):
-        load_config(path)
+    for key, value in (("refine", "off"), ("refine_steps", "4")):
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            load_config(path)
 
 
 def test_fresh_beta_step_sheds_more_than_the_step_before(small):
