@@ -722,7 +722,6 @@ def solve_full_milp(
     costs: AttackCosts,
     hours: list[int] | None = None,
     *,
-    bigm: BigMConfig | None = None,
     node_limit: int = 500_000,
 ) -> AttackPlan:
     """Jointly optimal attack across hours under one ``costs.budget`` row.
@@ -739,7 +738,7 @@ def solve_full_milp(
             f"joint attack MILP over {len(hours)} hours is up to {lay.max_rows} x "
             f"{lay.n_cols} dense ({lay.max_rows * lay.n_cols * 8 / 1e6:.0f} MB); "
             f"solve_full_milp is an oracle for small instances only")
-    bigm = bigm or BigMConfig.for_network(net, demand)
+    bigm = BigMConfig.for_network(net, demand)
     dispatch = SeasonDispatch(net, demand, season)
 
     budget = costs.budget
@@ -761,7 +760,6 @@ def run_attack(
     season: str,
     costs: AttackCosts,
     *,
-    bigm: BigMConfig | None = None,
     node_limit: int = 20_000,
 ) -> AttackPlan:
     """A day's attack: the best split of ``costs.budget`` over the hours on a grid.
@@ -788,8 +786,8 @@ def run_attack(
     K = BUDGET_STEPS
 
     def solve(hour: int, b: float) -> HourlyAttack:
-        return solve_hourly_attack(net, demand, season, hour, costs, b, bigm, node_limit,
-                                   dispatch=dispatch)
+        return solve_hourly_attack(net, demand, season, hour, costs, b,
+                                   node_limit=node_limit, dispatch=dispatch)
 
     zero = [solve(h, 0.0) for h in hours]
     if budget <= 0:
@@ -820,20 +818,22 @@ def run_attack(
     return AttackPlan(season, parts, budget)
 
 
-def attack_rows(plan: AttackPlan, net: PowerNetwork,
+def attack_rows(attacks: dict[tuple[str, int], dict[str, np.ndarray]], net: PowerNetwork,
                 costs: AttackCosts) -> list[tuple]:
-    """Strategy breakdown rows: (season, hour, component type, entity, z, spend)."""
+    """Strategy breakdown rows: (season, hour, component type, entity, z, spend).
+
+    ``attacks`` maps each (season, hour) to its ``zg``, ``zf`` and ``zt``
+    arrays, as ``reporting.read_attack_csv`` returns them.
+    """
     rows = []
-    for part in plan.hours:
+    for (season, hour), z in attacks.items():
+        zg, zf, zt = z["zg"], z["zf"], z["zt"]
         for k, gen in enumerate(net.generators):
-            if part.zg[k] > 1e-9:
-                rows.append((part.season, part.hour, "gen", gen.id,
-                             part.zg[k], part.zg[k] * costs.cg[k]))
+            if zg[k] > 1e-9:
+                rows.append((season, hour, "gen", gen.id, zg[k], zg[k] * costs.cg[k]))
         for e, edge in enumerate(net.edges):
-            if part.zf[e] > 1e-9:
-                rows.append((part.season, part.hour, "flow", edge.id,
-                             part.zf[e], part.zf[e] * costs.cf[e]))
-            if part.zt[e] > 1e-9:
-                rows.append((part.season, part.hour, "angle", edge.id,
-                             part.zt[e], part.zt[e] * costs.ct[e]))
+            if zf[e] > 1e-9:
+                rows.append((season, hour, "flow", edge.id, zf[e], zf[e] * costs.cf[e]))
+            if zt[e] > 1e-9:
+                rows.append((season, hour, "angle", edge.id, zt[e], zt[e] * costs.ct[e]))
     return rows

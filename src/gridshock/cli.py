@@ -28,7 +28,9 @@ from .network import (
 from .scenarios import (
     ScenarioConfig,
     ScenarioError,
+    _attacked,
     _heated,
+    _metrics,
     scenario_profile,
     gamma_sweep,
     beta_sweep,
@@ -48,21 +50,33 @@ def bundled_path(name: str) -> Path:
     return Path(str(resources.files("gridshock").joinpath("data", name)))
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--network", default=None, help="network JSON file (default: bundled)")
-    p.add_argument("--demand", default=None, help="demand CSV file (default: bundled)")
-    p.add_argument("--config", default=None, help="scenario config file")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--budget", type=float, default=None, help="attacker budget override")
-    p.add_argument("--cost-ratio", type=float, default=None,
-                   help="wire/generator attack price ratio override")
-    p.add_argument("--heatwave-factor", type=float, default=None,
-                   help="demand scaling factor override")
-    p.add_argument("--season", default=None, help="season to run (default summer)")
-    p.add_argument("--node-limit", type=int, default=None,
-                   help="branch-and-bound node limit per attack problem")
-    p.add_argument("--dump-lp", action="store_true",
-                   help="write LP-format dumps of built problems")
+_FLAGS = {
+    "network": dict(default=None, help="network JSON file (default: bundled)"),
+    "demand": dict(default=None, help="demand CSV file (default: bundled)"),
+    "config": dict(default=None, help="scenario config file"),
+    "out": dict(default="out", help="output directory"),
+    "budget": dict(type=float, default=None, help="attacker budget override"),
+    "cost-ratio": dict(type=float, default=None,
+                       help="wire/generator attack price ratio override"),
+    "heatwave-factor": dict(type=float, default=None, help="demand scaling factor override"),
+    "season": dict(default=None, help="season to run (default summer)"),
+    "node-limit": dict(type=int, default=None,
+                       help="branch-and-bound node limit per attack problem"),
+    "dump-lp": dict(action="store_true", help="write LP-format dumps of built problems"),
+    "solution": dict(required=True, help="directory containing opf_solution.csv"),
+}
+# each subcommand registers only the flags it reads
+_RUN = "network demand config out budget cost-ratio heatwave-factor season node-limit"
+_COMMANDS = (
+    ("solve-opf", "solve the hourly dispatch for a whole day",
+     "network demand config out heatwave-factor season dump-lp"),
+    ("attack", "run the budgeted attacker (hourly screen + budget knapsack)", _RUN + " dump-lp"),
+    ("scenario", "run a named scenario from a config file", _RUN),
+    ("sweep-gamma", "attacker price-ratio sensitivity ladder", _RUN),
+    ("sweep-beta", "attacker budget sensitivity ladder", _RUN),
+    ("verify", "re-check a saved run: its certificate and every file it lists",
+     "network demand out heatwave-factor dump-lp solution"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,19 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cyber-physical interdiction planning on transmission networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("solve-opf", "solve the hourly dispatch for a whole day"),
-        ("attack", "run the budgeted attacker (hourly screen + budget knapsack)"),
-        ("scenario", "run a named scenario from a config file"),
-        ("sweep-gamma", "attacker price-ratio sensitivity ladder"),
-        ("sweep-beta", "attacker budget sensitivity ladder"),
-        ("verify", "re-check the equilibrium certificate of a saved run"),
-    ):
+    for name, doc, flags in _COMMANDS:
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
-        if name == "verify":
-            p.add_argument("--solution", required=True,
-                           help="directory containing opf_solution.csv")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -96,22 +101,25 @@ def _load_inputs(args):
 
 
 def _config(args) -> ScenarioConfig:
-    overrides = {
-        "budget": args.budget,
-        "cost_ratio": args.cost_ratio,
-        "heatwave_factor": args.heatwave_factor,
-        "season": args.season,
-        "node_limit": args.node_limit,
-    }
+    # a subcommand without one of these flags leaves the config's value
+    overrides = {key: vars(args).get(key) for key in
+                 ("budget", "cost_ratio", "heatwave_factor", "season", "node_limit")}
     if args.config:
         return load_config(args.config, **overrides)
     return ScenarioConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
+def _heated_run(args, cfg: ScenarioConfig) -> bool:
+    """Heated demand when --heatwave-factor asks for a factor other than 1,
+    or, without that flag, when the config's scenario is a heated one."""
+    factor = args.heatwave_factor
+    return factor != 1.0 if factor is not None else _heated(cfg)
+
+
 def cmd_solve_opf(args) -> int:
     net, demand = _load_inputs(args)
-    kind = "Baseline" if args.heatwave_factor is None else "Heatwave"
-    cfg = replace(_config(args), kind=kind)
+    cfg = _config(args)
+    cfg = replace(cfg, kind="Heatwave" if _heated_run(args, cfg) else "Baseline")
     result = run_scenario(cfg, net, demand)
     manifest = reporting.export_results(result, args.out, net)
     if args.dump_lp:
@@ -128,11 +136,7 @@ def cmd_solve_opf(args) -> int:
 def cmd_attack(args) -> int:
     net, demand = _load_inputs(args)
     cfg = _config(args)
-    # heated demand when --heatwave-factor asks for a factor other than 1,
-    # or, without that flag, when the config's scenario is a heated one
-    factor = args.heatwave_factor
-    heated = factor != 1.0 if factor is not None else _heated(cfg)
-    kind = "Compound" if heated else "Cyberattack"
+    kind = "Compound" if _heated_run(args, cfg) else "Cyberattack"
     cfg = replace(cfg, kind=kind)
     costs = scenario_costs(cfg, net)
     result = run_scenario(cfg, net, demand, costs=costs)
@@ -178,32 +182,31 @@ def cmd_sweep(args, parameter: str) -> int:
 
 def cmd_verify(args) -> int:
     net, demand = _load_inputs(args)
-    cfg = _config(args)
     soldir = Path(args.solution)
     solfile = soldir / "opf_solution.csv"
     if not solfile.exists():
         print(f"error: {solfile} not found", file=sys.stderr)
         return EXIT_VALIDATION
-    data = reporting.read_solution_csv(solfile)
     attacks = {}
     attack_file = soldir / "attack_strategy.csv"
     try:
+        data = reporting.read_solution_csv(solfile)
         manifest = reporting.read_manifest(soldir)
+        # spends are checked at the prices and budget the run's manifest records
+        costs = reporting.read_attack_costs(manifest, net)
         if attack_file.exists():
-            # spends and their total are checked at the prices and budget the
-            # run's manifest records, or, in a run directory whose manifest
-            # lacks them, at the config's
-            costs = reporting.read_attack_costs(manifest, net)
-            costs = costs if costs is not None else scenario_costs(cfg, net)
             attacks = reporting.read_attack_csv(attack_file, net, costs)
+        if attacks and manifest is not None and costs is None:
+            raise ValueError("manifest.json: no attack_costs to price the rows of "
+                             "attack_strategy.csv")
     except ValueError as exc:
         print(f"FAIL {exc}")
         return EXIT_SOLVER
     # the demand is scaled as --heatwave-factor says, else as the run recorded
     factor = args.heatwave_factor
-    if factor is None and manifest is not None:
-        factor = manifest.get("heatwave_factor")
-    profile = apply_heatwave(demand, factor) if factor not in (None, 1.0) else demand
+    if factor is None:
+        factor = manifest.get("heatwave_factor", 1.0) if manifest is not None else 1.0
+    profile = apply_heatwave(demand, factor) if factor != 1.0 else demand
     # a run covers whole days: exactly the profile's hours of each season it names
     for season in sorted({season for season, _ in data}):
         if season not in profile.demand:
@@ -218,7 +221,7 @@ def cmd_verify(args) -> int:
     worst = 0.0
     dump_rows = []
     failed = None
-    unserved = {}
+    sols = {}
     for (season, hour), quantities in sorted(data.items()):
         d = profile.demand[season][hour]
         voll = profile.voll[season][hour]
@@ -227,7 +230,7 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             print(f"FAIL {exc}")
             return EXIT_SOLVER
-        unserved[season, hour] = sol.u
+        sols[season, hour] = sol
         z = attacks.get((season, hour), {})
         res = kkt_residuals(net, sol, z.get("zg"), z.get("zf"), z.get("zt"))
         worst = max(worst, res.overall_max())
@@ -248,13 +251,25 @@ def cmd_verify(args) -> int:
     if failed is not None:
         print(f"FAIL {failed[0]}/{failed[1]}: max residual {failed[2]:.3e}")
         return EXIT_SOLVER
-    try:
-        # the headline numbers and the shock file must be those of the u
-        # rows just verified
-        reporting.check_run_totals(soldir, manifest, unserved, profile, net)
-    except ValueError as exc:
-        print(f"FAIL {exc}")
-        return EXIT_SOLVER
+    if manifest is not None:
+        # the directory must hold what the exporter writes for the run of the
+        # rows just verified: the recorded scenario on that demand
+        try:
+            cfg = ScenarioConfig(kind=manifest.get("scenario"),
+                                 season=manifest.get("season"), heatwave_factor=factor)
+            if not any(s == cfg.season for s, _ in sols):
+                raise ValueError(f"season {cfg.season!r} has no rows in opf_solution.csv")
+        except ValueError as exc:
+            print(f"FAIL manifest.json: {exc}")
+            return EXIT_SOLVER
+        hours = [sols[cfg.season, h] for h in range(profile.hours(cfg.season))]
+        opf_rows = sum(len(v) for quantities in data.values() for v in quantities.values())
+        try:
+            reporting.check_run_files(soldir, manifest, _metrics(cfg, net, profile, hours),
+                                      net, costs, attacks if _attacked(cfg) else {}, opf_rows)
+        except ValueError as exc:
+            print(f"FAIL {exc}")
+            return EXIT_SOLVER
     print(f"verified {len(data)} hourly solutions, max residual {worst:.3e}")
     return EXIT_OK
 

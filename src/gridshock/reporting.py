@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .attack import AttackCosts, attack_rows
 from .dcopf import OPF_ARRAYS, OpfSolution, solution_rows
-from .network import DemandProfile, PowerNetwork
-from .scenarios import ScenarioResult, SweepPoint, percent_unserved, shed_metrics
+from .network import PowerNetwork
+from .scenarios import ScenarioResult, SweepPoint
 
 SECTOR_TAG = "Utilities"
-ATTACK_RTOL = 1e-9  # relative tolerance of read_attack_csv's spend and capacity checks
-MANIFEST_RTOL = 1e-9  # relative tolerance of check_run_totals
+ATTACK_RTOL = 1e-9  # relative tolerance of read_attack_csv's capacity and budget checks
 
 
 def fmt(x: float, digits: int = 6) -> str:
@@ -45,6 +45,80 @@ def shock_rows(result: ScenarioResult) -> list[tuple[str, str, float]]:
             for j, node in enumerate(result.node_ids)]
 
 
+def _render(
+    result: ScenarioResult,
+    net: PowerNetwork,
+    costs: AttackCosts | None,
+    attacks: dict[tuple[str, int], dict[str, np.ndarray]],
+    opf_rows: int | None,
+) -> tuple[dict[str, tuple[list[str], list[tuple]]], dict]:
+    """A run's report files, as {file name: (header, rows)}, and its manifest.
+
+    ``attacks`` holds the attack's zg, zf and zt arrays per (season, hour),
+    as :func:`read_attack_csv` returns them; their attack_strategy.csv rows
+    are rendered at ``costs``, and none without prices.  ``opf_rows`` is
+    the row count of the run's opf_solution.csv, None when it has none.
+    :func:`export_results` writes exactly this, and ``gridshock verify``
+    compares a run directory with it.
+    """
+    H = result.unserved.shape[0]
+    node_order = sorted(range(len(result.node_ids)), key=lambda j: result.node_ids[j])
+    tables = {}
+
+    rows = [(h, result.node_ids[j], fmt(result.unserved[h, j]))
+            for j in node_order for h in range(H)]
+    tables["unserved_timeseries.csv"] = (["hour", "node", "unserved_mw"], rows)
+
+    zrows = []
+    shares = net.customer_shares()
+    for j in node_order:
+        dem = float(result.demand_used[:, j].sum())
+        uns = float(result.unserved[:, j].sum())
+        pct = 100.0 * uns / dem if dem > 0 else 0.0
+        zcust = int(round((uns / dem if dem > 0 else 0.0)
+                          * shares[j] * result.total_customers))
+        zrows.append((result.node_ids[j], fmt(dem), fmt(uns), fmt(pct), zcust))
+    tables["zonal_summary.csv"] = (["node", "demand_mwh", "unserved_mwh", "percent_unserved",
+                                    "customers_affected"], zrows)
+
+    arows = []
+    if costs is not None:
+        for season, hour, ctype, entity, z, spend in attack_rows(attacks, net, costs):
+            arows.append((season, hour, ctype, entity, fmt(z, 17), fmt(spend, 17)))
+    arows.sort(key=lambda r: (r[3], r[1], r[2]))
+    tables["attack_strategy.csv"] = (["season", "hour", "component_type", "entity",
+                                      "z_value", "spend"], arows)
+
+    srows = [(region, sector, fmt(pct, 12))
+             for region, sector, pct in sorted(shock_rows(result))]
+    tables["shock.csv"] = (["region", "sector", "percent_reduction"], srows)
+
+    manifest: dict = {
+        "scenario": result.kind,
+        "season": result.season,
+        # the demand's scaling, so that verify rebuilds the demand the run solved
+        "heatwave_factor": result.heatwave_factor,
+        "total_unserved_mwh": result.total_unserved_mwh,
+        "demand_energy_mwh": result.demand_energy_mwh,
+        "percent_unserved": result.percent_unserved,
+        "peak_shed_mw": result.peak_shed_mw,
+        "peak_hour": result.peak_hour,
+        "customers_affected": result.customers_affected,
+        "files": {name: {"rows": len(rows)} for name, (_, rows) in tables.items()},
+    }
+    if opf_rows is not None:
+        manifest["files"]["opf_solution.csv"] = {"rows": opf_rows}
+    if costs is not None:
+        # the run's prices, so that verify checks its spends without being told them
+        manifest["attack_costs"] = {
+            "budget": float(costs.budget),
+            "gen": dict(zip([g.id for g in net.generators], costs.cg.tolist())),
+            "flow": dict(zip([e.id for e in net.edges], costs.cf.tolist())),
+            "angle": dict(zip([e.id for e in net.edges], costs.ct.tolist())),
+        }
+    return tables, manifest
+
+
 def export_results(
     result: ScenarioResult,
     outdir: str | Path,
@@ -58,79 +132,17 @@ def export_results(
     except OSError as exc:
         raise OSError(f"cannot create output directory {outdir}: {exc}") from exc
 
-    manifest: dict = {
-        "scenario": result.kind,
-        "season": result.season,
-        # the demand's scaling, so that verify rebuilds the demand the run solved
-        "heatwave_factor": result.heatwave_factor,
-        "total_unserved_mwh": result.total_unserved_mwh,
-        "demand_energy_mwh": result.demand_energy_mwh,
-        "percent_unserved": result.percent_unserved,
-        "peak_shed_mw": result.peak_shed_mw,
-        "peak_hour": result.peak_hour,
-        "customers_affected": result.customers_affected,
-        "files": {},
-    }
-    if costs is not None:
-        # the run's prices, so that verify checks its spends without being told them
-        manifest["attack_costs"] = {
-            "budget": float(costs.budget),
-            "gen": dict(zip([g.id for g in net.generators], costs.cg.tolist())),
-            "flow": dict(zip([e.id for e in net.edges], costs.cf.tolist())),
-            "angle": dict(zip([e.id for e in net.edges], costs.ct.tolist())),
-        }
-
-    def record(name: str, count: int):
-        manifest["files"][name] = {"rows": count}
-
-    H = result.unserved.shape[0]
-    node_order = sorted(range(len(result.node_ids)), key=lambda j: result.node_ids[j])
-
-    rows = [(h, result.node_ids[j], fmt(result.unserved[h, j]))
-            for j in node_order for h in range(H)]
-    record("unserved_timeseries.csv",
-           _write_csv(outdir / "unserved_timeseries.csv",
-                      ["hour", "node", "unserved_mw"], rows))
-
-    zrows = []
-    shares = net.customer_shares()
-    for j in node_order:
-        dem = float(result.demand_used[:, j].sum())
-        uns = float(result.unserved[:, j].sum())
-        pct = 100.0 * uns / dem if dem > 0 else 0.0
-        zcust = int(round((uns / dem if dem > 0 else 0.0)
-                          * shares[j] * result.total_customers))
-        zrows.append((result.node_ids[j], fmt(dem), fmt(uns), fmt(pct), zcust))
-    record("zonal_summary.csv",
-           _write_csv(outdir / "zonal_summary.csv",
-                      ["node", "demand_mwh", "unserved_mwh", "percent_unserved",
-                       "customers_affected"], zrows))
-
-    arows = []
-    if result.plan is not None and costs is not None:
-        for season, hour, ctype, entity, z, spend in attack_rows(result.plan, net, costs):
-            arows.append((season, hour, ctype, entity, fmt(z, 17), fmt(spend, 17)))
-    arows.sort(key=lambda r: (r[3], r[1], r[2]))
-    record("attack_strategy.csv",
-           _write_csv(outdir / "attack_strategy.csv",
-                      ["season", "hour", "component_type", "entity", "z_value",
-                       "spend"], arows))
-
-    srows = [(region, sector, fmt(pct, 12))
-             for region, sector, pct in sorted(shock_rows(result))]
-    record("shock.csv",
-           _write_csv(outdir / "shock.csv",
-                      ["region", "sector", "percent_reduction"], srows))
-
+    attacks = {} if result.plan is None else {
+        (p.season, p.hour): {"zg": p.zg, "zf": p.zf, "zt": p.zt} for p in result.plan.hours}
+    orows = [(season, hour, entity, quantity, fmt(value, 17))
+             for sol in result.opf_hours
+             for season, hour, entity, quantity, value in solution_rows(sol, net)]
+    tables, manifest = _render(result, net, costs, attacks,
+                               len(orows) if result.opf_hours else None)
     if result.opf_hours:
-        orows = []
-        for sol in result.opf_hours:
-            for season, hour, entity, quantity, value in solution_rows(sol, net):
-                orows.append((season, hour, entity, quantity, fmt(value, 17)))
-        record("opf_solution.csv",
-               _write_csv(outdir / "opf_solution.csv",
-                          ["season", "hour", "entity", "quantity", "value"], orows))
-
+        tables["opf_solution.csv"] = (["season", "hour", "entity", "quantity", "value"], orows)
+    for name, (header, rows) in tables.items():
+        _write_csv(outdir / name, header, rows)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest
 
@@ -163,14 +175,21 @@ def export_sweep(
 
 
 def read_solution_csv(path: str | Path) -> dict[tuple[str, int], dict[str, dict[str, float]]]:
-    """Load opf_solution.csv back as {(season, hour): {quantity: {entity: value}}}."""
+    """Load opf_solution.csv back as {(season, hour): {quantity: {entity: value}}}.
+
+    Raises ValueError naming the file and line of a second row for the same
+    season, hour, quantity and entity.
+    """
     out: dict[tuple[str, int], dict[str, dict[str, float]]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            key = (row["season"], int(row["hour"]))
-            out.setdefault(key, {}).setdefault(row["quantity"], {})[row["entity"]] = \
-                float(row["value"])
+        # line 1 is the header
+        for ln, row in enumerate(csv.DictReader(fh), start=2):
+            values = out.setdefault((row["season"], int(row["hour"])), {}).setdefault(
+                row["quantity"], {})
+            if row["entity"] in values:
+                raise ValueError(f"{path}:{ln}: a second {row['quantity']} row for "
+                                 f"{row['entity']} at {row['season']}/{row['hour']}")
+            values[row["entity"]] = float(row["value"])
     return out
 
 
@@ -231,90 +250,6 @@ def read_manifest(soldir: str | Path) -> dict | None:
     return manifest
 
 
-def check_run_totals(soldir: str | Path, manifest: dict | None,
-                     unserved: dict[tuple[str, int], np.ndarray],
-                     profile: DemandProfile, net: PowerNetwork) -> None:
-    """Check a run's manifest.json headline numbers and its shock.csv
-    against its unserved power and demand.
-
-    ``manifest`` is the run's manifest as :func:`read_manifest` returns it
-    (None without one).  ``unserved`` maps each (season, hour) of
-    opf_solution.csv to the hour's ``u`` in network node order, and
-    ``profile`` is the demand the run dispatched.  Over the manifest's
-    season, :func:`scenarios.shed_metrics` re-derives the numbers as the
-    run derived them.  ``total_unserved_mwh``, ``peak_shed_mw``,
-    ``percent_unserved`` and each region's shock.csv ``percent_reduction``
-    must match within a relative ``MANIFEST_RTOL`` and
-    ``customers_affected`` exactly; ``peak_hour`` must be an hour whose shed
-    is that peak, within the same tolerance, and shock.csv must have one
-    ``Utilities`` row per network node.  Nothing is checked without a
-    manifest, and shock.csv only when it is present or the manifest lists
-    it.  Raises ValueError, its message starting with the
-    file name, on a mismatch or a missing entry.
-    """
-    if manifest is None:
-        return
-    path = Path(soldir) / "manifest.json"
-    keys = ("total_unserved_mwh", "peak_shed_mw", "peak_hour", "percent_unserved",
-            "customers_affected")
-    try:
-        season = manifest["season"]
-        claimed = {key: float(manifest[key]) for key in keys}
-    except KeyError as exc:
-        raise ValueError(f"{path.name}: no entry {exc}") from None
-    except (TypeError, ValueError):
-        raise ValueError(f"{path.name}: {', '.join(keys)} are not all numbers") from None
-    hours = sorted(h for s, h in unserved if s == season)
-    if not hours:
-        raise ValueError(f"{path.name}: no opf_solution.csv rows for its season {season!r}")
-    u = np.array([unserved[season, h] for h in hours])
-    derived = shed_metrics(u, np.asarray(profile.demand[season])[hours], net.total_customers)
-    derived["percent_unserved"] = percent_unserved(derived["total_unserved_mwh"],
-                                                   derived["demand_energy_mwh"])
-    hourly = u.sum(axis=1)
-    peak = derived["peak_shed_mw"]
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= MANIFEST_RTOL * max(abs(a), abs(b))  # NaN fails too
-    matches = {key: close(claimed[key], derived[key])
-               for key in ("total_unserved_mwh", "peak_shed_mw", "percent_unserved")}
-    matches["customers_affected"] = claimed["customers_affected"] == derived["customers_affected"]
-    for key, ok in matches.items():
-        if not ok:
-            raise ValueError(f"{path.name}: {key} is {manifest[key]!r}, but the u rows of "
-                             f"opf_solution.csv give {derived[key]!r}")
-    hour = claimed["peak_hour"]
-    if hour not in hours or not close(float(hourly[hours.index(hour)]), peak):
-        raise ValueError(f"{path.name}: peak_hour is {manifest['peak_hour']!r}, but the u "
-                         f"rows of opf_solution.csv peak at hour {hours[int(hourly.argmax())]}")
-
-    shock = Path(soldir) / "shock.csv"
-    if not shock.exists():
-        if "shock.csv" in manifest.get("files", {}):
-            raise ValueError(f"{shock.name}: listed in {path.name} but missing")
-        return
-    want = dict(zip((nd.id for nd in net.nodes), derived["shock_percent"].tolist()))
-    with open(shock, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    regions = [row.get("region") for row in rows]
-    if sorted(regions, key=str) != sorted(want):
-        raise ValueError(f"{shock.name}: regions {regions} are not the network's nodes "
-                         f"{sorted(want)}, one row each")
-    for row in rows:
-        region, text = row["region"], row.get("percent_reduction")
-        try:
-            value = float(text)
-        except (TypeError, ValueError):
-            raise ValueError(f"{shock.name}: percent_reduction of {region} is "
-                             f"{text!r}, not a number") from None
-        if row.get("sector") != SECTOR_TAG:
-            raise ValueError(f"{shock.name}: sector of {region} is {row.get('sector')!r}, "
-                             f"not {SECTOR_TAG!r}")
-        if not close(value, want[region]):
-            raise ValueError(f"{shock.name}: percent_reduction of {region} is {text}, "
-                             f"but the u rows of opf_solution.csv give {want[region]!r}")
-
-
 def read_attack_costs(manifest: dict | None, net: PowerNetwork) -> AttackCosts | None:
     """The attack prices and budget a run's manifest records, or None.
 
@@ -337,56 +272,113 @@ def read_attack_costs(manifest: dict | None, net: PowerNetwork) -> AttackCosts |
         raise ValueError(f"manifest.json: attack_costs: {exc}") from None
 
 
-def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts
+def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts | None
                     ) -> dict[tuple[str, int], dict[str, np.ndarray]]:
     """Load attack_strategy.csv as {(season, hour): {zg, zf, zt}} arrays.
 
     Raises ValueError naming the file and line of a row whose entity the
-    network lacks, whose component_type is not gen, flow or angle, whose
+    network lacks, whose component_type is not gen, flow or angle, or whose
     z_value lies outside [0, capacity] of its component (a generator's
-    capacity is what lies above its must-run floor), or whose spend is not
-    z_value times the component's price in ``costs`` (both within a
-    relative ``ATTACK_RTOL``); and naming the file and season when the
-    season's spends add up to more than the budget in ``costs`` (within a
-    relative ``ATTACK_RTOL`` too).
+    capacity is what lies above its must-run floor; within a relative
+    ``ATTACK_RTOL``); and, given ``costs``, naming the file and season
+    when the season's z values times their prices add up to more than the
+    budget (within a relative ``ATTACK_RTOL`` too).  The spend column is
+    not read.
     """
     edges = {e.id: k for k, e in enumerate(net.edges)}
     g_lo, g_up = net.gen_limits()
-    # component type -> (attack array, entity index, capacity, price)
-    index = {"gen": ("zg", {g.id: k for k, g in enumerate(net.generators)},
-                     g_up - g_lo, costs.cg),
-             "flow": ("zf", edges, net.flow_limits(), costs.cf),
-             "angle": ("zt", edges, net.angle_limits(), costs.ct)}
+    # component type -> (attack array, entity index, capacity)
+    index = {"gen": ("zg", {g.id: k for k, g in enumerate(net.generators)}, g_up - g_lo),
+             "flow": ("zf", edges, net.flow_limits()),
+             "angle": ("zt", edges, net.angle_limits())}
     out: dict[tuple[str, int], dict[str, np.ndarray]] = {}
-    spent: dict[str, float] = {}  # per season: the budget is seasonal
     with open(path, newline="") as fh:
         # line 1 is the header
         for ln, row in enumerate(csv.DictReader(fh), start=2):
             kind, entity = row["component_type"], row["entity"]
             if kind not in index:
                 raise ValueError(f"{path}:{ln}: unknown component_type {kind!r}")
-            name, ids, capacity, price = index[kind]
+            name, ids, capacity = index[kind]
             if entity not in ids:
                 raise ValueError(f"{path}:{ln}: unknown {kind} entity {entity!r}")
             k = ids[entity]
-            z, spend = float(row["z_value"]), float(row["spend"])
+            z = float(row["z_value"])
             cap = float(capacity[k])
             if not 0.0 <= z <= cap * (1.0 + ATTACK_RTOL):
                 raise ValueError(f"{path}:{ln}: z_value {z!r} outside [0, {cap!r}], "
                                  f"the capacity of {kind} {entity}")
-            cost = z * float(price[k])
-            if not abs(spend - cost) <= ATTACK_RTOL * abs(cost):  # NaN fails too
-                raise ValueError(f"{path}:{ln}: spend {spend!r} is not z_value x price "
-                                 f"= {cost!r}")
             slot = out.setdefault((row["season"], int(row["hour"])), {
                 "zg": np.zeros(net.num_generators),
                 "zf": np.zeros(net.num_edges),
                 "zt": np.zeros(net.num_edges),
             })
             slot[name][k] = z
-            spent[row["season"]] = spent.get(row["season"], 0.0) + spend
-    for season, total in sorted(spent.items()):
-        if not total <= costs.budget * (1.0 + ATTACK_RTOL):
-            raise ValueError(f"{path}: {season} spends {total!r} in total, more than "
-                             f"the budget {costs.budget!r}")
+    if costs is not None:
+        for season in sorted({s for s, _ in out}):  # the budget is seasonal
+            total = sum(costs.spend(z["zg"], z["zf"], z["zt"])
+                        for (s, _), z in out.items() if s == season)
+            if not total <= costs.budget * (1.0 + ATTACK_RTOL):
+                raise ValueError(f"{path}: {season} spends {total!r} in total, more than "
+                                 f"the budget {costs.budget!r}")
     return out
+
+
+def _json_difference(have, want, where: str = "") -> str | None:
+    """The key path where parsed JSON ``have`` first differs from ``want``,
+    with both values; None when they are equal."""
+    if isinstance(have, dict) and isinstance(want, dict):
+        for key in list(want) + [k for k in have if k not in want]:
+            at = f"{where}/{key}" if where else key
+            if key not in have:
+                return f"{at} is missing, where the re-derived run has {want[key]!r}"
+            if key not in want:
+                return f"{at} is {have[key]!r}, where the re-derived run has no such entry"
+            diff = _json_difference(have[key], want[key], at)
+            if diff is not None:
+                return diff
+        return None
+    return None if have == want else f"{where} is {have!r}, where the re-derived run has {want!r}"
+
+
+def _line_difference(header: list[str], have: list[str] | None, want: list[str] | None) -> str:
+    if have is None or want is None or len(have) != len(want):
+        return (f"{'no line' if have is None else have}, where the re-derived file has "
+                f"{'no line' if want is None else want}")
+    col = next(c for c, (a, b) in enumerate(zip(have, want)) if a != b)
+    return f"{header[col]} is {have[col]!r}, where the re-derived file has {want[col]!r}"
+
+
+def check_run_files(
+    soldir: str | Path,
+    manifest: dict,
+    result: ScenarioResult,
+    net: PowerNetwork,
+    costs: AttackCosts | None,
+    attacks: dict[tuple[str, int], dict[str, np.ndarray]],
+    opf_rows: int,
+) -> None:
+    """Check a run directory's manifest.json, and every file it lists but
+    opf_solution.csv, against what :func:`export_results` writes for
+    ``result``: the manifest as parsed JSON, each CSV file line by line as
+    text cells.
+
+    ``result`` is the run re-derived from its verified rows, ``costs`` and
+    ``attacks`` are read from the directory, and ``opf_rows`` is the number
+    of opf_solution.csv rows read.  Raises ValueError naming the file and
+    the key or line of the first difference.
+    """
+    tables, want = _render(result, net, costs, attacks, opf_rows)
+    # compared as the file would hold it: JSON types, as json.dumps writes them
+    diff = _json_difference(manifest, json.loads(json.dumps(want)))
+    if diff is not None:
+        raise ValueError(f"manifest.json: {diff}")
+    for name, (header, rows) in tables.items():
+        path = Path(soldir) / name
+        if not path.exists():
+            raise ValueError(f"{name}: listed in manifest.json but missing")
+        with open(path, newline="") as fh:
+            have = list(csv.reader(fh))
+        lines = [header] + [[str(cell) for cell in row] for row in rows]
+        for ln, (got, line) in enumerate(zip_longest(have, lines), start=1):
+            if got != line:
+                raise ValueError(f"{name}:{ln}: {_line_difference(header, got, line)}")

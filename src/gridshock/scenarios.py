@@ -82,39 +82,10 @@ class ScenarioResult:
 
     @property
     def percent_unserved(self) -> float:
-        return percent_unserved(self.total_unserved_mwh, self.demand_energy_mwh)
-
-
-def percent_unserved(total_unserved_mwh: float, demand_energy_mwh: float) -> float:
-    """Unserved energy as a percent of demand energy; 0 without demand."""
-    if demand_energy_mwh <= 0:
-        return 0.0
-    return 100.0 * total_unserved_mwh / demand_energy_mwh
-
-
-def shed_metrics(unserved: np.ndarray, demand_used: np.ndarray,
-                 total_customers: int) -> dict:
-    """The headline numbers of a run's H x N shed and demand (MW per hour
-    and node), keyed by their :class:`ScenarioResult` field: the totals,
-    the peak, the customers affected and each node's shock percent."""
-    total_unserved = float(unserved.sum())
-    demand_energy = float(demand_used.sum())
-    hourly_shed = unserved.sum(axis=1)
-    peak_hour = int(np.argmax(hourly_shed)) if hourly_shed.size else 0
-    peak = float(hourly_shed[peak_hour]) if hourly_shed.size else 0.0
-    frac = total_unserved / demand_energy if demand_energy > 0 else 0.0
-    node_demand = demand_used.sum(axis=0)
-    node_unserved = unserved.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shock = np.where(node_demand > 0, 100.0 * node_unserved / node_demand, 0.0)
-    return {
-        "total_unserved_mwh": total_unserved,
-        "demand_energy_mwh": demand_energy,
-        "peak_shed_mw": peak,
-        "peak_hour": peak_hour,
-        "customers_affected": int(round(frac * total_customers)),
-        "shock_percent": shock,
-    }
+        """Unserved energy as a percent of demand energy; 0 without demand."""
+        if self.demand_energy_mwh <= 0:
+            return 0.0
+        return 100.0 * self.total_unserved_mwh / self.demand_energy_mwh
 
 
 def _metrics(
@@ -124,20 +95,36 @@ def _metrics(
     opf_hours: list[OpfSolution],
     plan: AttackPlan | None = None,
 ) -> ScenarioResult:
+    """A run's result from its hourly dispatches on ``profile``, with its
+    headline numbers: the totals, the peak, the customers affected and
+    each node's shock percent."""
     season = cfg.season
     demand_used = np.array(profile.demand[season])
     unserved = np.array([s.u for s in opf_hours])
+    total_unserved = float(unserved.sum())
+    demand_energy = float(demand_used.sum())
+    hourly_shed = unserved.sum(axis=1)
+    peak_hour = int(np.argmax(hourly_shed)) if hourly_shed.size else 0
+    frac = total_unserved / demand_energy if demand_energy > 0 else 0.0
+    node_demand = demand_used.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shock = np.where(node_demand > 0, 100.0 * unserved.sum(axis=0) / node_demand, 0.0)
     return ScenarioResult(
         kind=cfg.kind,
         season=season,
         unserved=unserved,
         demand_used=demand_used,
+        total_unserved_mwh=total_unserved,
+        demand_energy_mwh=demand_energy,
+        peak_shed_mw=float(hourly_shed[peak_hour]) if hourly_shed.size else 0.0,
+        peak_hour=peak_hour,
+        customers_affected=int(round(frac * net.total_customers)),
         total_customers=net.total_customers,
         node_ids=tuple(nd.id for nd in net.nodes),
+        shock_percent=shock,
         plan=plan,
         opf_hours=opf_hours,
         heatwave_factor=cfg.heatwave_factor if _heated(cfg) else 1.0,
-        **shed_metrics(unserved, demand_used, net.total_customers),
     )
 
 
@@ -147,6 +134,10 @@ def scenario_costs(cfg: ScenarioConfig, net: PowerNetwork) -> AttackCosts:
 
 def _heated(cfg: ScenarioConfig) -> bool:
     return cfg.kind in ("Heatwave", "Compound")
+
+
+def _attacked(cfg: ScenarioConfig) -> bool:
+    return cfg.kind in ("Cyberattack", "Compound")
 
 
 def scenario_profile(cfg: ScenarioConfig, demand: DemandProfile) -> DemandProfile:
@@ -167,7 +158,7 @@ def run_scenario(
     profile = scenario_profile(cfg, demand)
     try:
         plan = None
-        if cfg.kind in ("Cyberattack", "Compound"):
+        if _attacked(cfg):
             costs = costs if costs is not None else scenario_costs(cfg, net)
             plan = run_attack(net, profile, season, costs, node_limit=cfg.node_limit)
         hours = solve_day(net, profile, season) if plan is None else [h.opf for h in plan.hours]

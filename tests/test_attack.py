@@ -249,7 +249,8 @@ def test_bigm_grows_until_valid():
 def test_attack_rows_breakdown(bundled_net, bundled_demand):
     costs = default_costs(bundled_net, 300.0, 5.0)
     plan = run_attack(bundled_net, bundled_demand, "summer", costs, node_limit=0)
-    rows = attack_rows(plan, bundled_net, costs)
+    rows = attack_rows({(p.season, p.hour): {"zg": p.zg, "zf": p.zf, "zt": p.zt}
+                        for p in plan.hours}, bundled_net, costs)
     assert rows, "default budget should buy a nonempty strategy"
     kinds = {r[2] for r in rows}
     assert kinds <= {"gen", "flow", "angle"}

@@ -117,6 +117,38 @@ def test_attack_runs_the_configs_scenario(tmp_path, config, flags, scenario, fac
     assert manifest["heatwave_factor"] == factor
 
 
+@pytest.mark.parametrize("config, flags, scenario, factor", [
+    ("heatwave.cfg", [], "Heatwave", 1.09),
+    ("baseline.cfg", [], "Baseline", 1.0),
+    ("baseline.cfg", ["--heatwave-factor", "1.09"], "Heatwave", 1.09),
+    ("heatwave.cfg", ["--heatwave-factor", "1.0"], "Baseline", 1.0),
+])
+def test_solve_opf_runs_the_configs_scenario(tmp_path, config, flags, scenario, factor):
+    # the same rule as attack's: --heatwave-factor decides when given,
+    # otherwise the config's kind does
+    out = tmp_path / "opf"
+    assert main(["solve-opf", "--config", str(bundled_path(config)), "--out", str(out),
+                 *flags]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenario"] == scenario
+    assert manifest["heatwave_factor"] == factor
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve-opf", ["--budget", "300"]),
+    ("scenario", ["--dump-lp"]),
+    ("sweep-gamma", ["--dump-lp"]),
+    ("sweep-beta", ["--dump-lp"]),
+    ("verify", ["--config", "run.cfg", "--solution", "run"]),
+])
+def test_a_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "out"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_roundtrip_and_corruption(files):
     net, net_path, dem_path, cfg_path, tmp = files
     assert main(["attack", "--network", str(net_path), "--demand", str(dem_path),
@@ -157,6 +189,10 @@ def test_verify_rejects_missing_hour_or_row(files, capsys):
     sol.write_text("\n".join([header] + rows[:gone] + rows[gone + 1:]) + "\n")
     assert main(verify) == 2
     assert capsys.readouterr().out.startswith("FAIL summer/")
+    # a second row for one value: only one of the two could be certified
+    sol.write_text("\n".join([header] + rows[:gone + 1] + rows[gone:]) + "\n")
+    assert main(verify) == 2
+    assert capsys.readouterr().out.startswith(f"FAIL {sol}:{gone + 3}: a second ")
     # an hour the demand profile does not have
     sol.write_text("\n".join([header] + rows + [r.replace("summer,0,", "summer,2,", 1)
                                                 for r in rows if r.startswith("summer,0,")])
@@ -195,10 +231,11 @@ def cyber_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("row, message", [
-    ("summer,17,flow,E15,48,800", "spend 800.0 is not z_value x price = 240.0"),
+    ("summer,17,flow,E15,48,800", "spend is '800', where the re-derived file has '240'"),
+    ("summer,17,flow,E15,48,nan", "spend is 'nan', where the re-derived file has '240'"),
     ("summer,17,flow,E15,900,4500", "z_value 900.0 outside [0, 860.0]"),
     ("summer,17,flow,E15,-48,-240", "z_value -48.0 outside [0, 860.0]"),
-], ids=["spend", "above_capacity", "below_zero"])
+], ids=["spend", "spend_nan", "above_capacity", "below_zero"])
 def test_verify_rejects_a_bad_attack_row(cyber_run, tmp_path, capsys, row, message):
     run = tmp_path / "run"
     shutil.copytree(cyber_run, run)
@@ -210,7 +247,7 @@ def test_verify_rejects_a_bad_attack_row(cyber_run, tmp_path, capsys, row, messa
     capsys.readouterr()
     assert main(["verify", "--solution", str(run)]) == 2
     out = capsys.readouterr().out
-    assert out.startswith(f"FAIL {strategy}:2: ") and message in out
+    assert out.startswith("FAIL ") and f"attack_strategy.csv:2: {message}" in out
 
 
 def _drop_recorded_prices(run):
@@ -220,18 +257,22 @@ def _drop_recorded_prices(run):
 
 
 def test_verify_checks_spend_at_the_recorded_prices(cyber_run, tmp_path, capsys):
-    # the prices the run's manifest records win over verify's own config
-    assert main(["verify", "--solution", str(cyber_run), "--cost-ratio", "4"]) == 0
-    # without them, spends are checked at the config's: the run was priced
-    # at cost ratio 5, so its flow spend is 48 x 5
+    # spends are re-derived at the prices the run's manifest records: at a
+    # recorded E15 flow price of 4, the 48 MW cut costs 192, not the 240 spent
     run = tmp_path / "run"
     shutil.copytree(cyber_run, run)
-    _drop_recorded_prices(run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["attack_costs"]["flow"]["E15"] == 5.0
+    manifest["attack_costs"]["flow"]["E15"] = 4.0
+    (run / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
-    assert main(["verify", "--solution", str(run), "--cost-ratio", "4"]) == 2
-    assert "spend 240.0 is not z_value x price = 192.0" in capsys.readouterr().out
-    assert main(["verify", "--solution", str(run), "--config",
-                 str(bundled_path("cyberattack.cfg"))]) == 0
+    assert main(["verify", "--solution", str(run)]) == 2
+    assert ("FAIL attack_strategy.csv:2: spend is '240', where the re-derived file has "
+            "'192'") in capsys.readouterr().out
+    # without recorded prices the rows cannot be priced: nothing stands in
+    _drop_recorded_prices(run)
+    assert main(["verify", "--solution", str(run)]) == 2
+    assert capsys.readouterr().out.startswith("FAIL manifest.json: no attack_costs to price")
 
 
 def test_verify_accepts_a_gamma_sweep_step(tmp_path, capsys):
@@ -251,7 +292,7 @@ def test_verify_accepts_a_gamma_sweep_step(tmp_path, capsys):
         _drop_recorded_prices(step)
         capsys.readouterr()
         assert main(["verify", "--solution", str(step), *heat]) == 2
-        assert "is not z_value x price" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("FAIL manifest.json: no attack_costs")
 
 
 def test_verify_rejects_a_plan_over_budget(cyber_run, tmp_path, capsys):
@@ -292,7 +333,12 @@ def test_verify_reads_the_heatwave_factor_from_the_manifest(compound_run, tmp_pa
     del manifest["heatwave_factor"]
     (run / "manifest.json").write_text(json.dumps(manifest))
     assert main(["verify", "--solution", str(run)]) == 2
-    assert main(["verify", "--solution", str(run), "--heatwave-factor", "1.09"]) == 0
+    assert capsys.readouterr().out.startswith("FAIL summer/")
+    # the flag scales the demand, so every hour verifies, but the manifest is
+    # not the one the run wrote
+    assert main(["verify", "--solution", str(run), "--heatwave-factor", "1.09"]) == 2
+    assert capsys.readouterr().out.startswith(
+        "FAIL manifest.json: heatwave_factor is missing, where the re-derived run has 1.09")
 
 
 def test_verify_missing_solution_dir(files):
@@ -317,8 +363,8 @@ def test_sweep_beta_subcommand(files):
     ("total_unserved_mwh", lambda v: 10 * v, "total_unserved_mwh is "),
     ("peak_shed_mw", lambda v: v * (1 + 1e-8), "peak_shed_mw is "),
     ("peak_hour", lambda v: v - 1, "peak_hour is "),
-    ("peak_hour", None, "no entry 'peak_hour'"),
-    ("peak_shed_mw", lambda v: None, "are not all numbers"),
+    ("peak_hour", None, "peak_hour is missing"),
+    ("peak_shed_mw", lambda v: None, "peak_shed_mw is None"),
     ("percent_unserved", lambda v: 10 * v, "percent_unserved is "),
     ("customers_affected", lambda v: 10 * v, "customers_affected is "),
     ("customers_affected", lambda v: v + 1, "customers_affected is "),
@@ -387,6 +433,55 @@ def test_verify_checks_a_beta_sweep_steps_manifest(tmp_path, capsys):
         assert capsys.readouterr().out.startswith("FAIL manifest.json: total_unserved_mwh")
 
 
+def _set_cell(path, line, column, value):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[line - 1][rows[0].index(column)] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _set_entry(path, keys, value):
+    manifest = json.loads(path.read_text())
+    *outer, last = keys
+    entry = manifest
+    for key in outer:
+        entry = entry[key]
+    entry[last] = value
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("unserved_timeseries.csv", lambda p: _set_cell(p, 2, "unserved_mw", "999"),
+     "2: unserved_mw is '999', where the re-derived file has '0'"),
+    ("zonal_summary.csv", lambda p: _set_cell(p, 2, "customers_affected", "123456"),
+     "2: customers_affected is '123456', where the re-derived file has '0'"),
+    # a heated Baseline run does not exist: its recorded factor is 1
+    ("manifest.json", lambda p: _set_entry(p, ["scenario"], "Baseline"),
+     " heatwave_factor is 1.09, where the re-derived run has 1.0"),
+    # a Heatwave run has no attack: the rows are not its own
+    ("manifest.json", lambda p: _set_entry(p, ["scenario"], "Heatwave"),
+     " files/attack_strategy.csv/rows is 6, where the re-derived run has 0"),
+    ("manifest.json", lambda p: _set_entry(p, ["files", "zonal_summary.csv", "rows"], 17),
+     " files/zonal_summary.csv/rows is 17, where the re-derived run has 16"),
+    ("manifest.json", lambda p: _set_entry(p, ["files", "opf_solution.csv", "rows"], 1),
+     " files/opf_solution.csv/rows is 1, where the re-derived run has "),
+    ("manifest.json", lambda p: _set_entry(p, ["scenario"], "Blackout"),
+     " unknown scenario kind 'Blackout'"),
+    ("manifest.json", lambda p: _set_entry(p, ["season"], "winter"),
+     " season 'winter' has no rows in opf_solution.csv"),
+], ids=["unserved", "customers", "scenario", "scenario_without_attack", "rows",
+        "opf_rows", "unknown_scenario", "unknown_season"])
+def test_verify_rejects_a_file_the_run_does_not_give(compound_run, tmp_path, capsys, name,
+                                                     edit, message):
+    run = tmp_path / "run"
+    shutil.copytree(compound_run, run)
+    edit(run / name)
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    assert capsys.readouterr().out.startswith(f"FAIL {name}:{message}")
+
+
 def _edit_shock(run, edit):
     shock = run / "shock.csv"
     lines = shock.read_text().splitlines()
@@ -394,11 +489,12 @@ def _edit_shock(run, edit):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda ls: [ls[0], "Z01,Utilities,99"] + ls[2:], "percent_reduction of Z01 is 99, "),
-    (lambda ls: ls[:-1], "are not the network's nodes"),
-    (lambda ls: ls + [ls[-1]], "are not the network's nodes"),
-    (lambda ls: [ls[0], ls[1].replace("Utilities", "Power")] + ls[2:], "sector of Z01 is"),
-    (lambda ls: [ls[0], "Z01,Utilities,n/a"] + ls[2:], "percent_reduction of Z01 is 'n/a'"),
+    (lambda ls: [ls[0], "Z01,Utilities,99"] + ls[2:], "2: percent_reduction is '99', "),
+    (lambda ls: ls[:-1], "17: no line, where the re-derived file has ['Z16', "),
+    (lambda ls: ls + [ls[-1]],
+     "18: ['Z16', 'Utilities', '0'], where the re-derived file has no line"),
+    (lambda ls: [ls[0], ls[1].replace("Utilities", "Power")] + ls[2:], "2: sector is 'Power'"),
+    (lambda ls: [ls[0], "Z01,Utilities,n/a"] + ls[2:], "2: percent_reduction is 'n/a'"),
 ], ids=["value", "missing_row", "duplicate_row", "sector", "not_a_number"])
 def test_verify_rejects_a_shock_file_the_rows_do_not_give(compound_run, tmp_path, capsys,
                                                           edit, message):
@@ -408,24 +504,28 @@ def test_verify_rejects_a_shock_file_the_rows_do_not_give(compound_run, tmp_path
     capsys.readouterr()
     assert main(["verify", "--solution", str(run)]) == 2
     out = capsys.readouterr().out
-    assert out.startswith("FAIL shock.csv: ") and message in out
+    assert out.startswith(f"FAIL shock.csv:{message}")
 
 
 def test_verify_checks_each_region_of_the_shock_file(compound_run, tmp_path, capsys):
     # the peak-hour attack sheds in some regions: each one's percent is
     # re-derived, to the 12 digits the file carries
-    rows = list(csv.reader((compound_run / "shock.csv").open()))[1:]
+    with open(compound_run / "shock.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
     shed = [r for r in rows if float(r[2]) > 0]
     assert shed
     run = tmp_path / "run"
     shutil.copytree(compound_run, run)
     region, _, value = shed[0]
+    edited = repr(float(value) * (1 + 1e-8))
     _edit_shock(run, lambda ls: [ln if not ln.startswith(region + ",") else
-                                 f"{region},Utilities,{float(value) * (1 + 1e-8)!r}"
-                                 for ln in ls])
+                                 f"{region},Utilities,{edited}" for ln in ls])
     capsys.readouterr()
     assert main(["verify", "--solution", str(run)]) == 2
-    assert capsys.readouterr().out.startswith(f"FAIL shock.csv: percent_reduction of {region}")
+    line = 2 + rows.index(shed[0])
+    assert capsys.readouterr().out.startswith(
+        f"FAIL shock.csv:{line}: percent_reduction is '{edited}', where the re-derived "
+        f"file has '{value}'")
     (run / "shock.csv").unlink()
     assert main(["verify", "--solution", str(run)]) == 2
     assert "shock.csv: listed in manifest.json but missing" in capsys.readouterr().out

@@ -165,7 +165,6 @@ def test_attack_csv_rejects_unknown_rows(tmp_path, row, message):
 
 
 @pytest.mark.parametrize("row, message", [
-    ("summer,0,flow,e1,3,nan", "attack_strategy.csv:2: spend nan is not z_value x price"),
     ("summer,0,flow,e1,nan,15", "attack_strategy.csv:2: z_value nan outside"),
     # g1 runs at 20 MW or more: only 40 of its 60 MW can be attacked away
     ("summer,0,gen,g1,50,50", "attack_strategy.csv:2: z_value 50.0 outside [0, 40.0]"),
