@@ -112,7 +112,7 @@ class BigMConfig:
         return BigMConfig(m_value=10.0 * scale)
 
 
-@dataclass
+@dataclass(slots=True)
 class HourlyAttack:
     """Attack decision and resulting equilibrium for one (season, hour)."""
 
@@ -610,10 +610,12 @@ def _certified_hour(
     shifted bounds and its max-norm stays below ``m_value``; otherwise the
     dispatch LP at the same attack is.  ``bigm_valid`` is the max-norm test
     on the reported point: a post-hoc heuristic, not a proof that M is large
-    enough.
+    enough.  An attack array the caller cannot write into, such as
+    ``dispatch.no_attack``, is kept as it is; any other is copied.
     """
     net, season = dispatch.net, dispatch.season
-    zg, zf, zt = (np.array(z, dtype=float) for z in (zg, zf, zt))
+    zg, zf, zt = (z if isinstance(z, np.ndarray) and not z.flags.writeable
+                  else np.array(z, dtype=float) for z in (zg, zf, zt))
 
     def checks(sol: OpfSolution) -> tuple[bool, bool]:
         cert = verify_equilibrium(kkt_residuals(net, sol, zg, zf, zt), CERT_TOL)
@@ -687,8 +689,9 @@ def solve_hourly_attack(
     growing M on failure.
 
     ``dispatch`` is the run's :class:`SeasonDispatch`: the greedy search
-    opens from its unattacked dispatch of the hour and a zero budget reports
-    that dispatch.  Without it, the call makes its own.
+    opens from its unattacked dispatch of the hour, and a zero budget
+    reports that dispatch with the dispatch's shared ``no_attack`` arrays.
+    Without it, the call makes its own.
 
     ``node_limit=0`` selects certificate-only mode: the best candidate
     attack is returned with its certified equilibrium and the search is
@@ -699,10 +702,8 @@ def solve_hourly_attack(
     bigm = bigm or BigMConfig.for_network(net, demand)
     dispatch = _run_dispatch(net, demand, season, dispatch)
     if hourly_budget <= 1e-12:
-        G, E = net.num_generators, net.num_edges
-        return _certified_hour(dispatch, hour, costs, np.zeros(G), np.zeros(E),
-                               np.zeros(E), dispatch.base(hour), "optimal", 0,
-                               bigm.m_value)
+        return _certified_hour(dispatch, hour, costs, *dispatch.no_attack, dispatch.base(hour),
+                               "optimal", 0, bigm.m_value)
 
     best = greedy_attack(net, demand, season, hour, costs, hourly_budget, dispatch)
     if node_limit == 0:
@@ -761,6 +762,7 @@ def run_attack(
     costs: AttackCosts,
     *,
     node_limit: int = 20_000,
+    dispatch: SeasonDispatch | None = None,
 ) -> AttackPlan:
     """A day's attack: the best split of ``costs.budget`` over the hours on a grid.
 
@@ -778,11 +780,18 @@ def run_attack(
 
     That costs H + H + live * (K - 1) hourly solves, all on one
     :class:`SeasonDispatch`: one dispatch form for every hour, and each
-    hour's unattacked dispatch solved once, first.
+    hour's unattacked dispatch solved once.
+
+    ``dispatch`` is that :class:`SeasonDispatch` of ``(net, demand,
+    season)``, when the caller shares it between runs: a ladder passes one
+    to each of its steps, which then solve the unattacked day once and
+    share the form's store of basis inverses.  Without it the run makes its
+    own, with every hour's unattacked dispatch solved first, chained hour
+    to hour; build a shared one the same way for the same answer.
     """
     budget = costs.budget
     hours = range(demand.hours(season))
-    dispatch = SeasonDispatch(net, demand, season, hours)
+    dispatch = dispatch if dispatch is not None else SeasonDispatch(net, demand, season, hours)
     K = BUDGET_STEPS
 
     def solve(hour: int, b: float) -> HourlyAttack:

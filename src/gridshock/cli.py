@@ -158,7 +158,8 @@ def cmd_attack(args) -> int:
 def cmd_scenario(args) -> int:
     net, demand = _load_inputs(args)
     cfg = _config(args)
-    costs = scenario_costs(cfg, net)
+    # only a run that attacks records prices; Baseline and Heatwave have none
+    costs = scenario_costs(cfg, net) if _attacked(cfg) else None
     result = run_scenario(cfg, net, demand, costs=costs)
     reporting.export_results(result, args.out, net, costs)
     print(f"{cfg.kind}: unserved {result.total_unserved_mwh:.6g} MWh "

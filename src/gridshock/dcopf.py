@@ -36,7 +36,7 @@ OPF_ARRAYS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class OpfSolution:
     """Primal and dual quantities of one hourly dispatch.
 
@@ -294,8 +294,8 @@ def solve_dcopf(
     ``basis`` is the ``basis`` of another dispatch of the same network: the
     same hour under any attack, or (as :class:`SeasonDispatch` chains them)
     the hour before; it warm-starts the LP solve.  ``form`` is
-    :func:`dispatch_form` of ``net``, shared by the solves of one run;
-    without it the solve builds its own.  The answer does not depend on it.
+    :func:`dispatch_form` of ``net``, shared by the solves of one run or
+    ladder; without it the solve builds its own.  The answer does not depend on it.
     Raises ValueError for a form of another network.  A caller that only
     ranks attacks by their shed uses :func:`dispatch_vertex` instead and
     finishes the one it keeps into this same solution.
@@ -358,14 +358,17 @@ def dispatch_vertex(
 
 
 class SeasonDispatch:
-    """The dispatch LPs of one run (an attack run, or a day's unattacked
-    dispatch): one network, demand and season.
+    """The dispatch LPs of one network, demand and season: an attack run,
+    a day's unattacked dispatch, or every step of a sensitivity ladder
+    over one scenario's day.
 
-    Holds the network's :func:`dispatch_form`, which every solve of the run
-    passes to :func:`solve_dcopf`, and each hour's unattacked dispatch,
-    solved once: the ``hours`` given up front, while the run holds little
-    else, any other hour on first use.  Nothing it returns refers back to
-    it, so it lives only as long as the run that made it.
+    Holds the network's :func:`dispatch_form`, which every solve passes to
+    :func:`solve_dcopf`, so the solves share the form's store of basis
+    inverses, and each hour's unattacked dispatch, solved once: the
+    ``hours`` given up front, any other hour on first use.  ``no_attack``
+    is the (zg, zf, zt) of an hour that spends nothing, read-only zero
+    arrays that every such hour shares.  Nothing else it returns refers
+    back to it, so it lives only as long as the run or ladder that made it.
 
     The up-front hours are chained: each is warm-started from the optimal
     basis of the hour before it in the given order, the first one cold.
@@ -384,6 +387,10 @@ class SeasonDispatch:
         self.demand = demand
         self.season = season
         self.form = dispatch_form(net)
+        G, E = net.num_generators, net.num_edges
+        self.no_attack = tuple(np.zeros(k) for k in (G, E, E))
+        for z in self.no_attack:
+            z.flags.writeable = False
         self._base: dict[int, OpfSolution] = {}
         basis = None
         for h in hours:

@@ -11,11 +11,11 @@ Every node differs from its parent only in bounds, so each child LP and
 each polish warm-starts from the basis of the node it came from (see
 :mod:`gridshock.simplex`); a node stores that basis, never an inverse.  The
 LPs of one tree share one :class:`~gridshock.simplex.LpForm` of the
-constraint matrix, so the second child of a node reuses the factorization
-of the parent basis that the first child made.  A node whose LP fails
-numerically on both the warm and the cold path is dropped with its
-parent's bound kept in the gap: the search goes on and ends
-``feasible-limit``, never ``optimal``.
+constraint matrix, whose store of basis inverses lets the second child of a
+node reuse the factorization of the parent basis that the first child made.
+A node whose LP fails numerically on both the warm and the cold path is
+dropped with its parent's bound kept in the gap: the search goes on and
+ends ``feasible-limit``, never ``optimal``.
 """
 
 from __future__ import annotations

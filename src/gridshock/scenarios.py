@@ -8,7 +8,9 @@ attacker prices (gamma: wires 10% cheaper and generators 10% dearer per
 step) or the budget (beta: +20% per step), six iterations each,
 evaluating both attack scenarios per iteration.
 
-Each ladder step is a fresh attack run.  When a step sheds less than the
+Each ladder step is a fresh attack run.  The steps of one scenario kind
+share that kind's :func:`scenario_dispatch`, so its unattacked day is
+solved once per ladder.  When a step sheds less than the
 step before, the previous plan, re-costed at the step's prices, is reported
 instead if it fits the step's budget.  A beta step is therefore never below
 its predecessor (a larger budget at the same prices still affords the
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackCosts, AttackPlan, default_costs, run_attack
-from .dcopf import OpfSolution, solve_day
+from .dcopf import OpfSolution, SeasonDispatch
 from .network import DemandProfile, PowerNetwork, apply_heatwave
 
 SCENARIO_KINDS = ("Baseline", "Heatwave", "Cyberattack", "Compound")
@@ -145,28 +147,65 @@ def scenario_profile(cfg: ScenarioConfig, demand: DemandProfile) -> DemandProfil
     return apply_heatwave(demand, cfg.heatwave_factor) if _heated(cfg) else demand
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    net: PowerNetwork,
-    demand: DemandProfile,
-    costs: AttackCosts | None = None,
-) -> ScenarioResult:
-    """Evaluate one scenario end to end and compute all derived metrics."""
+def scenario_dispatch(cfg: ScenarioConfig, net: PowerNetwork,
+                      demand: DemandProfile) -> SeasonDispatch:
+    """The :class:`SeasonDispatch` of a scenario's day: ``net`` and the
+    season on the scenario's demand (:func:`scenario_profile`), with every
+    hour's unattacked dispatch solved up front, chained hour to hour."""
     season = cfg.season
     if season not in demand.demand:
         raise ScenarioError(f"{cfg.kind}: season {season!r} not in demand profile")
     profile = scenario_profile(cfg, demand)
     try:
+        return SeasonDispatch(net, profile, season, range(profile.hours(season)))
+    except Exception as exc:
+        raise ScenarioError(f"{cfg.kind}/{season}: {exc}") from exc
+
+
+def run_scenario(
+    cfg: ScenarioConfig,
+    net: PowerNetwork,
+    demand: DemandProfile,
+    costs: AttackCosts | None = None,
+    dispatch: SeasonDispatch | None = None,
+) -> ScenarioResult:
+    """Evaluate one scenario end to end and compute all derived metrics.
+
+    ``dispatch`` is the scenario's :func:`scenario_dispatch`, when the
+    caller shares it between runs: a ladder builds one per scenario kind
+    and passes it to every step, so each step finds the day's unattacked
+    dispatch solved and the dispatch form's store of basis inverses
+    filled.  The run then dispatches ``dispatch.demand``; ValueError when
+    its network, season or demand is not this scenario's.  Without it the
+    run builds its own.  The answer is the same either way, bit for bit.
+    """
+    season = cfg.season
+    if dispatch is None:
+        dispatch = scenario_dispatch(cfg, net, demand)
+    elif not (dispatch.net is net and dispatch.season == season
+              and _same_day(dispatch.demand, scenario_profile(cfg, demand), season)):
+        raise ValueError(f"{cfg.kind}: dispatch belongs to another network, season or demand")
+    profile = dispatch.demand
+    try:
         plan = None
         if _attacked(cfg):
             costs = costs if costs is not None else scenario_costs(cfg, net)
-            plan = run_attack(net, profile, season, costs, node_limit=cfg.node_limit)
-        hours = solve_day(net, profile, season) if plan is None else [h.opf for h in plan.hours]
+            plan = run_attack(net, profile, season, costs, node_limit=cfg.node_limit,
+                              dispatch=dispatch)
+            hours = [h.opf for h in plan.hours]
+        else:
+            hours = [dispatch.base(h) for h in range(profile.hours(season))]
         return _metrics(cfg, net, profile, hours, plan)
     except ScenarioError:
         raise
     except Exception as exc:
         raise ScenarioError(f"{cfg.kind}/{season}: {exc}") from exc
+
+
+def _same_day(a: DemandProfile, b: DemandProfile, season: str) -> bool:
+    """Whether ``b`` holds ``a``'s demand and VOLL in ``season``."""
+    return (season in b.demand and np.array_equal(a.demand[season], b.demand[season])
+            and np.array_equal(a.voll[season], b.voll[season]))
 
 
 def _monotone_rerun(
@@ -233,7 +272,10 @@ def _sweep(
         raise ValueError(f"{parameter} sweep needs at least one iteration")
     base = scenario_costs(cfg, net)
     points = []
-    prev: dict[str, ScenarioResult | None] = {"Cyberattack": None, "Compound": None}
+    kinds = ("Cyberattack", "Compound")
+    prev: dict[str, ScenarioResult | None] = dict.fromkeys(kinds)
+    # one day per kind for every step: the ladder changes prices, not demand
+    days = {kind: scenario_dispatch(replace(cfg, kind=kind), net, demand) for kind in kinds}
     for i in range(1, iterations + 1):
         if parameter == "gamma":
             step = (i - 1) * GAMMA_WIRE_STEP
@@ -243,9 +285,9 @@ def _sweep(
             multiplier = budget
         costs = base.scaled(gen, wire, budget)
         results = {}
-        for kind in ("Cyberattack", "Compound"):
+        for kind in kinds:
             sub = replace(cfg, kind=kind, budget=costs.budget)
-            res = run_scenario(sub, net, demand, costs=costs)
+            res = run_scenario(sub, net, demand, costs=costs, dispatch=days[kind])
             res = _monotone_rerun(sub, net, demand, costs, prev[kind], res)
             results[kind] = res
             prev[kind] = res

@@ -26,7 +26,7 @@ stays a dense array.  An eta update changes only the entries in a row
 where eta is nonzero and a column where the pivot row is; it updates just
 those unless they cover a large share of the inverse, when the dense
 update costs less.  A refactorization inverts the dense block of the basis
-that the basic row activities leave (see :meth:`_Tableau.refactorize`).
+that the basic row activities leave (see :meth:`_Tableau.invert`).
 
 Warm start.  An optimal solve returns its basis: the m basic column
 indices of the standard form in basis order, as an int32 array
@@ -54,12 +54,20 @@ can change the pivot count but never the trust in the answer.
 Shared form.  The scaled standard form depends on ``A`` alone, so an
 :class:`LpForm` builds it once -- the equilibration factors and
 ``[A_sc | -I]`` -- for every re-solve over the same matrix: the hours of
-a dispatch day, the nodes of a branch-and-bound tree.  The form also
-keeps a single slot with the basis inverse of the last warm-start basis
-it factorized; a warm start from that same basis reuses the inverse
-instead of factorizing again (read-only: the tableau copies it before its
-first pivot).  That is bit-identical to a fresh factorization, which is a
-pure function of ``(A_std, basis)`` for a fixed BLAS thread count.  The
+a dispatch day (and the steps of a ladder over that day), the nodes of a
+branch-and-bound tree.  The form also keeps a small store of basis
+inverses, keyed by basis, and every factorization of a tableau over its
+``A_std`` goes through it: the warm start, the optimality recheck, the
+dual phase's confirmations and the eta update's refactorizations.  A
+basis found there is not factorized again.  That is bit-identical to a
+fresh factorization, which is a pure function of ``(A_std, basis)`` for a
+fixed BLAS thread count; the stored inverses are read-only, and a tableau
+copies one before its first pivot.  The store keeps up to
+``_STORE_BYTES`` of inverses, the least recently used leaving first, and
+never fewer than the ``_STORE_MIN`` most recent: a branch-and-bound
+child's recheck must not evict the parent basis its sibling starts from.
+The cold two-phase path factorizes over ``A_std`` with artificial
+columns appended, so its tableaux stay outside the store.  The
 optimality recheck always runs on a fresh factorization, but it
 refactorizes only when a pivot or a bound flip happened since the last
 one: with neither, the inverse in hand is that fresh factorization.  When
@@ -67,15 +75,15 @@ the dual phase makes no pivot at all, the recheck would price exactly what
 the warm start priced -- same inverse, costs and statuses -- so it is not
 run again: the warm start's one pricing pass, which found no improving
 column, is the answer.  A re-solve whose starting basis stays optimal thus
-prices once and factorizes nothing, with the same solution, basis and
-iteration count as the full recheck.
+prices once, with the same solution, basis and iteration count as the
+full recheck, and factorizes nothing when its basis is in the store.
 
 Two stages.  :func:`solve_lp` is :func:`optimize_lp`, which runs the
 simplex and returns the optimal vertex -- status, iterations, basis, ``x``
 and objective -- holding its final tableau, followed by :func:`finish_lp`,
 which derives the duals, reduced costs, primal residual, duality gap and
 complementarity from that tableau.  The tableau belongs to the vertex
-alone (a form's slot inverse it shares is never written), so a vertex
+alone (a stored inverse it shares is never written), so a vertex
 finished later, after other solves over the same form, gives the same
 answer bit for bit.  A caller that compares many candidate LPs by their
 vertex finishes only the one it keeps.
@@ -112,6 +120,10 @@ _DUAL_FEAS_TOL = 1e-9  # relative primal infeasibility the dual phase removes
 # than 105 rows (the 16-zone dispatch LP's 51) always takes the dense one.
 _SPARSE_ETA_COST = 7
 _SPARSE_ETA_OVERHEAD = 11000
+# a form's store of basis inverses: up to this many bytes, and never fewer
+# than this many of the most recent (see the module docstring)
+_STORE_BYTES = 1 << 20
+_STORE_MIN = 2
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -346,11 +358,15 @@ class _Tableau:
     Columns n..n+m-1 of ``A_std`` are the row activities (-I); any columns
     after them are phase-1 artificials.  ``fresh`` says that the inverse
     and the basic values are those of a factorization of the current basis:
-    no pivot and no bound flip happened since.
+    no pivot and no bound flip happened since.  ``form`` is the
+    :class:`LpForm` whose ``A_std`` this is, and whose store every
+    factorization goes through; None over any other matrix.
     """
 
-    def __init__(self, A_std: _Csc, lb: np.ndarray, ub: np.ndarray, n: int):
+    def __init__(self, A_std: _Csc, lb: np.ndarray, ub: np.ndarray, n: int,
+                 form: LpForm | None = None):
         self.A = A_std
+        self.form = form
         self.n = n
         self.m, self.ncols = A_std.shape
         self.lb = lb
@@ -376,6 +392,15 @@ class _Tableau:
         return x
 
     def refactorize(self):
+        """A fresh factorization of the current basis, from the form's store
+        when it holds one, and the basic values it gives."""
+        self.binv = self.form.inverse(self) if self.form is not None else self.invert()
+        self.pivots_since_refactor = 0
+        self.fresh = True
+        self.recompute_basic_values()
+
+    def invert(self) -> np.ndarray:
+        """The inverse of the current basis, computed afresh."""
         # A basic row activity is a column -e_i, fixed by row i once the
         # other basic values are known; so B x = b needs only the block A11
         # of the other basic columns S on the rows R without a basic
@@ -400,15 +425,7 @@ class _Tableau:
         binv = np.zeros((self.m, self.m))
         binv[:, rows_R] = cols_R
         binv[T, rows_T] = -1.0
-        self.use_inverse(binv)
-        self.recompute_basic_values()
-
-    def use_inverse(self, binv: np.ndarray):
-        """Take ``binv`` as the inverse of the current basis; the basic values
-        are the caller's to recompute."""
-        self.binv = binv
-        self.pivots_since_refactor = 0
-        self.fresh = True
+        return binv
 
     def recompute_basic_values(self):
         """Basic values from scratch: A_N x_N + B x_B = 0."""
@@ -453,7 +470,7 @@ class _Tableau:
         eta = w / -piv
         eta[pos] = 1.0 / piv
         if not self.binv.flags.writeable:
-            self.binv = self.binv.copy()  # the inverse is a form's slot
+            self.binv = self.binv.copy()  # the inverse is in a form's store
         row = self.binv[pos, :].copy()
         dense = True
         if self.m * self.m > _SPARSE_ETA_OVERHEAD:
@@ -577,34 +594,34 @@ class LpForm:
     """The scaled standard form of one constraint matrix, for every LP over it.
 
     Holds the equilibration factors ``R``, ``C`` of ``A`` and the standard
-    form ``A_std = [R A C | -I]`` in compressed-column form, built once, plus a single slot with the
-    basis inverse of the last warm-start basis factorized over it (see the
-    module docstring).  :func:`solve_lp` takes it only for a problem whose
-    ``A`` is this very array, so build it from ``problem.A`` and share that
-    array between the problems it serves.
+    form ``A_std = [R A C | -I]`` in compressed-column form, built once,
+    plus a store of the basis inverses factorized over it, the least
+    recently used first (see the module docstring).  :func:`solve_lp`
+    takes it only for a problem whose ``A`` is this very array, so build it
+    from ``problem.A`` and share that array between the problems it serves.
     """
 
     def __init__(self, A: np.ndarray):
         self.A = A
         self.R, self.C = _equilibrate(A)
         self.A_std = _Csc.standard_form(A * self.R[:, None] * self.C[None, :])
-        self._basis: np.ndarray | None = None
-        self._binv: np.ndarray | None = None
+        self._inverses: dict[bytes, np.ndarray] = {}
+        self._stored_bytes = 0
 
-    def factorize(self, tab: _Tableau) -> bool:
-        """Factorize ``tab`` at its basis, from the slot when it holds that basis.
-
-        Returns True when it took the slot's inverse, which leaves the basic
-        values to the caller.  The slot's inverse is read-only and shared with
-        the tableau, which copies it before its first pivot.
-        """
-        if self._basis is not None and np.array_equal(self._basis, tab.basis):
-            tab.use_inverse(self._binv)
-            return True
-        tab.refactorize()
-        tab.binv.flags.writeable = False
-        self._basis, self._binv = tab.basis.copy(), tab.binv
-        return False
+    def inverse(self, tab: _Tableau) -> np.ndarray:
+        """The read-only inverse of ``tab``'s basis: the stored one, or a new
+        factorization, which the store then keeps."""
+        key = tab.basis.tobytes()
+        binv = self._inverses.pop(key, None)
+        if binv is None:
+            binv = tab.invert()
+            binv.flags.writeable = False
+            self._stored_bytes += binv.nbytes
+        self._inverses[key] = binv  # now the most recently used
+        while len(self._inverses) > _STORE_MIN and self._stored_bytes > _STORE_BYTES:
+            oldest = next(iter(self._inverses))
+            self._stored_bytes -= self._inverses.pop(oldest).nbytes
+        return binv
 
 
 def _run_verified(tab: _Tableau, c: np.ndarray, max_iter: int,
@@ -753,12 +770,12 @@ def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
             or ((basic < 0) | (basic >= ncols)).any()
             or np.bincount(basic, minlength=ncols).max() > 1):
         return None
-    tab = _Tableau(A_std, lb, ub, ncols - m)  # it only reads the bounds
+    tab = _Tableau(A_std, lb, ub, ncols - m, form)  # it only reads the bounds
     tab.basis = basic.astype(np.int64)
     tab.status = _initial_status(lb, ub)
     tab.status[tab.basis] = _BASIC
     boxed = (tab.status != _BASIC) & np.isfinite(lb) & np.isfinite(ub)
-    reused = form.factorize(tab)
+    tab.refactorize()
     rc = tab.reduced_costs(c)  # the only pricing pass when no pivot follows
     tol = _rc_tol(c)
     # a boxed column rests on the bound its reduced cost asks for; where
@@ -769,8 +786,6 @@ def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
     if moved.any():
         tab.status[moved] = want[moved]
         tab.recompute_basic_values()
-    elif reused:
-        tab.recompute_basic_values()  # the slot's inverse comes without them
     if _improving(rc, tab.status, tol).any():
         return None
     status1, it1 = _dual_simplex(tab, c, max_iter, rc, tol)

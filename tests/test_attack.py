@@ -25,6 +25,7 @@ import gridshock.dcopf as dcopf_mod
 from gridshock.dcopf import OpfSolution, SeasonDispatch, solve_dcopf
 from gridshock.kkt import kkt_residuals, verify_equilibrium
 from gridshock.network import apply_heatwave
+from gridshock.cli import bundled_path
 from support import profile_for, tight_two_bus, triangle, two_bus
 
 
@@ -407,6 +408,63 @@ def test_run_attack_solves_each_unattacked_hour_once(monkeypatch):
     assert [h.spend for h in plan.hours] == pytest.approx([0.0, 0.0, 16.0], abs=1e-9)
     assert plan.objective == pytest.approx(14_000.0, rel=1e-9)
     assert unattacked == Counter({0: 1, 1: 1, 2: 1})
+
+
+def test_unspent_hours_share_read_only_zero_attacks():
+    net, prof, costs = _threshold_instance()
+    plan = run_attack(net, prof, "summer", costs, node_limit=0)
+    zero, other, spent = plan.hours
+    assert zero.spend == other.spend == 0.0 and spent.spend > 0
+    for name in ("zg", "zf", "zt"):
+        assert getattr(zero, name) is getattr(other, name)
+        assert not getattr(zero, name).any()
+    with pytest.raises(ValueError, match="read-only"):
+        zero.zg[0] = 1.0
+    spent.zg[0] = spent.zg[0]  # a spending hour owns its arrays
+
+
+def _record_vertices(monkeypatch) -> list:
+    """(status, x, basis, iterations) of every LP optimize_lp solves, in order."""
+    from gridshock import simplex
+    seen = []
+    real = simplex.optimize_lp
+
+    def recording(*args, **kwargs):
+        v = real(*args, **kwargs)
+        seen.append((v.status, None if v.x is None else v.x.tobytes(),
+                     None if v.basis is None else v.basis.tobytes(), v.iterations))
+        return v
+    monkeypatch.setattr(simplex, "optimize_lp", recording)
+    monkeypatch.setattr(dcopf_mod, "optimize_lp", recording)
+    return seen
+
+
+def test_store_of_inverses_changes_no_answer(bundled_net, bundled_demand, monkeypatch):
+    """The greedy hour 17 at budget 300 and the 12-node hour-17 tree solve
+    every LP alike, bit for bit, when the forms' stores keep no inverse."""
+    from gridshock import scenarios, simplex
+    cfg = scenarios.load_config(bundled_path("compound.cfg"))
+    heated = apply_heatwave(bundled_demand, cfg.heatwave_factor)
+    costs = scenarios.scenario_costs(cfg, bundled_net)
+
+    seen = _record_vertices(monkeypatch)
+
+    def run():
+        seen.clear()
+        greedy = solve_hourly_attack(bundled_net, heated, "summer", 17, costs, 300.0,
+                                     node_limit=0)
+        tree = solve_hourly_attack(bundled_net, heated, "summer", 17, costs, 300.0,
+                                   node_limit=12)
+        return list(seen), [_hour_fingerprint(h) + (h.opf.g.tobytes(), h.opf.pi_d.tobytes())
+                            for h in (greedy, tree)]
+    stored, stored_hours = run()
+    monkeypatch.setattr(simplex, "_STORE_BYTES", 0)
+    monkeypatch.setattr(simplex, "_STORE_MIN", 0)
+    fresh, fresh_hours = run()
+    assert len(stored) > 13  # the greedy's dispatches and every node LP of the tree
+    assert stored == fresh
+    assert stored_hours == fresh_hours
+    assert stored_hours[1][5:7] == ("feasible-limit", 13)  # status and node count
 
 
 def _hour_fingerprint(ha):

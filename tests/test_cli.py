@@ -134,6 +134,18 @@ def test_solve_opf_runs_the_configs_scenario(tmp_path, config, flags, scenario, 
     assert manifest["heatwave_factor"] == factor
 
 
+def test_scenario_without_an_attacker_records_no_prices(tmp_path, capsys):
+    # Baseline attacks nothing, so its manifest names no budget or prices,
+    # as solve-opf's does, and verify still accepts the run
+    out = tmp_path / "baseline"
+    assert main(["scenario", "--config", str(bundled_path("baseline.cfg")),
+                 "--out", str(out)]) == 0
+    assert "attack_costs" not in json.loads((out / "manifest.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("verified 24 hourly solutions")
+
+
 @pytest.mark.parametrize("command, flag", [
     ("solve-opf", ["--budget", "300"]),
     ("scenario", ["--dump-lp"]),

@@ -188,10 +188,24 @@ def test_shared_form_matches_one_shot_dispatch(shared_day, hour, kind, seed, sha
         assert np.array_equal(getattr(shared, name), getattr(one, name)), name
 
 
+def _count_inversions(monkeypatch) -> list:
+    """The tableaux that factorize a basis afresh (the form's store misses),
+    appended as they do."""
+    calls = []
+    real = simplex._Tableau.invert
+
+    def counting(tab):
+        calls.append(tab)
+        return real(tab)
+    monkeypatch.setattr(simplex._Tableau, "invert", counting)
+    return calls
+
+
 def test_resolve_from_an_optimal_base_basis_factorizes_nothing(bundled_net, bundled_demand,
                                                                monkeypatch):
     """At hour 17, a re-solve whose base basis stays optimal reuses the form's
-    factorization: the first warm start fills the slot, the next copies it."""
+    factorization: the first warm start stores the base basis's inverse, the
+    next factorizes nothing."""
     net = bundled_net
     form = dispatch_form(net)
     base = solve_dcopf(net, bundled_demand, "summer", 17, form=form)
@@ -201,13 +215,7 @@ def test_resolve_from_an_optimal_base_basis_factorizes_nothing(bundled_net, bund
     k = int(np.argmax(g_up - base.g))
     zg = np.zeros(net.num_generators)
     zg[k] = 0.5 * (g_up[k] - base.g[k])
-    calls = []
-    real = simplex._Tableau.refactorize
-
-    def counting(tab):
-        calls.append(tab)
-        return real(tab)
-    monkeypatch.setattr(simplex._Tableau, "refactorize", counting)
+    calls = _count_inversions(monkeypatch)
 
     def resolve():
         before = len(calls)
@@ -260,8 +268,8 @@ def test_resolve_without_pivots_matches_the_full_recheck(shared_day, hour, kind,
 
 
 def test_resolve_without_pivots_prices_once(bundled_net, bundled_demand, monkeypatch):
-    """At hour 17, a re-solve from the form's slot whose base basis stays
-    optimal computes the reduced costs once and factorizes nothing."""
+    """At hour 17, a re-solve whose base basis stays optimal and is in the
+    form's store computes the reduced costs once and factorizes nothing."""
     net = bundled_net
     form = dispatch_form(net)
     base = solve_dcopf(net, bundled_demand, "summer", 17, form=form)
@@ -273,17 +281,17 @@ def test_resolve_without_pivots_prices_once(bundled_net, bundled_demand, monkeyp
     def resolve():
         return _inner_lp(lambda: solve_dcopf(net, bundled_demand, "summer", 17, zg,
                                              basis=base.basis, form=form))
-    resolve()  # fills the slot
-    calls = {"reduced_costs": 0, "refactorize": 0}
-    for name in calls:
-        real = getattr(simplex._Tableau, name)
+    resolve()  # stores the base basis's inverse
+    priced = []
+    real = simplex._Tableau.reduced_costs
 
-        def counting(tab, *args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(tab, *args)
-        monkeypatch.setattr(simplex._Tableau, name, counting)
+    def counting(tab, c):
+        priced.append(tab)
+        return real(tab, c)
+    monkeypatch.setattr(simplex._Tableau, "reduced_costs", counting)
+    inverted = _count_inversions(monkeypatch)
     lp = resolve()
-    assert calls == {"reduced_costs": 1, "refactorize": 0}
+    assert (len(priced), len(inverted)) == (1, 0)
     assert lp.iterations == 1  # no dual pivot, one pricing pass
     assert np.array_equal(lp.basis, base.basis)
 

@@ -205,6 +205,49 @@ def test_fresh_beta_step_sheds_more_than_the_step_before(small):
     assert [h.spend for h in step3.plan.hours] == [h.spend for h in fresh.plan.hours]
 
 
+def _result_bytes(res):
+    """A scenario result as bytes and numbers: its shed, then each hour's
+    attack and dispatch."""
+    from dataclasses import fields
+
+    def value(v):
+        return v.tobytes() if isinstance(v, np.ndarray) else v
+    out = [res.unserved.tobytes(), res.total_unserved_mwh, res.customers_affected]
+    for h in res.plan.hours:
+        out += [value(getattr(h, f.name)) for f in fields(h) if f.name != "opf"]
+        out += [value(getattr(h.opf, f.name)) for f in fields(h.opf)]
+    return out
+
+
+def test_beta_steps_share_one_dispatch_per_kind(small, monkeypatch):
+    """A 2-step beta ladder builds one SeasonDispatch per scenario kind, and
+    each of its points is the step's own run_scenario, bit for bit."""
+    net, prof = small
+    made = []
+    real = scenarios.SeasonDispatch.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(scenarios.SeasonDispatch, "__init__", counting)
+    cfg = cfg_for("Compound", beta_iterations=2)
+    pts = beta_sweep(cfg, net, prof)
+    assert len(made) == 2
+    for pt in pts:
+        for kind in ("Cyberattack", "Compound"):
+            alone = run_scenario(cfg_for(kind, budget=pt.costs.budget), net, prof,
+                                 costs=pt.costs)
+            assert _result_bytes(getattr(pt, kind.lower())) == _result_bytes(alone)
+
+
+def test_dispatch_of_another_scenario_is_rejected(small):
+    # the Cyberattack day dispatches unheated demand, which a Compound run does not
+    net, prof = small
+    cyber = scenarios.scenario_dispatch(cfg_for("Cyberattack"), net, prof)
+    with pytest.raises(ValueError, match="another network, season or demand"):
+        run_scenario(cfg_for("Compound"), net, prof, dispatch=cyber)
+
+
 def _gamma_step(cfg, net):
     """The prices of gamma ladder step 2 at ``cfg``'s budget."""
     return scenarios.scenario_costs(cfg, net).scaled(1.0 + GAMMA_WIRE_STEP,

@@ -398,29 +398,51 @@ def _bitwise(a, b):
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
 
 
+def _inverted_bases(form, solve) -> list:
+    """The bases that ``solve()`` factorizes afresh over ``form``: the
+    misses of the form's store, in order."""
+    bases = []
+    real = simplex._Tableau.invert
+
+    def counting(tab):
+        if tab.form is form:
+            bases.append(tab.basis.copy())
+        return real(tab)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex._Tableau, "invert", counting)
+        solve()
+    return bases
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_finished_vertex_is_solve_lp_bit_for_bit(seed):
     """optimize_lp then finish_lp is solve_lp, cold and warm, on a shared form
     and without one, even when the vertex is finished only after later
-    solves have replaced the form's slot."""
+    solves over the form have factorized other bases."""
     rng = np.random.default_rng(seed)
     p = _random_lp(rng)
     form = LpForm(p.A)
     vertices = [(optimize_lp(p, form=form), solve_lp(p))]
     parent = solve_lp(p)
+
+    def warm(child, basis):
+        return lambda: vertices.append((optimize_lp(child, basis=basis, form=form),
+                                        solve_lp(child, basis=basis)))
     if parent.status == "optimal" and parent.basis is not None:
-        for _ in range(2):  # the first warm start fills the slot, the second reads it
-            child = _tightened(p, rng)
-            vertices.append((optimize_lp(child, basis=parent.basis, form=form),
-                             solve_lp(child, basis=parent.basis)))
-        assert np.array_equal(form._basis, parent.basis)
-    # a warm start from the slack basis factorizes it into the slot, whether
-    # or not that basis is dual feasible
+        # the first warm start factorizes the parent basis, the second finds it stored
+        first = _inverted_bases(form, warm(_tightened(p, rng), parent.basis))
+        second = _inverted_bases(form, warm(_tightened(p, rng), parent.basis))
+        assert np.array_equal(first[0], parent.basis)
+        assert not any(np.array_equal(b, parent.basis) for b in second)
+    # a warm start from the slack basis stores its inverse, whether or not
+    # that basis is dual feasible: the next one factorizes it no more
     m, n = p.A.shape
     slack = np.arange(n, n + m)
-    solve_lp(_tightened(p, rng), basis=slack, form=form)
-    assert np.array_equal(form._basis, slack)
+    child = _tightened(p, rng)
+    _inverted_bases(form, lambda: solve_lp(child, basis=slack, form=form))
+    again = _inverted_bases(form, lambda: solve_lp(child, basis=slack, form=form))
+    assert not any(np.array_equal(b, slack) for b in again)
     for vertex, want in vertices:
         got = finish_lp(vertex)
         _bitwise(got, want)
