@@ -11,9 +11,9 @@ for downstream economy-wide models.
 from .attack import (
     AttackCosts,
     AttackPlan,
-    BigMConfig,
     HourlyAttack,
     build_hourly_attack_milp,
+    default_bigm,
     default_costs,
     run_attack,
     solve_full_milp,
@@ -26,7 +26,6 @@ from .network import (
     DemandProfile,
     PowerNetwork,
     apply_heatwave,
-    incidence_matrix,
     load_demand,
     load_network,
     save_demand,
@@ -46,13 +45,13 @@ from .simplex import LpProblem, LpSolution, solve_lp
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackCosts", "AttackPlan", "BigMConfig", "HourlyAttack",
-    "build_hourly_attack_milp", "default_costs", "run_attack", "solve_full_milp",
+    "AttackCosts", "AttackPlan", "HourlyAttack",
+    "build_hourly_attack_milp", "default_bigm", "default_costs", "run_attack", "solve_full_milp",
     "solve_hourly_attack",
     "OpfSolution", "build_dcopf", "solve_dcopf", "solve_day",
     "KktResiduals", "kkt_residuals", "verify_equilibrium",
     "MilpProblem", "MilpSolution", "solve_milp",
-    "DemandProfile", "PowerNetwork", "apply_heatwave", "incidence_matrix",
+    "DemandProfile", "PowerNetwork", "apply_heatwave",
     "load_demand", "load_network", "save_demand", "save_network",
     "ScenarioConfig", "ScenarioResult", "SweepPoint", "beta_sweep",
     "gamma_sweep", "load_config", "run_scenario",

@@ -37,7 +37,7 @@ from .dcopf import OpfSolution, SeasonDispatch, dispatch_vertex, solve_dcopf
 from .kkt import (PAIR_BLOCKS, PAIR_DUALS, complementarity_pairs, kkt_residuals,
                   verify_equilibrium)
 from .milp import MilpProblem, solve_milp
-from .network import DemandProfile, PowerNetwork, incidence_matrix
+from .network import DemandProfile, PowerNetwork
 from .simplex import LpProblem
 
 MICRO_PENALTY = 1e-9  # prefers minimal-effort attacks among ties
@@ -96,20 +96,16 @@ def default_costs(net: PowerNetwork, budget: float, cost_ratio: float = 5.0,
     """
     cg = np.full(net.num_generators, gen_cost)
     cf = np.full(net.num_edges, gen_cost * cost_ratio)
-    ct = cf * net.susceptance_mw_per_rad()
+    ct = cf * net.arrays.susceptance_mw
     return AttackCosts(cg, cf, ct, budget)
 
 
-@dataclass
-class BigMConfig:
-    m_value: float
-
-    @staticmethod
-    def for_network(net: PowerNetwork, demand: DemandProfile) -> "BigMConfig":
-        volls = max(float(np.max(v)) for v in demand.voll.values())
-        _, g_up = net.gen_limits()
-        scale = max(volls, float(g_up.sum()), 2.0 * float(net.flow_limits().sum()))
-        return BigMConfig(m_value=10.0 * scale)
+def default_bigm(net: PowerNetwork, demand: DemandProfile) -> float:
+    """The attack MILP's big M: ten times the largest of the demand's top
+    VOLL, the total generation capacity and twice the total flow capacity."""
+    volls = max(float(np.max(v)) for v in demand.voll.values())
+    arr = net.arrays
+    return 10.0 * max(volls, float(arr.g_up.sum()), 2.0 * float(arr.f_cap.sum()))
 
 
 @dataclass(slots=True)
@@ -206,23 +202,18 @@ def _build_attack_milp(
     hours: list[int],
     costs: AttackCosts,
     budget: float,
-    bigm: BigMConfig,
+    M: float,
 ) -> tuple[MilpProblem, _Layout]:
-    """Assemble the attack MILP over the given hours under one ``budget`` row.
+    """Assemble the attack MILP over the given hours under one ``budget`` row,
+    with big M ``M``.
 
     Each row family is one block of rows over the hour's column blocks; the
     budget row, last, spans every hour's attack columns.
     """
     G, E, N = net.num_generators, net.num_edges, net.num_nodes
-    A = incidence_matrix(net)
-    Bmw = net.susceptance_mw_per_rad()
-    Mmap = net.gen_node_map()
-    g_lo, g_up = net.gen_limits()
-    f_cap = net.flow_limits()
-    t_cap = net.angle_limits()
-    cg_op = net.gen_costs()
-    ref = net.node_index()[net.reference_node]
-    M = bigm.m_value
+    arr = net.arrays
+    A, Bmw, Mmap, e_ref = arr.incidence, arr.susceptance_mw, arr.gen_node_map, arr.e_ref
+    g_lo, g_up, f_cap, t_cap, cg_op = arr.g_lo, arr.g_up, arr.f_cap, arr.t_cap, arr.gen_costs
     lay = _Layout(net, len(hours))
     budget = float(budget)
 
@@ -237,11 +228,10 @@ def _build_attack_milp(
     every = np.ones(E, dtype=bool)
     edge_keep = np.column_stack([every, every, live, live])  # flow lo/up, angle lo/up
 
-    k_gen = g_up - g_lo
+    k_gen = arr.g_span
     k_flow = 2.0 * f_cap
     k_angle = 2.0 * t_cap
     I_G, I_E, I_N = np.eye(G), np.eye(E), np.eye(N)
-    e_ref = I_N[ref]
 
     n = lay.n_cols
     c = np.zeros(n)
@@ -384,10 +374,12 @@ def build_hourly_attack_milp(
     hour: int,
     costs: AttackCosts,
     hourly_budget: float,
-    bigm: BigMConfig | None = None,
+    bigm: float | None = None,
 ) -> MilpProblem:
-    """One-hour disruption MILP under an hourly budget."""
-    bigm = bigm or BigMConfig.for_network(net, demand)
+    """One-hour disruption MILP under an hourly budget; big M ``bigm``,
+    :func:`default_bigm` when None."""
+    if bigm is None:
+        bigm = default_bigm(net, demand)
     prob, _ = _build_attack_milp(net, demand, season, [hour], costs, hourly_budget, bigm)
     return prob
 
@@ -412,7 +404,7 @@ def _extract_hour(
     arrays = {fld: x[lay.sl(hp, blk)].copy() for fld, blk in _OPF_BLOCKS.items()}
     opf = OpfSolution(
         season=season, hour=hour, delta=float(x[lay.offsets[hp]["delta"]]), **arrays,
-        objective=float(net.gen_costs() @ arrays["g"] + voll @ arrays["u"]),
+        objective=float(net.arrays.gen_costs @ arrays["g"] + voll @ arrays["u"]),
         demand=d.copy(), voll=voll.copy(), shed_cost=float(voll @ arrays["u"]),
     )
     return x[lay.sl(hp, "zg")], x[lay.sl(hp, "zf")], x[lay.sl(hp, "zt")], opf
@@ -443,7 +435,7 @@ def _zone_packages(
     """
     G, E = net.num_generators, net.num_edges
     arr = net.arrays
-    kill_room = arr.g_up - arr.g_lo  # only the span above the must-run floor is killable
+    kill_room = arr.g_span
     d = demand.demand[season][hour]
     ranked = []
     for n in range(net.num_nodes):
@@ -515,8 +507,7 @@ def greedy_attack(
     form = dispatch.form
     G, E = net.num_generators, net.num_edges
     arr = net.arrays
-    kill_room = arr.g_up - arr.g_lo  # capacity below the must-run floor is untouchable
-    f_cap = arr.f_cap
+    kill_room, f_cap = arr.g_span, arr.f_cap
     zg = np.zeros(G)
     zf = np.zeros(E)
     zt = np.zeros(E)
@@ -602,12 +593,12 @@ def _certified_hour(
     opf: OpfSolution,
     status: str,
     nodes: int,
-    m_value: float,
+    bigm: float,
 ) -> HourlyAttack:
     """Certify one hour's attack and equilibrium; the only HourlyAttack maker.
 
     ``opf`` is reported when it passes the KKT certificate under the
-    shifted bounds and its max-norm stays below ``m_value``; otherwise the
+    shifted bounds and its max-norm stays below ``bigm``; otherwise the
     dispatch LP at the same attack is.  ``bigm_valid`` is the max-norm test
     on the reported point: a post-hoc heuristic, not a proof that M is large
     enough.  An attack array the caller cannot write into, such as
@@ -619,7 +610,7 @@ def _certified_hour(
 
     def checks(sol: OpfSolution) -> tuple[bool, bool]:
         cert = verify_equilibrium(kkt_residuals(net, sol, zg, zf, zt), CERT_TOL)
-        return cert, _max_norm(zg, zf, zt, sol) < m_value
+        return cert, _max_norm(zg, zf, zt, sol) < bigm
 
     cert, valid = checks(opf)
     if not (cert and valid):
@@ -634,7 +625,7 @@ def _solve_certified(
     hours: list[int],
     costs: AttackCosts,
     budget: float,
-    bigm: BigMConfig,
+    bigm: float,
     node_limit: int,
     warm_parts: list[tuple],
 ) -> list[HourlyAttack]:
@@ -647,27 +638,25 @@ def _solve_certified(
     solves again.
     """
     net, demand, season = dispatch.net, dispatch.demand, dispatch.season
-    m_value = bigm.m_value
     for attempt in range(BIGM_RETRIES + 1):
-        prob, lay = _build_attack_milp(net, demand, season, hours, costs, budget,
-                                       BigMConfig(m_value))
+        prob, lay = _build_attack_milp(net, demand, season, hours, costs, budget, bigm)
         x0 = np.zeros(lay.n_cols)
         for hp, (zg, zf, zt, sol) in enumerate(warm_parts):
             _milp_point_from_dispatch(net, lay, hp, zg, zf, zt, sol, x0)
         res = solve_milp(prob, node_limit=node_limit, warm_start=x0)
         if res.status == "infeasible":
-            m_value *= BIGM_GROWTH
+            bigm *= BIGM_GROWTH
             continue
         if res.status == "unbounded" or res.x is None:
             raise RuntimeError(f"attack MILP over hours {hours} ended {res.status}")
         parts = [_certified_hour(dispatch, h, costs,
                                  *_extract_hour(net, demand, season, h, res.x, lay, hp),
-                                 res.status, res.node_count, m_value)
+                                 res.status, res.node_count, bigm)
                  for hp, h in enumerate(hours)]
         if all(p.bigm_valid for p in parts):
             return parts
-        m_value *= BIGM_GROWTH
-    raise BigMInvalidError(f"big-M {m_value} not above solution magnitude after retries")
+        bigm *= BIGM_GROWTH
+    raise BigMInvalidError(f"big-M {bigm} not above solution magnitude after retries")
 
 
 def solve_hourly_attack(
@@ -677,7 +666,7 @@ def solve_hourly_attack(
     hour: int,
     costs: AttackCosts,
     hourly_budget: float,
-    bigm: BigMConfig | None = None,
+    bigm: float | None = None,
     node_limit: int = 20_000,
     dispatch: SeasonDispatch | None = None,
 ) -> HourlyAttack:
@@ -686,7 +675,8 @@ def solve_hourly_attack(
     The branch-and-bound search starts from the greedy incumbent
     (:func:`greedy_attack`).  The reported equilibrium is verified against
     the shifted bounds and the big-M max-norm test is applied post hoc,
-    growing M on failure.
+    growing M on failure.  M starts at ``bigm``, :func:`default_bigm` when
+    None.
 
     ``dispatch`` is the run's :class:`SeasonDispatch`: the greedy search
     opens from its unattacked dispatch of the hour, and a zero budget
@@ -699,15 +689,16 @@ def solve_hourly_attack(
     the candidate generator is already target-aware).  This mode reports
     the big-M flag and does not retry.
     """
-    bigm = bigm or BigMConfig.for_network(net, demand)
+    if bigm is None:
+        bigm = default_bigm(net, demand)
     dispatch = _run_dispatch(net, demand, season, dispatch)
     if hourly_budget <= 1e-12:
         return _certified_hour(dispatch, hour, costs, *dispatch.no_attack, dispatch.base(hour),
-                               "optimal", 0, bigm.m_value)
+                               "optimal", 0, bigm)
 
     best = greedy_attack(net, demand, season, hour, costs, hourly_budget, dispatch)
     if node_limit == 0:
-        return _certified_hour(dispatch, hour, costs, *best, "heuristic", 0, bigm.m_value)
+        return _certified_hour(dispatch, hour, costs, *best, "heuristic", 0, bigm)
     return _solve_certified(dispatch, [hour], costs, hourly_budget, bigm, node_limit,
                             [best])[0]
 
@@ -739,7 +730,7 @@ def solve_full_milp(
             f"joint attack MILP over {len(hours)} hours is up to {lay.max_rows} x "
             f"{lay.n_cols} dense ({lay.max_rows * lay.n_cols * 8 / 1e6:.0f} MB); "
             f"solve_full_milp is an oracle for small instances only")
-    bigm = BigMConfig.for_network(net, demand)
+    bigm = default_bigm(net, demand)
     dispatch = SeasonDispatch(net, demand, season)
 
     budget = costs.budget

@@ -119,19 +119,19 @@ def _dispatch_matrix(net: PowerNetwork) -> np.ndarray:
 class _DispatchForm(LpForm):
     """The :class:`LpForm` of ``net``'s dispatch matrix, with the network's
     parts of every hourly dispatch LP: the vectors (c, row_lb, row_ub, lb,
-    ub) whose demand and VOLL entries each hour fills in."""
+    ub) whose demand, VOLL and capacity entries each hour fills in."""
 
     def __init__(self, net: PowerNetwork):
         super().__init__(_dispatch_matrix(net))
         self.net = net
-        N, E = net.num_nodes, net.num_edges
+        N, E, G = net.num_nodes, net.num_edges, net.num_generators
         arr = net.arrays
         self.vectors = (
             np.concatenate([arr.gen_costs, np.zeros(E + 2 * N)]),
-            np.concatenate([np.zeros(N + E), -arr.t_cap, [0.0]]),
-            np.concatenate([np.zeros(N + E), arr.t_cap, [0.0]]),
-            np.concatenate([arr.g_lo, -arr.f_cap, np.zeros(N), np.full(N, -np.inf)]),
-            np.concatenate([arr.g_up, arr.f_cap, np.zeros(N), np.full(N, np.inf)]),
+            np.zeros(N + 2 * E + 1),
+            np.zeros(N + 2 * E + 1),
+            np.concatenate([arr.g_lo, np.zeros(E + N), np.full(N, -np.inf)]),
+            np.concatenate([np.zeros(G + E + N), np.full(N, np.inf)]),
         )
 
 
@@ -146,7 +146,6 @@ def _hour_lp(
 ) -> LpProblem:
     """The hourly dispatch LP over ``form``'s matrix, unlabeled."""
     net = form.net
-    arr = net.arrays
     N, E, G = net.num_nodes, net.num_edges, net.num_generators
     u = slice(G + E, G + E + N)
     d = demand.demand[season][hour]
@@ -155,16 +154,12 @@ def _hour_lp(
     row_lb[:N] = d
     row_ub[:N] = d
     ub[u] = d
-    if zg is not None:
-        ub[:G] = arr.g_up - np.asarray(zg, dtype=float)
-    if zf is not None:
-        f_cap = arr.f_cap - np.asarray(zf, dtype=float)
-        lb[G:G + E] = -f_cap
-        ub[G:G + E] = f_cap
-    if zt is not None:
-        t_cap = arr.t_cap - np.asarray(zt, dtype=float)
-        row_lb[N + E:N + 2 * E] = -t_cap
-        row_ub[N + E:N + 2 * E] = t_cap
+    g_up, f_cap, t_cap = attack_bounds(net, zg, zf, zt)
+    ub[:G] = g_up
+    lb[G:G + E] = -f_cap
+    ub[G:G + E] = f_cap
+    row_lb[N + E:N + 2 * E] = -t_cap
+    row_ub[N + E:N + 2 * E] = t_cap
     return LpProblem("min", c, form.A, row_lb, row_ub, lb, ub)
 
 
@@ -248,7 +243,7 @@ def extract_solution(
 
 def dispatch_form(net: PowerNetwork) -> LpForm:
     """The scaled standard form every hourly dispatch LP of ``net`` shares,
-    with the network's limits and costs in the LPs' vectors, built once."""
+    with the network's costs and must-run floors in the LPs' vectors, built once."""
     return _DispatchForm(net)
 
 

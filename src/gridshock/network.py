@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 BASE_MVA = 100.0
-DEFAULT_HOURS = 24
 
 
 class NetworkParseError(ValueError):
@@ -65,14 +64,16 @@ class NetworkArrays:
     Every array is read-only: the network is frozen, so they never go stale.
     """
 
-    incidence: np.ndarray       # E x N, as incidence_matrix
-    gen_node_map: np.ndarray    # N x G, as PowerNetwork.gen_node_map
-    susceptance_mw: np.ndarray  # E, MW/rad
-    gen_costs: np.ndarray       # G
+    incidence: np.ndarray       # E x N: +1 at the edge's start node, -1 at its end node
+    gen_node_map: np.ndarray    # N x G: one at each generator's node
+    susceptance_mw: np.ndarray  # E, MW/rad: susceptance with the MVA base folded in
+    gen_costs: np.ndarray       # G, $/MWh
     g_lo: np.ndarray            # G, must-run floors
     g_up: np.ndarray            # G
+    g_span: np.ndarray          # G, g_up - g_lo: the part an attack may kill
     f_cap: np.ndarray           # E
     t_cap: np.ndarray           # E
+    shares: np.ndarray          # N, customer shares
     ref: int                    # the reference node's index
     e_ref: np.ndarray           # N, one at the reference node
     node_gens: tuple[tuple[int, ...], ...]   # per node, its generators in order
@@ -82,20 +83,29 @@ class NetworkArrays:
     @classmethod
     def of(cls, net: "PowerNetwork") -> "NetworkArrays":
         idx = net.node_index()
-        g_lo, g_up = net.gen_limits()
+        gens, edges = net.generators, net.edges
+        incidence = np.zeros((net.num_edges, net.num_nodes))
+        node_edges: list[list[int]] = [[] for _ in net.nodes]
+        for e, edge in enumerate(edges):
+            incidence[e, idx[edge.from_node]] = 1.0
+            incidence[e, idx[edge.to_node]] = -1.0
+            for n in {idx[edge.from_node], idx[edge.to_node]}:
+                node_edges[n].append(e)
+        gen_node_map = np.zeros((net.num_nodes, net.num_generators))
+        node_gens: list[list[int]] = [[] for _ in net.nodes]
+        for k, gen in enumerate(gens):
+            gen_node_map[idx[gen.node], k] = 1.0
+            node_gens[idx[gen.node]].append(k)
+        g_lo = np.array([g.g_min for g in gens])
+        g_up = np.array([g.g_max for g in gens])
         ref = idx[net.reference_node]
         e_ref = np.zeros(net.num_nodes)
         e_ref[ref] = 1.0
-        node_gens: list[list[int]] = [[] for _ in net.nodes]
-        for k, gen in enumerate(net.generators):
-            node_gens[idx[gen.node]].append(k)
-        node_edges: list[list[int]] = [[] for _ in net.nodes]
-        for e, edge in enumerate(net.edges):
-            for n in {idx[edge.from_node], idx[edge.to_node]}:
-                node_edges[n].append(e)
         arrays = cls(
-            incidence_matrix(net), net.gen_node_map(), net.susceptance_mw_per_rad(),
-            net.gen_costs(), g_lo, g_up, net.flow_limits(), net.angle_limits(), ref, e_ref,
+            incidence, gen_node_map, BASE_MVA * np.array([e.susceptance for e in edges]),
+            np.array([g.cost for g in gens]), g_lo, g_up, g_up - g_lo,
+            np.array([e.flow_limit for e in edges]), np.array([e.angle_limit for e in edges]),
+            np.array([nd.customer_share for nd in net.nodes]), ref, e_ref,
             tuple(map(tuple, node_gens)), tuple(map(tuple, node_edges)),
             tuple(sum(g_lo[k] for k in ks) for ks in node_gens),
         )
@@ -129,55 +139,10 @@ class PowerNetwork:
     def node_index(self) -> dict[str, int]:
         return {nd.id: i for i, nd in enumerate(self.nodes)}
 
-    def technologies(self) -> list[str]:
-        seen: list[str] = []
-        for g in self.generators:
-            if g.technology not in seen:
-                seen.append(g.technology)
-        return seen
-
-    def gen_node_map(self) -> np.ndarray:
-        """N x G matrix mapping generator output to its node's balance row."""
-        idx = self.node_index()
-        M = np.zeros((self.num_nodes, self.num_generators))
-        for k, g in enumerate(self.generators):
-            M[idx[g.node], k] = 1.0
-        return M
-
-    def flow_limits(self) -> np.ndarray:
-        return np.array([e.flow_limit for e in self.edges])
-
-    def angle_limits(self) -> np.ndarray:
-        return np.array([e.angle_limit for e in self.edges])
-
-    def gen_limits(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([g.g_min for g in self.generators]),
-                np.array([g.g_max for g in self.generators]))
-
-    def gen_costs(self) -> np.ndarray:
-        return np.array([g.cost for g in self.generators])
-
-    def susceptance_mw_per_rad(self) -> np.ndarray:
-        """Edge susceptances with the MVA base folded in (MW/rad)."""
-        return BASE_MVA * np.array([e.susceptance for e in self.edges])
-
-    def customer_shares(self) -> np.ndarray:
-        return np.array([nd.customer_share for nd in self.nodes])
-
     @cached_property
     def arrays(self) -> NetworkArrays:
         """The network's read-only arrays, built on first use."""
         return NetworkArrays.of(self)
-
-
-def incidence_matrix(net: PowerNetwork) -> np.ndarray:
-    """E x N incidence matrix: +1 at the edge start node, -1 at the end node."""
-    idx = net.node_index()
-    A = np.zeros((net.num_edges, net.num_nodes))
-    for e, edge in enumerate(net.edges):
-        A[e, idx[edge.from_node]] = 1.0
-        A[e, idx[edge.to_node]] = -1.0
-    return A
 
 
 def validate_network(net: PowerNetwork) -> PowerNetwork:
@@ -216,7 +181,8 @@ def validate_network(net: PowerNetwork) -> PowerNetwork:
     if net.reference_node not in known:
         raise NetworkValidationError(
             f"reference node {net.reference_node!r} is not a declared node")
-    shares = net.customer_shares()
+    # the entity lists, not net.arrays: arrays are built only for a valid network
+    shares = np.array([nd.customer_share for nd in net.nodes])
     if np.any(shares < 0) or abs(shares.sum() - 1.0) > 1e-9:
         raise NetworkValidationError("customer shares must be nonnegative and sum to 1")
     if net.total_customers <= 0:

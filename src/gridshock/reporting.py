@@ -24,6 +24,8 @@ from .scenarios import ScenarioResult, SweepPoint
 
 SECTOR_TAG = "Utilities"
 ATTACK_RTOL = 1e-9  # relative tolerance of read_attack_csv's capacity and budget checks
+SOLUTION_COLUMNS = ["season", "hour", "entity", "quantity", "value"]
+ATTACK_COLUMNS = ["season", "hour", "component_type", "entity", "z_value", "spend"]
 
 
 def fmt(x: float, digits: int = 6) -> str:
@@ -70,7 +72,7 @@ def _render(
     tables["unserved_timeseries.csv"] = (["hour", "node", "unserved_mw"], rows)
 
     zrows = []
-    shares = net.customer_shares()
+    shares = net.arrays.shares
     for j in node_order:
         dem = float(result.demand_used[:, j].sum())
         uns = float(result.unserved[:, j].sum())
@@ -86,8 +88,7 @@ def _render(
         for season, hour, ctype, entity, z, spend in attack_rows(attacks, net, costs):
             arows.append((season, hour, ctype, entity, fmt(z, 17), fmt(spend, 17)))
     arows.sort(key=lambda r: (r[3], r[1], r[2]))
-    tables["attack_strategy.csv"] = (["season", "hour", "component_type", "entity",
-                                      "z_value", "spend"], arows)
+    tables["attack_strategy.csv"] = (ATTACK_COLUMNS, arows)
 
     srows = [(region, sector, fmt(pct, 12))
              for region, sector, pct in sorted(shock_rows(result))]
@@ -140,7 +141,7 @@ def export_results(
     tables, manifest = _render(result, net, costs, attacks,
                                len(orows) if result.opf_hours else None)
     if result.opf_hours:
-        tables["opf_solution.csv"] = (["season", "hour", "entity", "quantity", "value"], orows)
+        tables["opf_solution.csv"] = (SOLUTION_COLUMNS, orows)
     for name, (header, rows) in tables.items():
         _write_csv(outdir / name, header, rows)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -174,22 +175,56 @@ def export_sweep(
     return manifest
 
 
+def _read_rows(path: str | Path, columns: list[str]):
+    """Yield (line, {column: cell}, (season, hour)) for each row of the CSV
+    file at ``path``, whose header must be ``columns``.
+
+    Raises ValueError naming the file and line when the header is another,
+    a row has more or fewer cells than the header, or its hour is not an
+    integer.  Blank lines are skipped.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != columns:
+            raise ValueError(f"{path}:1: expected columns {columns}, got {header}")
+        for cells in reader:
+            ln = reader.line_num
+            if not cells:
+                continue
+            if len(cells) != len(columns):
+                raise ValueError(f"{path}:{ln}: {len(cells)} cells where the header "
+                                 f"has {len(columns)}")
+            row = dict(zip(columns, cells))
+            try:
+                hour = int(row["hour"])
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: hour {row['hour']!r} is not an "
+                                 f"integer") from None
+            yield ln, row, (row["season"], hour)
+
+
+def _number(path: str | Path, ln: int, column: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"{path}:{ln}: {column} {cell!r} is not a number") from None
+
+
 def read_solution_csv(path: str | Path) -> dict[tuple[str, int], dict[str, dict[str, float]]]:
     """Load opf_solution.csv back as {(season, hour): {quantity: {entity: value}}}.
 
-    Raises ValueError naming the file and line of a second row for the same
+    Raises ValueError naming the file and line of a row :func:`_read_rows`
+    rejects, a value that is not a number, or a second row for the same
     season, hour, quantity and entity.
     """
     out: dict[tuple[str, int], dict[str, dict[str, float]]] = {}
-    with open(path, newline="") as fh:
-        # line 1 is the header
-        for ln, row in enumerate(csv.DictReader(fh), start=2):
-            values = out.setdefault((row["season"], int(row["hour"])), {}).setdefault(
-                row["quantity"], {})
-            if row["entity"] in values:
-                raise ValueError(f"{path}:{ln}: a second {row['quantity']} row for "
-                                 f"{row['entity']} at {row['season']}/{row['hour']}")
-            values[row["entity"]] = float(row["value"])
+    for ln, row, key in _read_rows(path, SOLUTION_COLUMNS):
+        values = out.setdefault(key, {}).setdefault(row["quantity"], {})
+        if row["entity"] in values:
+            raise ValueError(f"{path}:{ln}: a second {row['quantity']} row for "
+                             f"{row['entity']} at {row['season']}/{row['hour']}")
+        values[row["entity"]] = _number(path, ln, "value", row["value"])
     return out
 
 
@@ -276,43 +311,47 @@ def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts | No
                     ) -> dict[tuple[str, int], dict[str, np.ndarray]]:
     """Load attack_strategy.csv as {(season, hour): {zg, zf, zt}} arrays.
 
-    Raises ValueError naming the file and line of a row whose entity the
-    network lacks, whose component_type is not gen, flow or angle, or whose
-    z_value lies outside [0, capacity] of its component (a generator's
-    capacity is what lies above its must-run floor; within a relative
-    ``ATTACK_RTOL``); and, given ``costs``, naming the file and season
-    when the season's z values times their prices add up to more than the
-    budget (within a relative ``ATTACK_RTOL`` too).  The spend column is
-    not read.
+    Raises ValueError naming the file and line of a row :func:`_read_rows`
+    rejects, a row whose entity the network lacks, whose component_type is
+    not gen, flow or angle, whose z_value is not a number or lies outside
+    [0, capacity] of its component (a generator's capacity is what lies
+    above its must-run floor; within a relative ``ATTACK_RTOL``), or that
+    repeats the season, hour, component_type and entity of an earlier row;
+    and, given ``costs``, naming the file and season when the season's z
+    values times their prices add up to more than the budget (within a
+    relative ``ATTACK_RTOL`` too).  The spend column is not read.
     """
     edges = {e.id: k for k, e in enumerate(net.edges)}
-    g_lo, g_up = net.gen_limits()
+    arr = net.arrays
     # component type -> (attack array, entity index, capacity)
-    index = {"gen": ("zg", {g.id: k for k, g in enumerate(net.generators)}, g_up - g_lo),
-             "flow": ("zf", edges, net.flow_limits()),
-             "angle": ("zt", edges, net.angle_limits())}
+    index = {"gen": ("zg", {g.id: k for k, g in enumerate(net.generators)}, arr.g_span),
+             "flow": ("zf", edges, arr.f_cap),
+             "angle": ("zt", edges, arr.t_cap)}
     out: dict[tuple[str, int], dict[str, np.ndarray]] = {}
-    with open(path, newline="") as fh:
-        # line 1 is the header
-        for ln, row in enumerate(csv.DictReader(fh), start=2):
-            kind, entity = row["component_type"], row["entity"]
-            if kind not in index:
-                raise ValueError(f"{path}:{ln}: unknown component_type {kind!r}")
-            name, ids, capacity = index[kind]
-            if entity not in ids:
-                raise ValueError(f"{path}:{ln}: unknown {kind} entity {entity!r}")
-            k = ids[entity]
-            z = float(row["z_value"])
-            cap = float(capacity[k])
-            if not 0.0 <= z <= cap * (1.0 + ATTACK_RTOL):
-                raise ValueError(f"{path}:{ln}: z_value {z!r} outside [0, {cap!r}], "
-                                 f"the capacity of {kind} {entity}")
-            slot = out.setdefault((row["season"], int(row["hour"])), {
-                "zg": np.zeros(net.num_generators),
-                "zf": np.zeros(net.num_edges),
-                "zt": np.zeros(net.num_edges),
-            })
-            slot[name][k] = z
+    seen: set[tuple] = set()
+    for ln, row, key in _read_rows(path, ATTACK_COLUMNS):
+        kind, entity = row["component_type"], row["entity"]
+        if kind not in index:
+            raise ValueError(f"{path}:{ln}: unknown component_type {kind!r}")
+        name, ids, capacity = index[kind]
+        if entity not in ids:
+            raise ValueError(f"{path}:{ln}: unknown {kind} entity {entity!r}")
+        if (key, kind, entity) in seen:
+            raise ValueError(f"{path}:{ln}: a second {kind} row for {entity} at "
+                             f"{row['season']}/{row['hour']}")
+        seen.add((key, kind, entity))
+        k = ids[entity]
+        z = _number(path, ln, "z_value", row["z_value"])
+        cap = float(capacity[k])
+        if not 0.0 <= z <= cap * (1.0 + ATTACK_RTOL):
+            raise ValueError(f"{path}:{ln}: z_value {z!r} outside [0, {cap!r}], "
+                             f"the capacity of {kind} {entity}")
+        slot = out.setdefault(key, {
+            "zg": np.zeros(net.num_generators),
+            "zf": np.zeros(net.num_edges),
+            "zt": np.zeros(net.num_edges),
+        })
+        slot[name][k] = z
     if costs is not None:
         for season in sorted({s for s, _ in out}):  # the budget is seasonal
             total = sum(costs.spend(z["zg"], z["zf"], z["zt"])

@@ -167,25 +167,22 @@ def run_scenario(
     net: PowerNetwork,
     demand: DemandProfile,
     costs: AttackCosts | None = None,
-    dispatch: SeasonDispatch | None = None,
 ) -> ScenarioResult:
-    """Evaluate one scenario end to end and compute all derived metrics.
+    """Evaluate one scenario end to end and compute all derived metrics."""
+    return _run_day(cfg, scenario_dispatch(cfg, net, demand), costs)
 
-    ``dispatch`` is the scenario's :func:`scenario_dispatch`, when the
-    caller shares it between runs: a ladder builds one per scenario kind
-    and passes it to every step, so each step finds the day's unattacked
-    dispatch solved and the dispatch form's store of basis inverses
-    filled.  The run then dispatches ``dispatch.demand``; ValueError when
-    its network, season or demand is not this scenario's.  Without it the
-    run builds its own.  The answer is the same either way, bit for bit.
+
+def _run_day(cfg: ScenarioConfig, dispatch: SeasonDispatch,
+             costs: AttackCosts | None) -> ScenarioResult:
+    """``cfg``'s run on the day of ``dispatch``, the scenario's
+    :func:`scenario_dispatch`.
+
+    A ladder builds that dispatch once per scenario kind and passes it to
+    every step, so each step finds the day's unattacked dispatch solved
+    and the dispatch form's store of basis inverses filled; the answer is
+    the step's :func:`run_scenario`, bit for bit.
     """
-    season = cfg.season
-    if dispatch is None:
-        dispatch = scenario_dispatch(cfg, net, demand)
-    elif not (dispatch.net is net and dispatch.season == season
-              and _same_day(dispatch.demand, scenario_profile(cfg, demand), season)):
-        raise ValueError(f"{cfg.kind}: dispatch belongs to another network, season or demand")
-    profile = dispatch.demand
+    net, profile, season = dispatch.net, dispatch.demand, cfg.season
     try:
         plan = None
         if _attacked(cfg):
@@ -200,12 +197,6 @@ def run_scenario(
         raise
     except Exception as exc:
         raise ScenarioError(f"{cfg.kind}/{season}: {exc}") from exc
-
-
-def _same_day(a: DemandProfile, b: DemandProfile, season: str) -> bool:
-    """Whether ``b`` holds ``a``'s demand and VOLL in ``season``."""
-    return (season in b.demand and np.array_equal(a.demand[season], b.demand[season])
-            and np.array_equal(a.voll[season], b.voll[season]))
 
 
 def _monotone_rerun(
@@ -287,7 +278,7 @@ def _sweep(
         results = {}
         for kind in kinds:
             sub = replace(cfg, kind=kind, budget=costs.budget)
-            res = run_scenario(sub, net, demand, costs=costs, dispatch=days[kind])
+            res = _run_day(sub, days[kind], costs)
             res = _monotone_rerun(sub, net, demand, costs, prev[kind], res)
             results[kind] = res
             prev[kind] = res

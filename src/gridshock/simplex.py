@@ -104,8 +104,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FEAS_TOL = 1e-7
-GAP_TOL = 1e-6
-CS_TOL = 1e-6
 _PIVOT_TOL = 1e-9
 _RC_TOL = 1e-9
 _REFACTOR_EVERY = 64

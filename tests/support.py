@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from gridshock.network import (
+    BASE_MVA,
     DemandProfile,
     Edge,
     Generator,
@@ -12,6 +13,47 @@ from gridshock.network import (
     PowerNetwork,
     validate_network,
 )
+
+
+# -- a network's numbers straight from its entity lists, independent of
+# NetworkArrays: reference copies and tests compare the package against these
+
+def entity_array(items, field: str) -> np.ndarray:
+    """One field of every entity in ``items``, in order."""
+    return np.array([getattr(x, field) for x in items])
+
+
+def entity_limits(net: PowerNetwork) -> dict[str, np.ndarray]:
+    """The generator, flow and angle limits and costs of ``net`` by name:
+    g_lo, g_up, g_span (what an attack may kill), f_cap, t_cap, costs,
+    susceptance_mw and shares."""
+    g_lo = entity_array(net.generators, "g_min")
+    g_up = entity_array(net.generators, "g_max")
+    return {"g_lo": g_lo, "g_up": g_up, "g_span": g_up - g_lo,
+            "f_cap": entity_array(net.edges, "flow_limit"),
+            "t_cap": entity_array(net.edges, "angle_limit"),
+            "costs": entity_array(net.generators, "cost"),
+            "susceptance_mw": BASE_MVA * entity_array(net.edges, "susceptance"),
+            "shares": entity_array(net.nodes, "customer_share")}
+
+
+def entity_incidence(net: PowerNetwork) -> np.ndarray:
+    """E x N: +1 at each edge's from node, -1 at its to node."""
+    ids = [nd.id for nd in net.nodes]
+    A = np.zeros((net.num_edges, net.num_nodes))
+    for e, edge in enumerate(net.edges):
+        A[e, ids.index(edge.from_node)] = 1.0
+        A[e, ids.index(edge.to_node)] = -1.0
+    return A
+
+
+def entity_gen_map(net: PowerNetwork) -> np.ndarray:
+    """N x G: one at each generator's node."""
+    ids = [nd.id for nd in net.nodes]
+    M = np.zeros((net.num_nodes, net.num_generators))
+    for k, gen in enumerate(net.generators):
+        M[ids.index(gen.node), k] = 1.0
+    return M
 
 
 def profile_for(net: PowerNetwork, rows, voll=1000.0, season="summer") -> DemandProfile:

@@ -12,9 +12,9 @@ import gridshock.attack as attack_mod
 from gridshock.attack import (
     AttackCosts,
     AttackPlan,
-    BigMConfig,
     attack_rows,
     build_hourly_attack_milp,
+    default_bigm,
     default_costs,
     greedy_attack,
     run_attack,
@@ -26,7 +26,7 @@ from gridshock.dcopf import OpfSolution, SeasonDispatch, solve_dcopf
 from gridshock.kkt import kkt_residuals, verify_equilibrium
 from gridshock.network import apply_heatwave
 from gridshock.cli import bundled_path
-from support import profile_for, tight_two_bus, triangle, two_bus
+from support import entity_limits, profile_for, tight_two_bus, triangle, two_bus
 
 
 def uniform_costs(net, budget, gen=1.0, wire=1000.0):
@@ -95,8 +95,7 @@ def test_zero_budget_equals_plain_dispatch():
     assert ha.certificate_ok and ha.bigm_valid
     # the flags are measured, not defaulted: the dispatch's shed price 1000
     # is above a big M of 10
-    tiny = solve_hourly_attack(net, prof, "summer", 0, costs, 0.0,
-                               bigm=BigMConfig(m_value=10.0))
+    tiny = solve_hourly_attack(net, prof, "summer", 0, costs, 0.0, bigm=10.0)
     assert tiny.certificate_ok and not tiny.bigm_valid
 
 
@@ -240,7 +239,7 @@ def test_bigm_grows_until_valid():
     net = tight_two_bus()
     prof = profile_for(net, [[10.0, 80.0]])
     costs = uniform_costs(net, 30.0)
-    tiny = BigMConfig(m_value=10.0)  # far below the dual magnitudes
+    tiny = 10.0  # far below the dual magnitudes
     ha = solve_hourly_attack(net, prof, "summer", 0, costs, 30.0, bigm=tiny,
                              node_limit=200_000)
     assert ha.bigm_valid
@@ -378,7 +377,7 @@ def test_attack_milp_build_is_unchanged(bundled_net, bundled_demand):
                   300.0, "69b6a0ea1539caa269b4623b3c1a9fe9"))
     for name, net, prof, hours, costs, budget, expected in cases:
         prob, _ = attack_mod._build_attack_milp(net, prof, "summer", hours, costs, budget,
-                                                BigMConfig.for_network(net, prof))
+                                                default_bigm(net, prof))
         assert _milp_digest(prob) == expected, name
 
 
@@ -536,8 +535,8 @@ def test_dispatch_of_another_demand_is_rejected():
 # they were before the network's index and arrays were cached
 def _reference_zone_packages(net, demand, season, hour, costs, budget):
     G, E = net.num_generators, net.num_edges
-    g_lo, g_up = net.gen_limits()
-    f_cap = net.flow_limits()
+    lim = entity_limits(net)
+    g_lo, g_up, f_cap = lim["g_lo"], lim["g_up"], lim["f_cap"]
     d = demand.demand[season][hour]
     idx = net.node_index()
     ranked = []
@@ -606,9 +605,9 @@ def test_zone_packages_and_max_norm_match_their_references(bundled_net, bundled_
                 assert np.array_equal(zg, rg) and np.array_equal(zf, rf)
     for _ in range(4):
         hour = int(rng.integers(24))
-        g_lo, g_up = bundled_net.gen_limits()
+        lim = entity_limits(bundled_net)
         zs = [np.where(rng.random(r.size) < 0.3, 0.5 * rng.random(r.size) * r, 0.0)
-              for r in (g_up - g_lo, bundled_net.flow_limits(), bundled_net.angle_limits())]
+              for r in (lim["g_span"], lim["f_cap"], lim["t_cap"])]
         opf = solve_dcopf(bundled_net, heated, "summer", hour, *zs)
         opf = replace(opf, delta=float(rng.normal(0, 1e4)))
         assert attack_mod._max_norm(*zs, opf) == _reference_max_norm(*zs, opf)
@@ -621,9 +620,9 @@ def _reference_greedy(net, demand, season, hour, costs, budget, dispatch):
     also returns how many candidates it adopted (package and moves)."""
     form = dispatch.form
     G, E = net.num_generators, net.num_edges
-    g_lo, g_up = net.gen_limits()
-    kill_room = g_up - g_lo
-    f_cap = net.flow_limits()
+    lim = entity_limits(net)
+    kill_room = lim["g_up"] - lim["g_lo"]
+    f_cap = lim["f_cap"]
     zg, zf, zt = np.zeros(G), np.zeros(E), np.zeros(E)
     remaining = budget
     current = dispatch.base(hour)

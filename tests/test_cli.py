@@ -262,6 +262,61 @@ def test_verify_rejects_a_bad_attack_row(cyber_run, tmp_path, capsys, row, messa
     assert out.startswith("FAIL ") and f"attack_strategy.csv:2: {message}" in out
 
 
+
+def _copy_run(run, tmp_path, manifest):
+    """A copy of ``run``, without its manifest.json unless ``manifest``."""
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    if not manifest:
+        (copy / "manifest.json").unlink()
+    return copy
+
+
+def _edit_lines(path, edit):
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+
+
+@pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no_manifest"])
+@pytest.mark.parametrize("name, edit, line, message", [
+    ("opf_solution.csv", lambda ls: [ls[0].replace("quantity", "qty")] + ls[1:], 1,
+     "expected columns ['season', 'hour', 'entity', 'quantity', 'value'], got "
+     "['season', 'hour', 'entity', 'qty', 'value']"),
+    ("opf_solution.csv", lambda ls: ls + ["summer,3"], None,
+     "2 cells where the header has 5"),
+    ("attack_strategy.csv", lambda ls: [ls[0].replace("z_value", "z")] + ls[1:], 1,
+     "expected columns ['season', 'hour', 'component_type', 'entity', 'z_value', "
+     "'spend'], got ['season', 'hour', 'component_type', 'entity', 'z', 'spend']"),
+    ("attack_strategy.csv", lambda ls: ls[:1] + ["summer,x,flow,E15,48,240"] + ls[2:], 2,
+     "hour 'x' is not an integer"),
+    ("attack_strategy.csv", lambda ls: ls[:1] + ["summer,17,flow,E15,a lot,240"] + ls[2:], 2,
+     "z_value 'a lot' is not a number"),
+], ids=["solution_header", "solution_short_row", "attack_header", "attack_hour",
+        "attack_z_value"])
+def test_verify_rejects_a_malformed_csv(cyber_run, tmp_path, capsys, manifest, name, edit,
+                                        line, message):
+    # a renamed column or a short row fails as the file and line, not as a traceback
+    run = _copy_run(cyber_run, tmp_path, manifest)
+    path = run / name
+    _edit_lines(path, edit)
+    if line is None:  # the appended last line
+        line = len(path.read_text().splitlines())
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    assert capsys.readouterr().out == f"FAIL {path}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no_manifest"])
+def test_verify_rejects_a_repeated_attack_row(cyber_run, tmp_path, capsys, manifest):
+    # a second row for one component would overwrite the first one's z_value
+    run = _copy_run(cyber_run, tmp_path, manifest)
+    strategy = run / "attack_strategy.csv"
+    _edit_lines(strategy, lambda ls: ls[:2] + ls[1:])
+    assert strategy.read_text().splitlines()[2] == "summer,17,flow,E15,48,240"
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    assert capsys.readouterr().out == (f"FAIL {strategy}:3: a second flow row for E15 at "
+                                       f"summer/17\n")
+
 def _drop_recorded_prices(run):
     manifest = json.loads((run / "manifest.json").read_text())
     del manifest["attack_costs"]

@@ -8,7 +8,7 @@ import gridshock.dcopf as dcopf_mod
 from gridshock import simplex
 from gridshock.dcopf import (OPF_ARRAYS, SeasonDispatch, build_dcopf, dispatch_form,
                              solve_day, solve_dcopf, solution_rows)
-from gridshock.network import DemandProfile, apply_heatwave, incidence_matrix
+from gridshock.network import DemandProfile, apply_heatwave
 from support import one_bus, profile_for, tight_two_bus, two_bus
 
 VOLL = 1000.0
@@ -69,7 +69,7 @@ def test_two_bus_shedding_priced_at_voll():
 def test_objective_identity():
     net = tight_two_bus()
     sol = solve_dcopf(net, profile_for(net, [[10.0, 80.0]]), "summer", 0)
-    explicit = float(net.gen_costs() @ sol.g + sol.voll @ sol.u)
+    explicit = float(net.arrays.gen_costs @ sol.g + sol.voll @ sol.u)
     assert sol.objective == pytest.approx(explicit, rel=1e-9)
 
 
@@ -140,11 +140,11 @@ def _draw_attack(net, base, kind, seed, share):
     where the unattacked dispatch ``base`` has room, "any" anywhere, and
     "over capacity" also takes one component past its capacity."""
     rng = np.random.default_rng(seed)
-    g_lo, g_up = net.gen_limits()
-    caps = (g_up - g_lo, net.flow_limits(), net.angle_limits())
+    arr = net.arrays
+    caps = (arr.g_span, arr.f_cap, arr.t_cap)
     if kind == "within slack":
-        angle = np.abs(incidence_matrix(net) @ base.theta)
-        room = (g_up - base.g, caps[1] - np.abs(base.f), caps[2] - angle)
+        angle = np.abs(arr.incidence @ base.theta)
+        room = (arr.g_up - base.g, caps[1] - np.abs(base.f), caps[2] - angle)
     else:
         room = caps
     zs = [np.where(rng.random(r.size) < 0.3, share * rng.random(r.size) * np.maximum(r, 0.0),
@@ -211,7 +211,7 @@ def test_resolve_from_an_optimal_base_basis_factorizes_nothing(bundled_net, bund
     base = solve_dcopf(net, bundled_demand, "summer", 17, form=form)
     # lowering the limit of the unit with the most room, within that room,
     # leaves the unattacked dispatch and its basis optimal
-    _, g_up = net.gen_limits()
+    g_up = net.arrays.g_up
     k = int(np.argmax(g_up - base.g))
     zg = np.zeros(net.num_generators)
     zg[k] = 0.5 * (g_up[k] - base.g[k])
@@ -273,7 +273,7 @@ def test_resolve_without_pivots_prices_once(bundled_net, bundled_demand, monkeyp
     net = bundled_net
     form = dispatch_form(net)
     base = solve_dcopf(net, bundled_demand, "summer", 17, form=form)
-    _, g_up = net.gen_limits()
+    g_up = net.arrays.g_up
     k = int(np.argmax(g_up - base.g))
     zg = np.zeros(net.num_generators)
     zg[k] = 0.5 * (g_up[k] - base.g[k])

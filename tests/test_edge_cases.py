@@ -90,3 +90,9 @@ def test_attack_with_min_generation_floor():
     ha2 = solve_hourly_attack(net, prof, "summer", 0, rich, 120.0, node_limit=0)
     assert ha2.zg[0] <= 40.0 + 1e-9
     assert ha2.certificate_ok
+
+
+def test_every_public_name_resolves():
+    import gridshock
+    assert len(set(gridshock.__all__)) == len(gridshock.__all__)
+    assert [name for name in gridshock.__all__ if not hasattr(gridshock, name)] == []

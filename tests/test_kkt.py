@@ -6,8 +6,8 @@ import pytest
 from gridshock.dcopf import solve_dcopf
 from gridshock.kkt import (PAIR_BLOCKS, PAIR_DUALS, KktResiduals, complementarity_pairs,
                            kkt_residuals, residual_rows, verify_equilibrium)
-from gridshock.network import incidence_matrix
-from support import profile_for, tight_two_bus, triangle, two_bus
+from support import (entity_gen_map, entity_incidence, entity_limits, profile_for,
+                     tight_two_bus, triangle, two_bus)
 
 
 def test_lp_optimum_satisfies_kkt():
@@ -96,10 +96,9 @@ def test_residual_rows_flatten():
 # -- the certificate as it was before the network's arrays were cached: a
 # reference copy that rebuilds every array from the network's lists
 def _reference_pairs(net, sol, zg, zf, zt):
-    A = incidence_matrix(net)
-    g_lo, g_up = net.gen_limits()
-    f_cap = net.flow_limits()
-    t_cap = net.angle_limits()
+    A = entity_incidence(net)
+    lim = entity_limits(net)
+    g_lo, g_up, f_cap, t_cap = lim["g_lo"], lim["g_up"], lim["f_cap"], lim["t_cap"]
     if zg is not None:
         g_up = g_up - np.asarray(zg, dtype=float)
     if zf is not None:
@@ -117,14 +116,15 @@ def _reference_pairs(net, sol, zg, zf, zt):
 
 
 def _reference_residuals(net, sol, zg, zf, zt):
-    A = incidence_matrix(net)
-    Bmw = net.susceptance_mw_per_rad()
-    M = net.gen_node_map()
-    ref = net.node_index()[net.reference_node]
+    A = entity_incidence(net)
+    lim = entity_limits(net)
+    Bmw = lim["susceptance_mw"]
+    M = entity_gen_map(net)
+    ref = [nd.id for nd in net.nodes].index(net.reference_node)
     e_ref = np.zeros(net.num_nodes)
     e_ref[ref] = 1.0
     stationarity = {
-        "stat_g": net.gen_costs() - sol.rho_g_lo + sol.rho_g_up - M.T @ sol.pi_d,
+        "stat_g": lim["costs"] - sol.rho_g_lo + sol.rho_g_up - M.T @ sol.pi_d,
         "stat_f": A @ sol.pi_d + sol.pi_f - sol.rho_f_lo + sol.rho_f_up,
         "stat_theta": A.T @ (-Bmw * sol.pi_f - sol.rho_th_lo + sol.rho_th_up)
         + e_ref * sol.delta,
@@ -148,10 +148,10 @@ def _random_points(net, demand, seed):
     """Attacked dispatches of the bundled day and perturbed copies of them,
     so that every residual block is exercised, zero and nonzero."""
     rng = np.random.default_rng(seed)
-    g_lo, g_up = net.gen_limits()
+    lim = entity_limits(net)
     for hour in rng.choice(24, size=3, replace=False):
         zs = [np.where(rng.random(r.size) < 0.3, 0.6 * rng.random(r.size) * r, 0.0)
-              for r in (g_up - g_lo, net.flow_limits(), net.angle_limits())]
+              for r in (lim["g_span"], lim["f_cap"], lim["t_cap"])]
         sol = solve_dcopf(net, demand, "summer", int(hour), *zs)
         yield sol, zs
         yield sol, (None, None, None)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from gridshock.network import (
     NetworkParseError,
     NetworkValidationError,
     apply_heatwave,
-    incidence_matrix,
     load_demand,
     load_network,
     save_demand,
     save_network,
 )
-from support import one_bus, profile_for, triangle, two_bus
+from support import (entity_gen_map, entity_incidence, entity_limits, one_bus, profile_for,
+                     triangle, two_bus)
 
 MINIMAL = {
     "name": "mini",
@@ -99,7 +100,7 @@ def test_malformed_json_is_parse_error(tmp_path):
 def test_bundled_network_shape(bundled_net):
     assert bundled_net.num_nodes == 16
     assert bundled_net.num_edges == 17
-    assert len(bundled_net.technologies()) == 9
+    assert len({g.technology for g in bundled_net.generators}) == 9
 
 
 def test_network_roundtrip(tmp_path, bundled_net):
@@ -111,17 +112,20 @@ def test_network_roundtrip(tmp_path, bundled_net):
 
 def test_incidence_single_edge():
     net = two_bus()
-    np.testing.assert_array_equal(incidence_matrix(net), [[1.0, -1.0]])
+    np.testing.assert_array_equal(net.arrays.incidence, [[1.0, -1.0]])
+    np.testing.assert_array_equal(net.arrays.gen_node_map, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_incidence_triangle():
-    A = incidence_matrix(triangle())
+    arr = triangle().arrays
     np.testing.assert_array_equal(
-        A, [[1.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+        arr.incidence, [[1.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+    np.testing.assert_array_equal(arr.gen_node_map, np.eye(3))
+    assert arr.node_edges == ((0, 1), (0, 2), (1, 2))
 
 
 def test_incidence_bundled_rows(bundled_net):
-    A = incidence_matrix(bundled_net)
+    A = bundled_net.arrays.incidence
     assert A.shape == (17, 16)
     np.testing.assert_allclose(A.sum(axis=1), 0.0)
     assert np.all((A == 1.0).sum(axis=1) == 1)
@@ -192,22 +196,38 @@ def test_profiles_are_immutable(bundled_demand):
 
 
 def test_network_arrays_are_built_once_and_read_only(bundled_net):
-    arr = bundled_net.arrays
-    assert bundled_net.arrays is arr
-    g_lo, g_up = bundled_net.gen_limits()
-    for got, want in ((arr.incidence, incidence_matrix(bundled_net)),
-                      (arr.gen_node_map, bundled_net.gen_node_map()),
-                      (arr.susceptance_mw, bundled_net.susceptance_mw_per_rad()),
-                      (arr.gen_costs, bundled_net.gen_costs()), (arr.g_lo, g_lo),
-                      (arr.g_up, g_up), (arr.f_cap, bundled_net.flow_limits()),
-                      (arr.t_cap, bundled_net.angle_limits())):
-        assert np.array_equal(got, want)
-        assert not got.flags.writeable
-    assert arr.e_ref[arr.ref] == 1.0 and arr.e_ref.sum() == 1.0
-    assert bundled_net.nodes[arr.ref].id == bundled_net.reference_node
-    # the per-node index: generators and incident edges in entity order
-    M, A = arr.gen_node_map, arr.incidence
-    for n in range(bundled_net.num_nodes):
-        assert arr.node_gens[n] == tuple(np.flatnonzero(M[n]))
-        assert arr.node_edges[n] == tuple(np.flatnonzero(A[:, n]))
-        assert arr.node_floor[n] == sum(g_lo[k] for k in arr.node_gens[n])
+    """Every array of NetworkArrays against the entity lists, read-only."""
+    for net in (one_bus(), two_bus(), triangle(), bundled_net):
+        arr = net.arrays
+        assert net.arrays is arr
+        want = entity_limits(net)
+        for got, ref in ((arr.incidence, entity_incidence(net)),
+                         (arr.gen_node_map, entity_gen_map(net)),
+                         (arr.susceptance_mw, want["susceptance_mw"]),
+                         (arr.gen_costs, want["costs"]), (arr.g_lo, want["g_lo"]),
+                         (arr.g_up, want["g_up"]), (arr.g_span, want["g_span"]),
+                         (arr.f_cap, want["f_cap"]), (arr.t_cap, want["t_cap"]),
+                         (arr.shares, want["shares"])):
+            assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape,
+                                                             ref.tobytes())
+            assert not got.flags.writeable
+        assert arr.e_ref[arr.ref] == 1.0 and arr.e_ref.sum() == 1.0
+        assert not arr.e_ref.flags.writeable
+        assert net.nodes[arr.ref].id == net.reference_node
+        # the per-node index: generators and incident edges in entity order
+        for n, node in enumerate(net.nodes):
+            gens = tuple(k for k, g in enumerate(net.generators) if g.node == node.id)
+            assert arr.node_gens[n] == gens
+            assert arr.node_edges[n] == tuple(e for e, edge in enumerate(net.edges)
+                                              if node.id in (edge.from_node, edge.to_node))
+            assert arr.node_floor[n] == sum(net.generators[k].g_min for k in gens)
+
+
+def test_killable_span_and_shares_by_hand():
+    net = two_bus(g1=150.0, g2=100.0)
+    gens = (net.generators[0], replace(net.generators[1], g_min=40.0))
+    arr = replace(net, generators=gens).arrays
+    np.testing.assert_array_equal(arr.g_span, [150.0, 60.0])
+    np.testing.assert_array_equal(arr.shares, [0.5, 0.5])
+    np.testing.assert_array_equal(arr.susceptance_mw, [800.0])
+    assert arr.node_floor == (0.0, 40.0)

@@ -240,14 +240,6 @@ def test_beta_steps_share_one_dispatch_per_kind(small, monkeypatch):
             assert _result_bytes(getattr(pt, kind.lower())) == _result_bytes(alone)
 
 
-def test_dispatch_of_another_scenario_is_rejected(small):
-    # the Cyberattack day dispatches unheated demand, which a Compound run does not
-    net, prof = small
-    cyber = scenarios.scenario_dispatch(cfg_for("Cyberattack"), net, prof)
-    with pytest.raises(ValueError, match="another network, season or demand"):
-        run_scenario(cfg_for("Compound"), net, prof, dispatch=cyber)
-
-
 def _gamma_step(cfg, net):
     """The prices of gamma ladder step 2 at ``cfg``'s budget."""
     return scenarios.scenario_costs(cfg, net).scaled(1.0 + GAMMA_WIRE_STEP,

@@ -246,11 +246,11 @@ fractions = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
 
 def _lowered_dispatch(net, demand, seed, keep):
     rng = np.random.default_rng(seed)
-    g_lo, g_up = net.gen_limits()
+    arr = net.arrays
     pick = lambda k, p: rng.random(k) < p  # noqa: E731
-    zg = np.where(pick(net.num_generators, 0.4), (1 - keep[0]) * (g_up - g_lo), 0.0)
-    zf = np.where(pick(net.num_edges, 0.3), (1 - keep[1]) * net.flow_limits(), 0.0)
-    zt = np.where(pick(net.num_edges, 0.2), (1 - keep[2]) * net.angle_limits(), 0.0)
+    zg = np.where(pick(net.num_generators, 0.4), (1 - keep[0]) * arr.g_span, 0.0)
+    zf = np.where(pick(net.num_edges, 0.3), (1 - keep[1]) * arr.f_cap, 0.0)
+    zt = np.where(pick(net.num_edges, 0.2), (1 - keep[2]) * arr.t_cap, 0.0)
     return build_dcopf(net, demand, "summer", 17, zg, zf, zt)
 
 
