@@ -816,24 +816,3 @@ def run_attack(
     for h, k in zip(live, chosen[1]):
         parts[h] = grid[h][k]
     return AttackPlan(season, parts, budget)
-
-
-def attack_rows(attacks: dict[tuple[str, int], dict[str, np.ndarray]], net: PowerNetwork,
-                costs: AttackCosts) -> list[tuple]:
-    """Strategy breakdown rows: (season, hour, component type, entity, z, spend).
-
-    ``attacks`` maps each (season, hour) to its ``zg``, ``zf`` and ``zt``
-    arrays, as ``reporting.read_attack_csv`` returns them.
-    """
-    rows = []
-    for (season, hour), z in attacks.items():
-        zg, zf, zt = z["zg"], z["zf"], z["zt"]
-        for k, gen in enumerate(net.generators):
-            if zg[k] > 1e-9:
-                rows.append((season, hour, "gen", gen.id, zg[k], zg[k] * costs.cg[k]))
-        for e, edge in enumerate(net.edges):
-            if zf[e] > 1e-9:
-                rows.append((season, hour, "flow", edge.id, zf[e], zf[e] * costs.cf[e]))
-            if zt[e] > 1e-9:
-                rows.append((season, hour, "angle", edge.id, zt[e], zt[e] * costs.ct[e]))
-    return rows

@@ -16,21 +16,13 @@ from pathlib import Path
 
 from . import reporting
 from .attack import BigMInvalidError
-from .kkt import kkt_residuals, verify_equilibrium
 from .milp import MilpNodeLimitError
-from .network import (
-    NetworkParseError,
-    NetworkValidationError,
-    apply_heatwave,
-    load_demand,
-    load_network,
-)
+from .network import NetworkParseError, NetworkValidationError, load_demand, load_network
 from .scenarios import (
     ScenarioConfig,
     ScenarioError,
     _attacked,
     _heated,
-    _metrics,
     scenario_profile,
     gamma_sweep,
     beta_sweep,
@@ -43,7 +35,6 @@ from .simplex import SolverNumericalError, dump_lp
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
-VERIFY_TOL = 1e-5
 
 
 def bundled_path(name: str) -> Path:
@@ -62,7 +53,8 @@ _FLAGS = {
     "season": dict(default=None, help="season to run (default summer)"),
     "node-limit": dict(type=int, default=None,
                        help="branch-and-bound node limit per attack problem"),
-    "dump-lp": dict(action="store_true", help="write LP-format dumps of built problems"),
+    "dump-lp": dict(action="store_true", help="write LP-format dumps of built problems "
+                    "(verify: kkt_residuals.csv of every hour)"),
     "solution": dict(required=True, help="directory containing opf_solution.csv"),
 }
 # each subcommand registers only the flags it reads
@@ -104,7 +96,7 @@ def _config(args) -> ScenarioConfig:
     # a subcommand without one of these flags leaves the config's value
     overrides = {key: vars(args).get(key) for key in
                  ("budget", "cost_ratio", "heatwave_factor", "season", "node_limit")}
-    if args.config:
+    if vars(args).get("config"):
         return load_config(args.config, **overrides)
     return ScenarioConfig(**{k: v for k, v in overrides.items() if v is not None})
 
@@ -183,95 +175,14 @@ def cmd_sweep(args, parameter: str) -> int:
 
 def cmd_verify(args) -> int:
     net, demand = _load_inputs(args)
-    soldir = Path(args.solution)
-    solfile = soldir / "opf_solution.csv"
-    if not solfile.exists():
-        print(f"error: {solfile} not found", file=sys.stderr)
-        return EXIT_VALIDATION
-    attacks = {}
-    attack_file = soldir / "attack_strategy.csv"
+    _config(args)  # a bad --heatwave-factor exits 1 before any file is read
     try:
-        data = reporting.read_solution_csv(solfile)
-        manifest = reporting.read_manifest(soldir)
-        # spends are checked at the prices and budget the run's manifest records
-        costs = reporting.read_attack_costs(manifest, net)
-        if attack_file.exists():
-            attacks = reporting.read_attack_csv(attack_file, net, costs)
-        if attacks and manifest is not None and costs is None:
-            raise ValueError("manifest.json: no attack_costs to price the rows of "
-                             "attack_strategy.csv")
+        hours, worst = reporting.verify_run(args.solution, net, demand, args.heatwave_factor,
+                                            args.out if args.dump_lp else None)
     except ValueError as exc:
         print(f"FAIL {exc}")
         return EXIT_SOLVER
-    # the demand is scaled as --heatwave-factor says, else as the run recorded
-    factor = args.heatwave_factor
-    if factor is None:
-        factor = manifest.get("heatwave_factor", 1.0) if manifest is not None else 1.0
-    profile = apply_heatwave(demand, factor) if factor != 1.0 else demand
-    # a run covers whole days: exactly the profile's hours of each season it names
-    for season in sorted({season for season, _ in data}):
-        if season not in profile.demand:
-            print(f"FAIL {season}: season not in the demand profile")
-            return EXIT_SOLVER
-        hours = {h for s, h in data if s == season}
-        expected = set(range(profile.hours(season)))
-        if hours != expected:
-            print(f"FAIL {season}: no rows for hours {sorted(expected - hours)}, "
-                  f"rows for unknown hours {sorted(hours - expected)}")
-            return EXIT_SOLVER
-    worst = 0.0
-    dump_rows = []
-    failed = None
-    sols = {}
-    for (season, hour), quantities in sorted(data.items()):
-        d = profile.demand[season][hour]
-        voll = profile.voll[season][hour]
-        try:
-            sol = reporting.rebuild_opf_solution(net, season, hour, quantities, d, voll)
-        except ValueError as exc:
-            print(f"FAIL {exc}")
-            return EXIT_SOLVER
-        sols[season, hour] = sol
-        z = attacks.get((season, hour), {})
-        res = kkt_residuals(net, sol, z.get("zg"), z.get("zf"), z.get("zt"))
-        worst = max(worst, res.overall_max())
-        if args.dump_lp:
-            from .kkt import residual_rows
-            dump_rows += [(season, hour, blk, i, v)
-                          for blk, i, v in residual_rows(res)]
-        if failed is None and not verify_equilibrium(res, VERIFY_TOL):
-            failed = (season, hour, res.overall_max())
-    if dump_rows:
-        import csv as _csv
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "kkt_residuals.csv", "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["season", "hour", "block", "index", "residual"])
-            w.writerows(dump_rows)
-    if failed is not None:
-        print(f"FAIL {failed[0]}/{failed[1]}: max residual {failed[2]:.3e}")
-        return EXIT_SOLVER
-    if manifest is not None:
-        # the directory must hold what the exporter writes for the run of the
-        # rows just verified: the recorded scenario on that demand
-        try:
-            cfg = ScenarioConfig(kind=manifest.get("scenario"),
-                                 season=manifest.get("season"), heatwave_factor=factor)
-            if not any(s == cfg.season for s, _ in sols):
-                raise ValueError(f"season {cfg.season!r} has no rows in opf_solution.csv")
-        except ValueError as exc:
-            print(f"FAIL manifest.json: {exc}")
-            return EXIT_SOLVER
-        hours = [sols[cfg.season, h] for h in range(profile.hours(cfg.season))]
-        opf_rows = sum(len(v) for quantities in data.values() for v in quantities.values())
-        try:
-            reporting.check_run_files(soldir, manifest, _metrics(cfg, net, profile, hours),
-                                      net, costs, attacks if _attacked(cfg) else {}, opf_rows)
-        except ValueError as exc:
-            print(f"FAIL {exc}")
-            return EXIT_SOLVER
-    print(f"verified {len(data)} hourly solutions, max residual {worst:.3e}")
+    print(f"verified {hours} hourly solutions, max residual {worst:.3e}")
     return EXIT_OK
 
 

@@ -415,13 +415,3 @@ def solve_day(
     hours = range(demand.hours(season))
     day = SeasonDispatch(net, demand, season, hours)
     return [day.base(h) for h in hours]
-
-
-def solution_rows(sol: OpfSolution, net: PowerNetwork) -> list[tuple]:
-    """Flatten a solution to (season, hour, entity, quantity, value) rows."""
-    rows = [(sol.season, sol.hour, item.id, name, getattr(sol, name)[k])
-            for kind, names in OPF_ARRAYS.items()
-            for k, item in enumerate(getattr(net, kind)) for name in names]
-    rows.append((sol.season, sol.hour, "system", "delta", sol.delta))
-    rows.append((sol.season, sol.hour, "system", "objective", sol.objective))
-    return rows

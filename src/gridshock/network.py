@@ -6,13 +6,15 @@ The network file is strict JSON with top-level keys ``nodes``, ``edges``,
 (lower = -upper), so files carry only the upper magnitude.  Susceptances
 are per-unit on a 100 MVA base; the flow law folds the base power in.
 
-The demand file is CSV with columns ``season,hour,node,demand_mw,voll``.
+The demand file is CSV with columns ``season,hour,node,demand_mw,voll``,
+every demand and VOLL finite.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -161,10 +163,9 @@ def validate_network(net: PowerNetwork) -> PowerNetwork:
                     f"edge {e.id!r} references undeclared node {endpoint!r}")
         if e.from_node == e.to_node:
             raise NetworkValidationError(f"edge {e.id!r} is a self-loop at {e.from_node!r}")
-        if not e.susceptance > 0:
-            raise NetworkValidationError(f"edge {e.id!r} has nonpositive susceptance")
-        if not e.flow_limit > 0 or not e.angle_limit > 0:
-            raise NetworkValidationError(f"edge {e.id!r} has nonpositive flow or angle limit")
+        if not all(0 < x < np.inf for x in (e.susceptance, e.flow_limit, e.angle_limit)):
+            raise NetworkValidationError(f"edge {e.id!r} has a susceptance or a limit that "
+                                         f"is not finite and positive")
     eids = [e.id for e in net.edges]
     if len(set(eids)) != len(eids):
         dup = next(i for i in eids if eids.count(i) > 1)
@@ -173,17 +174,17 @@ def validate_network(net: PowerNetwork) -> PowerNetwork:
         if g.node not in known:
             raise NetworkValidationError(
                 f"generator {g.id!r} references undeclared node {g.node!r}")
-        if not (g.g_max >= g.g_min >= 0):
+        if not (np.inf > g.g_max >= g.g_min >= 0):
             raise NetworkValidationError(
-                f"generator {g.id!r} violates g_max >= g_min >= 0")
-        if g.cost < 0:
-            raise NetworkValidationError(f"generator {g.id!r} has negative cost")
+                f"generator {g.id!r} violates inf > g_max >= g_min >= 0")
+        if not 0 <= g.cost < np.inf:
+            raise NetworkValidationError(f"generator {g.id!r} has a cost outside [0, inf)")
     if net.reference_node not in known:
         raise NetworkValidationError(
             f"reference node {net.reference_node!r} is not a declared node")
     # the entity lists, not net.arrays: arrays are built only for a valid network
     shares = np.array([nd.customer_share for nd in net.nodes])
-    if np.any(shares < 0) or abs(shares.sum() - 1.0) > 1e-9:
+    if not np.all(shares >= 0) or not abs(shares.sum() - 1.0) <= 1e-9:
         raise NetworkValidationError("customer shares must be nonnegative and sum to 1")
     if net.total_customers <= 0:
         raise NetworkValidationError("total_customers must be positive")
@@ -223,10 +224,14 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], what: str):
 
 
 def load_network(path: str | Path) -> PowerNetwork:
-    """Load and validate a network file; parse is strict (unknown keys rejected)."""
+    """Load and validate a network file; parse is strict (unknown keys, NaN
+    and Infinity rejected)."""
     path = Path(path)
+
+    def constant(name: str):
+        raise NetworkParseError(f"{path}: {name} is not a JSON number")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_constant=constant)
     except FileNotFoundError:
         raise
     except (OSError, json.JSONDecodeError) as exc:
@@ -361,6 +366,10 @@ def load_demand(path: str | Path, net: PowerNetwork) -> DemandProfile:
                 voll = float(row["voll"])
             except (TypeError, ValueError) as exc:
                 raise NetworkParseError(f"{path}:{ln}: {exc}") from exc
+            for column, value in (("demand_mw", dem), ("voll", voll)):
+                if not math.isfinite(value):
+                    raise NetworkParseError(f"{path}:{ln}: {column} {row[column]!r} is not "
+                                            f"a finite number")
             if node not in idx:
                 raise NetworkParseError(f"{path}:{ln}: unknown node {node!r}")
             slot = cells.setdefault(season, {}).setdefault(hour, {})

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackCosts, attack_rows
-from .dcopf import OPF_ARRAYS, OpfSolution, solution_rows
-from .network import PowerNetwork
-from .scenarios import ScenarioResult, SweepPoint
+from .attack import CERT_TOL, AttackCosts
+from .dcopf import OPF_ARRAYS, OpfSolution
+from .kkt import kkt_residuals, residual_rows, verify_equilibrium
+from .network import DemandProfile, PowerNetwork, apply_heatwave
+from .scenarios import ScenarioConfig, ScenarioResult, SweepPoint, _attacked, _metrics
 
 SECTOR_TAG = "Utilities"
 ATTACK_RTOL = 1e-9  # relative tolerance of read_attack_csv's capacity and budget checks
@@ -41,6 +42,45 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> int:
     return len(rows)
 
 
+def solution_layout(net: PowerNetwork) -> list[tuple[str, str, int | None]]:
+    """One hour's rows of opf_solution.csv, in file order, as (entity,
+    quantity, index of the entity in the quantity's OpfSolution array);
+    the two ``system`` rows, delta and objective, have index None."""
+    rows = [(item.id, name, k) for kind, names in OPF_ARRAYS.items()
+            for k, item in enumerate(getattr(net, kind)) for name in names]
+    return rows + [("system", "delta", None), ("system", "objective", None)]
+
+
+def solution_rows(sol: OpfSolution, layout: list[tuple[str, str, int | None]]
+                  ) -> list[tuple]:
+    """Flatten a solution to (season, hour, entity, quantity, value) rows
+    in the order of ``layout``, as :func:`solution_layout` gives it."""
+    return [(sol.season, sol.hour, entity, quantity,
+             getattr(sol, quantity) if k is None else getattr(sol, quantity)[k])
+            for entity, quantity, k in layout]
+
+
+def attack_rows(attacks: dict[tuple[str, int], dict[str, np.ndarray]], net: PowerNetwork,
+                costs: AttackCosts) -> list[tuple]:
+    """Strategy breakdown rows: (season, hour, component type, entity, z, spend).
+
+    ``attacks`` maps each (season, hour) to its ``zg``, ``zf`` and ``zt``
+    arrays, as :func:`read_attack_csv` returns them.
+    """
+    rows = []
+    for (season, hour), z in attacks.items():
+        zg, zf, zt = z["zg"], z["zf"], z["zt"]
+        for k, gen in enumerate(net.generators):
+            if zg[k] > 1e-9:
+                rows.append((season, hour, "gen", gen.id, zg[k], zg[k] * costs.cg[k]))
+        for e, edge in enumerate(net.edges):
+            if zf[e] > 1e-9:
+                rows.append((season, hour, "flow", edge.id, zf[e], zf[e] * costs.cf[e]))
+            if zt[e] > 1e-9:
+                rows.append((season, hour, "angle", edge.id, zt[e], zt[e] * costs.ct[e]))
+    return rows
+
+
 def shock_rows(result: ScenarioResult) -> list[tuple[str, str, float]]:
     """Per-region percent supply reduction for the downstream economy model."""
     return [(node, SECTOR_TAG, float(result.shock_percent[j]))
@@ -52,15 +92,15 @@ def _render(
     net: PowerNetwork,
     costs: AttackCosts | None,
     attacks: dict[tuple[str, int], dict[str, np.ndarray]],
-    opf_rows: int | None,
 ) -> tuple[dict[str, tuple[list[str], list[tuple]]], dict]:
     """A run's report files, as {file name: (header, rows)}, and its manifest.
 
     ``attacks`` holds the attack's zg, zf and zt arrays per (season, hour),
     as :func:`read_attack_csv` returns them; their attack_strategy.csv rows
-    are rendered at ``costs``, and none without prices.  ``opf_rows`` is
-    the row count of the run's opf_solution.csv, None when it has none.
-    :func:`export_results` writes exactly this, and ``gridshock verify``
+    are rendered at ``costs``, and none without prices.  The manifest counts
+    the opf_solution.csv rows of the result's hourly solutions, one
+    :func:`solution_layout` per hour, and lists no such file without them.
+    :func:`export_results` writes exactly this, and :func:`verify_run`
     compares a run directory with it.
     """
     H = result.unserved.shape[0]
@@ -107,8 +147,9 @@ def _render(
         "customers_affected": result.customers_affected,
         "files": {name: {"rows": len(rows)} for name, (_, rows) in tables.items()},
     }
-    if opf_rows is not None:
-        manifest["files"]["opf_solution.csv"] = {"rows": opf_rows}
+    if result.opf_hours:
+        manifest["files"]["opf_solution.csv"] = {
+            "rows": len(result.opf_hours) * len(solution_layout(net))}
     if costs is not None:
         # the run's prices, so that verify checks its spends without being told them
         manifest["attack_costs"] = {
@@ -135,13 +176,12 @@ def export_results(
 
     attacks = {} if result.plan is None else {
         (p.season, p.hour): {"zg": p.zg, "zf": p.zf, "zt": p.zt} for p in result.plan.hours}
-    orows = [(season, hour, entity, quantity, fmt(value, 17))
-             for sol in result.opf_hours
-             for season, hour, entity, quantity, value in solution_rows(sol, net)]
-    tables, manifest = _render(result, net, costs, attacks,
-                               len(orows) if result.opf_hours else None)
+    tables, manifest = _render(result, net, costs, attacks)
     if result.opf_hours:
-        tables["opf_solution.csv"] = (SOLUTION_COLUMNS, orows)
+        layout = solution_layout(net)
+        tables["opf_solution.csv"] = (SOLUTION_COLUMNS, [
+            (season, hour, entity, quantity, fmt(value, 17)) for sol in result.opf_hours
+            for season, hour, entity, quantity, value in solution_rows(sol, layout)])
     for name, (header, rows) in tables.items():
         _write_csv(outdir / name, header, rows)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -176,13 +216,14 @@ def export_sweep(
 
 
 def _read_rows(path: str | Path, columns: list[str]):
-    """Yield (line, {column: cell}, (season, hour)) for each row of the CSV
-    file at ``path``, whose header must be ``columns``.
+    """Yield (line, cells, hour) for each row of the CSV file at ``path``,
+    whose header must be ``columns``; ``hour`` is the row's hour as an int.
 
     Raises ValueError naming the file and line when the header is another,
     a row has more or fewer cells than the header, or its hour is not an
     integer.  Blank lines are skipped.
     """
+    at = columns.index("hour")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -195,13 +236,12 @@ def _read_rows(path: str | Path, columns: list[str]):
             if len(cells) != len(columns):
                 raise ValueError(f"{path}:{ln}: {len(cells)} cells where the header "
                                  f"has {len(columns)}")
-            row = dict(zip(columns, cells))
             try:
-                hour = int(row["hour"])
+                hour = int(cells[at])
             except ValueError:
-                raise ValueError(f"{path}:{ln}: hour {row['hour']!r} is not an "
+                raise ValueError(f"{path}:{ln}: hour {cells[at]!r} is not an "
                                  f"integer") from None
-            yield ln, row, (row["season"], hour)
+            yield ln, cells, hour
 
 
 def _number(path: str | Path, ln: int, column: str, cell: str) -> float:
@@ -211,48 +251,46 @@ def _number(path: str | Path, ln: int, column: str, cell: str) -> float:
         raise ValueError(f"{path}:{ln}: {column} {cell!r} is not a number") from None
 
 
-def read_solution_csv(path: str | Path) -> dict[tuple[str, int], dict[str, dict[str, float]]]:
-    """Load opf_solution.csv back as {(season, hour): {quantity: {entity: value}}}.
+def read_solutions(path: str | Path, net: PowerNetwork, demand: DemandProfile
+                   ) -> list[OpfSolution]:
+    """Read opf_solution.csv back as the hourly solutions it holds, on ``demand``.
 
-    Raises ValueError naming the file and line of a row :func:`_read_rows`
-    rejects, a value that is not a number, or a second row for the same
-    season, hour, quantity and entity.
+    The file must be what :func:`export_results` writes: one season of
+    ``demand``, named by the first row, with its hours 0..H-1 in order and
+    each hour's rows in :func:`solution_layout` order.  Raises ValueError
+    naming the file and line of a row :func:`_read_rows` rejects, of a
+    value that is not a number, or of the first row that is not the one
+    expected, with both rows.
     """
-    out: dict[tuple[str, int], dict[str, dict[str, float]]] = {}
-    for ln, row, key in _read_rows(path, SOLUTION_COLUMNS):
-        values = out.setdefault(key, {}).setdefault(row["quantity"], {})
-        if row["entity"] in values:
-            raise ValueError(f"{path}:{ln}: a second {row['quantity']} row for "
-                             f"{row['entity']} at {row['season']}/{row['hour']}")
-        values[row["entity"]] = _number(path, ln, "value", row["value"])
-    return out
-
-
-def rebuild_opf_solution(
-    net: PowerNetwork,
-    season: str,
-    hour: int,
-    data: dict[str, dict[str, float]],
-    demand: np.ndarray,
-    voll: np.ndarray,
-) -> OpfSolution:
-    """Reassemble an OpfSolution from exported rows (for the verify command).
-
-    Raises ValueError naming the first (quantity, entity) row that is missing.
-    """
-    def value(quantity: str, entity: str) -> float:
-        try:
-            return data[quantity][entity]
-        except KeyError:
-            raise ValueError(f"{season}/{hour}: no {quantity} row for {entity}") from None
-
-    arrays = {name: np.array([value(name, item.id) for item in getattr(net, kind)])
-              for kind, names in OPF_ARRAYS.items() for name in names}
-    return OpfSolution(
-        season=season, hour=hour, **arrays,
-        delta=value("delta", "system"), objective=value("objective", "system"),
-        demand=demand, voll=voll, shed_cost=float(voll @ arrays["u"]),
-    )
+    layout = solution_layout(net)
+    rows = _read_rows(path, SOLUTION_COLUMNS)
+    first = next(rows, None)
+    # a season the profile lacks fails at the first row, as the profile's first
+    season = first[1][0] if first and first[1][0] in demand.demand else demand.seasons[0]
+    rows = chain([first] if first else [], rows)
+    ln, sols = 1, []
+    for hour in range(demand.hours(season)):
+        values = {name: np.empty(len(getattr(net, kind)))
+                  for kind, names in OPF_ARRAYS.items() for name in names}
+        hour_cell = str(hour)  # as the exporter writes it: "01" is not hour 1
+        for entity, quantity, k in layout:
+            ln, cells, _ = next(rows, (ln + 1, None, None))
+            if (cells is None or cells[1] != hour_cell or cells[3] != quantity
+                    or cells[2] != entity or cells[0] != season):
+                found = "the end of the file" if cells is None else ",".join(cells)
+                raise ValueError(f"{path}:{ln}: expected {season},{hour},{entity},{quantity}"
+                                 f", found {found}")
+            value = _number(path, ln, "value", cells[4])
+            if k is None:
+                values[quantity] = value
+            else:
+                values[quantity][k] = value
+        d, voll = demand.demand[season][hour], demand.voll[season][hour]
+        sols.append(OpfSolution(season=season, hour=hour, **values, demand=d, voll=voll,
+                                shed_cost=float(voll @ values["u"])))
+    for ln, cells, _ in rows:  # a row past the last hour's
+        raise ValueError(f"{path}:{ln}: expected the end of the file, found {','.join(cells)}")
+    return sols
 
 
 def read_manifest(soldir: str | Path) -> dict | None:
@@ -307,8 +345,8 @@ def read_attack_costs(manifest: dict | None, net: PowerNetwork) -> AttackCosts |
         raise ValueError(f"manifest.json: attack_costs: {exc}") from None
 
 
-def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts | None
-                    ) -> dict[tuple[str, int], dict[str, np.ndarray]]:
+def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts | None,
+                    hours: set[tuple[str, int]]) -> dict[tuple[str, int], dict[str, np.ndarray]]:
     """Load attack_strategy.csv as {(season, hour): {zg, zf, zt}} arrays.
 
     Raises ValueError naming the file and line of a row :func:`_read_rows`
@@ -316,10 +354,12 @@ def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts | No
     not gen, flow or angle, whose z_value is not a number or lies outside
     [0, capacity] of its component (a generator's capacity is what lies
     above its must-run floor; within a relative ``ATTACK_RTOL``), or that
-    repeats the season, hour, component_type and entity of an earlier row;
-    and, given ``costs``, naming the file and season when the season's z
-    values times their prices add up to more than the budget (within a
-    relative ``ATTACK_RTOL`` too).  The spend column is not read.
+    repeats the season, hour, component_type and entity of an earlier row,
+    or whose season and hour are not one of ``hours``, the (season, hour)
+    pairs of the run's opf_solution.csv; and, given ``costs``, naming the
+    file and season when the season's z values times their prices add up
+    to more than the budget (within a relative ``ATTACK_RTOL`` too).  The
+    spend column is not read.
     """
     edges = {e.id: k for k, e in enumerate(net.edges)}
     arr = net.arrays
@@ -329,8 +369,10 @@ def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts | No
              "angle": ("zt", edges, arr.t_cap)}
     out: dict[tuple[str, int], dict[str, np.ndarray]] = {}
     seen: set[tuple] = set()
-    for ln, row, key in _read_rows(path, ATTACK_COLUMNS):
-        kind, entity = row["component_type"], row["entity"]
+    for ln, (season, _, kind, entity, z_cell, _), hour in _read_rows(path, ATTACK_COLUMNS):
+        key = (season, hour)
+        if key not in hours:
+            raise ValueError(f"{path}:{ln}: opf_solution.csv has no hour {season}/{hour}")
         if kind not in index:
             raise ValueError(f"{path}:{ln}: unknown component_type {kind!r}")
         name, ids, capacity = index[kind]
@@ -338,10 +380,10 @@ def read_attack_csv(path: str | Path, net: PowerNetwork, costs: AttackCosts | No
             raise ValueError(f"{path}:{ln}: unknown {kind} entity {entity!r}")
         if (key, kind, entity) in seen:
             raise ValueError(f"{path}:{ln}: a second {kind} row for {entity} at "
-                             f"{row['season']}/{row['hour']}")
+                             f"{season}/{hour}")
         seen.add((key, kind, entity))
         k = ids[entity]
-        z = _number(path, ln, "z_value", row["z_value"])
+        z = _number(path, ln, "z_value", z_cell)
         cap = float(capacity[k])
         if not 0.0 <= z <= cap * (1.0 + ATTACK_RTOL):
             raise ValueError(f"{path}:{ln}: z_value {z!r} outside [0, {cap!r}], "
@@ -394,7 +436,6 @@ def check_run_files(
     net: PowerNetwork,
     costs: AttackCosts | None,
     attacks: dict[tuple[str, int], dict[str, np.ndarray]],
-    opf_rows: int,
 ) -> None:
     """Check a run directory's manifest.json, and every file it lists but
     opf_solution.csv, against what :func:`export_results` writes for
@@ -402,11 +443,10 @@ def check_run_files(
     text cells.
 
     ``result`` is the run re-derived from its verified rows, ``costs`` and
-    ``attacks`` are read from the directory, and ``opf_rows`` is the number
-    of opf_solution.csv rows read.  Raises ValueError naming the file and
-    the key or line of the first difference.
+    ``attacks`` are read from the directory.  Raises ValueError naming the
+    file and the key or line of the first difference.
     """
-    tables, want = _render(result, net, costs, attacks, opf_rows)
+    tables, want = _render(result, net, costs, attacks)
     # compared as the file would hold it: JSON types, as json.dumps writes them
     diff = _json_difference(manifest, json.loads(json.dumps(want)))
     if diff is not None:
@@ -421,3 +461,66 @@ def check_run_files(
         for ln, (got, line) in enumerate(zip_longest(have, lines), start=1):
             if got != line:
                 raise ValueError(f"{name}:{ln}: {_line_difference(header, got, line)}")
+
+
+def verify_run(soldir: str | Path, net: PowerNetwork, demand: DemandProfile,
+               heatwave_factor: float | None = None, dump: str | Path | None = None
+               ) -> tuple[int, float]:
+    """Check a run directory as ``gridshock verify`` does; return the number
+    of hourly solutions in its opf_solution.csv and their largest KKT residual.
+
+    The demand is ``demand`` scaled by ``heatwave_factor``, else by the factor
+    manifest.json records.  Every hour :func:`read_solutions` reads must pass
+    its equilibrium certificate at ``CERT_TOL`` under the attack
+    :func:`read_attack_csv` reads for it, at the manifest's prices; with a
+    manifest, :func:`check_run_files` then checks the run re-derived from
+    those hours.  Given ``dump``, every hour's residuals are written to
+    ``dump``/kkt_residuals.csv first, failed hours included.  Raises
+    FileNotFoundError without opf_solution.csv, and ValueError, naming the
+    file, at the first check that fails.
+    """
+    soldir = Path(soldir)
+    solfile = soldir / "opf_solution.csv"
+    if not solfile.exists():
+        raise FileNotFoundError(f"{solfile} not found")
+    manifest = read_manifest(soldir)
+    # spends are checked at the prices and budget the run's manifest records
+    costs = read_attack_costs(manifest, net)
+    factor = (heatwave_factor if heatwave_factor is not None
+              else (manifest or {}).get("heatwave_factor", 1.0))
+    profile = apply_heatwave(demand, factor) if factor != 1.0 else demand
+    sols = read_solutions(solfile, net, profile)
+    attacks = {}
+    attack_file = soldir / "attack_strategy.csv"
+    if attack_file.exists():
+        attacks = read_attack_csv(attack_file, net, costs, {(s.season, s.hour) for s in sols})
+    if attacks and manifest is not None and costs is None:
+        raise ValueError("manifest.json: no attack_costs to price the rows of "
+                         "attack_strategy.csv")
+    worst, failed, dump_rows = 0.0, None, []
+    for sol in sols:
+        z = attacks.get((sol.season, sol.hour), {})
+        res = kkt_residuals(net, sol, z.get("zg"), z.get("zf"), z.get("zt"))
+        worst = max(worst, res.overall_max())
+        if dump is not None:
+            dump_rows += [(sol.season, sol.hour, *row) for row in residual_rows(res)]
+        if failed is None and not verify_equilibrium(res, CERT_TOL):
+            failed = f"{sol.season}/{sol.hour}: max residual {res.overall_max():.3e}"
+    if dump is not None:
+        Path(dump).mkdir(parents=True, exist_ok=True)
+        _write_csv(Path(dump) / "kkt_residuals.csv",
+                   ["season", "hour", "block", "index", "residual"], dump_rows)
+    if failed is not None:
+        raise ValueError(failed)
+    if manifest is not None:
+        try:
+            cfg = ScenarioConfig(kind=manifest.get("scenario"),
+                                 season=manifest.get("season"), heatwave_factor=factor)
+        except ValueError as exc:
+            raise ValueError(f"manifest.json: {exc}") from None
+        if cfg.season != sols[0].season:
+            raise ValueError(f"manifest.json: season {cfg.season!r} has no rows in "
+                             f"opf_solution.csv")
+        check_run_files(soldir, manifest, _metrics(cfg, net, profile, sols), net, costs,
+                        attacks if _attacked(cfg) else {})
+    return len(sols), worst

@@ -12,7 +12,6 @@ import gridshock.attack as attack_mod
 from gridshock.attack import (
     AttackCosts,
     AttackPlan,
-    attack_rows,
     build_hourly_attack_milp,
     default_bigm,
     default_costs,
@@ -23,6 +22,7 @@ from gridshock.attack import (
 )
 import gridshock.dcopf as dcopf_mod
 from gridshock.dcopf import OpfSolution, SeasonDispatch, solve_dcopf
+from gridshock.reporting import attack_rows
 from gridshock.kkt import kkt_residuals, verify_equilibrium
 from gridshock.network import apply_heatwave
 from gridshock.cli import bundled_path

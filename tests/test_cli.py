@@ -57,6 +57,32 @@ def test_nonfinite_or_out_of_range_config_exits_1(files, capsys, key, value):
     assert not (tmp / "atk").exists()
 
 
+def _infinite_flow_limit(text):
+    doc = json.loads(text)
+    doc["edges"][0]["flow_limit_mw"] = float("inf")  # json.dumps writes Infinity
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name, edit, command, message", [
+    ("demand16.csv", lambda t: t.replace("summer,0,Z05,147.2,", "summer,0,Z05,nan,"),
+     "solve-opf", ":6: demand_mw 'nan' is not a finite number"),
+    ("demand16.csv", lambda t: t.replace("summer,0,Z05,147.2,", "summer,0,Z05,inf,"),
+     "solve-opf", ":6: demand_mw 'inf' is not a finite number"),
+    ("demand16.csv", lambda t: t.replace("summer,0,Z05,147.2,2600.0", "summer,0,Z05,147.2,inf"),
+     "solve-opf", ":6: voll 'inf' is not a finite number"),
+    ("network16.json", _infinite_flow_limit, "attack", ": Infinity is not a JSON number"),
+], ids=["demand_nan", "demand_inf", "voll_inf", "flow_limit_infinity"])
+def test_nonfinite_input_file_exits_1(tmp_path, capsys, name, edit, command, message):
+    # a NaN or an infinity in an input file is bad input, named by file and line,
+    # not a solver failure or a run that its own verify rejects
+    path = tmp_path / name
+    path.write_text(edit(bundled_path(name).read_text()))
+    flag = "--demand" if name.endswith(".csv") else "--network"
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {path}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_opf_and_dump_lp(files):
     net, net_path, dem_path, cfg_path, tmp = files
     rc = main(["solve-opf", "--network", str(net_path), "--demand", str(dem_path),
@@ -183,6 +209,8 @@ def test_verify_roundtrip_and_corruption(files):
 
 
 def test_verify_rejects_missing_hour_or_row(files, capsys):
+    # opf_solution.csv is read in the exporter's order: the first row out of
+    # place fails, naming the line, the row expected there and the row found
     net, net_path, dem_path, cfg_path, tmp = files
     assert main(["attack", "--network", str(net_path), "--demand", str(dem_path),
                  "--config", str(cfg_path), "--out", str(tmp / "run")]) == 0
@@ -192,31 +220,40 @@ def test_verify_rejects_missing_hour_or_row(files, capsys):
               "--solution", str(tmp / "run")]
     assert main(verify) == 0
     capsys.readouterr()
+
+    def key(row):
+        return ",".join(row.split(",")[:4])
+
     # a whole hour gone
-    sol.write_text("\n".join([header] + [r for r in rows if r.split(",")[1] != "1"]) + "\n")
+    hour0 = [r for r in rows if r.split(",")[1] != "1"]
+    sol.write_text("\n".join([header] + hour0) + "\n")
     assert main(verify) == 2
-    assert capsys.readouterr().out.startswith("FAIL summer: no rows for hours [1]")
+    assert capsys.readouterr().out == (f"FAIL {sol}:{len(hour0) + 2}: expected "
+                                       f"{key(rows[len(hour0)])}, found the end of the file\n")
     # one row gone whose value is zero, so a zero fill would still verify
     gone = next(i for i, r in enumerate(rows) if float(r.split(",")[4]) == 0.0)
     sol.write_text("\n".join([header] + rows[:gone] + rows[gone + 1:]) + "\n")
     assert main(verify) == 2
-    assert capsys.readouterr().out.startswith("FAIL summer/")
+    assert capsys.readouterr().out == (f"FAIL {sol}:{gone + 2}: expected {key(rows[gone])}, "
+                                       f"found {rows[gone + 1]}\n")
     # a second row for one value: only one of the two could be certified
     sol.write_text("\n".join([header] + rows[:gone + 1] + rows[gone:]) + "\n")
     assert main(verify) == 2
-    assert capsys.readouterr().out.startswith(f"FAIL {sol}:{gone + 3}: a second ")
+    assert capsys.readouterr().out == (f"FAIL {sol}:{gone + 3}: expected "
+                                       f"{key(rows[gone + 1])}, found {rows[gone]}\n")
     # an hour the demand profile does not have
     sol.write_text("\n".join([header] + rows + [r.replace("summer,0,", "summer,2,", 1)
                                                 for r in rows if r.startswith("summer,0,")])
                    + "\n")
     assert main(verify) == 2
-    assert capsys.readouterr().out.startswith("FAIL summer: no rows for hours [], "
-                                              "rows for unknown hours [2]")
+    assert capsys.readouterr().out == (f"FAIL {sol}:{len(rows) + 2}: expected the end of "
+                                       f"the file, found {rows[0].replace(',0,', ',2,', 1)}\n")
     # a season the demand profile does not have
     sol.write_text("\n".join([header] + [r.replace("summer,", "winter,", 1) for r in rows])
                    + "\n")
     assert main(verify) == 2
-    assert capsys.readouterr().out.startswith("FAIL winter: season not in")
+    assert capsys.readouterr().out == (f"FAIL {sol}:2: expected {key(rows[0])}, found "
+                                       f"{rows[0].replace('summer,', 'winter,', 1)}\n")
 
 
 def test_verify_rejects_unknown_attack_entity(tmp_path, capsys):
@@ -316,6 +353,81 @@ def test_verify_rejects_a_repeated_attack_row(cyber_run, tmp_path, capsys, manif
     assert main(["verify", "--solution", str(run)]) == 2
     assert capsys.readouterr().out == (f"FAIL {strategy}:3: a second flow row for E15 at "
                                        f"summer/17\n")
+
+@pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no_manifest"])
+@pytest.mark.parametrize("name, added, line, message", [
+    # rows past the last one the exporter writes
+    ("opf_solution.csv", ["summer,3,ZZZ,g,12345", "summer,3,G01,bogus,1"], None,
+     "expected the end of the file, found summer,3,ZZZ,g,12345"),
+    # a row for a winter hour of the summer run, spending within the budget's tolerance
+    ("attack_strategy.csv", ["winter,3,gen,G01,2.0000000000000001e-09,2.0000000000000001e-09"],
+     3, "opf_solution.csv has no hour winter/3"),
+], ids=["unknown_entity_or_quantity", "attack_hour_without_solution"])
+def test_verify_rejects_rows_the_run_does_not_hold(cyber_run, tmp_path, capsys, manifest, name,
+                                                   added, line, message):
+    """Rows inserted at ``line`` (None: appended) fail there, also when the
+    manifest counts them."""
+    run = _copy_run(cyber_run, tmp_path, manifest)
+    path = run / name
+    if line is None:
+        line = len(path.read_text().splitlines()) + 1
+    _edit_lines(path, lambda ls: ls[:line - 1] + added + ls[line - 1:])
+    if manifest:
+        rows = json.loads((run / "manifest.json").read_text())["files"][name]["rows"]
+        _set_entry(run / "manifest.json", ["files", name, "rows"], rows + len(added))
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    assert capsys.readouterr().out == f"FAIL {path}:{line}: {message}\n"
+
+
+def test_verify_reads_the_hour_as_the_exporter_writes_it(cyber_run, tmp_path, capsys):
+    # int() reads "01" as hour 1, but the exporter never writes it so
+    run = _copy_run(cyber_run, tmp_path, True)
+    sol = run / "opf_solution.csv"
+    _edit_lines(sol, lambda ls: [ln.replace("summer,1,", "summer,01,", 1) for ln in ls])
+    line = next(i for i, ln in enumerate(sol.read_text().splitlines(), start=1)
+                if ln.startswith("summer,01,"))
+    capsys.readouterr()
+    assert main(["verify", "--solution", str(run)]) == 2
+    assert capsys.readouterr().out.startswith(
+        f"FAIL {sol}:{line}: expected summer,1,G01,g, found summer,01,G01,g,")
+
+
+@pytest.mark.parametrize("factor", ["inf", "0"])
+def test_verify_rejects_a_bad_heatwave_factor_flag(cyber_run, capsys, factor):
+    # a bad flag is bad usage (exit 1), not a failed check of the run
+    assert main(["verify", "--solution", str(cyber_run), "--heatwave-factor", factor]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: heatwave_factor must be finite and positive")
+
+
+def _residual_rows(path):
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
+def test_verify_dump_lp_writes_every_hours_residuals(cyber_run, tmp_path, capsys):
+    # --dump-lp writes kkt_residuals.csv into --out, also when an hour fails
+    run = tmp_path / "run"
+    shutil.copytree(cyber_run, run)
+    passing, failing = tmp_path / "pass", tmp_path / "fail"
+    assert main(["verify", "--solution", str(run), "--dump-lp", "--out", str(passing)]) == 0
+    sol = run / "opf_solution.csv"
+    _edit_lines(sol, lambda ls: [ls[0], ls[1].rsplit(",", 1)[0] + ",12345"] + ls[2:])
+    assert main(["verify", "--solution", str(run), "--dump-lp", "--out", str(failing)]) == 2
+    assert capsys.readouterr().out.splitlines()[1].startswith("FAIL summer/0: max residual ")
+    for out in (passing, failing):
+        header, rows = _residual_rows(out / "kkt_residuals.csv")
+        assert header == ["season", "hour", "block", "index", "residual"]
+        assert sorted({(season, int(hour)) for season, hour, *_ in rows}) == [
+            ("summer", h) for h in range(24)]
+    # the same residual rows, but for the changed hour
+    _, good = _residual_rows(passing / "kkt_residuals.csv")
+    _, bad = _residual_rows(failing / "kkt_residuals.csv")
+    assert len(good) == len(bad)
+    assert {r[1] for r, s in zip(good, bad) if r != s} == {"0"}
+
 
 def _drop_recorded_prices(run):
     manifest = json.loads((run / "manifest.json").read_text())

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 import gridshock.dcopf as dcopf_mod
 from gridshock import simplex
 from gridshock.dcopf import (OPF_ARRAYS, SeasonDispatch, build_dcopf, dispatch_form,
-                             solve_day, solve_dcopf, solution_rows)
+                             solve_day, solve_dcopf)
 from gridshock.network import DemandProfile, apply_heatwave
+from gridshock.reporting import solution_layout, solution_rows
 from support import one_bus, profile_for, tight_two_bus, two_bus
 
 VOLL = 1000.0
@@ -107,7 +108,7 @@ def test_solve_day_runs_all_hours(bundled_net, bundled_demand):
 
 def test_solution_rows_cover_entities(bundled_net, bundled_demand):
     sol = solve_dcopf(bundled_net, bundled_demand, "summer", 0)
-    rows = solution_rows(sol, bundled_net)
+    rows = solution_rows(sol, solution_layout(bundled_net))
     quantities = {r[3] for r in rows}
     assert {"g", "f", "u", "theta", "pi_d", "pi_f", "delta", "objective"} <= quantities
 

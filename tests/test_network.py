@@ -13,6 +13,7 @@ from gridshock.network import (
     load_network,
     save_demand,
     save_network,
+    validate_network,
 )
 from support import (entity_gen_map, entity_incidence, entity_limits, one_bus, profile_for,
                      triangle, two_bus)
@@ -88,6 +89,29 @@ def test_customer_shares_must_sum_to_one(tmp_path):
     doc["nodes"][0]["customer_share"] = 0.9
     with pytest.raises(NetworkValidationError, match="customer shares"):
         load_network(write_net(tmp_path, doc))
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_nan_and_infinity_are_not_json(tmp_path, constant):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(MINIMAL).replace('"flow_limit_mw": 100.0',
+                                                f'"flow_limit_mw": {constant}'))
+    with pytest.raises(NetworkParseError, match=f"{path}: {constant} is not a JSON number"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("edges", "susceptance", np.inf), ("edges", "flow_limit", np.inf),
+    ("edges", "angle_limit", np.nan), ("generators", "g_max", np.inf),
+    ("generators", "cost", np.nan), ("generators", "cost", np.inf),
+    ("nodes", "customer_share", np.nan),
+])
+def test_network_numbers_must_be_finite(kind, field, value):
+    net = two_bus()
+    items = list(getattr(net, kind))
+    items[0] = replace(items[0], **{field: value})
+    with pytest.raises(NetworkValidationError):
+        validate_network(replace(net, **{kind: tuple(items)}))
 
 
 def test_malformed_json_is_parse_error(tmp_path):

@@ -15,8 +15,7 @@ from gridshock.reporting import (
     read_attack_costs,
     read_attack_csv,
     read_manifest,
-    read_solution_csv,
-    rebuild_opf_solution,
+    read_solutions,
     shock_rows,
 )
 from gridshock.kkt import kkt_residuals, verify_equilibrium
@@ -103,14 +102,14 @@ def test_baseline_export_all_zero(tmp_path):
 def test_solution_csv_verifies_after_roundtrip(tmp_path, small_run):
     net, prof, cfg, costs, res = small_run
     export_results(res, tmp_path / "run", net, costs)
-    data = read_solution_csv(tmp_path / "run" / "opf_solution.csv")
-    attacks = read_attack_csv(tmp_path / "run" / "attack_strategy.csv", net, costs)
-    assert len(data) == 2
     from gridshock.network import apply_heatwave
     hot = apply_heatwave(prof, cfg.heatwave_factor)
-    for (season, hour), quantities in data.items():
-        sol = rebuild_opf_solution(net, season, hour, quantities,
-                                   hot.demand[season][hour], hot.voll[season][hour])
+    sols = read_solutions(tmp_path / "run" / "opf_solution.csv", net, hot)
+    attacks = read_attack_csv(tmp_path / "run" / "attack_strategy.csv", net, costs,
+                              {(sol.season, sol.hour) for sol in sols})
+    assert len(sols) == 2
+    for sol in sols:
+        season, hour = sol.season, sol.hour
         z = attacks.get((season, hour), {})
         ok = verify_equilibrium(
             kkt_residuals(net, sol, z.get("zg"), z.get("zf"), z.get("zt")), 1e-5)
@@ -132,8 +131,10 @@ def test_sweep_export_layout(tmp_path):
     assert [int(r["iteration"]) for r in rows] == [1, 2]
 
 
-# tight_two_bus prices that the hand-written attack rows below are spent at
+# tight_two_bus prices that the hand-written attack rows below are spent at,
+# and the hours of solutions they may name
 ROW_PRICES = AttackCosts(np.ones(2), np.array([5.0]), np.array([600.0]), 1000.0)
+ROW_HOURS = {(season, hour) for season in ("summer", "winter") for hour in (0, 1)}
 
 
 def test_attack_csv_keys_by_season_and_hour(tmp_path):
@@ -143,7 +144,7 @@ def test_attack_csv_keys_by_season_and_hour(tmp_path):
                     "summer,0,gen,g1,5,5\n"
                     "winter,0,flow,e1,3,15\n"
                     "winter,1,angle,e1,0.25,150\n")
-    attacks = read_attack_csv(path, net, ROW_PRICES)
+    attacks = read_attack_csv(path, net, ROW_PRICES, ROW_HOURS)
     assert sorted(attacks) == [("summer", 0), ("winter", 0), ("winter", 1)]
     summer, winter = attacks[("summer", 0)], attacks[("winter", 0)]
     assert summer["zg"].tolist() == [5.0, 0.0] and not summer["zf"].any()
@@ -161,7 +162,7 @@ def test_attack_csv_rejects_unknown_rows(tmp_path, row, message):
     path.write_text("season,hour,component_type,entity,z_value,spend\n"
                     f"summer,0,gen,g1,1,1\n{row}\n")
     with pytest.raises(ValueError, match=message):
-        read_attack_csv(path, tight_two_bus(), ROW_PRICES)
+        read_attack_csv(path, tight_two_bus(), ROW_PRICES, ROW_HOURS)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -176,7 +177,7 @@ def test_attack_csv_rejects_nan_and_must_run_capacity(tmp_path, row, message):
     path = tmp_path / "attack_strategy.csv"
     path.write_text(f"season,hour,component_type,entity,z_value,spend\n{row}\n")
     with pytest.raises(ValueError, match=re.escape(message)):
-        read_attack_csv(path, net, ROW_PRICES)
+        read_attack_csv(path, net, ROW_PRICES, ROW_HOURS)
 
 
 def test_attack_csv_rejects_spends_over_the_seasonal_budget(tmp_path):
@@ -186,11 +187,11 @@ def test_attack_csv_rejects_spends_over_the_seasonal_budget(tmp_path):
             "winter,0,angle,e1,1,600\n")
     path.write_text(rows)
     # 600 per season: within the budget of 1000, as each season has its own
-    read_attack_csv(path, tight_two_bus(), ROW_PRICES)
+    read_attack_csv(path, tight_two_bus(), ROW_PRICES, ROW_HOURS)
     path.write_text(rows + "summer,1,angle,e1,1,600\n")
     with pytest.raises(ValueError, match=re.escape(
             "attack_strategy.csv: summer spends 1200.0 in total, more than the budget 1000.0")):
-        read_attack_csv(path, tight_two_bus(), ROW_PRICES)
+        read_attack_csv(path, tight_two_bus(), ROW_PRICES, ROW_HOURS)
 
 
 def test_manifest_records_the_heatwave_factor(tmp_path, small_run):
