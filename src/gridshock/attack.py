@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcopf import OpfSolution, SeasonDispatch, dispatch_vertex, solve_dcopf
+from .dcopf import (OpfInfeasibleError, OpfSolution, SeasonDispatch, dispatch_vertex,
+                    solve_dcopf)
 from .kkt import (PAIR_BLOCKS, PAIR_DUALS, complementarity_pairs, kkt_residuals,
                   verify_equilibrium)
 from .milp import MilpProblem, solve_milp
@@ -41,7 +42,6 @@ from .network import DemandProfile, PowerNetwork
 from .simplex import LpProblem
 
 MICRO_PENALTY = 1e-9  # prefers minimal-effort attacks among ties
-ZONE_PACKAGES = 3  # zone opening packages the greedy attack evaluates exactly
 GREEDY_SHORTLIST = 12  # single moves per greedy step, ranked by capacity rent
 CERT_TOL = 1e-5
 BIGM_GROWTH = 10.0
@@ -431,7 +431,8 @@ def _zone_packages(
     For each zone, buy reductions cheapest-first (local units, then
     incident lines) until the budget runs out, and estimate the shed as
     the reduction bought beyond the zone's capacity margin.  Returns the
-    (zg, zf) vectors of the best few estimates for exact evaluation.
+    (zg, zf) vectors of every zone whose estimate is positive, largest
+    estimate first, for exact evaluation.
     """
     G, E = net.num_generators, net.num_edges
     arr = net.arrays
@@ -462,98 +463,80 @@ def _zone_packages(
         if est > 1e-9:
             ranked.append((est, n, zg, zf))
     ranked.sort(key=lambda t: (-t[0], t[1]))
-    return [(zg, zf) for _, _, zg, zf in ranked[:ZONE_PACKAGES]]
-
-
-def _run_dispatch(net: PowerNetwork, demand: DemandProfile, season: str,
-                  dispatch: SeasonDispatch | None) -> SeasonDispatch:
-    """``dispatch`` when given, else a new one for (net, demand, season).
-
-    An attack run makes one and hands it to every hourly solve, so the hours
-    share one dispatch form and each hour's unattacked dispatch is solved once.
-    """
-    if dispatch is None:
-        return SeasonDispatch(net, demand, season)
-    if dispatch.net is not net or dispatch.demand is not demand or dispatch.season != season:
-        raise ValueError("dispatch object belongs to another network, demand or season")
-    return dispatch
+    return [(zg, zf) for _, _, zg, zf in ranked]
 
 
 def greedy_attack(
-    net: PowerNetwork,
-    demand: DemandProfile,
-    season: str,
+    dispatch: SeasonDispatch,
     hour: int,
     costs: AttackCosts,
     budget: float,
-    dispatch: SeasonDispatch | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, OpfSolution]:
-    """Greedy capacity-kill incumbent: zone opening package, then best moves.
+    """Greedy capacity-kill incumbent for one hour of ``dispatch``'s day.
 
-    Stage one evaluates the most promising zone-isolation packages (see
-    :func:`_zone_packages`) exactly.  Stage two repeatedly buys the best
-    single capacity reduction, shortlisted by the current dispatch's
-    capacity rents; each evaluation is one dispatch LP, warm-started from
-    the unattacked dispatch's basis.  Candidates are ranked on the shed of
-    their optimal vertex (:func:`dispatch_vertex`); only the package and
-    the moves the search adopts are finished into an :class:`OpfSolution`,
-    the same one :func:`solve_dcopf` returns, and the other vertices are
-    dropped as soon as they lose.  Deterministic.
-
-    ``dispatch`` is the run's :class:`SeasonDispatch` (see
-    :func:`_run_dispatch`); the search opens from its unattacked dispatch.
+    From the hour's unattacked dispatch, the first step's candidates are the
+    zone packages (:func:`_zone_packages`); each later step's, at most
+    ``2 * (G + E)`` steps, are the ``GREEDY_SHORTLIST`` single capacity
+    reductions the remaining budget affords with the largest rent per
+    budget unit.  Every step adopts by one rule: each candidate is one
+    dispatch LP, warm-started from the unattacked basis and ranked on the
+    shed of its optimal vertex (:func:`dispatch_vertex`), and the one
+    adopted sheds more than the current dispatch, and more than the step's
+    best earlier candidate, by more than 1e-9.  A candidate without a
+    feasible dispatch is skipped: the attack MILP admits no such attack.
+    Only adopted candidates are finished, into the :class:`OpfSolution`
+    :func:`solve_dcopf` returns, and the remaining budget is then
+    ``budget`` less the attack's spend.  The search stops at the first
+    move step that adopts nothing.  Deterministic.
     """
-    dispatch = _run_dispatch(net, demand, season, dispatch)
-    form = dispatch.form
+    net, demand, season, form = dispatch.net, dispatch.demand, dispatch.season, dispatch.form
     G, E = net.num_generators, net.num_edges
     arr = net.arrays
-    kill_room, f_cap = arr.g_span, arr.f_cap
-    zg = np.zeros(G)
-    zf = np.zeros(E)
-    zt = np.zeros(E)
+    zg, zf, zt = np.zeros(G), np.zeros(E), np.zeros(E)
     remaining = budget
     current = dispatch.base(hour)
-    basis = current.basis  # every candidate below re-solves this LP with lower bounds
+    basis = current.basis  # every candidate re-solves this LP with lower bounds
 
-    best_pack = None
-    for pzg, pzf in _zone_packages(net, demand, season, hour, costs, budget):
-        vx = dispatch_vertex(net, demand, season, hour, pzg, pzf, zt, basis=basis, form=form)
-        if vx.shed_cost > current.shed_cost + 1e-9 and (
-                best_pack is None or vx.shed_cost > best_pack[2].shed_cost):
-            best_pack = (pzg, pzf, vx)
-    if best_pack is not None:
-        zg, zf, current = best_pack[0].copy(), best_pack[1].copy(), best_pack[2].finish()
+    def adopt(candidates) -> bool:
+        """Adopt the step's best (zg, zf) candidate; False when none qualifies."""
+        nonlocal zg, zf, current, remaining
+        best_gain, best = 0.0, None
+        for tg, tf in candidates:
+            try:
+                vx = dispatch_vertex(net, demand, season, hour, tg, tf, zt, basis=basis,
+                                     form=form)
+            except OpfInfeasibleError:
+                continue
+            gain = vx.shed_cost - current.shed_cost
+            if gain > best_gain + 1e-9:
+                best_gain, best = gain, (tg, tf, vx)
+        if best is None:
+            return False
+        zg, zf, current = best[0], best[1], best[2].finish()
         remaining = budget - costs.spend(zg, zf, zt)
+        return True
 
+    adopt(_zone_packages(net, demand, season, hour, costs, budget))
     for _ in range(2 * (G + E)):
         if remaining <= 1e-9:
             break
-        cands: list[tuple[float, int, int, float, float]] = []
+        ranked: list[tuple[float, int, int, float]] = []
         # rank by rent per budget unit; rents bound the local value of capacity
         for kind, room, prices, rents in (
-                (0, kill_room - zg, costs.cg, current.rho_g_up),
-                (1, f_cap - zf, costs.cf, np.maximum(current.rho_f_up, current.rho_f_lo))):
+                (0, arr.g_span - zg, costs.cg, current.rho_g_up),
+                (1, arr.f_cap - zf, costs.cf, np.maximum(current.rho_f_up, current.rho_f_lo))):
             for i, price in enumerate(prices):
                 amount = min(room[i], remaining / price)
                 if amount > 1e-9:
-                    cands.append(((rents[i] + 1e-12) / price, kind, i, amount, price))
-        if not cands:
-            break
-        cands.sort(key=lambda t: (-t[0], t[1], t[2]))
-        best_gain = 0.0
-        best = None
-        for _, kind, idx, amount, price in cands[:GREEDY_SHORTLIST]:
+                    ranked.append(((rents[i] + 1e-12) / price, kind, i, amount))
+        ranked.sort(key=lambda t: (-t[0], t[1], t[2]))
+        moves = []
+        for _, kind, idx, amount in ranked[:GREEDY_SHORTLIST]:
             tg, tf = zg.copy(), zf.copy()
             (tf if kind else tg)[idx] += amount
-            vx = dispatch_vertex(net, demand, season, hour, tg, tf, zt, basis=basis, form=form)
-            gain = vx.shed_cost - current.shed_cost
-            if gain > best_gain + 1e-9:
-                best_gain, best = gain, (tg, tf, vx, amount * price)
-        if best is None:
+            moves.append((tg, tf))
+        if not adopt(moves):
             break
-        zg, zf, vx, cost = best
-        current = vx.finish()
-        remaining -= cost
     return zg, zf, zt, current
 
 
@@ -691,12 +674,15 @@ def solve_hourly_attack(
     """
     if bigm is None:
         bigm = default_bigm(net, demand)
-    dispatch = _run_dispatch(net, demand, season, dispatch)
+    if dispatch is None:
+        dispatch = SeasonDispatch(net, demand, season)
+    elif dispatch.net is not net or dispatch.demand is not demand or dispatch.season != season:
+        raise ValueError("dispatch object belongs to another network, demand or season")
     if hourly_budget <= 1e-12:
         return _certified_hour(dispatch, hour, costs, *dispatch.no_attack, dispatch.base(hour),
                                "optimal", 0, bigm)
 
-    best = greedy_attack(net, demand, season, hour, costs, hourly_budget, dispatch)
+    best = greedy_attack(dispatch, hour, costs, hourly_budget)
     if node_limit == 0:
         return _certified_hour(dispatch, hour, costs, *best, "heuristic", 0, bigm)
     return _solve_certified(dispatch, [hour], costs, hourly_budget, bigm, node_limit,
@@ -735,8 +721,7 @@ def solve_full_milp(
 
     budget = costs.budget
     # warm candidate: greedy at budget / H in every hour
-    warm_parts = [greedy_attack(net, demand, season, h, costs, budget / len(hours), dispatch)
-                  for h in hours]
+    warm_parts = [greedy_attack(dispatch, h, costs, budget / len(hours)) for h in hours]
     parts = _solve_certified(dispatch, hours, costs, budget, bigm, node_limit, warm_parts)
     return AttackPlan(season, parts, budget)
 
@@ -747,15 +732,13 @@ def _beats(value: float, reference: float) -> bool:
 
 
 def run_attack(
-    net: PowerNetwork,
-    demand: DemandProfile,
-    season: str,
+    dispatch: SeasonDispatch,
     costs: AttackCosts,
     *,
     node_limit: int = 20_000,
-    dispatch: SeasonDispatch | None = None,
 ) -> AttackPlan:
-    """A day's attack: the best split of ``costs.budget`` over the hours on a grid.
+    """The attack on ``dispatch``'s day: the best split of ``costs.budget``
+    over its hours on a grid.
 
     One pass, K = ``BUDGET_STEPS`` and q = budget / K:
 
@@ -769,20 +752,16 @@ def run_attack(
       split of at most K steps with the largest total, the fewest steps
       among equal totals.
 
-    That costs H + H + live * (K - 1) hourly solves, all on one
-    :class:`SeasonDispatch`: one dispatch form for every hour, and each
-    hour's unattacked dispatch solved once.
-
-    ``dispatch`` is that :class:`SeasonDispatch` of ``(net, demand,
-    season)``, when the caller shares it between runs: a ladder passes one
-    to each of its steps, which then solve the unattacked day once and
-    share the form's store of basis inverses.  Without it the run makes its
-    own, with every hour's unattacked dispatch solved first, chained hour
-    to hour; build a shared one the same way for the same answer.
+    That costs H + H + live * (K - 1) hourly solves, all on ``dispatch``:
+    one dispatch form for every hour, and each hour's unattacked dispatch
+    solved once.  :func:`scenarios.scenario_dispatch` builds the day with
+    every hour's unattacked dispatch solved up front, chained hour to hour;
+    a ladder passes one such day to each of its steps, which then share
+    the unattacked day and the form's store of basis inverses.
     """
+    net, demand, season = dispatch.net, dispatch.demand, dispatch.season
     budget = costs.budget
     hours = range(demand.hours(season))
-    dispatch = dispatch if dispatch is not None else SeasonDispatch(net, demand, season, hours)
     K = BUDGET_STEPS
 
     def solve(hour: int, b: float) -> HourlyAttack:

@@ -225,20 +225,30 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], what: str):
 
 def load_network(path: str | Path) -> PowerNetwork:
     """Load and validate a network file; parse is strict (unknown keys, NaN
-    and Infinity rejected)."""
+    and Infinity rejected).  Every error it raises names the file."""
     path = Path(path)
 
     def constant(name: str):
-        raise NetworkParseError(f"{path}: {name} is not a JSON number")
+        raise NetworkParseError(f"{name} is not a JSON number")
     try:
         raw = json.loads(path.read_text(), parse_constant=constant)
     except FileNotFoundError:
         raise
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise NetworkParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise NetworkParseError(f"{path}: top level must be an object")
     _check_keys(raw, _TOP_KEYS, _TOP_KEYS - {"name"}, str(path))
+    try:
+        return validate_network(_network_of(raw, path.stem))
+    except NetworkValidationError as exc:
+        raise NetworkValidationError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise NetworkParseError(f"{path}: {exc}") from exc
+
+
+def _network_of(raw: dict, stem: str) -> PowerNetwork:
+    """The network a parsed network file describes, unvalidated."""
     nodes = []
     for obj in raw["nodes"]:
         _check_keys(obj, _NODE_KEYS, {"id", "customer_share"}, f"node {obj.get('id', '?')}")
@@ -256,15 +266,14 @@ def load_network(path: str | Path) -> PowerNetwork:
         gens.append(Generator(str(obj["id"]), str(obj["node"]), str(obj["technology"]),
                               float(obj["min_mw"]), float(obj["max_mw"]),
                               float(obj["cost_per_mwh"])))
-    net = PowerNetwork(
-        name=str(raw.get("name", path.stem)),
+    return PowerNetwork(
+        name=str(raw.get("name", stem)),
         nodes=tuple(nodes),
         edges=tuple(edges),
         generators=tuple(gens),
         reference_node=str(raw["reference_node"]),
         total_customers=int(raw["total_customers"]),
     )
-    return validate_network(net)
 
 
 def save_network(net: PowerNetwork, path: str | Path) -> None:
@@ -297,7 +306,7 @@ class DemandProfile:
 
     Arrays are H x N in the network's node order and read-only.  VOLL must
     exceed every generator marginal cost so shedding is never the cheap
-    option.
+    option; :func:`load_demand` checks that on every row.
     """
 
     node_ids: tuple[str, ...]
@@ -324,16 +333,6 @@ class DemandProfile:
     def hours(self, season: str) -> int:
         return self.demand[season].shape[0]
 
-    def check_voll_dominates(self, net: PowerNetwork) -> None:
-        if not net.generators:
-            return
-        max_cost = max(g.cost for g in net.generators)
-        for season, v in self.voll.items():
-            if not np.all(v > max_cost):
-                raise NetworkValidationError(
-                    f"season {season!r}: VOLL must exceed every generator cost "
-                    f"(max cost {max_cost})")
-
 
 def apply_heatwave(profile: DemandProfile, factor: float) -> DemandProfile:
     """Scale every demand entry by ``factor`` (VOLL unchanged); 0 < factor < inf."""
@@ -347,36 +346,51 @@ def apply_heatwave(profile: DemandProfile, factor: float) -> DemandProfile:
 
 
 def load_demand(path: str | Path, net: PowerNetwork) -> DemandProfile:
-    """Read the demand CSV; every (season, hour) must cover every node once."""
+    """Read the demand CSV; every (season, hour) must cover every node once.
+
+    Every error it raises names the file, and a bad row also its line.
+    """
     path = Path(path)
     idx = net.node_index()
+    max_cost = max((g.cost for g in net.generators), default=-np.inf)
     cells: dict[str, dict[int, dict[str, tuple[float, float]]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["season", "hour", "node", "demand_mw", "voll"]
-        if reader.fieldnames != expected:
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise NetworkParseError(f"{path}: {exc}") from exc
+    reader = csv.DictReader(lines)
+    expected = ["season", "hour", "node", "demand_mw", "voll"]
+    if reader.fieldnames != expected:
+        raise NetworkParseError(
+            f"{path}: expected columns {expected}, got {reader.fieldnames}")
+    for ln, row in enumerate(reader, start=2):
+        try:
+            season = row["season"]
+            hour = int(row["hour"])
+            node = row["node"]
+            dem = float(row["demand_mw"])
+            voll = float(row["voll"])
+        except (TypeError, ValueError) as exc:
+            raise NetworkParseError(f"{path}:{ln}: {exc}") from exc
+        for column, value in (("demand_mw", dem), ("voll", voll)):
+            if not math.isfinite(value):
+                raise NetworkParseError(f"{path}:{ln}: {column} {row[column]!r} is not "
+                                        f"a finite number")
+        if dem < 0:
+            raise NetworkValidationError(
+                f"{path}:{ln}: demand_mw {row['demand_mw']!r} is negative")
+        if not voll > max_cost:
+            raise NetworkValidationError(
+                f"{path}:{ln}: VOLL {row['voll']!r} must exceed every generator cost "
+                f"(max cost {max_cost})")
+        if node not in idx:
+            raise NetworkParseError(f"{path}:{ln}: unknown node {node!r}")
+        slot = cells.setdefault(season, {}).setdefault(hour, {})
+        if node in slot:
             raise NetworkParseError(
-                f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for ln, row in enumerate(reader, start=2):
-            try:
-                season = row["season"]
-                hour = int(row["hour"])
-                node = row["node"]
-                dem = float(row["demand_mw"])
-                voll = float(row["voll"])
-            except (TypeError, ValueError) as exc:
-                raise NetworkParseError(f"{path}:{ln}: {exc}") from exc
-            for column, value in (("demand_mw", dem), ("voll", voll)):
-                if not math.isfinite(value):
-                    raise NetworkParseError(f"{path}:{ln}: {column} {row[column]!r} is not "
-                                            f"a finite number")
-            if node not in idx:
-                raise NetworkParseError(f"{path}:{ln}: unknown node {node!r}")
-            slot = cells.setdefault(season, {}).setdefault(hour, {})
-            if node in slot:
-                raise NetworkParseError(
-                    f"{path}:{ln}: duplicate entry for {season}/{hour}/{node}")
-            slot[node] = (dem, voll)
+                f"{path}:{ln}: duplicate entry for {season}/{hour}/{node}")
+        slot[node] = (dem, voll)
     if not cells:
         raise NetworkParseError(f"{path}: no demand rows")
     demand: dict[str, np.ndarray] = {}
@@ -398,9 +412,7 @@ def load_demand(path: str | Path, net: PowerNetwork) -> DemandProfile:
                 d[h, idx[nd.id]], v[h, idx[nd.id]] = slot[nd.id]
         demand[season] = d
         volls[season] = v
-    profile = DemandProfile(tuple(n.id for n in net.nodes), demand, volls)
-    profile.check_voll_dominates(net)
-    return profile
+    return DemandProfile(tuple(n.id for n in net.nodes), demand, volls)
 
 
 def save_demand(profile: DemandProfile, path: str | Path) -> None:

@@ -151,10 +151,12 @@ def scenario_dispatch(cfg: ScenarioConfig, net: PowerNetwork,
                       demand: DemandProfile) -> SeasonDispatch:
     """The :class:`SeasonDispatch` of a scenario's day: ``net`` and the
     season on the scenario's demand (:func:`scenario_profile`), with every
-    hour's unattacked dispatch solved up front, chained hour to hour."""
+    hour's unattacked dispatch solved up front, chained hour to hour.  A
+    season the demand lacks is a usage error (ValueError)."""
     season = cfg.season
     if season not in demand.demand:
-        raise ScenarioError(f"{cfg.kind}: season {season!r} not in demand profile")
+        raise ValueError(f"season {season!r} is not in the demand profile, whose seasons "
+                         f"are {', '.join(demand.seasons)}")
     profile = scenario_profile(cfg, demand)
     try:
         return SeasonDispatch(net, profile, season, range(profile.hours(season)))
@@ -187,8 +189,7 @@ def _run_day(cfg: ScenarioConfig, dispatch: SeasonDispatch,
         plan = None
         if _attacked(cfg):
             costs = costs if costs is not None else scenario_costs(cfg, net)
-            plan = run_attack(net, profile, season, costs, node_limit=cfg.node_limit,
-                              dispatch=dispatch)
+            plan = run_attack(dispatch, costs, node_limit=cfg.node_limit)
             hours = [h.opf for h in plan.hours]
         else:
             hours = [dispatch.base(h) for h in range(profile.hours(season))]

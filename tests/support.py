@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from gridshock.dcopf import SeasonDispatch
 from gridshock.network import (
     BASE_MVA,
     DemandProfile,
@@ -63,6 +64,12 @@ def profile_for(net: PowerNetwork, rows, voll=1000.0, season="summer") -> Demand
     H, N = d.shape
     v = np.full((H, N), float(voll))
     return DemandProfile(tuple(n.id for n in net.nodes), {season: d}, {season: v})
+
+
+def chained_day(net: PowerNetwork, demand: DemandProfile, season="summer") -> SeasonDispatch:
+    """The season's day with every hour's unattacked dispatch solved up
+    front, chained hour to hour, as ``scenarios.scenario_dispatch`` builds it."""
+    return SeasonDispatch(net, demand, season, range(demand.hours(season)))
 
 
 def one_bus(g_max=150.0, cost=20.0) -> PowerNetwork:

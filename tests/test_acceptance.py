@@ -19,7 +19,7 @@ from gridshock.kkt import kkt_residuals, verify_equilibrium
 from gridshock.milp import MilpProblem, solve_milp
 from gridshock.scenarios import ScenarioConfig, beta_sweep, gamma_sweep, run_scenario
 from gridshock.simplex import LpProblem, solve_lp
-from support import profile_for, tight_two_bus, triangle, two_bus, one_bus
+from support import chained_day, profile_for, tight_two_bus, triangle, two_bus, one_bus
 
 BUDGET = 300.0
 VOLL = 1000.0
@@ -193,7 +193,7 @@ def test_criterion_attacker_oracle_equivalence():
                         np.full(1, 600000.0), 30.0)
     full = solve_full_milp(net, prof, "summer", costs, node_limit=500_000)
     _register(full)
-    ref = run_attack(net, prof, "summer", costs, node_limit=200_000)
+    ref = run_attack(chained_day(net, prof), costs, node_limit=200_000)
     _register(ref)
     rel = abs(full.objective - ref.objective) / max(1.0, full.objective)
 
@@ -222,7 +222,7 @@ def test_criterion_attacker_oracle_equivalence():
                          np.array([50.0, 2.0, 2.0]) * 600.0, 160.0)
     full3 = solve_full_milp(net3, prof3, "summer", costs3, node_limit=500_000)
     _register(full3)
-    ref3 = run_attack(net3, prof3, "summer", costs3, node_limit=200_000)
+    ref3 = run_attack(chained_day(net3, prof3), costs3, node_limit=200_000)
     _register(ref3)
     rel3 = abs(full3.objective - ref3.objective) / max(1.0, full3.objective)
 

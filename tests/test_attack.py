@@ -26,7 +26,7 @@ from gridshock.reporting import attack_rows
 from gridshock.kkt import kkt_residuals, verify_equilibrium
 from gridshock.network import apply_heatwave
 from gridshock.cli import bundled_path
-from support import entity_limits, profile_for, tight_two_bus, triangle, two_bus
+from support import chained_day, entity_limits, profile_for, tight_two_bus, triangle, two_bus
 
 
 def uniform_costs(net, budget, gen=1.0, wire=1000.0):
@@ -187,7 +187,7 @@ def test_refinement_matches_full_milp():
     costs = uniform_costs(net, 30.0)
     full = solve_full_milp(net, prof, "summer", costs, node_limit=500_000)
     dec = even_split(net, prof, costs, 30.0, node_limit=200_000)
-    ref = run_attack(net, prof, "summer", costs, node_limit=200_000)
+    ref = run_attack(chained_day(net, prof), costs, node_limit=200_000)
     assert ref.objective >= dec.objective - 1e-9  # the grid holds the even split
     assert abs(full.objective - ref.objective) <= 1e-4 * max(1.0, full.objective)
 
@@ -197,7 +197,7 @@ def test_refinement_identical_hours_keeps_split():
     prof = profile_for(net, [[10.0, 80.0], [10.0, 80.0]])
     costs = uniform_costs(net, 60.0)
     dec = even_split(net, prof, costs, 60.0, node_limit=200_000)
-    ref = run_attack(net, prof, "summer", costs, node_limit=200_000)
+    ref = run_attack(chained_day(net, prof), costs, node_limit=200_000)
     assert ref.objective == pytest.approx(dec.objective, rel=1e-9)
 
 
@@ -228,7 +228,7 @@ def test_certificate_only_mode_matches_greedy():
     net = tight_two_bus()
     prof = profile_for(net, [[10.0, 80.0]])
     costs = uniform_costs(net, 30.0)
-    zg, zf, zt, sol = greedy_attack(net, prof, "summer", 0, costs, 30.0)
+    zg, zf, zt, sol = greedy_attack(chained_day(net, prof), 0, costs, 30.0)
     fast = solve_hourly_attack(net, prof, "summer", 0, costs, 30.0, node_limit=0)
     assert fast.status == "heuristic"
     assert fast.objective == pytest.approx(sol.shed_cost, rel=1e-12)
@@ -248,7 +248,7 @@ def test_bigm_grows_until_valid():
 
 def test_attack_rows_breakdown(bundled_net, bundled_demand):
     costs = default_costs(bundled_net, 300.0, 5.0)
-    plan = run_attack(bundled_net, bundled_demand, "summer", costs, node_limit=0)
+    plan = run_attack(chained_day(bundled_net, bundled_demand), costs, node_limit=0)
     rows = attack_rows({(p.season, p.hour): {"zg": p.zg, "zf": p.zf, "zt": p.zt}
                         for p in plan.hours}, bundled_net, costs)
     assert rows, "default budget should buy a nonempty strategy"
@@ -280,7 +280,7 @@ def test_bundled_compound_day_is_the_best_grid_split(bundled_net, bundled_demand
     assert len(splits) == 20_475
     best = value[:, 0].sum() + max(sum(gain[h, k] for h, k in Counter(s).items() if h < 24)
                                    for s in splits)
-    plan = run_attack(bundled_net, heated, "summer", costs, node_limit=0)
+    plan = run_attack(chained_day(bundled_net, heated), costs, node_limit=0)
     assert plan.objective == pytest.approx(best, rel=1e-9)
     assert plan.objective == pytest.approx(287_497.6, rel=1e-9)
 
@@ -294,7 +294,7 @@ def test_refinement_crosses_activation_thresholds():
     costs = uniform_costs(net, 16.0)
     dec = even_split(net, prof, costs, 16.0, node_limit=0)
     assert dec.objective == pytest.approx(0.0, abs=1e-9)
-    ref = run_attack(net, prof, "summer", costs, node_limit=0)
+    ref = run_attack(chained_day(net, prof), costs, node_limit=0)
     assert ref.objective == pytest.approx(6.0 * 1000.0, rel=1e-9)
     spends = sorted(h.spend for h in ref.hours)
     assert spends[0] == pytest.approx(0.0, abs=1e-9)
@@ -401,7 +401,7 @@ def test_run_attack_solves_each_unattacked_hour_once(monkeypatch):
 
     monkeypatch.setattr(dcopf_mod, "solve_dcopf", counting)
     monkeypatch.setattr(attack_mod, "solve_dcopf", counting)
-    plan = run_attack(net, prof, "summer", costs, node_limit=0)
+    plan = run_attack(chained_day(net, prof), costs, node_limit=0)
     # the split puts the whole budget on hour 2: a 16 MW kill against its
     # 2 MW margin sheds 14 MW
     assert [h.spend for h in plan.hours] == pytest.approx([0.0, 0.0, 16.0], abs=1e-9)
@@ -411,7 +411,7 @@ def test_run_attack_solves_each_unattacked_hour_once(monkeypatch):
 
 def test_unspent_hours_share_read_only_zero_attacks():
     net, prof, costs = _threshold_instance()
-    plan = run_attack(net, prof, "summer", costs, node_limit=0)
+    plan = run_attack(chained_day(net, prof), costs, node_limit=0)
     zero, other, spent = plan.hours
     assert zero.spend == other.spend == 0.0 and spent.spend > 0
     for name in ("zg", "zf", "zt"):
@@ -486,15 +486,14 @@ def test_shared_base_gives_the_same_hour(budget, node_limit):
         assert alone.objective > base.shed_cost
 
 
-def test_shared_bases_are_not_modified(monkeypatch):
+def test_shared_bases_are_not_modified():
     net, prof, costs = _threshold_instance()
-    again = run_attack(net, prof, "summer", costs, node_limit=0)
+    again = run_attack(chained_day(net, prof), costs, node_limit=0)
     dispatch = SeasonDispatch(net, prof, "summer")
     bases = [dispatch.base(h) for h in range(3)]
     before = copy.deepcopy(bases)
     # run_attack's every solve shares these bases
-    monkeypatch.setattr(attack_mod, "SeasonDispatch", lambda *args: dispatch)
-    ref = run_attack(net, prof, "summer", costs, node_limit=0)
+    ref = run_attack(dispatch, costs, node_limit=0)
     assert ([_hour_fingerprint(h) for h in ref.hours]
             == [_hour_fingerprint(h) for h in again.hours])
     for old, new in zip(before, bases):
@@ -506,21 +505,16 @@ def test_shared_bases_are_not_modified(monkeypatch):
                 assert a == b, fld.name
 
 
-def test_run_dispatch_dies_with_the_run(monkeypatch):
+def test_run_dispatch_dies_with_the_run():
     """The run's SeasonDispatch (dispatch form, unattacked hours) is freed when
-    run_attack returns: the kept plan does not reach it."""
+    its caller drops it: the plan run_attack returns does not reach it."""
     net, prof, costs = _threshold_instance()
-    made = []
-
-    class Tracked(SeasonDispatch):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(weakref.ref(self))
-    monkeypatch.setattr(attack_mod, "SeasonDispatch", Tracked)
-    plan = run_attack(net, prof, "summer", costs, node_limit=0)
+    dispatch = chained_day(net, prof)
+    made = weakref.ref(dispatch)
+    plan = run_attack(dispatch, costs, node_limit=0)
+    del dispatch
     assert plan.objective == pytest.approx(14_000.0, rel=1e-9)
-    assert len(made) == 1
-    assert made[0]() is None
+    assert made() is None
 
 
 def test_dispatch_of_another_demand_is_rejected():
@@ -571,7 +565,7 @@ def _reference_zone_packages(net, demand, season, hour, costs, budget):
         if est > 1e-9:
             ranked.append((est, n, zg, zf))
     ranked.sort(key=lambda t: (-t[0], t[1]))
-    return [(zg, zf) for _, _, zg, zf in ranked[:attack_mod.ZONE_PACKAGES]]
+    return [(zg, zf) for _, _, zg, zf in ranked]
 
 
 def _reference_max_norm(zg, zf, zt, opf):
@@ -697,7 +691,7 @@ def test_greedy_matches_the_greedy_that_finishes_every_candidate(bundled_net, he
     costs = default_costs(net, budget, cost_ratio)
     dispatch = SeasonDispatch(net, heated, "summer", GREEDY_HOURS)
     for hour in GREEDY_HOURS:
-        got = greedy_attack(net, heated, "summer", hour, costs, budget, dispatch)
+        got = greedy_attack(dispatch, hour, costs, budget)
         want = _reference_greedy(net, heated, "summer", hour, costs, budget, dispatch)
         for z, rz in zip(got[:3], want[:3]):
             assert (z.dtype, z.tobytes()) == (rz.dtype, rz.tobytes())
@@ -733,21 +727,42 @@ def test_greedy_finishes_only_what_it_adopts(bundled_net, heated, budget, cost_r
     real_vertex = attack_mod.dispatch_vertex
     monkeypatch.setattr(attack_mod, "dispatch_vertex", tracked)
     for hour in GREEDY_HOURS:
-        greedy_attack(net, heated, "summer", hour, costs, budget, dispatch)
+        greedy_attack(dispatch, hour, costs, budget)
         assert finished[hour] == adopted[hour], hour
     assert vertices and all(ref() is None for ref in vertices)
 
 
-def test_greedy_raises_on_an_infeasible_candidate():
+def test_greedy_skips_an_infeasible_candidate():
     """A must-run unit exporting at the line limit: the line cut the greedy
-    evaluates leaves it more output than the node can take or send, and the
-    dispatch error leaves greedy_attack as it did when candidates were
-    finished."""
+    evaluates leaves it more output than the node can take or send, so that
+    candidate has no dispatch.  The greedy skips it, as the attack MILP
+    admits no attack without a lower-level dispatch, and adopts the
+    generator cut that sheds."""
     net = two_bus(fbar=50.0)
     gens = (net.generators[0], replace(net.generators[1], g_min=60.0))
     net = replace(net, generators=gens)
-    prof = profile_for(net, [[80.0, 10.0]])
+    prof = profile_for(net, [[195.0, 10.0]])
     costs = uniform_costs(net, 10.0, wire=1.0)
     assert solve_dcopf(net, prof, "summer", 0).f[0] == pytest.approx(-50.0)  # n2 to n1
     with pytest.raises(dcopf_mod.OpfInfeasibleError, match="summer/0"):
-        greedy_attack(net, prof, "summer", 0, costs, 10.0)
+        solve_dcopf(net, prof, "summer", 0, zf=np.array([10.0]))
+    zg, zf, zt, sol = greedy_attack(chained_day(net, prof), 0, costs, 10.0)
+    assert not zf.any() and not zt.any()
+    assert zg.tolist() == [10.0, 0.0]
+    assert sol.shed_cost == pytest.approx(5_000.0, rel=1e-9)  # 5 MW of g1's 145 lost
+    assert verify_equilibrium(kkt_residuals(net, sol, zg, zf, zt), 1e-5)
+    ha = solve_hourly_attack(net, prof, "summer", 0, costs, 10.0, node_limit=0)
+    assert ha.objective == sol.shed_cost
+    assert ha.certificate_ok and ha.bigm_valid
+
+
+def test_greedy_ranks_every_zone_package(bundled_net, bundled_demand):
+    """Unheated hour 17 with cheap wires at budget 450: the package that wins
+    had the fourth largest estimate, so ranking only the top three packages
+    left 2,184,000."""
+    costs = default_costs(bundled_net, 450.0, 0.2)
+    ha = solve_hourly_attack(bundled_net, bundled_demand, "summer", 17, costs, 450.0,
+                             node_limit=0, dispatch=chained_day(bundled_net, bundled_demand))
+    assert ha.objective == pytest.approx(3_536_000.0, rel=1e-9)
+    assert ha.certificate_ok and ha.bigm_valid
+    assert ha.spend <= 450.0 + 1e-9

@@ -83,6 +83,46 @@ def test_nonfinite_input_file_exits_1(tmp_path, capsys, name, edit, command, mes
     assert not (tmp_path / "out").exists()
 
 
+def _e01_flow_limit(value):
+    def edit(text):
+        assert text.index('"flow_limit_mw": 600.0') > text.index('"E01"')  # E01 is the first
+        return text.replace('"flow_limit_mw": 600.0', f'"flow_limit_mw": {value}', 1)
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("network16.json", _e01_flow_limit("1e400"),
+     ": edge 'E01' has a susceptance or a limit that is not finite and positive"),
+    ("network16.json", _e01_flow_limit("-5"),
+     ": edge 'E01' has a susceptance or a limit that is not finite and positive"),
+    ("demand16.csv", lambda t: t.replace("summer,0,Z05,147.2,", "summer,0,Z05,-5,"),
+     ":6: demand_mw '-5' is negative"),
+    ("demand16.csv", lambda t: t.replace("summer,0,Z05,147.2,2600.0", "summer,0,Z05,147.2,1"),
+     ":6: VOLL '1' must exceed every generator cost (max cost 121.0)"),
+], ids=["flow_limit_overflow", "flow_limit_negative", "demand_negative", "voll_below_cost"])
+def test_invalid_input_file_exits_1_naming_it(tmp_path, capsys, name, edit, message):
+    # JSON's 1e400 reads as an infinity without passing through the NaN and
+    # Infinity check, so the network's validation names the file
+    path = tmp_path / name
+    path.write_text(edit(bundled_path(name).read_text()))
+    flag = "--demand" if name.endswith(".csv") else "--network"
+    assert main(["solve-opf", flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {path}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-opf", "attack", "scenario", "sweep-gamma",
+                                     "sweep-beta"])
+def test_unknown_season_exits_1(files, capsys, command):
+    net, net_path, dem_path, cfg_path, tmp = files
+    rc = main([command, "--network", str(net_path), "--demand", str(dem_path),
+               "--config", str(cfg_path), "--season", "winter", "--out", str(tmp / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: season 'winter' is not in the demand profile, "
+                                       "whose seasons are summer\n")
+    assert not (tmp / "out").exists()
+
+
 def test_solve_opf_and_dump_lp(files):
     net, net_path, dem_path, cfg_path, tmp = files
     rc = main(["solve-opf", "--network", str(net_path), "--demand", str(dem_path),

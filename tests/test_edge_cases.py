@@ -59,8 +59,9 @@ def test_two_season_profile(tmp_path):
 def test_scenario_unknown_season_fails():
     net = two_bus()
     prof = profile_for(net, [[0.0, 80.0]])
-    from gridshock.scenarios import ScenarioError
-    with pytest.raises(ScenarioError, match="autumn"):
+    # a usage error, not a solver failure: it names the seasons there are
+    with pytest.raises(ValueError, match="'autumn' is not in the demand profile, whose "
+                                         "seasons are summer"):
         run_scenario(ScenarioConfig(kind="Baseline", season="autumn"), net, prof)
 
 
