@@ -243,8 +243,7 @@ def _build_attack_milp(
 
     prices = {"zg": costs.cg, "zf": costs.cf, "zt": costs.ct}
     for hp, h in enumerate(hours):
-        d = demand.demand[season][h]
-        voll = demand.voll[season][h]
+        d, voll = demand.at(season, h)
 
         def rows(label: str, coef: dict[str, np.ndarray], lo, hi) -> _Rows:
             """One family: ``coef`` maps a column block to its (rows x block) part.
@@ -399,8 +398,7 @@ def _extract_hour(
     hp: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, OpfSolution]:
     """One hour's attack and embedded equilibrium from a MILP point."""
-    d = demand.demand[season][hour]
-    voll = demand.voll[season][hour]
+    d, voll = demand.at(season, hour)
     arrays = {fld: x[lay.sl(hp, blk)].copy() for fld, blk in _OPF_BLOCKS.items()}
     opf = OpfSolution(
         season=season, hour=hour, delta=float(x[lay.offsets[hp]["delta"]]), **arrays,
@@ -437,7 +435,7 @@ def _zone_packages(
     G, E = net.num_generators, net.num_edges
     arr = net.arrays
     kill_room = arr.g_span
-    d = demand.demand[season][hour]
+    d, _ = demand.at(season, hour)
     ranked = []
     for n in range(net.num_nodes):
         if d[n] <= 0:

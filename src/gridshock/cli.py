@@ -49,7 +49,7 @@ _FLAGS = {
     "budget": dict(type=float, default=None, help="attacker budget override"),
     "cost-ratio": dict(type=float, default=None,
                        help="wire/generator attack price ratio override"),
-    "heatwave-factor": dict(type=float, default=None, help="demand scaling factor override"),
+    "heatwave-factor": dict(type=float, help="demand scaling factor (verify: as recorded)"),
     "season": dict(default=None, help="season to run (default summer)"),
     "node-limit": dict(type=int, default=None,
                        help="branch-and-bound node limit per attack problem"),

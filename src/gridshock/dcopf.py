@@ -148,9 +148,9 @@ def _hour_lp(
     net = form.net
     N, E, G = net.num_nodes, net.num_edges, net.num_generators
     u = slice(G + E, G + E + N)
-    d = demand.demand[season][hour]
+    d, voll = demand.at(season, hour)
     c, row_lb, row_ub, lb, ub = (v.copy() for v in form.vectors)
-    c[u] = demand.voll[season][hour]
+    c[u] = voll
     row_lb[:N] = d
     row_ub[:N] = d
     ub[u] = d
@@ -198,8 +198,7 @@ def extract_solution(
     x = lp_sol.x
     y = lp_sol.duals
     rc = lp_sol.reduced_costs
-    d = demand.demand[season][hour]
-    voll = demand.voll[season][hour]
+    d, voll = demand.at(season, hour)
 
     g = x[:G]
     f = x[G:G + E]
@@ -349,7 +348,7 @@ def dispatch_vertex(
     G, E, N = net.num_generators, net.num_edges, net.num_nodes
     u = vertex.x[G + E:G + E + N]
     return DispatchVertex(net, demand, season, hour, vertex,
-                          float(demand.voll[season][hour] @ u))
+                          float(demand.at(season, hour)[1] @ u))
 
 
 class SeasonDispatch:

@@ -331,7 +331,19 @@ class DemandProfile:
         return sorted(self.demand)
 
     def hours(self, season: str) -> int:
+        """The hours of ``season``; ValueError naming the seasons it lacks."""
+        if season not in self.demand:
+            raise ValueError(f"season {season!r} is not in the demand profile, whose "
+                             f"seasons are {', '.join(self.seasons)}")
         return self.demand[season].shape[0]
+
+    def at(self, season: str, hour: int) -> tuple[np.ndarray, np.ndarray]:
+        """The demand and VOLL rows of ``hour`` of ``season``; ValueError
+        naming the season or the hour, with the valid range, when not there."""
+        H = self.hours(season)
+        if not 0 <= hour < H:
+            raise ValueError(f"hour {hour} is outside the hours 0..{H - 1} of season {season!r}")
+        return self.demand[season][hour], self.voll[season][hour]
 
 
 def apply_heatwave(profile: DemandProfile, factor: float) -> DemandProfile:

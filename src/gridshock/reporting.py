@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -251,23 +251,18 @@ def _number(path: str | Path, ln: int, column: str, cell: str) -> float:
         raise ValueError(f"{path}:{ln}: {column} {cell!r} is not a number") from None
 
 
-def read_solutions(path: str | Path, net: PowerNetwork, demand: DemandProfile
-                   ) -> list[OpfSolution]:
+def read_solutions(path: str | Path, net: PowerNetwork, demand: DemandProfile,
+                   season: str) -> list[OpfSolution]:
     """Read opf_solution.csv back as the hourly solutions it holds, on ``demand``.
 
-    The file must be what :func:`export_results` writes: one season of
-    ``demand``, named by the first row, with its hours 0..H-1 in order and
-    each hour's rows in :func:`solution_layout` order.  Raises ValueError
-    naming the file and line of a row :func:`_read_rows` rejects, of a
-    value that is not a number, or of the first row that is not the one
-    expected, with both rows.
+    The file must be what :func:`export_results` writes: the hours 0..H-1
+    of ``season`` in order, each hour's rows in :func:`solution_layout`
+    order.  Raises ValueError naming the file and line of a row
+    :func:`_read_rows` rejects, of a value that is not a number, or of the
+    first row that is not the one expected, with both rows.
     """
     layout = solution_layout(net)
     rows = _read_rows(path, SOLUTION_COLUMNS)
-    first = next(rows, None)
-    # a season the profile lacks fails at the first row, as the profile's first
-    season = first[1][0] if first and first[1][0] in demand.demand else demand.seasons[0]
-    rows = chain([first] if first else [], rows)
     ln, sols = 1, []
     for hour in range(demand.hours(season)):
         values = {name: np.empty(len(getattr(net, kind)))
@@ -285,7 +280,7 @@ def read_solutions(path: str | Path, net: PowerNetwork, demand: DemandProfile
                 values[quantity] = value
             else:
                 values[quantity][k] = value
-        d, voll = demand.demand[season][hour], demand.voll[season][hour]
+        d, voll = demand.at(season, hour)
         sols.append(OpfSolution(season=season, hour=hour, **values, demand=d, voll=voll,
                                 shed_cost=float(voll @ values["u"])))
     for ln, cells, _ in rows:  # a row past the last hour's
@@ -293,46 +288,35 @@ def read_solutions(path: str | Path, net: PowerNetwork, demand: DemandProfile
     return sols
 
 
-def read_manifest(soldir: str | Path) -> dict | None:
-    """A run directory's manifest.json, parsed, or None when it has none.
+def read_manifest(soldir: str | Path) -> dict:
+    """A run directory's manifest.json, parsed.
 
-    Its ``heatwave_factor``, when present, is returned as a float.  Raises
-    ValueError, its message starting with the file name, when the file is
-    not a JSON object, its ``files`` entry is there but not an object, or
-    that factor is not a finite positive number.
+    Raises ValueError, its message starting with the file name, when the
+    directory has no such file, or it is not a JSON object, or its
+    ``files`` entry is there but not an object.
     """
     path = Path(soldir) / "manifest.json"
     if not path.exists():
-        return None
+        raise ValueError(f"{path.name}: not found in {soldir}")
     try:
         manifest = json.loads(path.read_text())
     except ValueError as exc:
         raise ValueError(f"{path.name}: not JSON ({exc})") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("files", {}), dict):
         raise ValueError(f"{path.name}: not a JSON object with a files object")
-    factor = manifest.get("heatwave_factor")
-    if factor is not None:
-        try:
-            value = float(factor)
-        except (TypeError, ValueError):
-            value = np.nan
-        if not 0 < value < np.inf:
-            raise ValueError(f"{path.name}: heatwave_factor is {factor!r}, not a finite "
-                             f"positive number")
-        manifest["heatwave_factor"] = value
     return manifest
 
 
-def read_attack_costs(manifest: dict | None, net: PowerNetwork) -> AttackCosts | None:
+def read_attack_costs(manifest: dict, net: PowerNetwork) -> AttackCosts | None:
     """The attack prices and budget a run's manifest records, or None.
 
-    ``manifest`` is as :func:`read_manifest` returns it.  None when it or
-    its ``attack_costs`` entry is absent (a run exported without prices).
+    ``manifest`` is as :func:`read_manifest` returns it.  None when its
+    ``attack_costs`` entry is absent (a run exported without prices).
     Raises ValueError, its message starting with the file name, when the
     entry lacks the budget or the price of an entity of ``net``, or holds
     prices or a budget an attacker cannot have.
     """
-    record = None if manifest is None else manifest.get("attack_costs")
+    record = manifest.get("attack_costs")
     if record is None:
         return None
     kinds = (("gen", net.generators), ("flow", net.edges), ("angle", net.edges))
@@ -418,7 +402,8 @@ def _json_difference(have, want, where: str = "") -> str | None:
             if diff is not None:
                 return diff
         return None
-    return None if have == want else f"{where} is {have!r}, where the re-derived run has {want!r}"
+    same = type(have) is type(want) and have == want  # True == 1.0 in Python, not in JSON
+    return None if same else f"{where} is {have!r}, where the re-derived run has {want!r}"
 
 
 def _line_difference(header: list[str], have: list[str] | None, want: list[str] | None) -> str:
@@ -466,35 +451,46 @@ def check_run_files(
 def verify_run(soldir: str | Path, net: PowerNetwork, demand: DemandProfile,
                heatwave_factor: float | None = None, dump: str | Path | None = None
                ) -> tuple[int, float]:
-    """Check a run directory as ``gridshock verify`` does; return the number
-    of hourly solutions in its opf_solution.csv and their largest KKT residual.
+    """Check a run directory against the manifest.json it was exported with,
+    as ``gridshock verify`` does; return the number of hourly solutions in
+    its opf_solution.csv and their largest KKT residual.
 
-    The demand is ``demand`` scaled by ``heatwave_factor``, else by the factor
-    manifest.json records.  Every hour :func:`read_solutions` reads must pass
+    The prices, budget, scenario, season and heatwave factor are read from
+    the manifest before any CSV file; ``heatwave_factor``, when given, must
+    be the recorded one.  Every hour :func:`read_solutions` reads must pass
     its equilibrium certificate at ``CERT_TOL`` under the attack
-    :func:`read_attack_csv` reads for it, at the manifest's prices; with a
-    manifest, :func:`check_run_files` then checks the run re-derived from
-    those hours.  Given ``dump``, every hour's residuals are written to
-    ``dump``/kkt_residuals.csv first, failed hours included.  Raises
-    FileNotFoundError without opf_solution.csv, and ValueError, naming the
-    file, at the first check that fails.
+    :func:`read_attack_csv` reads for it; :func:`check_run_files` then
+    checks the run re-derived from those hours.  Given ``dump``, every
+    hour's residuals go to ``dump``/kkt_residuals.csv first, failed hours
+    included.  Raises FileNotFoundError without opf_solution.csv, and
+    ValueError, naming the file, at the first check that fails.
     """
     soldir = Path(soldir)
     solfile = soldir / "opf_solution.csv"
     if not solfile.exists():
         raise FileNotFoundError(f"{solfile} not found")
     manifest = read_manifest(soldir)
-    # spends are checked at the prices and budget the run's manifest records
     costs = read_attack_costs(manifest, net)
-    factor = (heatwave_factor if heatwave_factor is not None
-              else (manifest or {}).get("heatwave_factor", 1.0))
+    recorded = manifest.get("heatwave_factor")
+    try:
+        if not isinstance(recorded, (int, float)):
+            raise ValueError(f"heatwave_factor is {recorded!r}, not a finite positive number")
+        cfg = ScenarioConfig(kind=manifest.get("scenario"), season=manifest.get("season"),
+                             heatwave_factor=float(recorded))
+        demand.hours(cfg.season)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"manifest.json: {exc}") from None
+    factor = cfg.heatwave_factor
+    if heatwave_factor is not None and heatwave_factor != factor:
+        raise ValueError(f"manifest.json: heatwave_factor is {factor!r}, where "
+                         f"--heatwave-factor gives {heatwave_factor!r}")
     profile = apply_heatwave(demand, factor) if factor != 1.0 else demand
-    sols = read_solutions(solfile, net, profile)
+    sols = read_solutions(solfile, net, profile, cfg.season)
     attacks = {}
     attack_file = soldir / "attack_strategy.csv"
     if attack_file.exists():
         attacks = read_attack_csv(attack_file, net, costs, {(s.season, s.hour) for s in sols})
-    if attacks and manifest is not None and costs is None:
+    if attacks and costs is None:
         raise ValueError("manifest.json: no attack_costs to price the rows of "
                          "attack_strategy.csv")
     worst, failed, dump_rows = 0.0, None, []
@@ -512,15 +508,6 @@ def verify_run(soldir: str | Path, net: PowerNetwork, demand: DemandProfile,
                    ["season", "hour", "block", "index", "residual"], dump_rows)
     if failed is not None:
         raise ValueError(failed)
-    if manifest is not None:
-        try:
-            cfg = ScenarioConfig(kind=manifest.get("scenario"),
-                                 season=manifest.get("season"), heatwave_factor=factor)
-        except ValueError as exc:
-            raise ValueError(f"manifest.json: {exc}") from None
-        if cfg.season != sols[0].season:
-            raise ValueError(f"manifest.json: season {cfg.season!r} has no rows in "
-                             f"opf_solution.csv")
-        check_run_files(soldir, manifest, _metrics(cfg, net, profile, sols), net, costs,
-                        attacks if _attacked(cfg) else {})
+    check_run_files(soldir, manifest, _metrics(cfg, net, profile, sols), net, costs,
+                    attacks if _attacked(cfg) else {})
     return len(sols), worst

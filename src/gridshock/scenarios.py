@@ -62,6 +62,13 @@ class ScenarioConfig:
             raise ValueError(f"budget must be finite and nonnegative, got {self.budget}")
         if self.node_limit < 0:
             raise ValueError(f"node_limit must be nonnegative, got {self.node_limit}")
+        if self.beta_iterations < 1:
+            raise ValueError(f"beta_iterations must be at least 1, got {self.beta_iterations}")
+        # gamma step i prices wires at 1 - (i - 1) * GAMMA_WIRE_STEP of the base
+        most = int(np.ceil(1 / GAMMA_WIRE_STEP))
+        if not 1 <= self.gamma_iterations <= most:
+            raise ValueError(f"gamma_iterations must be between 1 and {most}, the last step "
+                             f"whose wires cost more than 0, got {self.gamma_iterations}")
 
 
 @dataclass
@@ -154,12 +161,10 @@ def scenario_dispatch(cfg: ScenarioConfig, net: PowerNetwork,
     hour's unattacked dispatch solved up front, chained hour to hour.  A
     season the demand lacks is a usage error (ValueError)."""
     season = cfg.season
-    if season not in demand.demand:
-        raise ValueError(f"season {season!r} is not in the demand profile, whose seasons "
-                         f"are {', '.join(demand.seasons)}")
     profile = scenario_profile(cfg, demand)
+    hours = range(profile.hours(season))
     try:
-        return SeasonDispatch(net, profile, season, range(profile.hours(season)))
+        return SeasonDispatch(net, profile, season, hours)
     except Exception as exc:
         raise ScenarioError(f"{cfg.kind}/{season}: {exc}") from exc
 
@@ -259,16 +264,13 @@ def _sweep(
     Each step scales the base prices and budget by (gen, wire, budget)
     factors; the factors a ladder leaves alone are exactly 1.0.
     """
-    iterations = getattr(cfg, f"{parameter}_iterations")
-    if iterations < 1:
-        raise ValueError(f"{parameter} sweep needs at least one iteration")
     base = scenario_costs(cfg, net)
     points = []
     kinds = ("Cyberattack", "Compound")
     prev: dict[str, ScenarioResult | None] = dict.fromkeys(kinds)
     # one day per kind for every step: the ladder changes prices, not demand
     days = {kind: scenario_dispatch(replace(cfg, kind=kind), net, demand) for kind in kinds}
-    for i in range(1, iterations + 1):
+    for i in range(1, getattr(cfg, f"{parameter}_iterations") + 1):
         if parameter == "gamma":
             step = (i - 1) * GAMMA_WIRE_STEP
             gen, wire, budget, multiplier = 1.0 + step, 1.0 - step, 1.0, gamma_multiplier(i)

@@ -193,18 +193,22 @@ def test_criterion_attacker_oracle_equivalence():
                         np.full(1, 600000.0), 30.0)
     full = solve_full_milp(net, prof, "summer", costs, node_limit=500_000)
     _register(full)
-    ref = run_attack(chained_day(net, prof), costs, node_limit=200_000)
+    day = chained_day(net, prof)
+    ref = run_attack(day, costs, node_limit=200_000)
     _register(ref)
     rel = abs(full.objective - ref.objective) / max(1.0, full.objective)
 
-    # brute force: hourly 1 MW generation-split curves, exact budget split
+    # brute force: hourly 1 MW generation-split curves, exact budget split;
+    # each grid point is solved warm from the day's unattacked dispatch
     def hour_curve(h):
         vals = np.zeros(31)
+        basis = day.base(h).basis
         for spend in range(31):
             best = 0.0
             for a in range(spend + 1):
                 zg = np.array([float(a), float(spend - a)])
-                best = max(best, solve_dcopf(net, prof, "summer", h, zg).shed_cost)
+                sol = solve_dcopf(net, prof, "summer", h, zg, basis=basis, form=day.form)
+                best = max(best, sol.shed_cost)
             vals[spend] = best
         return np.maximum.accumulate(vals)
 
@@ -222,7 +226,8 @@ def test_criterion_attacker_oracle_equivalence():
                          np.array([50.0, 2.0, 2.0]) * 600.0, 160.0)
     full3 = solve_full_milp(net3, prof3, "summer", costs3, node_limit=500_000)
     _register(full3)
-    ref3 = run_attack(chained_day(net3, prof3), costs3, node_limit=200_000)
+    day3 = chained_day(net3, prof3)
+    ref3 = run_attack(day3, costs3, node_limit=200_000)
     _register(ref3)
     rel3 = abs(full3.objective - ref3.objective) / max(1.0, full3.objective)
 
@@ -230,6 +235,7 @@ def test_criterion_attacker_oracle_equivalence():
         # scan (zg3, zf13) at 1 MW, spend the rest on e23; keep the best
         # value at or under every budget level
         vals = np.zeros(bmax)
+        basis = day3.base(h).basis
         for a in range(0, 81, 1):
             for b13 in range(0, 61, 1):
                 base_spend = a * 1.0 + b13 * 2.0
@@ -239,7 +245,8 @@ def test_criterion_attacker_oracle_equivalence():
                 zg = np.array([0.0, 0.0, float(a)])
                 zf = np.array([0.0, float(b13), z23])
                 spend = base_spend + z23 * 2.0
-                v = solve_dcopf(net3, prof3, "summer", h, zg, zf).shed_cost
+                v = solve_dcopf(net3, prof3, "summer", h, zg, zf, basis=basis,
+                                form=day3.form).shed_cost
                 k = int(np.ceil(spend - 1e-9))
                 if k < bmax:
                     vals[k] = max(vals[k], v)

@@ -43,7 +43,9 @@ def test_missing_network_exits_1(files, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("--budget", "nan"), ("--budget", "inf"), ("--cost-ratio", "inf"),
-    ("--heatwave-factor", "inf"), ("gen_attack_cost", "nan"), ("node_limit", "-1")])
+    ("--heatwave-factor", "inf"), ("gen_attack_cost", "nan"), ("node_limit", "-1"),
+    # gamma step 11 would price wires at 0
+    ("gamma_iterations", "12"), ("gamma_iterations", "-3")])
 def test_nonfinite_or_out_of_range_config_exits_1(files, capsys, key, value):
     """A command-line option (``--key``) or a config key out of range."""
     net, net_path, dem_path, cfg_path, tmp = files
@@ -339,13 +341,15 @@ def test_verify_rejects_a_bad_attack_row(cyber_run, tmp_path, capsys, row, messa
     assert out.startswith("FAIL ") and f"attack_strategy.csv:2: {message}" in out
 
 
+# verify checks every run against its manifest, so each copy keeps it
+WITH_MANIFEST = pytest.mark.parametrize("manifest", ["manifest.json"], ids=["manifest"])
 
-def _copy_run(run, tmp_path, manifest):
-    """A copy of ``run``, without its manifest.json unless ``manifest``."""
+
+def _copy_run(run, tmp_path, manifest="manifest.json"):
+    """A copy of ``run``, which holds ``manifest``."""
     copy = tmp_path / "run"
     shutil.copytree(run, copy)
-    if not manifest:
-        (copy / "manifest.json").unlink()
+    assert (copy / manifest).exists()
     return copy
 
 
@@ -353,7 +357,7 @@ def _edit_lines(path, edit):
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
 
 
-@pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no_manifest"])
+@WITH_MANIFEST
 @pytest.mark.parametrize("name, edit, line, message", [
     ("opf_solution.csv", lambda ls: [ls[0].replace("quantity", "qty")] + ls[1:], 1,
      "expected columns ['season', 'hour', 'entity', 'quantity', 'value'], got "
@@ -382,7 +386,7 @@ def test_verify_rejects_a_malformed_csv(cyber_run, tmp_path, capsys, manifest, n
     assert capsys.readouterr().out == f"FAIL {path}:{line}: {message}\n"
 
 
-@pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no_manifest"])
+@WITH_MANIFEST
 def test_verify_rejects_a_repeated_attack_row(cyber_run, tmp_path, capsys, manifest):
     # a second row for one component would overwrite the first one's z_value
     run = _copy_run(cyber_run, tmp_path, manifest)
@@ -394,7 +398,7 @@ def test_verify_rejects_a_repeated_attack_row(cyber_run, tmp_path, capsys, manif
     assert capsys.readouterr().out == (f"FAIL {strategy}:3: a second flow row for E15 at "
                                        f"summer/17\n")
 
-@pytest.mark.parametrize("manifest", [True, False], ids=["manifest", "no_manifest"])
+@WITH_MANIFEST
 @pytest.mark.parametrize("name, added, line, message", [
     # rows past the last one the exporter writes
     ("opf_solution.csv", ["summer,3,ZZZ,g,12345", "summer,3,G01,bogus,1"], None,
@@ -412,9 +416,8 @@ def test_verify_rejects_rows_the_run_does_not_hold(cyber_run, tmp_path, capsys, 
     if line is None:
         line = len(path.read_text().splitlines()) + 1
     _edit_lines(path, lambda ls: ls[:line - 1] + added + ls[line - 1:])
-    if manifest:
-        rows = json.loads((run / "manifest.json").read_text())["files"][name]["rows"]
-        _set_entry(run / "manifest.json", ["files", name, "rows"], rows + len(added))
+    rows = json.loads((run / manifest).read_text())["files"][name]["rows"]
+    _set_entry(run / manifest, ["files", name, "rows"], rows + len(added))
     capsys.readouterr()
     assert main(["verify", "--solution", str(run)]) == 2
     assert capsys.readouterr().out == f"FAIL {path}:{line}: {message}\n"
@@ -422,7 +425,7 @@ def test_verify_rejects_rows_the_run_does_not_hold(cyber_run, tmp_path, capsys, 
 
 def test_verify_reads_the_hour_as_the_exporter_writes_it(cyber_run, tmp_path, capsys):
     # int() reads "01" as hour 1, but the exporter never writes it so
-    run = _copy_run(cyber_run, tmp_path, True)
+    run = _copy_run(cyber_run, tmp_path)
     sol = run / "opf_solution.csv"
     _edit_lines(sol, lambda ls: [ln.replace("summer,1,", "summer,01,", 1) for ln in ls])
     line = next(i for i, ln in enumerate(sol.read_text().splitlines(), start=1)
@@ -542,22 +545,41 @@ def test_verify_reads_the_heatwave_factor_from_the_manifest(compound_run, tmp_pa
     manifest = json.loads((compound_run / "manifest.json").read_text())
     assert manifest["heatwave_factor"] == 1.09
     assert main(["verify", "--solution", str(compound_run)]) == 0
-    # an explicit flag wins over the recorded factor
+    # the flag names the factor the run must record; it overrides nothing
+    assert main(["verify", "--solution", str(compound_run), "--heatwave-factor", "1.09"]) == 0
     capsys.readouterr()
     assert main(["verify", "--solution", str(compound_run), "--heatwave-factor", "1.0"]) == 2
-    assert capsys.readouterr().out.startswith("FAIL summer/")
-    # without the record, the demand is not scaled
+    assert capsys.readouterr().out == ("FAIL manifest.json: heatwave_factor is 1.09, where "
+                                       "--heatwave-factor gives 1.0\n")
+    # without the record there is no demand to check the hours on, flag or not
     run = tmp_path / "run"
     shutil.copytree(compound_run, run)
     del manifest["heatwave_factor"]
     (run / "manifest.json").write_text(json.dumps(manifest))
+    for flag in ([], ["--heatwave-factor", "1.09"]):
+        assert main(["verify", "--solution", str(run), *flag]) == 2
+        assert capsys.readouterr().out == ("FAIL manifest.json: heatwave_factor is None, not "
+                                           "a finite positive number\n")
+
+
+@pytest.mark.parametrize("fixture, name, edit", [
+    ("cyber_run", None, None),
+    # a G02 cut spending 500 beside the plan's 300, against the budget of 300
+    ("cyber_run", "attack_strategy.csv", lambda ls: ls + ["summer,17,gen,G02,500,500"]),
+    ("cyber_run", "shock.csv", lambda ls: [ls[0], "Z01,Utilities,99"] + ls[2:]),
+    ("compound_run", None, None),
+], ids=["cyberattack", "over_budget", "shock", "compound"])
+def test_verify_requires_the_runs_manifest(request, tmp_path, capsys, fixture, name, edit):
+    """A run is checked against the manifest it was exported with: without
+    one, verify fails naming it, whatever the other files hold."""
+    run = tmp_path / "run"
+    shutil.copytree(request.getfixturevalue(fixture), run)
+    (run / "manifest.json").unlink()
+    if edit is not None:
+        _edit_lines(run / name, edit)
+    capsys.readouterr()
     assert main(["verify", "--solution", str(run)]) == 2
-    assert capsys.readouterr().out.startswith("FAIL summer/")
-    # the flag scales the demand, so every hour verifies, but the manifest is
-    # not the one the run wrote
-    assert main(["verify", "--solution", str(run), "--heatwave-factor", "1.09"]) == 2
-    assert capsys.readouterr().out.startswith(
-        "FAIL manifest.json: heatwave_factor is missing, where the re-derived run has 1.09")
+    assert capsys.readouterr().out == f"FAIL manifest.json: not found in {run}\n"
 
 
 def test_verify_missing_solution_dir(files):
@@ -587,8 +609,12 @@ def test_sweep_beta_subcommand(files):
     ("percent_unserved", lambda v: 10 * v, "percent_unserved is "),
     ("customers_affected", lambda v: 10 * v, "customers_affected is "),
     ("customers_affected", lambda v: v + 1, "customers_affected is "),
+    # equal in Python, but not what the exporter writes
+    ("peak_hour", float, "peak_hour is 17.0, where the re-derived run has 17"),
+    ("heatwave_factor", lambda v: True,
+     "heatwave_factor is True, where the re-derived run has 1.0"),
 ], ids=["total", "peak_shed", "peak_hour", "missing", "not_a_number", "percent",
-        "customers", "customers_plus_one"])
+        "customers", "customers_plus_one", "float_hour", "boolean_factor"])
 def test_verify_rejects_manifest_totals_the_rows_do_not_give(cyber_run, tmp_path, capsys,
                                                              key, change, message):
     run = tmp_path / "run"
@@ -688,7 +714,7 @@ def _set_entry(path, keys, value):
     ("manifest.json", lambda p: _set_entry(p, ["scenario"], "Blackout"),
      " unknown scenario kind 'Blackout'"),
     ("manifest.json", lambda p: _set_entry(p, ["season"], "winter"),
-     " season 'winter' has no rows in opf_solution.csv"),
+     " season 'winter' is not in the demand profile, whose seasons are summer"),
 ], ids=["unserved", "customers", "scenario", "scenario_without_attack", "rows",
         "opf_rows", "unknown_scenario", "unknown_season"])
 def test_verify_rejects_a_file_the_run_does_not_give(compound_run, tmp_path, capsys, name,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridshock.attack import AttackCosts, solve_hourly_attack
+from gridshock.attack import AttackCosts, build_hourly_attack_milp, solve_hourly_attack
 from gridshock.dcopf import solve_dcopf
 from gridshock.kkt import kkt_residuals, verify_equilibrium
 from gridshock.network import DemandProfile, load_demand, save_demand
@@ -63,6 +63,28 @@ def test_scenario_unknown_season_fails():
     with pytest.raises(ValueError, match="'autumn' is not in the demand profile, whose "
                                          "seasons are summer"):
         run_scenario(ScenarioConfig(kind="Baseline", season="autumn"), net, prof)
+
+
+@pytest.mark.parametrize("season, hour, message", [
+    ("summer", -1, "hour -1 is outside the hours 0..1 of season 'summer'"),
+    ("summer", np.int64(2), "hour 2 is outside the hours 0..1 of season 'summer'"),
+    ("autumn", 0, "season 'autumn' is not in the demand profile, whose seasons are summer"),
+], ids=["negative", "past_the_last", "unknown_season"])
+def test_an_hour_outside_the_day_is_rejected(season, hour, message):
+    # a negative hour would index from the end of the day, another hour's demand
+    net = two_bus()
+    prof = profile_for(net, [[0.0, 80.0], [0.0, 60.0]])
+    costs = AttackCosts(np.full(2, 1.0), np.full(1, 1000.0), np.full(1, 600000.0), 20.0)
+    calls = [lambda: prof.at(season, hour),
+             lambda: solve_dcopf(net, prof, season, hour),
+             lambda: build_hourly_attack_milp(net, prof, season, hour, costs, 20.0),
+             lambda: solve_hourly_attack(net, prof, season, hour, costs, 20.0, node_limit=0)]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert [a.tolist() for a in prof.at("summer", np.int64(1))] == [[0.0, 60.0],
+                                                                    [1000.0, 1000.0]]
 
 
 def test_attack_with_min_generation_floor():

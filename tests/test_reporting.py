@@ -104,7 +104,7 @@ def test_solution_csv_verifies_after_roundtrip(tmp_path, small_run):
     export_results(res, tmp_path / "run", net, costs)
     from gridshock.network import apply_heatwave
     hot = apply_heatwave(prof, cfg.heatwave_factor)
-    sols = read_solutions(tmp_path / "run" / "opf_solution.csv", net, hot)
+    sols = read_solutions(tmp_path / "run" / "opf_solution.csv", net, hot, cfg.season)
     attacks = read_attack_csv(tmp_path / "run" / "attack_strategy.csv", net, costs,
                               {(sol.season, sol.hour) for sol in sols})
     assert len(sols) == 2
@@ -202,7 +202,9 @@ def test_manifest_records_the_heatwave_factor(tmp_path, small_run):
     cyber = run_scenario(replace(cfg, kind="Cyberattack"), net, prof, costs=costs)
     export_results(cyber, tmp_path / "cyber", net, costs)
     assert read_manifest(tmp_path / "cyber")["heatwave_factor"] == 1.0
-    assert read_manifest(tmp_path / "none") is None
+    # a directory without a manifest has nothing to be checked against
+    with pytest.raises(ValueError, match="^manifest.json: not found in "):
+        read_manifest(tmp_path / "none")
 
 
 def test_manifest_records_the_attack_prices(tmp_path, small_run):
@@ -215,4 +217,3 @@ def test_manifest_records_the_attack_prices(tmp_path, small_run):
     assert back.budget == want.budget
     export_results(res, tmp_path / "plain", net)
     assert read_attack_costs(read_manifest(tmp_path / "plain"), net) is None
-    assert read_attack_costs(read_manifest(tmp_path / "none"), net) is None

@@ -180,6 +180,21 @@ def test_config_file_bad_value_names_file_and_line(tmp_path, line):
         load_config(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    # gamma step 11 would price wires at 0
+    ("gamma_iterations = 11", "gamma_iterations must be between 1 and 10, "),
+    ("gamma_iterations = -3", "gamma_iterations must be between 1 and 10, "),
+    ("beta_iterations = 0", "beta_iterations must be at least 1, got 0"),
+])
+def test_config_rejects_a_ladder_it_cannot_price(tmp_path, line, message):
+    path = tmp_path / "ladder.cfg"
+    path.write_text(f"kind = Compound\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{message}"):
+        load_config(path)
+    path.write_text("gamma_iterations = 10\n")
+    assert 1.0 - (load_config(path).gamma_iterations - 1) * GAMMA_WIRE_STEP > 0
+
+
 def test_config_file_refine_flag(tmp_path):
     # the budget split is always the knapsack over a grid of BUDGET_STEPS
     # steps: no key selects another split or another grid
