@@ -187,33 +187,26 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # built per call, so a handler replaced on the module is the one that runs
+    commands = {
+        "solve-opf": cmd_solve_opf,
+        "attack": cmd_attack,
+        "scenario": cmd_scenario,
+        "sweep-gamma": lambda args: cmd_sweep(args, "gamma"),
+        "sweep-beta": lambda args: cmd_sweep(args, "beta"),
+        "verify": cmd_verify,
+    }
     try:
-        if args.command == "solve-opf":
-            return cmd_solve_opf(args)
-        if args.command == "attack":
-            return cmd_attack(args)
-        if args.command == "scenario":
-            return cmd_scenario(args)
-        if args.command == "sweep-gamma":
-            return cmd_sweep(args, "gamma")
-        if args.command == "sweep-beta":
-            return cmd_sweep(args, "beta")
-        if args.command == "verify":
-            return cmd_verify(args)
-        parser.error(f"unknown command {args.command}")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (NetworkParseError, NetworkValidationError, ValueError) as exc:
+        return commands[args.command](args)
+    except (OSError, NetworkParseError, NetworkValidationError, ValueError) as exc:
+        # OSError: a missing input file or an output directory that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SolverNumericalError, MilpNodeLimitError, BigMInvalidError,
             ScenarioError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -304,7 +304,8 @@ def save_network(net: PowerNetwork, path: str | Path) -> None:
 class DemandProfile:
     """Per-season hourly nodal demand (MW) and value of lost load ($/MWh).
 
-    Arrays are H x N in the network's node order and read-only.  VOLL must
+    Arrays are H x N in the network's node order, finite and read-only;
+    construction names the first NaN or infinite entry.  VOLL must
     exceed every generator marginal cost so shedding is never the cheap
     option; :func:`load_demand` checks that on every row.
     """
@@ -323,6 +324,13 @@ class DemandProfile:
             if arr.shape[1] != len(self.node_ids):
                 raise NetworkValidationError(
                     f"season {season!r}: expected {len(self.node_ids)} node columns")
+            for name, values in (("demand", arr), ("voll", self.voll[season])):
+                bad = np.argwhere(~np.isfinite(values))
+                if bad.size:
+                    h, n = bad[0]
+                    raise NetworkValidationError(
+                        f"season {season!r}: {name} at hour {h}, node {self.node_ids[n]!r} "
+                        f"is {values[h, n]}, not a finite number")
             if np.any(arr < 0):
                 raise NetworkValidationError(f"season {season!r}: negative demand")
 

@@ -42,6 +42,17 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> int:
     return len(rows)
 
 
+def _make_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made with its parents if missing; OSError
+    naming the directory when it cannot be made."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
 def solution_layout(net: PowerNetwork) -> list[tuple[str, str, int | None]]:
     """One hour's rows of opf_solution.csv, in file order, as (entity,
     quantity, index of the entity in the quantity's OpfSolution array);
@@ -168,12 +179,7 @@ def export_results(
     costs: AttackCosts | None = None,
 ) -> dict:
     """Write the scenario's file set and return the manifest dictionary."""
-    outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {outdir}: {exc}") from exc
-
+    outdir = _make_dir(outdir)
     attacks = {} if result.plan is None else {
         (p.season, p.hour): {"zg": p.zg, "zf": p.zf, "zt": p.zt} for p in result.plan.hours}
     tables, manifest = _render(result, net, costs, attacks)
@@ -194,8 +200,7 @@ def export_sweep(
     net: PowerNetwork,
 ) -> dict:
     """One subdirectory per iteration plus a sweep summary CSV."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_dir(outdir)
     summary = []
     manifest: dict = {"parameter": points[0].parameter if points else "",
                       "iterations": len(points), "files": {}}
@@ -503,8 +508,7 @@ def verify_run(soldir: str | Path, net: PowerNetwork, demand: DemandProfile,
         if failed is None and not verify_equilibrium(res, CERT_TOL):
             failed = f"{sol.season}/{sol.hour}: max residual {res.overall_max():.3e}"
     if dump is not None:
-        Path(dump).mkdir(parents=True, exist_ok=True)
-        _write_csv(Path(dump) / "kkt_residuals.csv",
+        _write_csv(_make_dir(dump) / "kkt_residuals.csv",
                    ["season", "hour", "block", "index", "residual"], dump_rows)
     if failed is not None:
         raise ValueError(failed)

@@ -8,14 +8,10 @@ attacker prices (gamma: wires 10% cheaper and generators 10% dearer per
 step) or the budget (beta: +20% per step), six iterations each,
 evaluating both attack scenarios per iteration.
 
-Each ladder step is a fresh attack run.  The steps of one scenario kind
-share that kind's :func:`scenario_dispatch`, so its unattacked day is
-solved once per ladder.  When a step sheds less than the
-step before, the previous plan, re-costed at the step's prices, is reported
-instead if it fits the step's budget.  A beta step is therefore never below
-its predecessor (a larger budget at the same prices still affords the
-previous plan); a gamma step is only while the previous plan stays
-affordable at the dearer generator prices.
+Each ladder step is a fresh attack run on its scenario kind's shared
+:func:`scenario_dispatch`, so the kind's unattacked day is solved once
+per ladder; a step's result is its :func:`run_scenario` at the step's
+prices, bit for bit, and no plan passes from one step to the next.
 """
 
 from __future__ import annotations
@@ -205,32 +201,6 @@ def _run_day(cfg: ScenarioConfig, dispatch: SeasonDispatch,
         raise ScenarioError(f"{cfg.kind}/{season}: {exc}") from exc
 
 
-def _monotone_rerun(
-    cfg: ScenarioConfig,
-    net: PowerNetwork,
-    demand: DemandProfile,
-    costs: AttackCosts,
-    previous: ScenarioResult | None,
-    result: ScenarioResult,
-) -> ScenarioResult:
-    """The previous step's plan when a ladder step sheds less than it.
-
-    The previous plan's hours are re-costed at this step's prices and
-    reported as they are when they fit the step's budget; otherwise the
-    fresh result stands.  The ladder keeps the demand, so the previous
-    plan's dispatch is this step's too.
-    """
-    if previous is None or previous.plan is None or result.plan is None:
-        return result
-    if result.total_unserved_mwh >= previous.total_unserved_mwh - 1e-9:
-        return result
-    hours = [replace(h, spend=costs.spend(h.zg, h.zf, h.zt)) for h in previous.plan.hours]
-    if sum(h.spend for h in hours) > costs.budget:
-        return result
-    plan = AttackPlan(cfg.season, hours, costs.budget)
-    return _metrics(cfg, net, scenario_profile(cfg, demand), [h.opf for h in hours], plan)
-
-
 @dataclass
 class SweepPoint:
     iteration: int
@@ -267,7 +237,6 @@ def _sweep(
     base = scenario_costs(cfg, net)
     points = []
     kinds = ("Cyberattack", "Compound")
-    prev: dict[str, ScenarioResult | None] = dict.fromkeys(kinds)
     # one day per kind for every step: the ladder changes prices, not demand
     days = {kind: scenario_dispatch(replace(cfg, kind=kind), net, demand) for kind in kinds}
     for i in range(1, getattr(cfg, f"{parameter}_iterations") + 1):
@@ -278,16 +247,10 @@ def _sweep(
             gen, wire, budget = 1.0, 1.0, beta_multiplier(i)
             multiplier = budget
         costs = base.scaled(gen, wire, budget)
-        results = {}
-        for kind in kinds:
-            sub = replace(cfg, kind=kind, budget=costs.budget)
-            res = _run_day(sub, days[kind], costs)
-            res = _monotone_rerun(sub, net, demand, costs, prev[kind], res)
-            results[kind] = res
-            prev[kind] = res
+        cyber, compound = (_run_day(replace(cfg, kind=kind, budget=costs.budget), days[kind],
+                                    costs) for kind in kinds)
         points.append(SweepPoint(i, parameter, multiplier, cfg.cost_ratio * wire / gen,
-                                 costs.budget, results["Cyberattack"],
-                                 results["Compound"], costs))
+                                 costs.budget, cyber, compound, costs))
     return points
 
 

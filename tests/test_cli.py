@@ -600,6 +600,23 @@ def test_sweep_beta_subcommand(files):
     assert (tmp / "sw" / "sweep_summary.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve-opf", "sweep-beta", "verify"])
+def test_an_output_directory_that_cannot_be_made_exits_1(files, capsys, command):
+    # --out is a regular file, or lies under one: bad input, not a traceback
+    net, net_path, dem_path, cfg_path, tmp = files
+    inputs = ["--network", str(net_path), "--demand", str(dem_path)]
+    assert main(["solve-opf", *inputs, "--out", str(tmp / "run")]) == 0
+    flags = {"solve-opf": [], "sweep-beta": ["--config", str(cfg_path)],
+             "verify": ["--solution", str(tmp / "run"), "--dump-lp"]}[command]
+    blocker = tmp / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "x"):
+        capsys.readouterr()
+        assert main([command, *inputs, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot create output directory {out}: ")
+
+
 @pytest.mark.parametrize("key, change, message", [
     ("total_unserved_mwh", lambda v: 10 * v, "total_unserved_mwh is "),
     ("peak_shed_mw", lambda v: v * (1 + 1e-8), "peak_shed_mw is "),

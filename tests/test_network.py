@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridshock.network import (
+    DemandProfile,
     NetworkParseError,
     NetworkValidationError,
     apply_heatwave,
@@ -212,6 +213,22 @@ def test_demand_voll_must_dominate(tmp_path):
     path.write_text("season,hour,node,demand_mw,voll\nsummer,0,n1,10.0,15.0\n")
     with pytest.raises(NetworkValidationError, match="VOLL"):
         load_demand(path, net)
+
+
+@pytest.mark.parametrize("array", ["demand", "voll"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_profile_entries_must_be_finite(bundled_demand, array, value):
+    # a profile built in code, as load_demand checks a file's rows: bad
+    # input, not a dispatch LP whose bounds hold a NaN
+    arrays = {name: np.array(getattr(bundled_demand, name)["summer"])
+              for name in ("demand", "voll")}
+    arrays[array][17, 3] = value
+    node = bundled_demand.node_ids[3]
+    with pytest.raises(NetworkValidationError,
+                       match=f"season 'summer': {array} at hour 17, node '{node}' is {value}, "
+                             "not a finite number"):
+        DemandProfile(bundled_demand.node_ids, {"summer": arrays["demand"]},
+                      {"summer": arrays["voll"]})
 
 
 def test_profiles_are_immutable(bundled_demand):

@@ -234,9 +234,10 @@ def _result_bytes(res):
     return out
 
 
-def test_beta_steps_share_one_dispatch_per_kind(small, monkeypatch):
-    """A 2-step beta ladder builds one SeasonDispatch per scenario kind, and
-    each of its points is the step's own run_scenario, bit for bit."""
+@pytest.mark.parametrize("sweep", [gamma_sweep, beta_sweep], ids=["gamma", "beta"])
+def test_ladder_steps_share_one_dispatch_per_kind(small, monkeypatch, sweep):
+    """A 2-step ladder builds one SeasonDispatch per scenario kind, and each
+    of its points is the step's own run_scenario, bit for bit."""
     net, prof = small
     made = []
     real = scenarios.SeasonDispatch.__init__
@@ -245,8 +246,8 @@ def test_beta_steps_share_one_dispatch_per_kind(small, monkeypatch):
         made.append(self)
         real(self, *args, **kwargs)
     monkeypatch.setattr(scenarios.SeasonDispatch, "__init__", counting)
-    cfg = cfg_for("Compound", beta_iterations=2)
-    pts = beta_sweep(cfg, net, prof)
+    cfg = cfg_for("Compound", gamma_iterations=2, beta_iterations=2)
+    pts = sweep(cfg, net, prof)
     assert len(made) == 2
     for pt in pts:
         for kind in ("Cyberattack", "Compound"):
@@ -255,50 +256,11 @@ def test_beta_steps_share_one_dispatch_per_kind(small, monkeypatch):
             assert _result_bytes(getattr(pt, kind.lower())) == _result_bytes(alone)
 
 
-def _gamma_step(cfg, net):
-    """The prices of gamma ladder step 2 at ``cfg``'s budget."""
-    return scenarios.scenario_costs(cfg, net).scaled(1.0 + GAMMA_WIRE_STEP,
-                                                     1.0 - GAMMA_WIRE_STEP)
-
-
-def _no_attack(monkeypatch):
-    def attack(*args, **kwargs):
-        raise AssertionError("a ladder rerun solved an attack")
-
-    monkeypatch.setattr(scenarios, "run_attack", attack)
-
-
-def test_dipping_step_reports_the_recosted_previous_plan(small, monkeypatch):
-    # a hand-built dipping pair: the previous step kills 15 MW of g2 for 15,
-    # which step 2's dearer generators make 16.5 of its 30; the step's result
-    # is its run at half that budget, which sheds less
+def test_a_gamma_step_that_sheds_less_reports_its_own_run(small):
+    # step 1 buys 30 of generators; at step 2's 10% dearer generators that
+    # plan would cost 33, so step 2's own run sheds less and stands as it is
     net, prof = small
-    cfg = cfg_for("Cyberattack")
-    costs = _gamma_step(cfg, net)
-    previous = run_scenario(cfg_for("Cyberattack", budget=15.0), net, prof)
-    result = run_scenario(cfg, net, prof, costs=costs.scaled(budget_factor=0.5))
-    assert previous.total_unserved_mwh > result.total_unserved_mwh + 1e-9
-    _no_attack(monkeypatch)
-    out = scenarios._monotone_rerun(cfg, net, prof, costs, previous, result)
-    assert out.total_unserved_mwh == previous.total_unserved_mwh
-    assert out.plan.budget == costs.budget
-    for old, new in zip(previous.plan.hours, out.plan.hours):
-        for name in ("zg", "zf", "zt"):
-            assert np.array_equal(getattr(new, name), getattr(old, name))
-        assert new.spend == costs.spend(old.zg, old.zf, old.zt)
-        assert new.opf is old.opf
-    assert [h.spend for h in out.plan.hours] == pytest.approx([0.0, 16.5], rel=1e-12)
-
-
-def test_unaffordable_previous_plan_keeps_the_fresh_result(small, monkeypatch):
-    # the previous plan buys 30 of generators; at step 2's prices it costs 33
-    net, prof = small
-    cfg = cfg_for("Compound")
-    costs = _gamma_step(cfg, net)
-    previous = run_scenario(cfg, net, prof)
-    result = run_scenario(cfg, net, prof, costs=costs)
-    assert previous.total_unserved_mwh > result.total_unserved_mwh + 1e-9
-    assert sum(costs.spend(h.zg, h.zf, h.zt)
-               for h in previous.plan.hours) == pytest.approx(33.0, rel=1e-12)
-    _no_attack(monkeypatch)
-    assert scenarios._monotone_rerun(cfg, net, prof, costs, previous, result) is result
+    first, second = gamma_sweep(cfg_for("Compound", gamma_iterations=2), net, prof)
+    assert second.compound.total_unserved_mwh < first.compound.total_unserved_mwh - 1e-9
+    assert sum(second.costs.spend(h.zg, h.zf, h.zt) for h in first.compound.plan.hours) \
+        == pytest.approx(33.0, rel=1e-12)
