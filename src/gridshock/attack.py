@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcopf import (OpfInfeasibleError, OpfSolution, SeasonDispatch, dispatch_vertex,
-                    solve_dcopf)
+from .dcopf import (OpfInfeasibleError, OpfLayout, OpfSolution, SeasonDispatch,
+                    dispatch_vertex, solve_dcopf)
 from .kkt import (PAIR_BLOCKS, PAIR_DUALS, complementarity_pairs, kkt_residuals,
                   verify_equilibrium)
 from .milp import MilpProblem, solve_milp
@@ -149,19 +149,21 @@ class AttackPlan:
 
 
 class _Layout:
-    """Column offsets and a row bound of the attack MILP for a list of hours."""
+    """Column offsets and a row bound of the attack MILP for a list of hours:
+    per hour, the attack, the equilibrium point laid out as ``opf``, and an
+    indicator block ``gam_`` + pair per complementarity pair."""
 
-    def __init__(self, net: PowerNetwork, n_hours: int):
+    def __init__(self, net: PowerNetwork, opf: OpfLayout, n_hours: int):
         G, E, N = net.num_generators, net.num_edges, net.num_nodes
-        names = (["zg", "zf", "zt", "g", "f", "u", "th", "pi_d", "pi_f", "delta"]
-                 + ["rho_" + blk for blk in PAIR_BLOCKS] + ["gam_" + blk for blk in PAIR_BLOCKS])
-        sizes = [G, E, E, G, E, N, N, N, E, 1] + [G, G, E, E, E, E, N, N] * 2
-        self.block_size = dict(zip(names, sizes))
+        self.opf = opf
+        sizes = {name: blk.stop - blk.start for name, blk in opf.blocks.items()}
+        self.block_size = {"zg": G, "zf": E, "zt": E, **sizes,
+                           **{"gam_" + pair: sizes[PAIR_DUALS[pair]] for pair in PAIR_BLOCKS}}
         self.offsets: list[dict[str, int]] = []
         pos = 0
         for _ in range(n_hours):
             offs = {}
-            for nm, sz in zip(names, sizes):
+            for nm, sz in self.block_size.items():
                 offs[nm] = pos
                 pos += sz
             self.offsets.append(offs)
@@ -172,6 +174,11 @@ class _Layout:
     def sl(self, hour_pos: int, name: str) -> slice:
         off = self.offsets[hour_pos][name]
         return slice(off, off + self.block_size[name])
+
+    def point(self, hour_pos: int) -> slice:
+        """The columns of the hour's equilibrium point, laid out as ``opf``."""
+        start = self.sl(hour_pos, "zt").stop  # the point follows the attack
+        return slice(start, start + self.opf.size)
 
 
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]  # A, row_lb, row_ub, labels
@@ -203,9 +210,10 @@ def _build_attack_milp(
     costs: AttackCosts,
     budget: float,
     M: float,
+    opf: OpfLayout,
 ) -> tuple[MilpProblem, _Layout]:
     """Assemble the attack MILP over the given hours under one ``budget`` row,
-    with big M ``M``.
+    with big M ``M``; each hour's equilibrium point is laid out as ``opf``.
 
     Each row family is one block of rows over the hour's column blocks; the
     budget row, last, spans every hour's attack columns.
@@ -214,7 +222,7 @@ def _build_attack_milp(
     arr = net.arrays
     A, Bmw, Mmap, e_ref = arr.incidence, arr.susceptance_mw, arr.gen_node_map, arr.e_ref
     g_lo, g_up, f_cap, t_cap, cg_op = arr.g_lo, arr.g_up, arr.f_cap, arr.t_cap, arr.gen_costs
-    lay = _Layout(net, len(hours))
+    lay = _Layout(net, opf, len(hours))
     budget = float(budget)
 
     # budget presolve: no single component can absorb more than the budget
@@ -264,7 +272,7 @@ def _build_attack_milp(
         for name, lo, hi in (
             ("zg", 0.0, zg_ub), ("zf", 0.0, zf_ub), ("zt", 0.0, zt_ub),
             ("g", g_lo, g_up), ("f", -f_cap, f_cap), ("u", 0.0, d),
-            ("th", -np.inf, np.inf), ("pi_d", -np.inf, np.inf),
+            ("theta", -np.inf, np.inf), ("pi_d", -np.inf, np.inf),
             ("pi_f", -np.inf, np.inf), ("delta", -np.inf, np.inf),
         ):
             lb[lay.sl(hp, name)] = lo
@@ -272,7 +280,7 @@ def _build_attack_milp(
         for blk in PAIR_BLOCKS:
             # dead angle pairs: multiplier and indicator pinned to zero
             dead = angle_dead if blk.startswith("angle") else False
-            ub[lay.sl(hp, "rho_" + blk)] = np.where(dead, 0.0, M)
+            ub[lay.sl(hp, PAIR_DUALS[blk])] = np.where(dead, 0.0, M)
             ub[lay.sl(hp, "gam_" + blk)] = np.where(dead, 0.0, 1.0)
 
         c[lay.sl(hp, "u")] = voll
@@ -291,19 +299,19 @@ def _build_attack_milp(
 
         # nodal balance and flow law (physics of the compromised grid)
         families.append(rows("bal", {"g": Mmap, "u": I_N, "f": -A.T}, d, d))
-        families.append(rows("flowlaw", {"f": I_E, "th": -Bmw[:, None] * A}, 0.0, 0.0))
-        families.append(rows("ref", {"th": e_ref}, 0.0, 0.0))
+        families.append(rows("flowlaw", {"f": I_E, "theta": -Bmw[:, None] * A}, 0.0, 0.0))
+        families.append(rows("ref", {"theta": e_ref}, 0.0, 0.0))
 
         # stationarity rows
-        families.append(rows("stat_g", {"pi_d": Mmap.T, "rho_gen_lo": I_G,
-                                        "rho_gen_up": -I_G}, cg_op, cg_op))
-        families.append(rows("stat_f", {"pi_f": I_E, "rho_flow_lo": -I_E,
-                                        "rho_flow_up": I_E, "pi_d": A}, 0.0, 0.0))
-        families.append(rows("stat_th", {"pi_f": -A.T * Bmw, "rho_angle_lo": -A.T,
-                                         "rho_angle_up": A.T, "delta": e_ref[:, None]},
+        families.append(rows("stat_g", {"pi_d": Mmap.T, "rho_g_lo": I_G,
+                                        "rho_g_up": -I_G}, cg_op, cg_op))
+        families.append(rows("stat_f", {"pi_f": I_E, "rho_f_lo": -I_E,
+                                        "rho_f_up": I_E, "pi_d": A}, 0.0, 0.0))
+        families.append(rows("stat_th", {"pi_f": -A.T * Bmw, "rho_th_lo": -A.T,
+                                         "rho_th_up": A.T, "delta": e_ref[:, None]},
                              0.0, 0.0))
-        families.append(rows("stat_u", {"pi_d": I_N, "rho_unserved_lo": I_N,
-                                        "rho_unserved_up": -I_N}, voll, voll))
+        families.append(rows("stat_u", {"pi_d": I_N, "rho_u_lo": I_N,
+                                        "rho_u_up": -I_N}, voll, voll))
 
         # attacked primal ranges (the F2 >= 0 side where z shifts a bound);
         # dead angle pairs keep generous slack whatever zt does, so their
@@ -312,8 +320,8 @@ def _build_attack_milp(
         families.append(_interleave(
             rows("cap_f_lo", {"f": I_E, "zf": -I_E}, -f_cap, np.inf),
             rows("cap_f_up", {"f": I_E, "zf": I_E}, -np.inf, f_cap),
-            rows("cap_t_lo", {"zt": -I_E, "th": A}, -t_cap, np.inf),
-            rows("cap_t_up", {"zt": I_E, "th": A}, -np.inf, t_cap),
+            rows("cap_t_lo", {"zt": -I_E, "theta": A}, -t_cap, np.inf),
+            rows("cap_t_up", {"zt": I_E, "theta": A}, -np.inf, t_cap),
             keep=edge_keep))
 
         # complementarity: slack <= (1 - gamma) * kappa, multiplier <= gamma * M
@@ -327,9 +335,9 @@ def _build_attack_milp(
                  -np.inf, k_flow - f_cap),
             rows("cmp_flow_up", {"f": -I_E, "zf": -I_E, "gam_flow_up": np.diag(k_flow)},
                  -np.inf, k_flow - f_cap),
-            rows("cmp_angle_lo", {"zt": -I_E, "gam_angle_lo": np.diag(k_angle), "th": A},
+            rows("cmp_angle_lo", {"zt": -I_E, "gam_angle_lo": np.diag(k_angle), "theta": A},
                  -np.inf, k_angle - t_cap),
-            rows("cmp_angle_up", {"zt": -I_E, "gam_angle_up": np.diag(k_angle), "th": -A},
+            rows("cmp_angle_up", {"zt": -I_E, "gam_angle_up": np.diag(k_angle), "theta": -A},
                  -np.inf, k_angle - t_cap),
             keep=edge_keep))
         families.append(_interleave(
@@ -338,8 +346,8 @@ def _build_attack_milp(
 
         # dual side: rho <= gamma * M
         for blk in PAIR_BLOCKS:
-            eye = np.eye(lay.block_size["rho_" + blk])
-            fam = rows(f"bigm_{blk}", {"rho_" + blk: eye, "gam_" + blk: -M * eye},
+            eye = np.eye(lay.block_size[PAIR_DUALS[blk]])
+            fam = rows(f"bigm_{blk}", {PAIR_DUALS[blk]: eye, "gam_" + blk: -M * eye},
                        -np.inf, 0.0)
             families.append(_select(fam, live) if blk.startswith("angle") else fam)
 
@@ -379,13 +387,9 @@ def build_hourly_attack_milp(
     :func:`default_bigm` when None."""
     if bigm is None:
         bigm = default_bigm(net, demand)
-    prob, _ = _build_attack_milp(net, demand, season, [hour], costs, hourly_budget, bigm)
+    prob, _ = _build_attack_milp(net, demand, season, [hour], costs, hourly_budget, bigm,
+                                 OpfLayout.of(net))
     return prob
-
-
-# array fields of the embedded equilibrium (OpfSolution) -> attack MILP column block
-_OPF_BLOCKS = {"g": "g", "f": "f", "u": "u", "theta": "th", "pi_d": "pi_d", "pi_f": "pi_f",
-               **{fld: "rho_" + pair for pair, fld in PAIR_DUALS.items()}}
 
 
 def _extract_hour(
@@ -399,19 +403,16 @@ def _extract_hour(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, OpfSolution]:
     """One hour's attack and embedded equilibrium from a MILP point."""
     d, voll = demand.at(season, hour)
-    arrays = {fld: x[lay.sl(hp, blk)].copy() for fld, blk in _OPF_BLOCKS.items()}
-    opf = OpfSolution(
-        season=season, hour=hour, delta=float(x[lay.offsets[hp]["delta"]]), **arrays,
-        objective=float(net.arrays.gen_costs @ arrays["g"] + voll @ arrays["u"]),
-        demand=d.copy(), voll=voll.copy(), shed_cost=float(voll @ arrays["u"]),
-    )
+    point = x[lay.point(hp)].copy()
+    g, u = point[lay.opf.blocks["g"]], point[lay.opf.blocks["u"]]
+    opf = OpfSolution(season, hour, float(net.arrays.gen_costs @ g + voll @ u), d, voll,
+                      float(voll @ u), point, lay.opf)
     return x[lay.sl(hp, "zg")], x[lay.sl(hp, "zf")], x[lay.sl(hp, "zt")], opf
 
 
 def _max_norm(zg: np.ndarray, zf: np.ndarray, zt: np.ndarray, opf: OpfSolution) -> float:
     """Max-norm over the attack and the embedded (y1, y2) equilibrium point."""
-    arrays = [zg, zf, zt, [opf.delta]] + [getattr(opf, f) for f in _OPF_BLOCKS]
-    return float(np.abs(np.concatenate(arrays)).max(initial=0.0))
+    return float(np.abs(np.concatenate([zg, zf, zt, opf.point])).max(initial=0.0))
 
 
 def _zone_packages(
@@ -552,15 +553,13 @@ def _milp_point_from_dispatch(
     """Write one hour's dispatch equilibrium into a MILP candidate vector."""
     for name, z in (("zg", zg), ("zf", zf), ("zt", zt)):
         x[lay.sl(hp, name)] = z
-    for fld, blk in _OPF_BLOCKS.items():
-        x[lay.sl(hp, blk)] = getattr(sol, fld)
-    x[lay.offsets[hp]["delta"]] = sol.delta
+    x[lay.point(hp)] = sol.point
     # multipliers stay only on active pairs, each with its indicator
     slacks, rhos = complementarity_pairs(net, sol, zg, zf, zt)
     for blk in PAIR_BLOCKS:
         scale = 1.0 + np.abs(slacks[blk])
         active = slacks[blk] <= atol * scale
-        x[lay.sl(hp, "rho_" + blk)] = np.where(active, rhos[blk], 0.0)
+        x[lay.sl(hp, PAIR_DUALS[blk])] = np.where(active, rhos[blk], 0.0)
         x[lay.sl(hp, "gam_" + blk)] = np.where(active, 1.0, 0.0)
 
 
@@ -620,7 +619,8 @@ def _solve_certified(
     """
     net, demand, season = dispatch.net, dispatch.demand, dispatch.season
     for attempt in range(BIGM_RETRIES + 1):
-        prob, lay = _build_attack_milp(net, demand, season, hours, costs, budget, bigm)
+        prob, lay = _build_attack_milp(net, demand, season, hours, costs, budget, bigm,
+                                       dispatch.form.layout)
         x0 = np.zeros(lay.n_cols)
         for hp, (zg, zf, zt, sol) in enumerate(warm_parts):
             _milp_point_from_dispatch(net, lay, hp, zg, zf, zt, sol, x0)
@@ -708,7 +708,7 @@ def solve_full_milp(
     bundled 24-hour day would need about 0.8 GB for the matrix alone).
     """
     hours = hours if hours is not None else list(range(demand.hours(season)))
-    lay = _Layout(net, len(hours))
+    lay = _Layout(net, OpfLayout.of(net), len(hours))
     if lay.max_rows * lay.n_cols > FULL_MILP_MAX_ENTRIES:
         raise ValueError(
             f"joint attack MILP over {len(hours)} hours is up to {lay.max_rows} x "

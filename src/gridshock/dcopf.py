@@ -27,47 +27,68 @@ class OpfInfeasibleError(RuntimeError):
     """The OPF should always be feasible (shedding is allowed); raised if not."""
 
 
-# OpfSolution array fields per entity kind (a PowerNetwork list attribute),
-# in the row order of opf_solution.csv
-OPF_ARRAYS = {
-    "generators": ("g", "rho_g_lo", "rho_g_up"),
-    "edges": ("f", "pi_f", "rho_f_lo", "rho_f_up", "rho_th_lo", "rho_th_up"),
-    "nodes": ("u", "theta", "pi_d", "rho_u_lo", "rho_u_up"),
+# The blocks of an hourly equilibrium point (y1, y2) in the attack MILP's
+# column order, each with the entity kind (a PowerNetwork list attribute)
+# that sizes it; delta, the reference-angle dual, is a single entry
+OPF_BLOCKS = {
+    "g": "generators", "f": "edges", "u": "nodes", "theta": "nodes",
+    "pi_d": "nodes", "pi_f": "edges", "delta": None,
+    "rho_g_lo": "generators", "rho_g_up": "generators",
+    "rho_f_lo": "edges", "rho_f_up": "edges",
+    "rho_th_lo": "edges", "rho_th_up": "edges",
+    "rho_u_lo": "nodes", "rho_u_up": "nodes",
 }
+
+
+@dataclass(frozen=True)
+class OpfLayout:
+    """Where each :data:`OPF_BLOCKS` name lies in the equilibrium point of a
+    network: ``blocks`` maps it to its slice, ``size`` is the point's length."""
+
+    blocks: dict[str, slice]
+    size: int
+
+    @classmethod
+    def of(cls, net: PowerNetwork) -> "OpfLayout":
+        blocks, pos = {}, 0
+        for name, kind in OPF_BLOCKS.items():
+            size = 1 if kind is None else len(getattr(net, kind))
+            blocks[name] = slice(pos, pos + size)
+            pos += size
+        return cls(blocks, pos)
 
 
 @dataclass(slots=True)
 class OpfSolution:
     """Primal and dual quantities of one hourly dispatch.
 
-    Dual conventions match the stationarity system used across the
-    package: nodal price pi_d is the balance-row dual, pi_f the flow-law
-    dual, delta the reference-angle dual; rho_* are the nonnegative bound
-    multipliers (lo/up per block).
+    ``point`` is the equilibrium (y1, y2), read-only, laid out by ``layout``
+    (ValueError when it does not fit); ``sol.g`` and each other
+    :data:`OPF_BLOCKS` name is a view of its block.  Dual conventions match
+    the stationarity system used across the package: nodal price pi_d is
+    the balance-row dual, pi_f the flow-law dual, delta the reference-angle
+    dual; rho_* are the nonnegative bound multipliers (lo/up per block).
     """
 
     season: str
     hour: int
-    g: np.ndarray
-    f: np.ndarray
-    u: np.ndarray
-    theta: np.ndarray
-    pi_d: np.ndarray
-    pi_f: np.ndarray
-    delta: float
-    rho_g_lo: np.ndarray
-    rho_g_up: np.ndarray
-    rho_f_lo: np.ndarray
-    rho_f_up: np.ndarray
-    rho_th_lo: np.ndarray
-    rho_th_up: np.ndarray
-    rho_u_lo: np.ndarray
-    rho_u_up: np.ndarray
     objective: float
     demand: np.ndarray
     voll: np.ndarray
     shed_cost: float  # voll . u, the disruption value of this hour
+    point: np.ndarray
+    layout: OpfLayout
     basis: np.ndarray | None = None  # optimal LP basis: warm start for this hour
+
+    def __post_init__(self):
+        if self.point.shape != (self.layout.size,):
+            raise ValueError(f"point has shape {self.point.shape}, where its layout "
+                             f"has ({self.layout.size},)")
+        self.point.flags.writeable = False
+
+
+for _name in OPF_BLOCKS:  # sol.g and the rest: views of the point
+    setattr(OpfSolution, _name, property(lambda sol, n=_name: sol.point[sol.layout.blocks[n]]))
 
 
 def attack_bounds(
@@ -119,11 +140,13 @@ def _dispatch_matrix(net: PowerNetwork) -> np.ndarray:
 class _DispatchForm(LpForm):
     """The :class:`LpForm` of ``net``'s dispatch matrix, with the network's
     parts of every hourly dispatch LP: the vectors (c, row_lb, row_ub, lb,
-    ub) whose demand, VOLL and capacity entries each hour fills in."""
+    ub) whose demand, VOLL and capacity entries each hour fills in, and the
+    :class:`OpfLayout` of every solution it yields."""
 
     def __init__(self, net: PowerNetwork):
         super().__init__(_dispatch_matrix(net))
         self.net = net
+        self.layout = OpfLayout.of(net)
         N, E, G = net.num_nodes, net.num_edges, net.num_generators
         arr = net.arrays
         self.vectors = (
@@ -187,57 +210,27 @@ def build_dcopf(
 
 
 def extract_solution(
-    net: PowerNetwork,
+    form: _DispatchForm,
     demand: DemandProfile,
     season: str,
     hour: int,
     lp_sol: LpSolution,
 ) -> OpfSolution:
-    """Map an optimal LP solution back to named dispatch quantities."""
+    """Map an optimal LP solution over ``form`` to its equilibrium point."""
+    net = form.net
     N, E, G = net.num_nodes, net.num_edges, net.num_generators
-    x = lp_sol.x
-    y = lp_sol.duals
-    rc = lp_sol.reduced_costs
+    x, y, rc = lp_sol.x, lp_sol.duals, lp_sol.reduced_costs
     d, voll = demand.at(season, hour)
-
-    g = x[:G]
-    f = x[G:G + E]
-    u = x[G + E:G + E + N]
-    theta = x[G + E + N:]
-
-    pi_d = y[:N]
-    pi_f = -y[N:N + E]
-    y_ang = y[N + E:N + 2 * E]
-    delta = float(-y[N + 2 * E])
-
-    rc_g = rc[:G]
-    rc_f = rc[G:G + E]
-    rc_u = rc[G + E:G + E + N]
-
-    return OpfSolution(
-        season=season,
-        hour=hour,
-        g=g.copy(),
-        f=f.copy(),
-        u=u.copy(),
-        theta=theta.copy(),
-        pi_d=pi_d.copy(),
-        pi_f=pi_f.copy(),
-        delta=delta,
-        rho_g_lo=np.maximum(rc_g, 0.0),
-        rho_g_up=np.maximum(-rc_g, 0.0),
-        rho_f_lo=np.maximum(rc_f, 0.0),
-        rho_f_up=np.maximum(-rc_f, 0.0),
-        rho_th_lo=np.maximum(y_ang, 0.0),
-        rho_th_up=np.maximum(-y_ang, 0.0),
-        rho_u_lo=np.maximum(rc_u, 0.0),
-        rho_u_up=np.maximum(-rc_u, 0.0),
-        objective=float(lp_sol.objective),
-        demand=d.copy(),
-        voll=voll.copy(),
-        shed_cost=float(voll @ u),
-        basis=lp_sol.basis,
-    )
+    # the (lo, up) multipliers of the g, f, angle and u bounds: the positive
+    # and negative parts of the reduced costs or of the angle rows' duals
+    signed = (rc[:G], rc[G:G + E], y[N + E:N + 2 * E], rc[G + E:G + E + N])
+    rhos = [part for v in signed for part in (np.maximum(v, 0.0), np.maximum(-v, 0.0))]
+    # x is [g | f | u | theta]; pi_d, pi_f and delta are the balance,
+    # flow-law and reference rows' duals
+    point = np.concatenate([x, y[:N], -y[N:N + E], -y[N + 2 * E:], *rhos])
+    return OpfSolution(season, hour, float(lp_sol.objective), d, voll,
+                       float(voll @ point[form.layout.blocks["u"]]), point, form.layout,
+                       lp_sol.basis)
 
 
 def dispatch_form(net: PowerNetwork) -> LpForm:
@@ -255,7 +248,7 @@ def _dispatch_lp(
     zf: np.ndarray | None,
     zt: np.ndarray | None,
     form: LpForm | None,
-) -> tuple[LpProblem, LpForm]:
+) -> tuple[LpProblem, _DispatchForm]:
     """The hourly dispatch LP over ``form``, :func:`dispatch_form` of ``net``
     (one is built when it is None), with that form."""
     form = form if form is not None else dispatch_form(net)
@@ -297,7 +290,7 @@ def solve_dcopf(
     lp, form = _dispatch_lp(net, demand, season, hour, zg, zf, zt, form)
     sol = solve_lp(lp, basis=basis, form=form)
     _check_status(sol.status, season, hour)
-    return extract_solution(net, demand, season, hour, sol)
+    return extract_solution(form, demand, season, hour, sol)
 
 
 @dataclass
@@ -310,7 +303,7 @@ class DispatchVertex:
     would have returned for the same arguments, bit for bit.
     """
 
-    net: PowerNetwork
+    form: _DispatchForm
     demand: DemandProfile
     season: str
     hour: int
@@ -318,7 +311,7 @@ class DispatchVertex:
     shed_cost: float
 
     def finish(self) -> OpfSolution:
-        return extract_solution(self.net, self.demand, self.season, self.hour,
+        return extract_solution(self.form, self.demand, self.season, self.hour,
                                 finish_lp(self.lp))
 
 
@@ -345,9 +338,8 @@ def dispatch_vertex(
     lp, form = _dispatch_lp(net, demand, season, hour, zg, zf, zt, form)
     vertex = optimize_lp(lp, basis=basis, form=form)
     _check_status(vertex.status, season, hour)
-    G, E, N = net.num_generators, net.num_edges, net.num_nodes
-    u = vertex.x[G + E:G + E + N]
-    return DispatchVertex(net, demand, season, hour, vertex,
+    u = vertex.x[form.layout.blocks["u"]]  # x is [g | f | u | theta], as the point begins
+    return DispatchVertex(form, demand, season, hour, vertex,
                           float(demand.at(season, hour)[1] @ u))
 
 
@@ -394,7 +386,8 @@ class SeasonDispatch:
             basis = self._base[h].basis
 
     def base(self, hour: int) -> OpfSolution:
-        """The hour's unattacked dispatch; callers must not modify it."""
+        """The hour's unattacked dispatch, shared by every caller: its point,
+        demand and VOLL are read-only."""
         if hour not in self._base:
             self._base[hour] = solve_dcopf(self.net, self.demand, self.season, hour,
                                            form=self.form)

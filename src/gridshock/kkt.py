@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcopf import OPF_ARRAYS, OpfSolution, attack_bounds
+from .dcopf import OpfLayout, OpfSolution, attack_bounds
 from .network import PowerNetwork
 
-# the eight complementarity pairs and the OpfSolution field of each multiplier
+# the eight complementarity pairs and the OPF_BLOCKS name of each multiplier
 PAIR_DUALS = {
     "gen_lo": "rho_g_lo", "gen_up": "rho_g_up", "flow_lo": "rho_f_lo", "flow_up": "rho_f_up",
     "angle_lo": "rho_th_lo", "angle_up": "rho_th_up",
@@ -93,14 +93,10 @@ def kkt_residuals(
 
     Demand and VOLL are taken from the solution itself; ``zg, zf, zt``
     shift the generation / flow / angle limits the same way the attacker
-    MILP does.  Raises ValueError on dimension mismatch.
+    MILP does.  Raises ValueError when ``sol`` is not laid out for ``net``.
     """
-    for kind, names in OPF_ARRAYS.items():
-        size = len(getattr(net, kind))
-        for name in names:
-            shape = np.shape(getattr(sol, name))
-            if shape != (size,):
-                raise ValueError(f"{name} has shape {shape}, expected ({size},)")
+    if sol.layout != OpfLayout.of(net):
+        raise ValueError(f"solution is laid out for another network than {net.name!r}")
     arr = net.arrays
     A, Bmw, M, ref = arr.incidence, arr.susceptance_mw, arr.gen_node_map, arr.ref
     d = sol.demand

@@ -151,10 +151,13 @@ def validate_network(net: PowerNetwork) -> PowerNetwork:
     """Check all structural invariants; raises NetworkValidationError."""
     if not net.nodes:
         raise NetworkValidationError("network has no nodes")
+    for kind, items in (("node", net.nodes), ("edge", net.edges),
+                        ("generator", net.generators)):
+        item_ids = [x.id for x in items]
+        if len(set(item_ids)) != len(item_ids):
+            dup = next(i for i in item_ids if item_ids.count(i) > 1)
+            raise NetworkValidationError(f"duplicate {kind} id {dup!r}")
     ids = [nd.id for nd in net.nodes]
-    if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise NetworkValidationError(f"duplicate node id {dup!r}")
     known = set(ids)
     for e in net.edges:
         for endpoint in (e.from_node, e.to_node):
@@ -166,10 +169,6 @@ def validate_network(net: PowerNetwork) -> PowerNetwork:
         if not all(0 < x < np.inf for x in (e.susceptance, e.flow_limit, e.angle_limit)):
             raise NetworkValidationError(f"edge {e.id!r} has a susceptance or a limit that "
                                          f"is not finite and positive")
-    eids = [e.id for e in net.edges]
-    if len(set(eids)) != len(eids):
-        dup = next(i for i in eids if eids.count(i) > 1)
-        raise NetworkValidationError(f"duplicate edge id {dup!r}")
     for g in net.generators:
         if g.node not in known:
             raise NetworkValidationError(

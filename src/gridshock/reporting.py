@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import CERT_TOL, AttackCosts
-from .dcopf import OPF_ARRAYS, OpfSolution
+from .dcopf import OpfLayout, OpfSolution
 from .kkt import kkt_residuals, residual_rows, verify_equilibrium
 from .network import DemandProfile, PowerNetwork, apply_heatwave
 from .scenarios import ScenarioConfig, ScenarioResult, SweepPoint, _attacked, _metrics
@@ -26,6 +26,13 @@ from .scenarios import ScenarioConfig, ScenarioResult, SweepPoint, _attacked, _m
 SECTOR_TAG = "Utilities"
 ATTACK_RTOL = 1e-9  # relative tolerance of read_attack_csv's capacity and budget checks
 SOLUTION_COLUMNS = ["season", "hour", "entity", "quantity", "value"]
+# opf_solution.csv's quantities per entity kind (a PowerNetwork list
+# attribute): one row per entity and quantity, in this order
+SOLUTION_QUANTITIES = {
+    "generators": ("g", "rho_g_lo", "rho_g_up"),
+    "edges": ("f", "pi_f", "rho_f_lo", "rho_f_up", "rho_th_lo", "rho_th_up"),
+    "nodes": ("u", "theta", "pi_d", "rho_u_lo", "rho_u_up"),
+}
 ATTACK_COLUMNS = ["season", "hour", "component_type", "entity", "z_value", "spend"]
 
 
@@ -55,11 +62,14 @@ def _make_dir(path: str | Path) -> Path:
 
 def solution_layout(net: PowerNetwork) -> list[tuple[str, str, int | None]]:
     """One hour's rows of opf_solution.csv, in file order, as (entity,
-    quantity, index of the entity in the quantity's OpfSolution array);
-    the two ``system`` rows, delta and objective, have index None."""
-    rows = [(item.id, name, k) for kind, names in OPF_ARRAYS.items()
+    quantity, position of the value in the equilibrium point of ``net``'s
+    solutions); the last row, the ``system`` objective, is not in the point
+    and has position None."""
+    blocks = OpfLayout.of(net).blocks
+    rows = [(item.id, name, blocks[name].start + k)
+            for kind, names in SOLUTION_QUANTITIES.items()
             for k, item in enumerate(getattr(net, kind)) for name in names]
-    return rows + [("system", "delta", None), ("system", "objective", None)]
+    return rows + [("system", "delta", blocks["delta"].start), ("system", "objective", None)]
 
 
 def solution_rows(sol: OpfSolution, layout: list[tuple[str, str, int | None]]
@@ -67,7 +77,7 @@ def solution_rows(sol: OpfSolution, layout: list[tuple[str, str, int | None]]
     """Flatten a solution to (season, hour, entity, quantity, value) rows
     in the order of ``layout``, as :func:`solution_layout` gives it."""
     return [(sol.season, sol.hour, entity, quantity,
-             getattr(sol, quantity) if k is None else getattr(sol, quantity)[k])
+             sol.objective if k is None else sol.point[k])
             for entity, quantity, k in layout]
 
 
@@ -266,14 +276,14 @@ def read_solutions(path: str | Path, net: PowerNetwork, demand: DemandProfile,
     :func:`_read_rows` rejects, of a value that is not a number, or of the
     first row that is not the one expected, with both rows.
     """
-    layout = solution_layout(net)
+    layout = OpfLayout.of(net)
+    file_rows = solution_layout(net)
     rows = _read_rows(path, SOLUTION_COLUMNS)
     ln, sols = 1, []
     for hour in range(demand.hours(season)):
-        values = {name: np.empty(len(getattr(net, kind)))
-                  for kind, names in OPF_ARRAYS.items() for name in names}
+        point = np.empty(layout.size)
         hour_cell = str(hour)  # as the exporter writes it: "01" is not hour 1
-        for entity, quantity, k in layout:
+        for entity, quantity, k in file_rows:
             ln, cells, _ = next(rows, (ln + 1, None, None))
             if (cells is None or cells[1] != hour_cell or cells[3] != quantity
                     or cells[2] != entity or cells[0] != season):
@@ -282,12 +292,12 @@ def read_solutions(path: str | Path, net: PowerNetwork, demand: DemandProfile,
                                  f", found {found}")
             value = _number(path, ln, "value", cells[4])
             if k is None:
-                values[quantity] = value
+                objective = value
             else:
-                values[quantity][k] = value
+                point[k] = value
         d, voll = demand.at(season, hour)
-        sols.append(OpfSolution(season=season, hour=hour, **values, demand=d, voll=voll,
-                                shed_cost=float(voll @ values["u"])))
+        sols.append(OpfSolution(season, hour, objective, d, voll,
+                                float(voll @ point[layout.blocks["u"]]), point, layout))
     for ln, cells, _ in rows:  # a row past the last hour's
         raise ValueError(f"{path}:{ln}: expected the end of the file, found {','.join(cells)}")
     return sols

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from gridshock.dcopf import SeasonDispatch
+from gridshock.dcopf import OpfSolution, SeasonDispatch
 from gridshock.network import (
     BASE_MVA,
     DemandProfile,
@@ -64,6 +66,15 @@ def profile_for(net: PowerNetwork, rows, voll=1000.0, season="summer") -> Demand
     H, N = d.shape
     v = np.full((H, N), float(voll))
     return DemandProfile(tuple(n.id for n in net.nodes), {season: d}, {season: v})
+
+
+def with_blocks(sol: OpfSolution, **blocks) -> OpfSolution:
+    """A copy of ``sol`` whose point holds the given values in the named
+    blocks (``g=...``, ``delta=...``); ``sol`` itself is left as it is."""
+    point = sol.point.copy()
+    for name, value in blocks.items():
+        point[sol.layout.blocks[name]] = value
+    return replace(sol, point=point)
 
 
 def chained_day(net: PowerNetwork, demand: DemandProfile, season="summer") -> SeasonDispatch:

@@ -21,12 +21,13 @@ from gridshock.attack import (
     solve_hourly_attack,
 )
 import gridshock.dcopf as dcopf_mod
-from gridshock.dcopf import OpfSolution, SeasonDispatch, solve_dcopf
+from gridshock.dcopf import OPF_BLOCKS, OpfLayout, OpfSolution, SeasonDispatch, solve_dcopf
 from gridshock.reporting import attack_rows
-from gridshock.kkt import kkt_residuals, verify_equilibrium
+from gridshock.kkt import PAIR_DUALS, complementarity_pairs, kkt_residuals, verify_equilibrium
 from gridshock.network import apply_heatwave
 from gridshock.cli import bundled_path
-from support import chained_day, entity_limits, profile_for, tight_two_bus, triangle, two_bus
+from support import (chained_day, entity_limits, profile_for, tight_two_bus, triangle, two_bus,
+                     with_blocks)
 
 
 def uniform_costs(net, budget, gen=1.0, wire=1000.0):
@@ -310,7 +311,7 @@ def test_bigm_test_applies_to_reported_point(monkeypatch):
     costs = uniform_costs(net, 30.0)
     exact = solve_hourly_attack(net, prof, "summer", 0, costs, 30.0, node_limit=200_000)
     real_solve = attack_mod.solve_milp
-    col = attack_mod._Layout(net, 1).offsets[0]["rho_gen_lo"]
+    col = attack_mod._Layout(net, OpfLayout.of(net), 1).offsets[0]["rho_g_lo"]
 
     def multiplier_at_bigm(problem, **kwargs):
         res = real_solve(problem, **kwargs)
@@ -377,7 +378,7 @@ def test_attack_milp_build_is_unchanged(bundled_net, bundled_demand):
                   300.0, "69b6a0ea1539caa269b4623b3c1a9fe9"))
     for name, net, prof, hours, costs, budget, expected in cases:
         prob, _ = attack_mod._build_attack_milp(net, prof, "summer", hours, costs, budget,
-                                                default_bigm(net, prof))
+                                                default_bigm(net, prof), OpfLayout.of(net))
         assert _milp_digest(prob) == expected, name
 
 
@@ -569,8 +570,7 @@ def _reference_zone_packages(net, demand, season, hour, costs, budget):
 
 
 def _reference_max_norm(zg, zf, zt, opf):
-    arrays = [zg, zf, zt, np.array([opf.delta])] + [getattr(opf, f)
-                                                    for f in attack_mod._OPF_BLOCKS]
+    arrays = [zg, zf, zt] + [getattr(opf, name) for name in OPF_BLOCKS]
     return max(float(np.max(np.abs(v), initial=0.0)) for v in arrays)
 
 
@@ -603,7 +603,7 @@ def test_zone_packages_and_max_norm_match_their_references(bundled_net, bundled_
         zs = [np.where(rng.random(r.size) < 0.3, 0.5 * rng.random(r.size) * r, 0.0)
               for r in (lim["g_span"], lim["f_cap"], lim["t_cap"])]
         opf = solve_dcopf(bundled_net, heated, "summer", hour, *zs)
-        opf = replace(opf, delta=float(rng.normal(0, 1e4)))
+        opf = with_blocks(opf, delta=float(rng.normal(0, 1e4)))
         assert attack_mod._max_norm(*zs, opf) == _reference_max_norm(*zs, opf)
 
 
@@ -714,9 +714,9 @@ def test_greedy_finishes_only_what_it_adopts(bundled_net, heated, budget, cost_r
     real = dcopf_mod.extract_solution
     finished = Counter()
 
-    def counting(net, demand, season, hour, lp_sol):
+    def counting(form, demand, season, hour, lp_sol):
         finished[hour] += 1
-        return real(net, demand, season, hour, lp_sol)
+        return real(form, demand, season, hour, lp_sol)
     monkeypatch.setattr(dcopf_mod, "extract_solution", counting)
     vertices = []
 
@@ -766,3 +766,53 @@ def test_greedy_ranks_every_zone_package(bundled_net, bundled_demand):
     assert ha.objective == pytest.approx(3_536_000.0, rel=1e-9)
     assert ha.certificate_ok and ha.bigm_valid
     assert ha.spend <= 450.0 + 1e-9
+
+
+# -- the equilibrium point in the attack MILP's columns ---------------------
+
+def test_milp_columns_hold_the_point_in_opf_blocks_order(bundled_net):
+    """Each hour's columns: the attack, then the point's blocks as
+    OPF_BLOCKS orders and sizes them, then the indicators; the sizes are
+    those of the MILP's hand-written column table."""
+    net = bundled_net
+    G, E, N = net.num_generators, net.num_edges, net.num_nodes
+    opf = OpfLayout.of(net)
+    lay = attack_mod._Layout(net, opf, 2)
+    for hp in range(2):
+        names = list(lay.offsets[hp])
+        assert names[3:3 + len(OPF_BLOCKS)] == list(OPF_BLOCKS)
+        assert [lay.block_size[n] for n in names] == (
+            [G, E, E, G, E, N, N, N, E, 1] + [G, G, E, E, E, E, N, N] * 2)
+        start = lay.point(hp).start
+        assert start == lay.sl(hp, "zt").stop and lay.point(hp).stop == lay.sl(hp, "rho_u_up").stop
+        for name, blk in opf.blocks.items():
+            assert lay.sl(hp, name) == slice(start + blk.start, start + blk.stop), name
+
+
+def test_milp_point_of_a_dispatch_extracts_back_to_it(bundled_net, bundled_demand):
+    """The MILP vector that _milp_point_from_dispatch writes, read back by
+    _extract_hour, is the dispatch: its attack and point, except that the
+    multipliers of pairs whose slack is not zero read zero."""
+    net, heated = bundled_net, apply_heatwave(bundled_demand, 1.09)
+    dispatch = SeasonDispatch(net, heated, "summer")
+    zg, zf, zt, sol = greedy_attack(dispatch, 17, default_costs(net, 300.0), 300.0)
+    assert zg.any() or zf.any()
+    lay = attack_mod._Layout(net, dispatch.form.layout, 2)
+    x = np.zeros(lay.n_cols)
+    attack_mod._milp_point_from_dispatch(net, lay, 1, zg, zf, zt, sol, x)
+    assert not x[:lay.offsets[1]["zg"]].any()  # hour 0's columns are left alone
+    *zs, back = attack_mod._extract_hour(net, heated, "summer", 17, x, lay, 1)
+    for got, want in zip(zs, (zg, zf, zt)):
+        assert np.array_equal(got, want)
+    assert back.layout is dispatch.form.layout and not back.point.flags.writeable
+    assert back.shed_cost == sol.shed_cost
+    slacks, _ = complementarity_pairs(net, sol, zg, zf, zt)
+    zeroed = 0
+    for pair, name in PAIR_DUALS.items():
+        active = slacks[pair] <= 1e-7 * (1.0 + np.abs(slacks[pair]))
+        assert np.array_equal(getattr(back, name), np.where(active, getattr(sol, name), 0.0))
+        assert np.array_equal(x[lay.sl(1, "gam_" + pair)], active.astype(float)), pair
+        zeroed += int(np.count_nonzero(getattr(sol, name)[~active]))
+    for name in set(OPF_BLOCKS) - set(PAIR_DUALS.values()):
+        assert np.array_equal(getattr(back, name), getattr(sol, name)), name
+    assert zeroed == np.count_nonzero(sol.point != back.point)

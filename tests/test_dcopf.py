@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridshock.dcopf as dcopf_mod
 from gridshock import simplex
-from gridshock.dcopf import (OPF_ARRAYS, SeasonDispatch, build_dcopf, dispatch_form,
+from gridshock.dcopf import (OPF_BLOCKS, SeasonDispatch, build_dcopf, dispatch_form,
                              solve_day, solve_dcopf)
 from gridshock.network import DemandProfile, apply_heatwave
 from gridshock.reporting import solution_layout, solution_rows
@@ -104,6 +104,36 @@ def test_solve_day_runs_all_hours(bundled_net, bundled_demand):
     sols = solve_day(bundled_net, bundled_demand, "summer")
     assert len(sols) == 24
     assert all(s.u.sum() <= 1e-7 for s in sols)
+
+
+def test_point_is_read_only_and_each_name_reads_its_block(bundled_net, bundled_demand):
+    net = bundled_net
+    G, E, N = net.num_generators, net.num_edges, net.num_nodes
+    sol = solve_dcopf(net, bundled_demand, "summer", 17)
+    with pytest.raises(ValueError, match="read-only"):
+        sol.point[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sol.u[0] = 1.0
+    # the blocks tile the point in OPF_BLOCKS order, each sized by its entity kind
+    blocks = sol.layout.blocks
+    assert list(blocks) == list(OPF_BLOCKS)
+    assert [b.start for b in blocks.values()] == [0] + [b.stop for b in blocks.values()][:-1]
+    assert sol.point.shape == (sol.layout.size,) == (blocks["rho_u_up"].stop,)
+    for name, kind in OPF_BLOCKS.items():
+        view = getattr(sol, name)
+        assert view.shape == (1 if kind is None else len(getattr(net, kind)),), name
+        assert np.shares_memory(view, sol.point) and np.array_equal(view, sol.point[blocks[name]])
+    # each name holds its quantity of the dispatch LP's solution
+    lp_sol = simplex.solve_lp(build_dcopf(net, bundled_demand, "summer", 17))
+    x, y, rc = lp_sol.x, lp_sol.duals, lp_sol.reduced_costs
+    assert np.array_equal(np.concatenate([sol.g, sol.f, sol.u, sol.theta]), x)
+    assert np.array_equal(sol.pi_d, y[:N]) and np.array_equal(sol.pi_f, -y[N:N + E])
+    assert np.array_equal(sol.delta, [-y[-1]])
+    assert np.array_equal(sol.rho_g_up - sol.rho_g_lo, -rc[:G])
+    assert np.array_equal(sol.rho_th_lo - sol.rho_th_up, y[N + E:N + 2 * E])
+    # demand and VOLL are the profile's own read-only rows
+    for have, rows in ((sol.demand, bundled_demand.demand), (sol.voll, bundled_demand.voll)):
+        assert np.shares_memory(have, rows["summer"]) and not have.flags.writeable
 
 
 def test_solution_rows_cover_entities(bundled_net, bundled_demand):
@@ -317,8 +347,7 @@ def test_solve_day_on_a_shared_form_matches_hour_by_hour(bundled_net, bundled_de
             assert np.array_equal(day[h].basis, alone.basis)
 
 
-OPF_FIELDS = [name for names in OPF_ARRAYS.values() for name in names] + [
-    "delta", "objective", "shed_cost"]
+OPF_FIELDS = list(OPF_BLOCKS) + ["objective", "shed_cost"]
 
 
 def _profiles(net, demand):

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridshock.dcopf import solve_dcopf
+from gridshock.dcopf import OPF_BLOCKS, solve_dcopf
 from gridshock.kkt import (PAIR_BLOCKS, PAIR_DUALS, KktResiduals, complementarity_pairs,
                            kkt_residuals, residual_rows, verify_equilibrium)
 from support import (entity_gen_map, entity_incidence, entity_limits, profile_for,
-                     tight_two_bus, triangle, two_bus)
+                     tight_two_bus, triangle, two_bus, with_blocks)
 
 
 def test_lp_optimum_satisfies_kkt():
@@ -21,7 +21,7 @@ def test_lp_optimum_satisfies_kkt():
 def test_constructed_balance_violation():
     net = two_bus()
     sol = solve_dcopf(net, profile_for(net, [[0.0, 80.0]]), "summer", 0)
-    broken = replace(sol, g=sol.g + np.array([5.0, 0.0]))
+    broken = with_blocks(sol, g=sol.g + np.array([5.0, 0.0]))
     res = kkt_residuals(net, broken)
     assert res.primal["balance"].max() == pytest.approx(5.0, abs=1e-9)
     assert not verify_equilibrium(res, 1e-5)
@@ -30,16 +30,7 @@ def test_constructed_balance_violation():
 def test_zero_point_residual_equals_demand():
     net = two_bus()
     sol = solve_dcopf(net, profile_for(net, [[0.0, 80.0]]), "summer", 0)
-    zero = replace(
-        sol,
-        g=np.zeros_like(sol.g), f=np.zeros_like(sol.f), u=np.zeros_like(sol.u),
-        theta=np.zeros_like(sol.theta), pi_d=np.zeros_like(sol.pi_d),
-        pi_f=np.zeros_like(sol.pi_f), delta=0.0,
-        rho_g_lo=np.zeros_like(sol.rho_g_lo), rho_g_up=np.zeros_like(sol.rho_g_up),
-        rho_f_lo=np.zeros_like(sol.rho_f_lo), rho_f_up=np.zeros_like(sol.rho_f_up),
-        rho_th_lo=np.zeros_like(sol.rho_th_lo), rho_th_up=np.zeros_like(sol.rho_th_up),
-        rho_u_lo=np.zeros_like(sol.rho_u_lo), rho_u_up=np.zeros_like(sol.rho_u_up),
-    )
+    zero = with_blocks(sol, **{name: 0.0 for name in OPF_BLOCKS})
     res = kkt_residuals(net, zero)
     np.testing.assert_allclose(res.primal["balance"], sol.demand, atol=1e-12)
 
@@ -49,7 +40,7 @@ def test_verify_tolerance_boundary():
     sol = solve_dcopf(net, profile_for(net, [[0.0, 80.0]]), "summer", 0)
     res = kkt_residuals(net, sol)
     assert verify_equilibrium(res, 1e-5)
-    broken = replace(sol, pi_d=sol.pi_d + 1e-3)
+    broken = with_blocks(sol, pi_d=sol.pi_d + 1e-3)
     assert not verify_equilibrium(kkt_residuals(net, broken), 1e-6)
     with pytest.raises(ValueError):
         verify_equilibrium(res, 0.0)
@@ -68,13 +59,16 @@ def test_attack_shifted_bounds():
 def test_dimension_mismatch_raises():
     net = two_bus()
     sol = solve_dcopf(net, profile_for(net, [[0.0, 80.0]]), "summer", 0)
-    bad = replace(sol, g=np.zeros(5))
-    with pytest.raises(ValueError):
-        kkt_residuals(net, bad)
-    # every array field of the solution is checked, multipliers included
-    for name in ("rho_g_up", "rho_th_lo", "rho_u_up"):
-        with pytest.raises(ValueError, match=name):
-            kkt_residuals(net, replace(sol, **{name: np.zeros(7)}))
+    # a solution of another network: one generator fewer, so every block
+    # after g sits elsewhere in the point
+    other = two_bus(with_g2=False)
+    with pytest.raises(ValueError, match="laid out for another network"):
+        kkt_residuals(other, sol)
+    with pytest.raises(ValueError, match="laid out for another network"):
+        kkt_residuals(net, solve_dcopf(other, profile_for(other, [[0.0, 80.0]]), "summer", 0))
+    # a point that does not fill its layout makes no solution
+    with pytest.raises(ValueError, match="point has shape"):
+        replace(sol, point=sol.point[:-1].copy())
 
 
 def test_bundled_roundtrip_all_hours(bundled_net, bundled_demand):
@@ -157,7 +151,7 @@ def _random_points(net, demand, seed):
         yield sol, (None, None, None)
         noisy = {name: getattr(sol, name) + rng.normal(0, 1.0, getattr(sol, name).shape)
                  for name in ("g", "theta", "pi_d", "rho_f_up", "rho_u_lo")}
-        yield replace(sol, delta=sol.delta + 0.5, **noisy), zs
+        yield with_blocks(sol, delta=sol.delta + 0.5, **noisy), zs
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -175,14 +169,17 @@ def test_certificate_matches_its_reference_bit_for_bit(bundled_net, bundled_dema
         slacks, duals = complementarity_pairs(bundled_net, sol, *zs)
         ref_slacks, ref_duals = _reference_pairs(bundled_net, sol, *zs)
         for k in PAIR_BLOCKS:
-            assert np.array_equal(slacks[k], ref_slacks[k]) and duals[k] is ref_duals[k], k
+            assert np.array_equal(slacks[k], ref_slacks[k]), k
+            # each multiplier is the solution's own block, not a copy
+            assert np.shares_memory(duals[k], sol.point), k
+            assert np.array_equal(duals[k], ref_duals[k]), k
 
 
 def test_overall_max_propagates_nan():
     net = two_bus()
     sol = solve_dcopf(net, profile_for(net, [[0.0, 80.0]]), "summer", 0)
     # a NaN in any block, not only the first one, fails the certificate
-    broken = replace(sol, rho_u_up=np.array([0.0, np.nan]))
+    broken = with_blocks(sol, rho_u_up=np.array([0.0, np.nan]))
     res = kkt_residuals(net, broken)
     assert np.isnan(res.overall_max())
     assert not verify_equilibrium(res, 1e-5)

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,18 @@ def test_broken_endpoint_names_entity(tmp_path):
     doc["edges"][0]["to"] = "n3"
     with pytest.raises(NetworkValidationError, match="n3"):
         load_network(write_net(tmp_path, doc))
+
+
+@pytest.mark.parametrize("kind, entity", [
+    ("nodes", "node"), ("edges", "edge"), ("generators", "generator")])
+def test_duplicate_ids_rejected(tmp_path, kind, entity):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc[kind].append(dict(doc[kind][0]))  # a second entity with the first one's id
+    path = write_net(tmp_path, doc)
+    dup = doc[kind][0]["id"]
+    with pytest.raises(NetworkValidationError,
+                       match=re.escape(f"{path}: duplicate {entity} id {dup!r}")):
+        load_network(path)
 
 
 def test_unknown_key_rejected(tmp_path):
