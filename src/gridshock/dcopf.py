@@ -58,9 +58,10 @@ class OpfLayout:
         return cls(blocks, pos)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class OpfSolution:
-    """Primal and dual quantities of one hourly dispatch.
+    """Primal and dual quantities of one hourly dispatch, frozen: one
+    solution may be shared by many callers (:meth:`SeasonDispatch.base`).
 
     ``point`` is the equilibrium (y1, y2), read-only, laid out by ``layout``
     (ValueError when it does not fit); ``sol.g`` and each other
@@ -78,7 +79,7 @@ class OpfSolution:
     shed_cost: float  # voll . u, the disruption value of this hour
     point: np.ndarray
     layout: OpfLayout
-    basis: np.ndarray | None = None  # optimal LP basis: warm start for this hour
+    basis: np.ndarray | None = None  # optimal LP basis, read-only: warm start for this hour
 
     def __post_init__(self):
         if self.point.shape != (self.layout.size,):
@@ -386,8 +387,8 @@ class SeasonDispatch:
             basis = self._base[h].basis
 
     def base(self, hour: int) -> OpfSolution:
-        """The hour's unattacked dispatch, shared by every caller: its point,
-        demand and VOLL are read-only."""
+        """The hour's unattacked dispatch, shared by every caller: the
+        solution is frozen and its point, demand, VOLL and basis are read-only."""
         if hour not in self._base:
             self._base[hour] = solve_dcopf(self.net, self.demand, self.season, hour,
                                            form=self.form)

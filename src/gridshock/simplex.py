@@ -8,13 +8,25 @@ Internally the problem is converted to the standard bounded form
 
     [A | -I] [x; t] = 0,      lb <= x <= ub,   row_lb <= t <= row_ub,
 
-where t is the row-activity variable ("slack").  A two-phase method with
-one artificial column per initially violated row handles feasibility.  The
-basis inverse is kept explicitly and refactorized periodically; pivoting
-is deterministic (Dantzig pricing with lowest-index tie-breaking, Bland's
-rule fallback after a degenerate stall).  The ratio test's tolerance band
-can leave a basic value past its bounds; when the optimal basis of phase 2
-does, the bounded dual simplex below removes that before the answer stands.
+where t is the row-activity variable ("slack").  The basis inverse is
+kept explicitly and refactorized periodically; pivoting is deterministic
+(Dantzig pricing with lowest-index tie-breaking, Bland's rule fallback
+after a degenerate stall).
+
+Cold start.  A solve without a usable basis of its own starts from the
+slack basis, whose basic columns are all the row activities (the -I
+columns).  Its reduced costs are the costs themselves, so once each boxed
+column rests on the bound its cost asks for, it is dual feasible whenever
+every column with a cost is bounded on the side that cost points to -- as
+on the package's dispatch and attack LPs -- and the bounded dual simplex
+of the warm start (below) runs from it.  Where the slack basis is not dual
+feasible, or the dual phase fails numerically (its "could not certify
+infeasibility" included), a two-phase primal method with one artificial
+column per initially violated row runs instead, with a retry ladder of
+shorter refactorization intervals and then Bland's rule.  Its ratio
+test's tolerance band can leave a basic value past its bounds; when the
+optimal basis of phase 2 does, the bounded dual simplex removes that
+before the answer stands.
 
 Sparse products, dense inverse.  The standard form ``A_std`` is held in
 compressed-column form, and every product with it runs over its nonzeros:
@@ -36,7 +48,8 @@ a column bounded on both sides rests on the bound its reduced cost asks
 for (the bound nearest zero when the cost is indifferent, as in a cold
 start), a one-sided column on its finite bound, a free one at zero.  The
 basis is ``None`` when the problem has no rows or a phase-1 artificial
-column is still basic at the optimum.  Passing a basis back to
+column is still basic at the optimum, and read-only: it may be the warm
+start of many later solves.  Passing a basis back to
 :func:`solve_lp` for a problem with the same ``c`` and ``A`` and any
 bounds -- a branch-and-bound child, a dispatch with lowered
 capacities -- re-optimizes from it with a bounded dual simplex: the basis
@@ -46,10 +59,12 @@ ratio test uses the primal core's tolerance band with a largest-|alpha|
 tie-break (lowest index first) and Bland's rule after a stall.  The
 primal core then rechecks optimality on a fresh factorization exactly as
 after a cold solve, and an "infeasible" verdict of the dual phase stands
-only when it holds on a fresh factorization.  The cold two-phase path
-runs instead when the basis has the wrong shape, is singular or not dual
-feasible, or when the warm path hits any numerical failure, so a basis
-can change the pivot count but never the trust in the answer.
+only when it holds on a fresh factorization.  The cold path (the slack
+basis, then the two-phase primal) runs instead when the basis has the
+wrong shape, is singular or not dual feasible, or when the warm path hits
+any numerical failure.  A refused warm start thus ends exactly as a solve
+without a basis, and a basis can change the pivot count but never the
+trust in the answer.
 
 Shared form.  The scaled standard form depends on ``A`` alone, so an
 :class:`LpForm` builds it once -- the equilibration factors and
@@ -57,36 +72,39 @@ Shared form.  The scaled standard form depends on ``A`` alone, so an
 a dispatch day (and the steps of a ladder over that day), the nodes of a
 branch-and-bound tree.  The form also keeps a small store of basis
 inverses, keyed by basis, and every factorization of a tableau over its
-``A_std`` goes through it: the warm start, the optimality recheck, the
-dual phase's confirmations and the eta update's refactorizations.  A
-basis found there is not factorized again.  That is bit-identical to a
-fresh factorization, which is a pure function of ``(A_std, basis)`` for a
-fixed BLAS thread count; the stored inverses are read-only, and a tableau
-copies one before its first pivot.  The store keeps up to
-``_STORE_BYTES`` of inverses, the least recently used leaving first, and
-never fewer than the ``_STORE_MIN`` most recent: a branch-and-bound
-child's recheck must not evict the parent basis its sibling starts from.
-The cold two-phase path factorizes over ``A_std`` with artificial
-columns appended, so its tableaux stay outside the store.  The
-optimality recheck always runs on a fresh factorization, but it
-refactorizes only when a pivot or a bound flip happened since the last
-one: with neither, the inverse in hand is that fresh factorization.  When
-the dual phase makes no pivot at all, the recheck would price exactly what
-the warm start priced -- same inverse, costs and statuses -- so it is not
-run again: the warm start's one pricing pass, which found no improving
-column, is the answer.  A re-solve whose starting basis stays optimal thus
-prices once, with the same solution, basis and iteration count as the
-full recheck, and factorizes nothing when its basis is in the store.
+``A_std`` goes through it: the warm start and the slack start, the
+optimality recheck, the dual phase's confirmations and the eta update's
+refactorizations.  A basis found there is not factorized again.  That is
+bit-identical to a fresh factorization, which is a pure function of
+``(A_std, basis)`` for a fixed BLAS thread count; the stored inverses are
+read-only, and a tableau copies one before its first pivot.  The store
+keeps up to ``_STORE_BYTES`` of inverses, the least recently used leaving
+first, and never fewer than the ``_STORE_MIN`` most recent: a
+branch-and-bound child's recheck must not evict the parent basis its
+sibling starts from.  Since the slack start runs over the form, the final
+inverse of a cold solve is stored for the warm starts from its basis (a
+branch-and-bound root's first children).  Only the two-phase path
+factorizes over ``A_std`` with artificial columns appended, so its
+tableaux stay outside the store.  The optimality recheck always runs on a
+fresh factorization, but it refactorizes only when a pivot or a bound
+flip happened since the last one: with neither, the inverse in hand is
+that fresh factorization.  When the dual phase makes no pivot at all, the
+recheck would price exactly what the warm start priced -- same inverse,
+costs and statuses -- so it is not run again: the warm start's one pricing
+pass, which found no improving column, is the answer.  A re-solve whose
+starting basis stays optimal thus prices once, with the same solution,
+basis and iteration count as the full recheck, and factorizes nothing
+when its basis is in the store.
 
 Two stages.  :func:`solve_lp` is :func:`optimize_lp`, which runs the
 simplex and returns the optimal vertex -- status, iterations, basis, ``x``
 and objective -- holding its final tableau, followed by :func:`finish_lp`,
 which derives the duals, reduced costs, primal residual, duality gap and
 complementarity from that tableau.  The tableau belongs to the vertex
-alone (a stored inverse it shares is never written), so a vertex
-finished later, after other solves over the same form, gives the same
-answer bit for bit.  A caller that compares many candidate LPs by their
-vertex finishes only the one it keeps.
+alone, warm or cold (a stored inverse it shares is never written), so a
+vertex finished later, after other solves over the same form, gives the
+same answer bit for bit.  A caller that compares many candidate LPs by
+their vertex finishes only the one it keeps.
 
 Dual sign convention (documented for callers):
   * minimization: row dual y_i >= 0 when the row's lower bound is active,
@@ -315,15 +333,17 @@ class _Csc:
         self.cols = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
 
     @classmethod
-    def standard_form(cls, A_sc: np.ndarray) -> _Csc:
-        """``[A_sc | -I]``: the columns of ``A_sc``, then one -e_i per row."""
-        m, n = A_sc.shape
-        cols, rows = np.nonzero(A_sc.T)  # column-major order
+    def standard_form(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                      shape: tuple[int, int]) -> _Csc:
+        """``[A_sc | -I]`` from the nonzeros ``vals`` of the m x n matrix
+        ``A_sc`` at ``(rows, cols)``, in column-major order: the columns of
+        ``A_sc``, then one -e_i per row."""
+        m, n = shape
         counts = np.concatenate([np.bincount(cols, minlength=n), np.ones(m, dtype=np.intp)])
         ptr = np.zeros(n + m + 1, dtype=np.intp)
         np.cumsum(counts, out=ptr[1:])
         return cls(ptr, np.concatenate([rows, np.arange(m)]),
-                   np.concatenate([A_sc.T[cols, rows], np.full(m, -1.0)]), m)
+                   np.concatenate([vals, np.full(m, -1.0)]), m)
 
     def with_unit_columns(self, rows: np.ndarray, signs: np.ndarray) -> _Csc:
         """This matrix with the columns ``signs[k] * e_{rows[k]}`` appended."""
@@ -477,7 +497,10 @@ class _Tableau:
         if dense:
             self.binv += eta[:, None] * row
         else:
-            self.binv[np.ix_(I, J)] += np.multiply.outer(eta[I], row[J])
+            # the I x J entries through their flat indices (every inverse is
+            # C-contiguous, so the reshape is a view)
+            flat = (I[:, None] * self.m + J).reshape(-1)
+            self.binv.reshape(-1)[flat] += np.multiply.outer(eta[I], row[J]).reshape(-1)
         self.binv[pos, :] = row / piv
         self.pivots_since_refactor += 1
         self.fresh = False
@@ -570,20 +593,28 @@ def _simplex_core(tab: _Tableau, c: np.ndarray, max_iter: int,
         rc = None
 
 
-def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Power-of-two row/column scaling factors taming the coefficient spread."""
-    m, n = A.shape
+def _pow2_scale(work: np.ndarray, owner: np.ndarray, size: int) -> np.ndarray:
+    """The power of two nearest the inverse of each owner's largest entry
+    of ``work`` (1 for an owner without one)."""
+    big = np.zeros(size)
+    np.maximum.at(big, owner, work)
+    return np.where(big > 0, np.exp2(-np.round(np.log2(np.maximum(big, 1e-300)))), 1.0)
+
+
+def _equilibrate(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Power-of-two row/column scaling factors taming the coefficient spread
+    of the matrix whose nonzeros ``vals`` lie at ``(rows, cols)``."""
+    m, n = shape
     R = np.ones(m)
     C = np.ones(n)
-    work = np.abs(A)
+    work = np.abs(vals)
     for _ in range(2):
-        rmax = work.max(axis=1, initial=0.0)
-        r = np.where(rmax > 0, np.exp2(-np.round(np.log2(np.maximum(rmax, 1e-300)))), 1.0)
-        work = work * r[:, None]
+        r = _pow2_scale(work, rows, m)
+        work = work * r[rows]
         R *= r
-        cmax = work.max(axis=0, initial=0.0)
-        c = np.where(cmax > 0, np.exp2(-np.round(np.log2(np.maximum(cmax, 1e-300)))), 1.0)
-        work = work * c[None, :]
+        c = _pow2_scale(work, cols, n)
+        work = work * c[cols]
         C *= c
     return R, C
 
@@ -601,8 +632,11 @@ class LpForm:
 
     def __init__(self, A: np.ndarray):
         self.A = A
-        self.R, self.C = _equilibrate(A)
-        self.A_std = _Csc.standard_form(A * self.R[:, None] * self.C[None, :])
+        cols, rows = np.nonzero(A.T)  # one pass over A, in column-major order
+        vals = A[rows, cols]
+        self.R, self.C = _equilibrate(rows, cols, vals, A.shape)
+        self.A_std = _Csc.standard_form(rows, cols, vals * self.R[rows] * self.C[cols],
+                                        A.shape)
         self._inverses: dict[bytes, np.ndarray] = {}
         self._stored_bytes = 0
 
@@ -755,8 +789,9 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int,
 
 def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
                 basis: np.ndarray, max_iter: int) -> tuple[_Tableau, str, int] | None:
-    """Re-optimize from the basic columns ``basis``; None when they do not
-    fit or are not dual feasible.
+    """Re-optimize from the basic columns ``basis`` (a caller's, or the
+    slack basis of a cold start); None when they do not fit or are not dual
+    feasible.
 
     Returns (tableau, status, iterations) with status "optimal" or
     "infeasible"; raises :class:`SolverNumericalError` on numerical trouble.
@@ -796,12 +831,34 @@ def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
     return tab, "optimal", it1 + it2
 
 
-def _cold_solve(A_std: _Csc, lb: np.ndarray, ub: np.ndarray, c_int: np.ndarray,
+def _cold_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c_int: np.ndarray,
                 max_iter: int) -> tuple[_Tableau, np.ndarray, str, int]:
-    """Two-phase primal simplex from the slack basis, with a retry ladder.
+    """Solve without a basis of the caller's: the bounded dual simplex from
+    the slack basis (every row activity basic), or, when that basis is not
+    dual feasible or the dual phase fails numerically, the two-phase primal.
 
     Returns (tableau, cost vector over its columns, status, iterations).
     """
+    m, ncols = form.A_std.shape
+    c2 = np.concatenate([c_int, np.zeros(m)])
+    try:
+        slack = _warm_solve(form, lb, ub, c2, np.arange(ncols - m, ncols), max_iter)
+    except SolverNumericalError:
+        slack = None
+    if slack is not None:
+        tab, status, iters = slack
+        return tab, c2, status, iters
+    return _two_phase(form, lb, ub, c_int, max_iter)
+
+
+def _two_phase(form: LpForm, lb: np.ndarray, ub: np.ndarray, c_int: np.ndarray,
+               max_iter: int) -> tuple[_Tableau, np.ndarray, str, int]:
+    """Two-phase primal simplex from the slack basis with one artificial
+    column per violated row, with a retry ladder.
+
+    Returns (tableau, cost vector over its columns, status, iterations).
+    """
+    A_std = form.A_std
     m, ncols = A_std.shape
     n = ncols - m
     rlb_sc, rub_sc = lb[n:], ub[n:]  # the row activities' bounds
@@ -870,8 +927,9 @@ def optimize_lp(problem: LpProblem, basis: np.ndarray | None = None,
                 form: LpForm | None = None) -> LpVertex:
     """The optimize stage of :func:`solve_lp`: its vertex, without the duals.
 
-    Takes the same arguments, runs the same warm or cold simplex, and
-    raises the same errors; :func:`finish_lp` turns the vertex into the
+    Takes the same arguments, runs the same simplex -- from ``basis``,
+    else from the slack basis, else the two-phase primal -- and raises the
+    same errors; :func:`finish_lp` turns the vertex into the
     :class:`LpSolution` that :func:`solve_lp` returns.
     """
     if form is not None and form.A is not problem.A:
@@ -909,7 +967,7 @@ def optimize_lp(problem: LpProblem, basis: np.ndarray | None = None,
     if warm is not None:
         tab, status2, iters = warm
     else:
-        tab, c2, status2, iters = _cold_solve(form.A_std, lb, ub, c_int, max_iter)
+        tab, c2, status2, iters = _cold_solve(form, lb, ub, c_int, max_iter)
 
     if status2 != "optimal":
         return LpVertex(status2, None, None, iterations=iters)
@@ -917,6 +975,7 @@ def optimize_lp(problem: LpProblem, basis: np.ndarray | None = None,
     out_basis = None
     if (tab.basis < ncols).all():  # no phase-1 artificial left basic
         out_basis = tab.basis.astype(np.int32)
+        out_basis.flags.writeable = False  # a warm start of later solves
     return LpVertex("optimal", x, float(c_user @ x), iters, out_basis,
                     _state=(problem, form, tab, c2))
 
@@ -993,9 +1052,13 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
     ``basis``, taken from an earlier solve of a problem with the same
     ``A`` (and usually the same ``c``), warm-starts a bounded dual simplex
     (see the module docstring); without one, or when it cannot be used,
-    the cold two-phase primal simplex runs.  ``form`` is an
-    :class:`LpForm` built from ``problem.A``, shared by the LPs over that
-    matrix; without one, the solve builds its own.  Either way the answer is the same, bit for bit.
+    the same dual simplex starts from the slack basis, and the two-phase
+    primal runs only where that basis is not dual feasible or the dual
+    phase fails.  A refused or failed warm start ends exactly as a solve
+    without a basis.
+    ``form`` is an :class:`LpForm` built from ``problem.A``, shared by the
+    LPs over that matrix; without one, the solve builds its own.  Either
+    way the answer is the same, bit for bit.
     Deterministic for a fixed BLAS thread count: identical inputs, basis
     included, yield bit-identical outputs, but a different thread count can
     change rounding, pivots and the vertex (``OPENBLAS_NUM_THREADS=1`` gives

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -235,8 +235,8 @@ def _count_inversions(monkeypatch) -> list:
 def test_resolve_from_an_optimal_base_basis_factorizes_nothing(bundled_net, bundled_demand,
                                                                monkeypatch):
     """At hour 17, a re-solve whose base basis stays optimal reuses the form's
-    factorization: the first warm start stores the base basis's inverse, the
-    next factorizes nothing."""
+    factorization: the base's own cold solve, from the slack basis over the
+    form, stores the base basis's inverse, and no re-solve factorizes it again."""
     net = bundled_net
     form = dispatch_form(net)
     base = solve_dcopf(net, bundled_demand, "summer", 17, form=form)
@@ -255,7 +255,7 @@ def test_resolve_from_an_optimal_base_basis_factorizes_nothing(bundled_net, bund
         return lp, len(calls) - before
     first, n_first = resolve()
     second, n_second = resolve()
-    assert (n_first, n_second) == (1, 0)
+    assert (n_first, n_second) == (0, 0)
     assert np.array_equal(second.basis, base.basis)
     assert second.iterations == first.iterations
     assert np.array_equal(second.x, first.x)
@@ -404,10 +404,15 @@ def test_chain_across_voll_changes_reaches_the_cold_optimum(bundled_net, bundled
 
 
 def test_chain_falls_back_to_the_cold_solve(bundled_net, bundled_demand, monkeypatch):
-    """When the warm start fails numerically, every chained hour is the
-    cold solve, bit for bit."""
-    def failing(*args, **kwargs):
-        raise simplex.SolverNumericalError("warm start failed")
+    """When the warm start from the hour before fails numerically, every
+    chained hour is the cold solve, bit for bit."""
+    real = simplex._warm_solve
+
+    def failing(form, lb, ub, c, basis, max_iter):
+        m, ncols = form.A_std.shape
+        if not np.array_equal(basis, np.arange(ncols - m, ncols)):  # the cold start's own
+            raise simplex.SolverNumericalError("warm start failed")
+        return real(form, lb, ub, c, basis, max_iter)
     hours = (0, 7, 17)
     cold = [solve_dcopf(bundled_net, bundled_demand, "summer", h) for h in hours]
     monkeypatch.setattr(simplex, "_warm_solve", failing)
@@ -415,6 +420,27 @@ def test_chain_falls_back_to_the_cold_solve(bundled_net, bundled_demand, monkeyp
     for h, alone in zip(hours, cold):
         for name in OPF_FIELDS + ["basis"]:
             assert np.array_equal(getattr(day.base(h), name), getattr(alone, name)), name
+
+
+def test_shared_base_is_frozen_and_its_basis_read_only(bundled_net, bundled_demand):
+    """Every caller of SeasonDispatch.base gets the same solution: none can
+    reassign its fields or write its basis, and that basis still warm-starts
+    a re-solve."""
+    day = SeasonDispatch(bundled_net, bundled_demand, "summer", (16, 17))
+    base = day.base(17)
+    with pytest.raises(FrozenInstanceError):
+        base.shed_cost = 1e9
+    assert day.base(17).shed_cost == base.shed_cost != 1e9
+    assert not base.basis.flags.writeable
+    lp = build_dcopf(bundled_net, bundled_demand, "summer", 17)
+    assert not simplex.solve_lp(lp).basis.flags.writeable
+    assert not simplex.optimize_lp(lp).basis.flags.writeable
+    zg = np.zeros(bundled_net.num_generators)
+    zg[0] = 0.5 * bundled_net.arrays.g_span[0]
+    warm = solve_dcopf(bundled_net, bundled_demand, "summer", 17, zg, basis=base.basis,
+                       form=day.form)
+    cold = solve_dcopf(bundled_net, bundled_demand, "summer", 17, zg)
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
 
 
 def test_hours_solved_on_first_use_are_cold(bundled_net, bundled_demand, monkeypatch):

@@ -232,3 +232,32 @@ def test_hour17_tree_is_pinned(bundled_net, bundled_demand):
     assert part.objective == pytest.approx(269360.00000000006, rel=1e-12)
     assert part.spend == pytest.approx(300.0, rel=1e-12)
     assert part.certificate_ok and part.bigm_valid
+
+
+def test_hour17_root_and_polish_start_from_the_slack_basis(bundled_net, bundled_demand,
+                                                           monkeypatch):
+    """On the bundled Compound peak hour at its whole budget, the root LP and
+    the polish of the greedy warm start are solved without a basis, from the
+    slack basis, never by the two-phase primal."""
+    from gridshock import attack, scenarios, simplex
+    from gridshock.cli import bundled_path
+    from gridshock.network import apply_heatwave
+    cfg = scenarios.load_config(bundled_path("compound.cfg"))
+    heated = apply_heatwave(bundled_demand, cfg.heatwave_factor)
+    given = []
+
+    def two_phase(*args):
+        raise AssertionError("the slack start must decide this LP itself")
+
+    def slack_only(lp, basis=None, form=None):
+        given.append(basis)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplex, "_two_phase", two_phase)
+            return solve_lp(lp, basis=basis, form=form)
+    monkeypatch.setattr(milp, "solve_lp", slack_only)
+    # one node: the tree stops after the root and the polish
+    part = attack.solve_hourly_attack(bundled_net, heated, "summer", 17,
+                                      scenarios.scenario_costs(cfg, bundled_net), 300.0,
+                                      node_limit=1)
+    assert (part.status, part.nodes) == ("feasible-limit", 1)
+    assert [b is None for b in given] == [True, True]

@@ -266,10 +266,61 @@ def test_warm_dispatch_matches_cold_under_tighter_bounds(hour17, seed, keep):
     _same_answer(solve_lp(p, basis=basis), solve_lp(p))
 
 
-def test_cold_solve_clears_basic_values_past_tiny_bounds(hour17):
+def _two_phase_only(mp):
+    """Every solve without a usable basis of its own skips the slack start
+    and runs the two-phase primal."""
+    mp.setattr(simplex, "_cold_solve", simplex._two_phase)
+
+
+def test_cold_solve_clears_basic_values_past_tiny_bounds(hour17, monkeypatch):
+    """The two-phase primal's optimal basis leaves a basic value past its
+    tiny bound, and its dual simplex clears that."""
     net, demand, _ = hour17
+    _two_phase_only(monkeypatch)
+    real = simplex._primal_infeasible
+    seen = []
+
+    def recording(tab):
+        seen.append(real(tab))
+        return seen[-1]
+    monkeypatch.setattr(simplex, "_primal_infeasible", recording)
     cold = solve_lp(_lowered_dispatch(net, demand, 285415, [0.0, 1e-7, 1e-7]))
     assert cold.status == "optimal" and _certified(cold)
+    assert seen == [True]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)  # a slack basis that is not dual feasible: the two-phase path decides
+@example(seed=6)  # a dual feasible slack basis: the slack start decides
+def test_slack_start_matches_the_two_phase_path(seed):
+    """A cold solve, from the slack basis where it is dual feasible, ends as
+    the two-phase primal does: the same status, the objective within 1e-9,
+    and both certified."""
+    p = _random_lp(np.random.default_rng(seed))
+    slack = solve_lp(p)
+    with pytest.MonkeyPatch.context() as mp:
+        _two_phase_only(mp)
+        two_phase = solve_lp(p)
+    _same_answer(slack, two_phase)
+    assert two_phase.status != "optimal" or _certified(two_phase)
+
+
+def _no_two_phase(*args):
+    raise AssertionError("the slack start must decide this LP itself")
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.09])
+def test_bundled_dispatch_hours_start_from_the_slack_basis(bundled_net, bundled_demand,
+                                                           factor, monkeypatch):
+    """Every bundled hour, plain and heated, solves cold from the slack basis
+    without the two-phase primal, to its certified optimum."""
+    demand = apply_heatwave(bundled_demand, factor)
+    monkeypatch.setattr(simplex, "_two_phase", _no_two_phase)
+    for season in demand.demand:
+        for h in range(demand.hours(season)):
+            s = solve_lp(build_dcopf(bundled_net, demand, season, h))
+            assert s.status == "optimal" and _certified(s)
 
 
 def _random_lp(rng):
@@ -423,17 +474,21 @@ def test_finished_vertex_is_solve_lp_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     p = _random_lp(rng)
     form = LpForm(p.A)
-    vertices = [(optimize_lp(p, form=form), solve_lp(p))]
+    vertices = []
+    cold = _inverted_bases(form, lambda: vertices.append((optimize_lp(p, form=form),
+                                                          solve_lp(p))))
     parent = solve_lp(p)
 
     def warm(child, basis):
         return lambda: vertices.append((optimize_lp(child, basis=basis, form=form),
                                         solve_lp(child, basis=basis)))
     if parent.status == "optimal" and parent.basis is not None:
-        # the first warm start factorizes the parent basis, the second finds it stored
+        # the parent basis is factorized once: by the cold solve when it ran
+        # from the slack basis over the form, else by the first warm start;
+        # the second warm start finds it stored
         first = _inverted_bases(form, warm(_tightened(p, rng), parent.basis))
         second = _inverted_bases(form, warm(_tightened(p, rng), parent.basis))
-        assert np.array_equal(first[0], parent.basis)
+        assert sum(np.array_equal(b, parent.basis) for b in cold + first) == 1
         assert not any(np.array_equal(b, parent.basis) for b in second)
     # a warm start from the slack basis stores its inverse, whether or not
     # that basis is dual feasible: the next one factorizes it no more
@@ -499,6 +554,49 @@ def hour17_milp(bundled_net, bundled_demand):
     costs = scenarios.scenario_costs(cfg, bundled_net)
     return attack.build_hourly_attack_milp(bundled_net, heated, "summer", 17, costs,
                                            300.0).lp
+
+
+def _dense_form(A):
+    """The equilibration factors and ``[R A C | -I]`` by dense passes over
+    ``A``: the reference :class:`LpForm` builds from the nonzeros."""
+    m, n = A.shape
+    R, C = np.ones(m), np.ones(n)
+    work = np.abs(A)
+    for _ in range(2):
+        for axis, scale in ((1, R), (0, C)):
+            big = work.max(axis=axis, initial=0.0)
+            f = np.where(big > 0, np.exp2(-np.round(np.log2(np.maximum(big, 1e-300)))), 1.0)
+            work = work * (f[:, None] if axis == 1 else f[None, :])
+            scale *= f
+    A_sc = A * R[:, None] * C[None, :]
+    cols, rows = np.nonzero(A_sc.T)
+    counts = np.concatenate([np.bincount(cols, minlength=n), np.ones(m, dtype=np.intp)])
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    return R, C, ptr, np.concatenate([rows, np.arange(m)]), \
+        np.concatenate([A_sc.T[cols, rows], np.full(m, -1.0)])
+
+
+def _random_sparse_matrix(rng):
+    """1-30% nonzero, entries spread over twelve decades, with an all-zero
+    row and an all-zero column."""
+    m, n = int(rng.integers(2, 40)), int(rng.integers(2, 40))
+    A = np.where(rng.random((m, n)) < rng.uniform(0.01, 0.3),
+                 rng.normal(size=(m, n)) * 10.0 ** rng.integers(-6, 6, (m, n)), 0.0)
+    A[rng.integers(m)] = 0.0
+    A[:, rng.integers(n)] = 0.0
+    return A
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_form_from_nonzeros_is_the_dense_form(hour17_milp, seed):
+    """The form built from the nonzeros equals, bit for bit, the dense
+    passes over the matrix: on the hour-17 MILP and on random matrices."""
+    for A in (hour17_milp.A, _random_sparse_matrix(np.random.default_rng(seed))):
+        form = LpForm(A)
+        got = (form.R, form.C, form.A_std.ptr, form.A_std.rows, form.A_std.vals)
+        for x, y in zip(got, _dense_form(A)):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
 def _slack_tableau(A_std):
@@ -654,6 +752,7 @@ def test_singular_a11_raises_and_the_warm_path_falls_back_cold():
 def test_singular_refactorization_runs_the_cold_retry_ladder(monkeypatch):
     p = _twin_column_lp()
     cold = solve_lp(p)
+    _two_phase_only(monkeypatch)
     real = simplex._Tableau.refactorize
     calls = []
 
