@@ -37,8 +37,19 @@ simplex row and the basic values are segment sums too.  The basis inverse
 stays a dense array.  An eta update changes only the entries in a row
 where eta is nonzero and a column where the pivot row is; it updates just
 those unless they cover a large share of the inverse, when the dense
-update costs less.  A refactorization inverts the dense block of the basis
-that the basic row activities leave (see :meth:`_Tableau.invert`).
+update costs less.  A refactorization of a basis where that sparse update
+can run (more than about 105 rows) orders the basis block-triangular by
+peeling column singletons -- a basic row activity is one -- and then row
+singletons, in rounds; LAPACK inverts only the dense nucleus left, and
+substitution over the basis' nonzeros fills the rest of the inverse (see
+:func:`_block_triangular_inverse`).  Every entry the order makes zero is
+then exactly 0.0, where LAPACK on the whole block leaves roundoff: a
+basis of the hour-17 attack MILP holds 3.4-6.1K nonzeros where LAPACK's
+inverse holds 9.3-15.8K.  The eta update then touches only the true pattern, and the dual phase's
+``reach`` guard sees no roundoff where an entry of its row is zero by
+structure.  A smaller basis, such as the 16-zone dispatch LP's 51 rows,
+inverts the dense block that its basic row activities leave by LAPACK (see
+:meth:`_Tableau.invert`).
 
 Warm start.  An optimal solve returns its basis: the m basic column
 indices of the standard form in basis order, as an int32 array
@@ -359,15 +370,132 @@ class _Csc:
         """``A.T @ y``."""
         return np.bincount(self.cols, weights=self.vals * y[self.rows], minlength=self.shape[1])
 
-    def dense_columns(self, cols: np.ndarray) -> np.ndarray:
-        """``A[:, cols]`` as a dense array."""
+    def column_entries(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of ``A[:, cols]``, column by column: their rows,
+        their column's position in ``cols`` and their values."""
         starts = self.ptr[cols]
         counts = self.ptr[cols + 1] - starts
         owner = np.repeat(np.arange(cols.size), counts)
         nz = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        out = np.zeros((self.shape[0], cols.size))
-        out[self.rows[nz], owner] = self.vals[nz]
-        return out
+        return self.rows[nz], owner, self.vals[nz]
+
+
+_SINGULAR = "singular basis during refactorization"
+
+
+def _peel_singletons(major: np.ndarray, minor: np.ndarray, major_free: np.ndarray,
+                     minor_free: np.ndarray) -> list[np.ndarray]:
+    """Peel singletons off a square matrix's free lines, in rounds.
+
+    ``major`` and ``minor`` hold the line of each nonzero along the two
+    axes: its column and row to peel column singletons, its row and column
+    to peel row singletons.  Each round takes every free major line with
+    one nonzero left on the free minor lines and marks both lines of that
+    nonzero taken in ``major_free`` and ``minor_free``; a round's pivots
+    share no line.  Returns each round's pivots as indices of nonzeros.
+    Raises :class:`SolverNumericalError` where the matrix is structurally
+    singular: a free major line without a nonzero left, or two singletons
+    on one minor line.
+    """
+    rounds = []
+    free = np.count_nonzero(minor_free)
+    while True:
+        live = major_free[major] & minor_free[minor]
+        count = np.bincount(major[live], minlength=major_free.size)
+        if (major_free & (count == 0)).any():
+            raise SolverNumericalError(_SINGULAR)
+        single = major_free & (count == 1)
+        if not single.any():
+            return rounds
+        pivots = np.flatnonzero(live & single[major])
+        major_free[major[pivots]] = False
+        minor_free[minor[pivots]] = False
+        if np.count_nonzero(minor_free) != free - pivots.size:
+            raise SolverNumericalError(_SINGULAR)  # two singletons on one minor line
+        free -= pivots.size
+        rounds.append(pivots)
+
+
+def _block_triangular_inverse(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                              m: int) -> np.ndarray:
+    """The inverse of the m x m matrix B whose nonzeros ``vals`` lie at
+    ``(rows, cols)``, exactly 0.0 wherever B's block-triangular order makes
+    an entry zero.
+
+    Column singletons are peeled in rounds (a basic row activity is one),
+    then row singletons; what is left is the nucleus.  Ranked in that order
+    -- the column singleton rounds, the nucleus, the row singleton rounds
+    last round first -- B is upper triangular apart from the nucleus'
+    diagonal block, and so is its inverse.  Back substitution fills it one
+    block of ranks at a time from the last, over the nonzeros of the
+    block's rows: a round's diagonal block is diagonal, and only the
+    nucleus is inverted by LAPACK.  An entry of the inverse is nonzero
+    only where a chain of B's nonzeros leads to it.  Raises
+    :class:`SolverNumericalError` when B is structurally singular or its
+    nucleus is singular.
+    """
+    row_free = np.ones(m, dtype=bool)
+    col_free = np.ones(m, dtype=bool)
+    upper = _peel_singletons(cols, rows, col_free, row_free)
+    lower = _peel_singletons(rows, cols, row_free, col_free)
+    # each block's rows and columns in rank order, a pivot's row and column
+    # at the same rank
+    blocks = ([(rows[p], cols[p]) for p in upper]
+              + [(np.flatnonzero(row_free), np.flatnonzero(col_free))]
+              + [(rows[p], cols[p]) for p in reversed(lower)])
+    row_order = np.concatenate([r for r, _ in blocks])
+    col_order = np.concatenate([c for _, c in blocks])
+    edges = np.cumsum([0] + [r.size for r, _ in blocks])
+    nucleus = len(upper)
+    n0, n1 = edges[nucleus], edges[nucleus + 1]  # the nucleus' ranks
+    row_rank = np.empty(m, dtype=np.intp)
+    row_rank[row_order] = np.arange(m)
+    col_rank = np.empty(m, dtype=np.intp)
+    col_rank[col_order] = np.arange(m)
+    e_row, e_col = row_rank[rows], col_rank[cols]
+    # a nonzero is right of its row's diagonal block or in it: the pivot of
+    # a round's row, or an entry of the nucleus
+    right = e_col >= np.repeat(edges[1:], np.diff(edges))[e_row]
+    inside = ~right
+    pivot = np.empty(m)
+    pivot[e_row[inside]] = vals[inside]
+    pivot[n0:n1] = 1.0
+    core = inside & (e_row >= n0) & (e_row < n1)
+    N = np.zeros((n1 - n0, n1 - n0))
+    N[e_row[core] - n0, e_col[core] - n0] = vals[core]
+    try:
+        inv = np.linalg.inv(N)
+    except np.linalg.LinAlgError as exc:
+        raise SolverNumericalError(_SINGULAR) from exc
+    # the nonzeros right of the diagonal blocks by row rank, each divided by
+    # minus its row's pivot, and where each row's run of them starts
+    order = np.flatnonzero(right)
+    order = order[np.argsort(e_row[order], kind="stable")]
+    r_row, r_pos = e_row[order], cols[order]
+    r_weight = vals[order] / -pivot[r_row]
+    first = np.flatnonzero(np.diff(r_row, prepend=-1))
+    bounds = np.searchsorted(r_row, edges)
+    runs = np.searchsorted(first, bounds)
+    # B^-1 with its columns in rank order (row p is basis position p): the
+    # rows of a block of ranks [a, b) are nonzero only in the columns from
+    # a on, and those in [a, b) are the inverse of the diagonal block
+    X = np.zeros((m, m))
+    X[col_order, np.arange(m)] = 1.0 / pivot
+    X[col_order[n0:n1], n0:n1] = inv
+    # back substitution, the last block first: a block's rows right of it
+    # are its weighted nonzeros times the rows of B^-1 filled so far
+    for k in range(len(blocks) - 1, -1, -1):
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo == hi:
+            continue
+        b = edges[k + 1]
+        run = first[runs[k]:runs[k + 1]]
+        Y = np.add.reduceat(r_weight[lo:hi, None] * X[r_pos[lo:hi], b:], run - lo, axis=0)
+        if k == nucleus:
+            X[col_order[n0:n1], b:] = inv[:, r_row[run] - n0] @ Y
+        else:
+            X[col_order[r_row[run]], b:] = Y
+    return np.take(X, row_rank, axis=1)  # C-contiguous, as the eta update needs
 
 
 class _Tableau:
@@ -418,7 +546,18 @@ class _Tableau:
         self.recompute_basic_values()
 
     def invert(self) -> np.ndarray:
-        """The inverse of the current basis, computed afresh."""
+        """The inverse of the current basis, computed afresh.
+
+        Where the eta update can use the zeros of the inverse (the same
+        ``m * m > _SPARSE_ETA_OVERHEAD`` rule), it is built by
+        :func:`_block_triangular_inverse` from the basis' nonzeros, and every
+        entry its block-triangular structure makes zero is exactly 0.0.  A
+        smaller basis inverts the dense block that its basic row activities
+        leave, by LAPACK.
+        """
+        rows, pos, vals = self.A.column_entries(self.basis)
+        if self.m * self.m > _SPARSE_ETA_OVERHEAD:
+            return _block_triangular_inverse(rows, pos, vals, self.m)
         # A basic row activity is a column -e_i, fixed by row i once the
         # other basic values are known; so B x = b needs only the block A11
         # of the other basic columns S on the rows R without a basic
@@ -432,11 +571,13 @@ class _Tableau:
         uncovered = np.ones(self.m, dtype=bool)
         uncovered[rows_T] = False
         rows_R = np.flatnonzero(uncovered)
-        B_S = self.A.dense_columns(basis[S])
+        B = np.zeros((self.m, self.m))
+        B[rows, pos] = vals
+        B_S = B[:, S]
         try:
             inv11 = np.linalg.inv(B_S[rows_R])
         except np.linalg.LinAlgError as exc:
-            raise SolverNumericalError("singular basis during refactorization") from exc
+            raise SolverNumericalError(_SINGULAR) from exc
         cols_R = np.empty((self.m, S.size))  # the columns rows_R of the inverse
         cols_R[S] = inv11
         cols_R[T] = B_S[rows_T] @ inv11

@@ -310,13 +310,19 @@ def _no_two_phase(*args):
     raise AssertionError("the slack start must decide this LP itself")
 
 
+def _no_structured_inverse(*args):
+    raise AssertionError("a basis of 51 rows must be inverted by LAPACK")
+
+
 @pytest.mark.parametrize("factor", [1.0, 1.09])
 def test_bundled_dispatch_hours_start_from_the_slack_basis(bundled_net, bundled_demand,
                                                            factor, monkeypatch):
     """Every bundled hour, plain and heated, solves cold from the slack basis
-    without the two-phase primal, to its certified optimum."""
+    without the two-phase primal, to its certified optimum; its 51-row
+    bases stay on the LAPACK path of the refactorization."""
     demand = apply_heatwave(bundled_demand, factor)
     monkeypatch.setattr(simplex, "_two_phase", _no_two_phase)
+    monkeypatch.setattr(simplex, "_block_triangular_inverse", _no_structured_inverse)
     for season in demand.demand:
         for h in range(demand.hours(season)):
             s = solve_lp(build_dcopf(bundled_net, demand, season, h))
@@ -619,7 +625,10 @@ def _check_eta_against_refactorization(p, seed, steps):
     form = LpForm(p.A)
     m = p.num_rows
     dense = np.hstack([p.A * form.R[:, None] * form.C[None, :], -np.eye(m)])
-    assert np.array_equal(form.A_std.dense_columns(np.arange(dense.shape[1])), dense)
+    rows, cols, vals = form.A_std.column_entries(np.arange(dense.shape[1]))
+    held = np.zeros_like(dense)
+    held[rows, cols] = vals
+    assert np.array_equal(held, dense)
     view = form.A_std
     tab = _slack_tableau(view)
     rng = np.random.default_rng(seed)
@@ -772,3 +781,138 @@ def test_singular_refactorization_runs_the_cold_retry_ladder(monkeypatch):
     monkeypatch.setattr(simplex._Tableau, "refactorize", singular)
     with pytest.raises(simplex.SolverNumericalError, match="singular basis"):
         solve_lp(p)
+
+
+# -- the block-triangular inverse ----------------------------------------------
+
+def _block_triangular_basis(rng, kind):
+    """A random sparse nonsingular m x m matrix, its rows and columns shuffled:
+    singleton chains around a dense nucleus, a dense nucleus alone (no
+    singleton), or the slack basis -I."""
+    m = int(rng.integers(2, 60))
+    if kind == "slack":
+        return -np.eye(m)
+    core = m if kind == "nucleus" else int(rng.integers(0, m // 2 + 1))
+    head = int(rng.integers(0, m - core + 1))
+    # upper triangular apart from the nucleus block [head, head + core), with
+    # pivots of magnitude 1 to 2 and sparse entries of up to 2 above them:
+    # LAPACK's partial pivoting then leaves the triangular order, and its
+    # inverse holds roundoff where the exact entry is zero
+    M = np.triu(np.where(rng.random((m, m)) < 3.0 / m, rng.uniform(-2.0, 2.0, (m, m)), 0.0), 1)
+    np.fill_diagonal(M, rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 2.0, m))
+    block = slice(head, head + core)
+    M[block, block] = rng.uniform(-1.0, 1.0, (core, core)) + core * np.eye(core)
+    return M[rng.permutation(m)][:, rng.permutation(m)]
+
+
+def _reference_order(B):
+    """B's rows and columns in block-triangular order, peeling one singleton
+    at a time: the column singletons, the nucleus, then the row singletons
+    (the last found first); and the nucleus' ranks."""
+    nz = B != 0
+    rows, cols = list(range(B.shape[0])), list(range(B.shape[1]))
+    head, tail = [], []
+    for axis, found in ((0, head), (1, tail)):  # column singletons, then row singletons
+        while True:
+            live = nz[np.ix_(rows, cols)]
+            ones = np.flatnonzero(live.sum(axis=axis) == 1)
+            if not ones.size:
+                break
+            k = int(ones[0])
+            if axis == 0:
+                pair = (rows[int(np.flatnonzero(live[:, k])[0])], cols[k])
+            else:
+                pair = (rows[k], cols[int(np.flatnonzero(live[k])[0])])
+            found.append(pair)
+            rows.remove(pair[0])
+            cols.remove(pair[1])
+    order = head + list(zip(rows, cols)) + tail[::-1]
+    return [i for i, _ in order], [j for _, j in order], slice(len(head), len(head) + len(rows))
+
+
+def _structural_inverse_pattern(B, row_order, col_order, nucleus):
+    """Where the inverse of B, its rows in ``col_order`` and its columns in
+    ``row_order``, may be nonzero: where a chain of B's nonzeros leads, with
+    the nucleus taken as dense."""
+    reach = (B[np.ix_(row_order, col_order)] != 0) | np.eye(B.shape[0], dtype=bool)
+    reach[nucleus, nucleus] = True
+    while True:
+        longer = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        if (longer == reach).all():
+            return reach
+        reach = longer
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["chains", "nucleus", "slack"]))
+def test_block_triangular_inverse_is_lapacks_with_exact_zeros(seed, kind):
+    """The structured inverse matches LAPACK's within 1e-12 relative, is
+    exactly 0.0 wherever the block-triangular order makes an entry zero, and
+    is exactly -I for the slack basis."""
+    B = _block_triangular_basis(np.random.default_rng(seed), kind)
+    rows, cols = np.nonzero(B)
+    got = simplex._block_triangular_inverse(rows, cols, B[rows, cols], B.shape[0])
+    want = np.linalg.inv(B)
+    assert got.flags.c_contiguous
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    row_order, col_order, nucleus = _reference_order(B)
+    pattern = _structural_inverse_pattern(B, row_order, col_order, nucleus)
+    assert (got[np.ix_(col_order, row_order)][~pattern] == 0.0).all()
+    if kind == "slack":
+        assert np.array_equal(got, B)
+
+
+def _singular_bases():
+    chain = np.diag([2.0, -1.0, 1.5, 1.0, -2.0, 1.0]) + np.diag([0.5, 0.0, -1.0, 0.0, 0.25], 1)
+    twin_singletons = chain.copy()
+    twin_singletons[:, 3] = 0.0
+    twin_singletons[1, 3] = 1.0  # columns 1 and 3: one nonzero each, both on row 1
+    empty_column = chain.copy()
+    empty_column[:, 4] = 0.0
+    empty_row = chain.copy()
+    empty_row[2] = 0.0
+    # columns 1 and 3 single on row 1, rows 2 and 4 single on column 2, a
+    # nonsingular nucleus on rows and columns 0, 3 and 5: each peel alone
+    # keeps as many rows as columns
+    twin_pairs = np.zeros((6, 6))
+    twin_pairs[1, [1, 3]] = [1.0, -2.0]
+    twin_pairs[[2, 4], 2] = [0.5, 1.0]
+    twin_pairs[np.ix_([0, 3, 5], [0, 4, 5])] = [[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]]
+    nucleus = chain.copy()
+    nucleus[np.ix_([2, 3], [2, 3])] = 1.0  # a singular 2 x 2 nucleus
+    return {"two column singletons on one row": twin_singletons,
+            "twin column and row singletons": twin_pairs,
+            "empty column": empty_column, "empty row": empty_row,
+            "singular nucleus": nucleus}
+
+
+@pytest.mark.parametrize("case", list(_singular_bases()))
+def test_singular_basis_raises_from_the_block_triangular_inverse(case):
+    B = _singular_bases()[case]
+    rows, cols = np.nonzero(B)
+    with pytest.raises(simplex.SolverNumericalError, match="singular basis during refactorization"):
+        simplex._block_triangular_inverse(rows, cols, B[rows, cols], B.shape[0])
+
+
+def test_hour17_root_factorizes_by_its_block_triangular_structure(hour17_milp):
+    """The 390-row attack MILP factorizes every basis of its root solve,
+    from the slack basis on, by the structured inverse."""
+    real = simplex._block_triangular_inverse
+    structured, inverted = [], []
+
+    def counting(*args):
+        structured.append(args[-1])
+        return real(*args)
+    real_invert = simplex._Tableau.invert
+
+    def inverting(tab):
+        inverted.append(tab.basis.copy())
+        return real_invert(tab)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_block_triangular_inverse", counting)
+        mp.setattr(simplex._Tableau, "invert", inverting)
+        root = solve_lp(hour17_milp)
+    assert root.status == "optimal" and _certified(root)
+    assert np.array_equal(inverted[0], np.arange(hour17_milp.num_cols,
+                                                 hour17_milp.num_cols + hour17_milp.num_rows))
+    assert structured == [hour17_milp.num_rows] * len(inverted)
