@@ -374,6 +374,13 @@ def _build_attack_milp(
     return MilpProblem(lp, binaries), lay
 
 
+def _check_hourly_budget(hourly_budget: float) -> None:
+    """Reject a NaN, negative or infinite hourly budget, as :class:`AttackCosts`
+    rejects such a seasonal one."""
+    if not 0 <= hourly_budget < np.inf:
+        raise ValueError(f"hourly budget must be finite and nonnegative, got {hourly_budget}")
+
+
 def build_hourly_attack_milp(
     net: PowerNetwork,
     demand: DemandProfile,
@@ -385,6 +392,7 @@ def build_hourly_attack_milp(
 ) -> MilpProblem:
     """One-hour disruption MILP under an hourly budget; big M ``bigm``,
     :func:`default_bigm` when None."""
+    _check_hourly_budget(hourly_budget)
     if bigm is None:
         bigm = default_bigm(net, demand)
     prob, _ = _build_attack_milp(net, demand, season, [hour], costs, hourly_budget, bigm,
@@ -670,6 +678,7 @@ def solve_hourly_attack(
     the candidate generator is already target-aware).  This mode reports
     the big-M flag and does not retry.
     """
+    _check_hourly_budget(hourly_budget)
     if bigm is None:
         bigm = default_bigm(net, demand)
     if dispatch is None:

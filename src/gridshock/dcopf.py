@@ -362,10 +362,10 @@ class SeasonDispatch:
     Consecutive hours differ only in demand and VOLL, so that basis stays
     dual feasible once the warm start has moved each boxed nonbasic column
     to the bound its reduced cost asks for, and the dual simplex needs a
-    few pivots where a cold solve needs dozens.  When the basis is not dual
-    feasible, is singular or fails numerically, :func:`solve_lp` solves
-    the hour cold instead.  An hour solved on first use is always solved
-    cold, so no result depends on the order in which callers ask for hours.
+    few pivots where a cold solve needs dozens.  When the basis is singular
+    or fails numerically, :func:`solve_lp` solves the hour cold instead.
+    An hour solved on first use is always solved cold, so no result depends
+    on the order in which callers ask for hours.
     """
 
     def __init__(self, net: PowerNetwork, demand: DemandProfile, season: str,

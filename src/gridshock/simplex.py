@@ -15,18 +15,18 @@ after a degenerate stall).
 
 Cold start.  A solve without a usable basis of its own starts from the
 slack basis, whose basic columns are all the row activities (the -I
-columns).  Its reduced costs are the costs themselves, so once each boxed
-column rests on the bound its cost asks for, it is dual feasible whenever
-every column with a cost is bounded on the side that cost points to -- as
-on the package's dispatch and attack LPs -- and the bounded dual simplex
-of the warm start (below) runs from it.  Where the slack basis is not dual
-feasible, or the dual phase fails numerically (its "could not certify
-infeasibility" included), a two-phase primal method with one artificial
-column per initially violated row runs instead, with a retry ladder of
-shorter refactorization intervals and then Bland's rule.  Its ratio
-test's tolerance band can leave a basic value past its bounds; when the
-optimal basis of phase 2 does, the bounded dual simplex removes that
-before the answer stands.
+columns), and runs the bounded dual simplex of the warm start (below).
+Its reduced costs are the costs themselves, so once each boxed column
+rests on the bound its cost asks for, it is dual feasible whenever every
+column with a cost is bounded on the side that cost points to, as on the
+package's dispatch and attack LPs; elsewhere the dual phase shifts the
+costs that point off their bounds.  Only where the slack start fails
+numerically (its "could not certify infeasibility" included) does phase 1
+of the primal simplex run, with one artificial column per initially
+violated row and a retry ladder of shorter refactorization intervals and
+then Bland's rule.  Its "infeasible" stands; a feasible basis, each
+artificial left basic swapped for its own row's activity, ends in the
+primal tail of every other solve.
 
 Sparse products, dense inverse.  The standard form ``A_std`` is held in
 compressed-column form, and every product with it runs over its nonzeros:
@@ -53,29 +53,31 @@ inverts the dense block that its basic row activities leave by LAPACK (see
 
 Warm start.  An optimal solve returns its basis: the m basic column
 indices of the standard form in basis order, as an int32 array
-(columns 0..n-1 are the variables, n..n+m-1 the row activities).  The
-nonbasic statuses are not stored, because a warm start sets them itself:
+(columns 0..n-1 are the variables, n..n+m-1 the row activities; empty
+without rows), read-only: it may be the warm start of many later solves.
+The nonbasic statuses are not stored, because a start sets them itself:
 a column bounded on both sides rests on the bound its reduced cost asks
 for (the bound nearest zero when the cost is indifferent, as in a cold
-start), a one-sided column on its finite bound, a free one at zero.  The
-basis is ``None`` when the problem has no rows or a phase-1 artificial
-column is still basic at the optimum, and read-only: it may be the warm
-start of many later solves.  Passing a basis back to
-:func:`solve_lp` for a problem with the same ``c`` and ``A`` and any
-bounds -- a branch-and-bound child, a dispatch with lowered
-capacities -- re-optimizes from it with a bounded dual simplex: the basis
-stays dual feasible when only bounds move, so a few pivots restore primal
-feasibility.  The leaving row has the largest primal infeasibility; the
-ratio test uses the primal core's tolerance band with a largest-|alpha|
-tie-break (lowest index first) and Bland's rule after a stall.  The
-primal core then rechecks optimality on a fresh factorization exactly as
-after a cold solve, and an "infeasible" verdict of the dual phase stands
-only when it holds on a fresh factorization.  The cold path (the slack
-basis, then the two-phase primal) runs instead when the basis has the
-wrong shape, is singular or not dual feasible, or when the warm path hits
-any numerical failure.  A refused warm start thus ends exactly as a solve
-without a basis, and a basis can change the pivot count but never the
-trust in the answer.
+start), a one-sided column on its finite bound, a free one at zero.
+Passing a basis back to :func:`solve_lp` for a problem with the same
+``A`` re-optimizes from it with a bounded dual simplex.  A nonbasic
+column whose reduced cost points off its bounds -- free, or one-sided
+with the cost towards its open side -- has its cost shifted to a zero
+reduced cost for the dual phase (Koberstein, *The dual simplex method*,
+2005, ch. 4).  None does when only bounds moved, as for a
+branch-and-bound child or a dispatch with lowered capacities, so a few
+pivots restore primal feasibility.  The leaving row has the largest
+primal infeasibility; the ratio test uses the primal core's tolerance
+band with a largest-|alpha| tie-break (lowest index first) and Bland's
+rule after a stall.  An "infeasible" verdict stands only when it holds
+on a fresh factorization; it does not depend on the costs.  A feasible
+basis ends in the primal tail: the primal core with the true costs, its
+optimality recheck on a fresh factorization, and the dual simplex again
+where the ratio test's band left a basic value past its bounds.  The
+cold path runs instead when the basis has the wrong shape or is
+singular, or on any numerical failure, so a refused warm start ends
+exactly as a solve without a basis: a basis can change the pivot count
+but never the trust in the answer.
 
 Shared form.  The scaled standard form depends on ``A`` alone, so an
 :class:`LpForm` builds it once -- the equilibration factors and
@@ -94,12 +96,12 @@ first, and never fewer than the ``_STORE_MIN`` most recent: a
 branch-and-bound child's recheck must not evict the parent basis its
 sibling starts from.  Since the slack start runs over the form, the final
 inverse of a cold solve is stored for the warm starts from its basis (a
-branch-and-bound root's first children).  Only the two-phase path
-factorizes over ``A_std`` with artificial columns appended, so its
-tableaux stay outside the store.  The optimality recheck always runs on a
-fresh factorization, but it refactorizes only when a pivot or a bound
-flip happened since the last one: with neither, the inverse in hand is
-that fresh factorization.  When the dual phase makes no pivot at all, the
+branch-and-bound root's first children).  Only phase 1 factorizes over
+``A_std`` with artificial columns appended, so its tableaux stay outside
+the store; its primal tail runs over the form.  The optimality recheck
+always runs on a fresh factorization, but it refactorizes only when a
+pivot or a bound flip happened since the last one: with neither, the
+inverse in hand is that fresh factorization.  When the dual phase makes no pivot at all, the
 recheck would price exactly what the warm start priced -- same inverse,
 costs and statuses -- so it is not run again: the warm start's one pricing
 pass, which found no improving column, is the answer.  A re-solve whose
@@ -243,7 +245,7 @@ class LpVertex:
     objective: float | None
     iterations: int = 0
     basis: np.ndarray | None = None
-    # (problem, form, tableau, phase-2 costs) of an optimal vertex
+    # (problem, form, tableau, costs over its columns) of an optimal vertex
     _state: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -323,8 +325,8 @@ def _improving(rc: np.ndarray, status: np.ndarray, tol: float) -> np.ndarray:
 
 def _in_band(ratios: np.ndarray) -> np.ndarray:
     """Two-pass ratio test: positions within a tolerance band of the smallest
-    ratio; empty when every ratio is infinite."""
-    step = float(ratios.min())
+    ratio; empty when every ratio is infinite or there is none."""
+    step = float(ratios.min(initial=np.inf))
     if not math.isfinite(step):
         return np.zeros(0, dtype=np.intp)
     return (ratios <= step + 1e-9 * (1.0 + abs(step))).nonzero()[0]
@@ -837,12 +839,13 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int,
                   rc: np.ndarray, tol: float) -> tuple[str, int]:
     """Bounded dual simplex from a dual-feasible basis to a primal-feasible one.
 
-    ``rc`` holds the reduced costs of the tableau's fresh factorization and
-    ``tol`` is ``_rc_tol(c)``.  Returns (status, pivots): "optimal" once
-    every basic value is within its bounds (the caller rechecks optimality
-    with the primal core), or "infeasible" when a violated row admits no
-    entering column on a fresh factorization.  Fixed columns never enter:
-    their reduced cost may take either sign.
+    ``rc`` holds the reduced costs of the tableau's fresh factorization
+    under ``c`` and ``tol`` is the reduced-cost tolerance of the solve.
+    Returns (status, pivots): "optimal" once every basic value is within
+    its bounds (the caller rechecks optimality with the primal core), or
+    "infeasible" when a violated row admits no entering column on a fresh
+    factorization.  Fixed columns never enter: their reduced cost may take
+    either sign.
     """
     movable = tab.lb < tab.ub
     bland = False
@@ -930,19 +933,22 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int,
 
 def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
                 basis: np.ndarray, max_iter: int) -> tuple[_Tableau, str, int] | None:
-    """Re-optimize from the basic columns ``basis`` (a caller's, or the
-    slack basis of a cold start); None when they do not fit or are not dual
-    feasible.
+    """Solve from the basic columns ``basis``, a caller's or the slack basis
+    of a cold start; None when they do not fit.  The dual phase runs with
+    each cost that points off its column's bounds shifted to a zero reduced
+    cost, and a feasible basis ends in :func:`_primal_tail` with the true
+    costs (see the module docstring).
 
-    Returns (tableau, status, iterations) with status "optimal" or
-    "infeasible"; raises :class:`SolverNumericalError` on numerical trouble.
+    Returns (tableau, status, iterations) with status "optimal",
+    "infeasible" or "unbounded"; raises :class:`SolverNumericalError` on
+    numerical trouble.
     """
     A_std = form.A_std
     m, ncols = A_std.shape
     basic = np.asarray(basis)
     if (basic.shape != (m,) or basic.dtype.kind not in "iu"
             or ((basic < 0) | (basic >= ncols)).any()
-            or np.bincount(basic, minlength=ncols).max() > 1):
+            or np.bincount(basic, minlength=ncols).max(initial=0) > 1):
         return None
     tab = _Tableau(A_std, lb, ub, ncols - m, form)  # it only reads the bounds
     tab.basis = basic.astype(np.int64)
@@ -960,53 +966,77 @@ def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
     if moved.any():
         tab.status[moved] = want[moved]
         tab.recompute_basic_values()
-    if _improving(rc, tab.status, tol).any():
-        return None
-    status1, it1 = _dual_simplex(tab, c, max_iter, rc, tol)
+    shifted = _improving(rc, tab.status, tol) > 0.0
+    c_dual = c
+    if shifted.any():
+        c_dual = np.where(shifted, c - rc, c)
+        rc = np.where(shifted, 0.0, rc)
+    status1, it1 = _dual_simplex(tab, c_dual, max_iter, rc, tol)
     if status1 == "infeasible":
         return tab, "infeasible", it1
-    # without a pivot the tableau is still the fresh factorization priced above
-    status2, it2 = _run_verified(tab, c, max_iter, priced=not it1)
-    if status2 != "optimal":
-        return None  # cannot happen from a dual-feasible start; let the cold path decide
-    return tab, "optimal", it1 + it2
+    # without a pivot or a shift the tableau is still the fresh
+    # factorization priced above, at the true costs
+    status2, it2 = _primal_tail(tab, c, max_iter, priced=not (it1 or shifted.any()))
+    return tab, status2, it1 + it2
 
 
-def _cold_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c_int: np.ndarray,
-                max_iter: int) -> tuple[_Tableau, np.ndarray, str, int]:
-    """Solve without a basis of the caller's: the bounded dual simplex from
-    the slack basis (every row activity basic), or, when that basis is not
-    dual feasible or the dual phase fails numerically, the two-phase primal.
+def _primal_tail(tab: _Tableau, c: np.ndarray, max_iter: int,
+                 priced: bool = False) -> tuple[str, int]:
+    """The last stage of every solve: :func:`_run_verified` with the true
+    costs ``c`` from a feasible basis, returning its (status, iterations).
 
-    Returns (tableau, cost vector over its columns, status, iterations).
+    The ratio test's tolerance band can leave a basic value past its bounds
+    (far past them when the bounds are tiny against the step); the optimal
+    basis is dual feasible, so the dual simplex clears that before the
+    answer stands.
+    """
+    status, it = _run_verified(tab, c, max_iter, priced=priced)
+    if status == "optimal" and _primal_infeasible(tab):
+        status, more = _dual_simplex(tab, c, max_iter, tab.reduced_costs(c), _rc_tol(c))
+        it += more
+        if status == "optimal":
+            status, more = _run_verified(tab, c, max_iter)
+            it += more
+    return status, it
+
+
+def _cold_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
+                max_iter: int) -> tuple[_Tableau | None, str, int]:
+    """Solve without a basis of the caller's: from the slack basis (every
+    row activity basic), or, when that start fails numerically, by
+    :func:`_phase_one` and then :func:`_primal_tail`.
+
+    Returns (tableau, status, iterations); the tableau is None when phase 1
+    proves the LP infeasible.
     """
     m, ncols = form.A_std.shape
-    c2 = np.concatenate([c_int, np.zeros(m)])
     try:
-        slack = _warm_solve(form, lb, ub, c2, np.arange(ncols - m, ncols), max_iter)
+        return _warm_solve(form, lb, ub, c, np.arange(ncols - m, ncols), max_iter)
     except SolverNumericalError:
-        slack = None
-    if slack is not None:
-        tab, status, iters = slack
-        return tab, c2, status, iters
-    return _two_phase(form, lb, ub, c_int, max_iter)
+        tab, it1 = _phase_one(form, lb, ub, max_iter)
+    if tab is None:
+        return None, "infeasible", it1
+    status, it2 = _primal_tail(tab, c, max_iter)
+    return tab, status, it1 + it2
 
 
-def _two_phase(form: LpForm, lb: np.ndarray, ub: np.ndarray, c_int: np.ndarray,
-               max_iter: int) -> tuple[_Tableau, np.ndarray, str, int]:
-    """Two-phase primal simplex from the slack basis with one artificial
-    column per violated row, with a retry ladder.
+def _phase_one(form: LpForm, lb: np.ndarray, ub: np.ndarray,
+               max_iter: int) -> tuple[_Tableau | None, int]:
+    """Phase 1 of the primal simplex from the slack basis, with one
+    artificial column per violated row and a retry ladder of shorter
+    refactorization intervals and then Bland's rule.
 
-    Returns (tableau, cost vector over its columns, status, iterations).
+    Returns (tableau, iterations): None when the LP is infeasible, else a
+    tableau over the form at a feasible basis, each artificial left basic
+    swapped for its own row's activity (a parallel column, so the basis
+    stays nonsingular).
     """
     A_std = form.A_std
     m, ncols = A_std.shape
     n = ncols - m
     rlb_sc, rub_sc = lb[n:], ub[n:]  # the row activities' bounds
-    finite_bounds = np.concatenate([
-        rub_sc[np.isfinite(rub_sc)], rlb_sc[np.isfinite(rlb_sc)],
-    ])
-    ph1_tol = FEAS_TOL * (1.0 + (np.abs(finite_bounds).max() if finite_bounds.size else 0.0))
+    row_bounds = np.abs(np.concatenate([rlb_sc, rub_sc]))
+    ph1_tol = FEAS_TOL * (1.0 + row_bounds[np.isfinite(row_bounds)].max(initial=0.0))
     statuses = _initial_status(lb, ub)
     x0 = _nonbasic_values(statuses, lb, ub)
     x0[n:] = 0.0  # the row activity of the structural columns alone
@@ -1020,40 +1050,29 @@ def _two_phase(form: LpForm, lb: np.ndarray, ub: np.ndarray, c_int: np.ndarray,
     statuses[n + viol] = np.where(resid[viol] > 0, _AT_UPPER, _AT_LOWER)
 
     def attempt(refactor_every: int, bland_start: bool):
-        """One full two-phase solve; returns (tab, c2, status, iters)."""
+        """One phase 1; returns (tableau over the form or None, iterations)."""
         t = _Tableau(A_art, np.concatenate([lb, np.zeros(n_art)]),
                      np.concatenate([ub, np.full(n_art, np.inf)]), n)
         t.basis = np.arange(n, ncols, dtype=np.int64)
         t.basis[viol] = np.arange(ncols, ncols + n_art)
         t.status[:ncols] = statuses
         t.status[t.basis] = _BASIC
-        t.refactorize()
-        it1 = 0
+        it = 0
         if n_art:
+            t.refactorize()
             c1 = np.zeros(ncols + n_art)
             c1[ncols:] = 1.0
-            status1, it1 = _run_verified(t, c1, max_iter, refactor_every, bland_start)
-            ph1_obj = float(c1[t.basis] @ t.xB)
-            if status1 != "optimal" or ph1_obj > ph1_tol:
-                return t, None, "infeasible", it1
-            t.lb[ncols:] = 0.0
-            t.ub[ncols:] = 0.0
-            art_status = t.status[ncols:]
-            art_status[art_status != _BASIC] = _AT_LOWER
-            t.fresh = False  # the artificials' bounds moved
-        c2 = np.concatenate([c_int, np.zeros(m + n_art)])
-        status2, it2 = _run_verified(t, c2, max_iter, refactor_every, bland_start)
-        if status2 == "optimal" and _primal_infeasible(t):
-            # the ratio test's band can leave basic values past their bounds
-            # (far past them when the bounds are tiny against the step); the
-            # optimal basis is dual feasible, so the dual simplex clears that
-            status3, it3 = _dual_simplex(t, c2, max_iter, t.reduced_costs(c2), _rc_tol(c2))
-            it2 += it3
-            if status3 == "optimal":
-                status3, it3 = _run_verified(t, c2, max_iter, refactor_every, bland_start)
-                it2 += it3
-            status2 = status3
-        return t, c2, status2, it1 + it2
+            status, it = _run_verified(t, c1, max_iter, refactor_every, bland_start)
+            if status != "optimal" or float(c1[t.basis] @ t.xB) > ph1_tol:
+                return None, it
+        tab = _Tableau(A_std, lb, ub, n, form)
+        art = t.basis >= ncols
+        tab.basis = t.basis.copy()
+        tab.basis[art] = n + viol[t.basis[art] - ncols]
+        tab.status = t.status[:ncols].copy()
+        tab.status[tab.basis] = _BASIC
+        tab.refactorize()
+        return tab, it
 
     last_exc: SolverNumericalError | None = None
     for refactor_every, bland_start in ((_REFACTOR_EVERY, False), (16, False), (8, True)):
@@ -1068,57 +1087,39 @@ def optimize_lp(problem: LpProblem, basis: np.ndarray | None = None,
                 form: LpForm | None = None) -> LpVertex:
     """The optimize stage of :func:`solve_lp`: its vertex, without the duals.
 
-    Takes the same arguments, runs the same simplex -- from ``basis``,
-    else from the slack basis, else the two-phase primal -- and raises the
-    same errors; :func:`finish_lp` turns the vertex into the
-    :class:`LpSolution` that :func:`solve_lp` returns.
+    Takes the same arguments, runs the same simplex -- from ``basis`` when
+    it fits and solves without numerical trouble, else from the slack
+    basis, with phase 1 of the primal simplex only where that start fails
+    numerically -- and raises the same errors; :func:`finish_lp` turns the
+    vertex into the :class:`LpSolution` that :func:`solve_lp` returns.
     """
     if form is not None and form.A is not problem.A:
         raise ValueError("form was built from another constraint matrix")
     m, n = problem.num_rows, problem.num_cols
     sign = 1.0 if problem.sense == "min" else -1.0
-    c_user = problem.c
-
-    if m == 0:
-        # pure bound problem: minimize each cost term independently
-        lb, ub = problem.lb, problem.ub
-        x = np.where(sign * c_user > 0, lb, np.where(
-            sign * c_user < 0, ub, _nonbasic_values(_initial_status(lb, ub), lb, ub)))
-        if not np.isfinite(x).all():
-            return LpVertex("unbounded", None, None)
-        return LpVertex("optimal", x, float(c_user @ x), _state=(problem, None, None, None))
-
     # equilibrate: scaled vars x' = x / C, scaled rows R * A * C, and the
     # standard form [A_sc | -I][x; t] = 0 with t the row activity
     form = form if form is not None else LpForm(problem.A)
     R, C = form.R, form.C
-    c_int = sign * c_user * C
+    c = np.concatenate([sign * problem.c * C, np.zeros(m)])
     lb = np.concatenate([problem.lb / C, problem.row_lb * R])
     ub = np.concatenate([problem.ub / C, problem.row_ub * R])
-    ncols = n + m
     max_iter = 50 * (m + n) + 10_000
 
-    warm = None
+    solved = None
     if basis is not None:
-        c2 = np.concatenate([c_int, np.zeros(m)])
         try:
-            warm = _warm_solve(form, lb, ub, c2, basis, max_iter)
+            solved = _warm_solve(form, lb, ub, c, basis, max_iter)
         except SolverNumericalError:
-            warm = None
-    if warm is not None:
-        tab, status2, iters = warm
-    else:
-        tab, c2, status2, iters = _cold_solve(form, lb, ub, c_int, max_iter)
-
-    if status2 != "optimal":
-        return LpVertex(status2, None, None, iterations=iters)
+            pass
+    tab, status, iters = solved or _cold_solve(form, lb, ub, c, max_iter)
+    if status != "optimal":
+        return LpVertex(status, None, None, iterations=iters)
     x = C * tab.full_x()[:n]  # back to the caller's variable scale
-    out_basis = None
-    if (tab.basis < ncols).all():  # no phase-1 artificial left basic
-        out_basis = tab.basis.astype(np.int32)
-        out_basis.flags.writeable = False  # a warm start of later solves
-    return LpVertex("optimal", x, float(c_user @ x), iters, out_basis,
-                    _state=(problem, form, tab, c2))
+    out_basis = tab.basis.astype(np.int32)
+    out_basis.flags.writeable = False  # a warm start of later solves
+    return LpVertex("optimal", x, float(problem.c @ x), iters, out_basis,
+                    _state=(problem, form, tab, c))
 
 
 def finish_lp(vertex: LpVertex) -> LpSolution:
@@ -1131,16 +1132,13 @@ def finish_lp(vertex: LpVertex) -> LpSolution:
     if vertex.status != "optimal":
         return LpSolution(vertex.status, None, None, None, None,
                           iterations=vertex.iterations)
-    problem, form, tab, c2 = vertex._state
+    problem, form, tab, c = vertex._state
     c_user, x, obj = problem.c, vertex.x, vertex.objective
-    if tab is None:
-        # no rows to price: every reduced cost is the cost itself
-        return LpSolution("optimal", x, np.zeros(0), c_user.copy(), obj)
     n = problem.num_cols
     sign = 1.0 if problem.sense == "min" else -1.0
 
     # the tableau ends on the fresh factorization of the optimality recheck
-    y_int = tab.binv.T @ c2[tab.basis]
+    y_int = tab.binv.T @ c[tab.basis]
     y_rows = form.R * y_int[:problem.num_rows]
     # duals of the original rows: rc of activity var t_i is +y_i (scaled back)
     rc_int = sign * c_user - problem.A.T @ y_rows
@@ -1193,10 +1191,9 @@ def solve_lp(problem: LpProblem, basis: np.ndarray | None = None,
     ``basis``, taken from an earlier solve of a problem with the same
     ``A`` (and usually the same ``c``), warm-starts a bounded dual simplex
     (see the module docstring); without one, or when it cannot be used,
-    the same dual simplex starts from the slack basis, and the two-phase
-    primal runs only where that basis is not dual feasible or the dual
-    phase fails.  A refused or failed warm start ends exactly as a solve
-    without a basis.
+    the same dual simplex starts from the slack basis, and phase 1 of the
+    primal simplex runs only where that start fails numerically.  A
+    refused or failed warm start ends exactly as a solve without a basis.
     ``form`` is an :class:`LpForm` built from ``problem.A``, shared by the
     LPs over that matrix; without one, the solve builds its own.  Either
     way the answer is the same, bit for bit.

@@ -87,6 +87,21 @@ def test_an_hour_outside_the_day_is_rejected(season, hour, message):
                                                                     [1000.0, 1000.0]]
 
 
+@pytest.mark.parametrize("budget", [np.nan, -1.0, np.inf])
+def test_an_hourly_budget_that_is_not_finite_and_nonnegative_is_rejected(budget):
+    net = two_bus()
+    prof = profile_for(net, [[0.0, 80.0]])
+    costs = AttackCosts(np.full(2, 1.0), np.full(1, 1000.0), np.full(1, 600000.0), 20.0)
+    message = f"hourly budget must be finite and nonnegative, got {budget}"
+    calls = [lambda: build_hourly_attack_milp(net, prof, "summer", 0, costs, budget)]
+    calls += [lambda limit=limit: solve_hourly_attack(net, prof, "summer", 0, costs, budget,
+                                                      node_limit=limit) for limit in (0, 5)]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_attack_with_min_generation_floor():
     # nonzero g_min: the lower generation bound pair stays honest
     from gridshock.network import PowerNetwork, Node, Edge, Generator, validate_network

@@ -238,7 +238,7 @@ def test_hour17_root_and_polish_start_from_the_slack_basis(bundled_net, bundled_
                                                            monkeypatch):
     """On the bundled Compound peak hour at its whole budget, the root LP and
     the polish of the greedy warm start are solved without a basis, from the
-    slack basis, never by the two-phase primal."""
+    slack basis, never by phase 1 of the primal simplex."""
     from gridshock import attack, scenarios, simplex
     from gridshock.cli import bundled_path
     from gridshock.network import apply_heatwave
@@ -246,13 +246,13 @@ def test_hour17_root_and_polish_start_from_the_slack_basis(bundled_net, bundled_
     heated = apply_heatwave(bundled_demand, cfg.heatwave_factor)
     given = []
 
-    def two_phase(*args):
+    def phase_one(*args):
         raise AssertionError("the slack start must decide this LP itself")
 
     def slack_only(lp, basis=None, form=None):
         given.append(basis)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simplex, "_two_phase", two_phase)
+            mp.setattr(simplex, "_phase_one", phase_one)
             return solve_lp(lp, basis=basis, form=form)
     monkeypatch.setattr(milp, "solve_lp", slack_only)
     # one node: the tree stops after the root and the polish

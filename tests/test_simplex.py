@@ -266,17 +266,20 @@ def test_warm_dispatch_matches_cold_under_tighter_bounds(hour17, seed, keep):
     _same_answer(solve_lp(p, basis=basis), solve_lp(p))
 
 
-def _two_phase_only(mp):
-    """Every solve without a usable basis of its own skips the slack start
-    and runs the two-phase primal."""
-    mp.setattr(simplex, "_cold_solve", simplex._two_phase)
+def _phase_one_only(mp):
+    """Every solve finds its slack start (and any warm start) failing
+    numerically, so it runs phase 1 of the primal simplex, then the primal
+    tail."""
+    def failing(*args):
+        raise simplex.SolverNumericalError("start forced to fail")
+    mp.setattr(simplex, "_warm_solve", failing)
 
 
 def test_cold_solve_clears_basic_values_past_tiny_bounds(hour17, monkeypatch):
-    """The two-phase primal's optimal basis leaves a basic value past its
-    tiny bound, and its dual simplex clears that."""
+    """After phase 1, the primal tail's optimal basis leaves a basic value
+    past its tiny bound, and its dual simplex clears that."""
     net, demand, _ = hour17
-    _two_phase_only(monkeypatch)
+    _phase_one_only(monkeypatch)
     real = simplex._primal_infeasible
     seen = []
 
@@ -289,24 +292,7 @@ def test_cold_solve_clears_basic_values_past_tiny_bounds(hour17, monkeypatch):
     assert seen == [True]
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-@example(seed=0)  # a slack basis that is not dual feasible: the two-phase path decides
-@example(seed=6)  # a dual feasible slack basis: the slack start decides
-def test_slack_start_matches_the_two_phase_path(seed):
-    """A cold solve, from the slack basis where it is dual feasible, ends as
-    the two-phase primal does: the same status, the objective within 1e-9,
-    and both certified."""
-    p = _random_lp(np.random.default_rng(seed))
-    slack = solve_lp(p)
-    with pytest.MonkeyPatch.context() as mp:
-        _two_phase_only(mp)
-        two_phase = solve_lp(p)
-    _same_answer(slack, two_phase)
-    assert two_phase.status != "optimal" or _certified(two_phase)
-
-
-def _no_two_phase(*args):
+def _no_phase_one(*args):
     raise AssertionError("the slack start must decide this LP itself")
 
 
@@ -318,10 +304,10 @@ def _no_structured_inverse(*args):
 def test_bundled_dispatch_hours_start_from_the_slack_basis(bundled_net, bundled_demand,
                                                            factor, monkeypatch):
     """Every bundled hour, plain and heated, solves cold from the slack basis
-    without the two-phase primal, to its certified optimum; its 51-row
-    bases stay on the LAPACK path of the refactorization."""
+    without phase 1 of the primal simplex, to its certified optimum; its
+    51-row bases stay on the LAPACK path of the refactorization."""
     demand = apply_heatwave(bundled_demand, factor)
-    monkeypatch.setattr(simplex, "_two_phase", _no_two_phase)
+    monkeypatch.setattr(simplex, "_phase_one", _no_phase_one)
     monkeypatch.setattr(simplex, "_block_triangular_inverse", _no_structured_inverse)
     for season in demand.demand:
         for h in range(demand.hours(season)):
@@ -371,6 +357,204 @@ def test_warm_random_lp_matches_cold_under_tighter_bounds(seed):
     _same_answer(solve_lp(child, basis=parent.basis), solve_lp(child))
 
 
+# -- against HiGHS, and the cost-shifted dual phase ---------------------------
+
+def _offset_lp(rng):
+    """A random LP as :func:`_random_lp` draws it, with each row's range
+    centred away from zero and about a third of the rows equalities: x = 0,
+    which every :func:`_random_lp` instance admits, is rarely feasible, and
+    many of these LPs are infeasible."""
+    p = _random_lp(rng)
+    m = p.num_rows
+    centre = rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 8.0, m)
+    half = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 3.0, m))
+    rl = np.where((half == 0.0) | (rng.random(m) < 0.7), centre - half, -INF)
+    ru = np.where((half == 0.0) | (rng.random(m) < 0.7), centre + half, INF)
+    return LpProblem(p.sense, p.c, p.A, rl, ru, p.lb, p.ub)
+
+
+_GENERATORS = {"random": _random_lp, "offset": _offset_lp}
+
+
+def _highs(p, c):
+    """HiGHS's dual simplex on ``p`` with the costs ``c``, without presolve
+    (with it, HiGHS calls some unbounded :func:`_random_lp` instances
+    infeasible)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    eq = p.row_lb == p.row_ub
+    above, below = ~eq & np.isfinite(p.row_ub), ~eq & np.isfinite(p.row_lb)
+    A_ub = np.vstack([p.A[above], -p.A[below]])
+    b_ub = np.concatenate([p.row_ub[above], -p.row_lb[below]])
+    sign = 1.0 if p.sense == "min" else -1.0
+    return linprog(sign * c, A_ub=A_ub if b_ub.size else None, b_ub=b_ub if b_ub.size else None,
+                   A_eq=p.A[eq] if eq.any() else None, b_eq=p.row_lb[eq] if eq.any() else None,
+                   bounds=np.column_stack([p.lb, p.ub]), method="highs-ds",
+                   options={"presolve": False})
+
+
+def _matches_highs(s, p):
+    """``s`` ends as HiGHS does on ``p``: the same status and, when optimal,
+    the objective within 1e-7 relative, certified and with a basis.  An
+    "infeasible" of HiGHS counts only when a zero-cost solve agrees."""
+    ref = _highs(p, p.c)
+    want = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    if want == "infeasible":
+        assert _highs(p, np.zeros_like(p.c)).status == 2
+    assert s.status == want
+    if want == "optimal":
+        obj = ref.fun if p.sense == "min" else -ref.fun
+        assert abs(s.objective - obj) <= 1e-7 * max(1.0, abs(obj))
+        assert _certified(s) and s.basis is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(_GENERATORS)))
+@example(seed=0, kind="random")  # a slack basis that is not dual feasible
+@example(seed=6, kind="random")  # a dual feasible slack basis
+def test_cold_and_warm_solves_match_highs(seed, kind):
+    """A cold solve ends as HiGHS does, without phase 1; from its optimal
+    basis, a warm solve under redrawn costs ends as the cold solve does."""
+    rng = np.random.default_rng(seed)
+    p = _GENERATORS[kind](rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_phase_one", _no_phase_one)
+        s = solve_lp(p)
+        _matches_highs(s, p)
+        if s.status == "optimal":
+            q = LpProblem(p.sense, rng.normal(size=p.num_cols).round(3), p.A, p.row_lb,
+                          p.row_ub, p.lb, p.ub)
+            _same_answer(solve_lp(q, basis=s.basis), solve_lp(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(_GENERATORS)))
+def test_phase_one_then_the_primal_tail_match_highs(seed, kind):
+    """With every start forced to fail, phase 1 and then the primal tail end
+    as HiGHS does."""
+    p = _GENERATORS[kind](np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        _phase_one_only(mp)
+        _matches_highs(solve_lp(p), p)
+
+
+def test_phase_one_swaps_an_artificial_left_basic_for_its_rows_activity(monkeypatch):
+    """min -x0 - x1  s.t.  -x0 - x1 >= -1,  x0 + x1 = 1,  -1 <= x0 <= 1,
+    0 <= x1 <= 2: phase 1 ends with row 1's artificial (column 4) basic at
+    zero, and the primal tail starts with row 1's activity (column 3) in its
+    place."""
+    p = LpProblem("min", [-1.0, -1.0], [[-1.0, -1.0], [1.0, 1.0]], [-1.0, 1.0], [INF, 1.0],
+                  [-1.0, 0.0], [1.0, 2.0])
+    _phase_one_only(monkeypatch)
+    real = simplex._run_verified
+    ends = []
+
+    def recording(tab, *args, **kwargs):
+        out = real(tab, *args, **kwargs)
+        ends.append(tab.basis.tolist())
+        return out
+    monkeypatch.setattr(simplex, "_run_verified", recording)
+    s = solve_lp(p)
+    assert s.status == "optimal" and _certified(s)
+    assert s.objective == pytest.approx(-1.0, abs=1e-12)
+    assert ends == [[0, 4], [0, 3]]
+
+
+# x0's cost points off its bounds, so no slack basis here is dual feasible:
+# x0 is free with a cost, or x0 >= 0 with a cost towards its open side;
+# 0 <= x1 <= 2 (1 where x0 is one-sided)
+_SHIFTED = {
+    # min x0  s.t.  x0 - x1 >= 1;  x0 - x1 <= 1;  x0 - x1 >= 1 and <= 0
+    "free-optimal": (LpProblem("min", [1.0, 0.0], [[1.0, -1.0]], [1.0], [INF],
+                               [-INF, 0.0], [INF, 2.0]), "optimal", 1.0),
+    "free-unbounded": (LpProblem("min", [1.0, 0.0], [[1.0, -1.0]], [-INF], [1.0],
+                                 [-INF, 0.0], [INF, 2.0]), "unbounded", None),
+    "free-infeasible": (LpProblem("min", [1.0, 0.0], [[1.0, -1.0], [1.0, -1.0]], [1.0, -INF],
+                                  [INF, 0.0], [-INF, 0.0], [INF, 2.0]), "infeasible", None),
+    # min -x0  s.t.  x0 + x1 <= 3;  x0 - x1 >= -1;  x0 + x1 <= 3 and >= 5
+    "one-sided-optimal": (LpProblem("min", [-1.0, 0.0], [[1.0, 1.0]], [-INF], [3.0],
+                                    [0.0, 0.0], [INF, 1.0]), "optimal", -3.0),
+    "one-sided-unbounded": (LpProblem("min", [-1.0, 0.0], [[1.0, -1.0]], [-1.0], [INF],
+                                      [0.0, 0.0], [INF, 1.0]), "unbounded", None),
+    "one-sided-infeasible": (LpProblem("min", [-1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]],
+                                       [-INF, 5.0], [3.0, INF], [0.0, 0.0], [INF, 1.0]),
+                             "infeasible", None),
+}
+
+
+def _dual_phases_start_dual_feasible(mp):
+    """Every dual phase must start from reduced costs that no nonbasic
+    column improves on, as the dual simplex requires."""
+    real = simplex._dual_simplex
+
+    def checked(tab, c, max_iter, rc, tol):
+        assert not simplex._improving(rc, tab.status, tol).any()
+        return real(tab, c, max_iter, rc, tol)
+    mp.setattr(simplex, "_dual_simplex", checked)
+
+
+@pytest.mark.parametrize("case", list(_SHIFTED))
+def test_a_cost_pointing_off_its_bounds_is_shifted_not_sent_to_phase_one(case, monkeypatch):
+    p, status, objective = _SHIFTED[case]
+    monkeypatch.setattr(simplex, "_phase_one", _no_phase_one)
+    _dual_phases_start_dual_feasible(monkeypatch)
+    s = solve_lp(p)
+    assert s.status == status
+    if status == "optimal":
+        assert s.objective == pytest.approx(objective, abs=1e-12) and _certified(s)
+
+
+def test_a_basis_that_is_not_dual_feasible_is_used_not_refused(monkeypatch):
+    """The child's costs make x1, resting on its one finite bound, improving
+    from the parent's optimal basis: the warm start uses that basis and ends
+    at the cold answer without the cold path."""
+    # min x0 + 2 x1  s.t.  x0 + x1 >= 1,  x0 - x1 <= 2,  x >= 0: x = (1, 0)
+    p = LpProblem("min", [1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, -INF], [INF, 2.0],
+                  [0.0, 0.0], [INF, INF])
+    parent = solve_lp(p)
+    np.testing.assert_allclose(parent.x, [1.0, 0.0], atol=1e-12)
+    child = LpProblem("min", [2.0, 1.0], p.A, p.row_lb, p.row_ub, p.lb, p.ub)
+    cold = solve_lp(child)
+    np.testing.assert_allclose(cold.x, [0.0, 1.0], atol=1e-12)
+
+    def no_cold(*args):
+        raise AssertionError("the warm start must decide this child itself")
+    monkeypatch.setattr(simplex, "_cold_solve", no_cold)
+    _dual_phases_start_dual_feasible(monkeypatch)
+    warm = solve_lp(child, basis=parent.basis)
+    _same_answer(warm, cold)
+    np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_an_lp_without_rows_rests_each_column_where_its_cost_asks(seed):
+    """Each column on the bound its cost asks for, else the bound nearest
+    zero (zero when free); unbounded where that bound is infinite.  The
+    reduced costs are the costs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 7))
+    lb = np.where(rng.random(n) < 0.7, rng.uniform(-5, 0, n).round(2), -INF)
+    ub = np.where(rng.random(n) < 0.7, rng.uniform(0, 5, n).round(2), INF)
+    c = np.where(rng.random(n) < 0.3, 0.0, rng.normal(size=n).round(3))
+    sense = "min" if rng.random() < 0.5 else "max"
+    sc = c if sense == "min" else -c
+    nearest = simplex._nonbasic_values(simplex._initial_status(lb, ub), lb, ub)
+    x = np.where(sc > 0, lb, np.where(sc < 0, ub, nearest))
+    s = solve_lp(LpProblem(sense, c, np.zeros((0, n)), [], [], lb, ub))
+    if not np.isfinite(x).all():
+        assert s.status == "unbounded"
+        return
+    assert s.status == "optimal"
+    assert np.array_equal(s.x, x) and s.objective == float(c @ x)
+    assert np.array_equal(s.reduced_costs, c) and s.duals.shape == (0,)
+
+
+def test_the_empty_lp_is_optimal():
+    s = solve_lp(LpProblem("min", [], np.zeros((0, 0)), [], [], [], []))
+    assert (s.status, s.objective) == ("optimal", 0.0)
+    assert s.x.shape == s.duals.shape == s.reduced_costs.shape == s.basis.shape == (0,)
+
+
 def _knapsack_lp():
     return LpProblem("max", [3.0, 2.0, 4.0], [[2.0, 2.0, 3.0]], [-INF], [4.0],
                      np.zeros(3), np.ones(3))
@@ -410,7 +594,8 @@ def test_unusable_basis_takes_the_cold_path():
     assert solve_lp(child, basis=good).iterations < cold.iterations
 
     # slack basis of  min -x0 - x1, x0 + x1 <= 1, x >= 0:  both reduced
-    # costs point away from the only finite bound, so it is not dual feasible
+    # costs point away from the only finite bound, so it is not dual
+    # feasible; given as a basis, it is used just as the cold start uses it
     q = LpProblem("min", [-1.0, -1.0], [[1.0, 1.0]], [-INF], [1.0], [0.0, 0.0], [INF, INF])
     _identical(solve_lp(q, basis=np.array([2])), solve_lp(q))
     # a duplicated column makes no basis
@@ -761,7 +946,7 @@ def test_singular_a11_raises_and_the_warm_path_falls_back_cold():
 def test_singular_refactorization_runs_the_cold_retry_ladder(monkeypatch):
     p = _twin_column_lp()
     cold = solve_lp(p)
-    _two_phase_only(monkeypatch)
+    _phase_one_only(monkeypatch)
     real = simplex._Tableau.refactorize
     calls = []
 
@@ -772,7 +957,9 @@ def test_singular_refactorization_runs_the_cold_retry_ladder(monkeypatch):
         return real(tab)
     monkeypatch.setattr(simplex._Tableau, "refactorize", singular_first)
     retried = solve_lp(p)
-    assert len({id(t) for t in calls}) == 2  # a second attempt on a new tableau
+    # a second attempt on a new tableau, then the primal tail on a tableau over the form
+    assert len({id(t) for t in calls}) == 3
+    assert calls[-1].form is not None
     assert retried.status == "optimal"
     assert retried.objective == pytest.approx(cold.objective, abs=1e-9)
 
