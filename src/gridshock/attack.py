@@ -441,34 +441,32 @@ def _zone_packages(
     (zg, zf) vectors of every zone whose estimate is positive, largest
     estimate first, for exact evaluation.
     """
-    G, E = net.num_generators, net.num_edges
+    G = net.num_generators
     arr = net.arrays
-    kill_room = arr.g_span
-    d, _ = demand.at(season, hour)
+    d = demand.at(season, hour)[0].tolist()
+    price = np.concatenate([costs.cg, costs.cf])[arr.item_col]
+    # each node's items cheapest first; on a tie edges first, then by index
+    order = np.lexsort((arr.item_col, arr.item_is_gen, price, arr.item_node))
+    prices, caps = price[order].tolist(), arr.item_cap[order].tolist()
+    cols, ptr = arr.item_col[order].tolist(), arr.item_ptr.tolist()
     ranked = []
     for n in range(net.num_nodes):
         if d[n] <= 0:
             continue
-        items = [(costs.cg[k], "g", k, kill_room[k]) for k in arr.node_gens[n]
-                 if kill_room[k] > 0]
-        items += [(costs.cf[e], "f", e, arr.f_cap[e]) for e in arr.node_edges[n]]
-        supply = sum(cap for _, _, _, cap in items) + arr.node_floor[n]
-        margin = supply - d[n]
-        items.sort(key=lambda t: (t[0], t[1], t[2]))
+        margin = arr.node_supply[n] - d[n]
         remaining = budget
         bought = 0.0
-        zg = np.zeros(G)
-        zf = np.zeros(E)
-        for price, kind, i, cap in items:
-            amount = min(cap, remaining / price)
+        z = np.zeros(G + net.num_edges)  # (zg, zf)
+        for j in range(ptr[n], ptr[n + 1]):
+            amount = min(caps[j], remaining / prices[j])
             if amount <= 1e-9:
                 break
-            (zg if kind == "g" else zf)[i] = amount
+            z[cols[j]] = amount
             bought += amount
-            remaining -= amount * price
+            remaining -= amount * prices[j]
         est = min(max(0.0, bought - max(margin, 0.0)), d[n])
         if est > 1e-9:
-            ranked.append((est, n, zg, zf))
+            ranked.append((est, n, z[:G], z[G:]))
     ranked.sort(key=lambda t: (-t[0], t[1]))
     return [(zg, zf) for _, _, zg, zf in ranked]
 

@@ -81,6 +81,17 @@ class NetworkArrays:
     node_gens: tuple[tuple[int, ...], ...]   # per node, its generators in order
     node_edges: tuple[tuple[int, ...], ...]  # per node, its incident edges in order
     node_floor: tuple[float, ...]            # per node, the sum of its must-run floors
+    # what an attack may buy at each node, the nodes in order: its generators
+    # with room to kill, then its incident edges, each with its column in the
+    # concatenated (zg, zf) and its capacity; item_ptr[n]:item_ptr[n + 1] are
+    # node n's, and its supply is the sum of their capacities, in that order,
+    # plus its floor
+    item_node: np.ndarray                    # the item's node
+    item_is_gen: np.ndarray                  # a generator, not an edge
+    item_col: np.ndarray                     # k for generator k, G + e for edge e
+    item_cap: np.ndarray                     # g_span or f_cap
+    item_ptr: np.ndarray                     # N + 1
+    node_supply: tuple[float, ...]
 
     @classmethod
     def of(cls, net: "PowerNetwork") -> "NetworkArrays":
@@ -100,16 +111,27 @@ class NetworkArrays:
             node_gens[idx[gen.node]].append(k)
         g_lo = np.array([g.g_min for g in gens])
         g_up = np.array([g.g_max for g in gens])
+        g_span = g_up - g_lo
+        f_cap = np.array([e.flow_limit for e in edges])
         ref = idx[net.reference_node]
         e_ref = np.zeros(net.num_nodes)
         e_ref[ref] = 1.0
+        floor = tuple(sum(g_lo[k] for k in ks) for ks in node_gens)
+        G = net.num_generators
+        items = [[(k, g_span[k]) for k in ks if g_span[k] > 0] + [(G + e, f_cap[e]) for e in es]
+                 for ks, es in zip(node_gens, node_edges)]
+        counts = [len(it) for it in items]
+        item_col = np.array([col for it in items for col, _ in it], dtype=np.intp)
         arrays = cls(
             incidence, gen_node_map, BASE_MVA * np.array([e.susceptance for e in edges]),
-            np.array([g.cost for g in gens]), g_lo, g_up, g_up - g_lo,
-            np.array([e.flow_limit for e in edges]), np.array([e.angle_limit for e in edges]),
+            np.array([g.cost for g in gens]), g_lo, g_up, g_span,
+            f_cap, np.array([e.angle_limit for e in edges]),
             np.array([nd.customer_share for nd in net.nodes]), ref, e_ref,
-            tuple(map(tuple, node_gens)), tuple(map(tuple, node_edges)),
-            tuple(sum(g_lo[k] for k in ks) for ks in node_gens),
+            tuple(map(tuple, node_gens)), tuple(map(tuple, node_edges)), floor,
+            np.repeat(np.arange(net.num_nodes), counts), item_col < G, item_col,
+            np.array([cap for it in items for _, cap in it], dtype=float),
+            np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]),
+            tuple(sum(cap for _, cap in it) + fl for it, fl in zip(items, floor)),
         )
         for value in vars(arrays).values():
             if isinstance(value, np.ndarray):
@@ -354,13 +376,14 @@ class DemandProfile:
 
 
 def apply_heatwave(profile: DemandProfile, factor: float) -> DemandProfile:
-    """Scale every demand entry by ``factor`` (VOLL unchanged); 0 < factor < inf."""
+    """Scale every demand entry by ``factor``; 0 < factor < inf.  The heated
+    profile shares the base profile's read-only VOLL arrays."""
     if not 0 < factor < np.inf:
         raise ValueError(f"heatwave_factor must be finite and positive, got {factor}")
     return DemandProfile(
         node_ids=profile.node_ids,
-        demand={s: np.array(a) * factor for s, a in profile.demand.items()},
-        voll={s: np.array(a) for s, a in profile.voll.items()},
+        demand={s: a * factor for s, a in profile.demand.items()},
+        voll=dict(profile.voll),
     )
 
 

@@ -66,18 +66,22 @@ with the cost towards its open side -- has its cost shifted to a zero
 reduced cost for the dual phase (Koberstein, *The dual simplex method*,
 2005, ch. 4).  None does when only bounds moved, as for a
 branch-and-bound child or a dispatch with lowered capacities, so a few
-pivots restore primal feasibility.  The leaving row has the largest
+pivots restore primal feasibility.  The boxed columns settle before
+the basic values are computed, once.  The leaving row has the largest
 primal infeasibility; the ratio test uses the primal core's tolerance
 band with a largest-|alpha| tie-break (lowest index first) and Bland's
-rule after a stall.  An "infeasible" verdict stands only when it holds
-on a fresh factorization; it does not depend on the costs.  A feasible
-basis ends in the primal tail: the primal core with the true costs, its
-optimality recheck on a fresh factorization, and the dual simplex again
-where the ratio test's band left a basic value past its bounds.  The
-cold path runs instead when the basis has the wrong shape or is
-singular, or on any numerical failure, so a refused warm start ends
-exactly as a solve without a basis: a basis can change the pivot count
-but never the trust in the answer.
+rule after a stall.  It clips negative ratios to zero, so where the dual
+phase refactorizes and reprices anyway, it raises if a movable column's
+reduced cost has drifted to the wrong sign.  An "infeasible" verdict
+stands only when it holds on a fresh factorization; it does not depend
+on the costs.  A feasible basis ends in the primal tail: the primal core
+with the true costs, its optimality recheck on a fresh factorization,
+and the dual simplex again where the ratio test's band left a basic
+value past its bounds.  The cold path runs instead when the basis has
+the wrong shape, an index out of range or twice, or is singular, or on
+any numerical failure, so a refused warm start ends exactly as a solve
+without a basis: a basis can change the pivot count but never the trust
+in the answer.
 
 Shared form.  The scaled standard form depends on ``A`` alone, so an
 :class:`LpForm` builds it once -- the equilibration factors and
@@ -87,27 +91,32 @@ branch-and-bound tree.  The form also keeps a small store of basis
 inverses, keyed by basis, and every factorization of a tableau over its
 ``A_std`` goes through it: the warm start and the slack start, the
 optimality recheck, the dual phase's confirmations and the eta update's
-refactorizations.  A basis found there is not factorized again.  That is
+refactorizations.  A basis found there is not factorized again, nor
+checked for its indices (it was factorized, so it is valid).  That is
 bit-identical to a fresh factorization, which is a pure function of
 ``(A_std, basis)`` for a fixed BLAS thread count; the stored inverses are
-read-only, and a tableau copies one before its first pivot.  The store
-keeps up to ``_STORE_BYTES`` of inverses, the least recently used leaving
-first, and never fewer than the ``_STORE_MIN`` most recent: a
-branch-and-bound child's recheck must not evict the parent basis its
-sibling starts from.  Since the slack start runs over the form, the final
-inverse of a cold solve is stored for the warm starts from its basis (a
-branch-and-bound root's first children).  Only phase 1 factorizes over
-``A_std`` with artificial columns appended, so its tableaux stay outside
-the store; its primal tail runs over the form.  The optimality recheck
-always runs on a fresh factorization, but it refactorizes only when a
-pivot or a bound flip happened since the last one: with neither, the
-inverse in hand is that fresh factorization.  When the dual phase makes no pivot at all, the
-recheck would price exactly what the warm start priced -- same inverse,
-costs and statuses -- so it is not run again: the warm start's one pricing
-pass, which found no improving column, is the answer.  A re-solve whose
-starting basis stays optimal thus prices once, with the same solution,
-basis and iteration count as the full recheck, and factorizes nothing
-when its basis is in the store.
+read-only, and a tableau copies one before its first pivot.  With each
+inverse the store keeps the costs, reduced costs and tolerance of the
+last start from its basis, read-only; a start under equal costs, as the
+next candidate of an hour, takes them instead of pricing.  The store
+keeps up to ``_STORE_BYTES`` of inverses, the least recently used
+leaving first with its pricing, and never fewer than the ``_STORE_MIN``
+most recent: a branch-and-bound child's recheck must not evict the
+parent basis its sibling starts from.
+Since the slack start runs over the form, the final inverse of a cold
+solve is stored for the warm starts from its basis (a branch-and-bound
+root's first children).  Only phase 1 factorizes over ``A_std`` with
+artificial columns appended, so its tableaux stay outside the store; its
+primal tail runs over the form.  The optimality recheck always runs on a
+fresh factorization, but it refactorizes only when a pivot or a bound
+flip happened since the last one: with neither, the inverse in hand is
+that fresh factorization.  When the dual phase makes neither a pivot nor
+a shift, the primal tail would price what the start priced -- same
+inverse, costs and statuses -- and test the basic values the dual phase
+just passed, so it does neither: the start's pricing is the answer.  A
+re-solve whose starting basis stays optimal thus prices at most once,
+with the same solution, basis and iteration count as the full recheck,
+and not at all, nor factorizes, when its basis and costs are stored.
 
 Two stages.  :func:`solve_lp` is :func:`optimize_lp`, which runs the
 simplex and returns the optimal vertex -- status, iterations, basis, ``x``
@@ -542,7 +551,7 @@ class _Tableau:
     def refactorize(self):
         """A fresh factorization of the current basis, from the form's store
         when it holds one, and the basic values it gives."""
-        self.binv = self.form.inverse(self) if self.form is not None else self.invert()
+        self.binv = self.form.inverse(self)[0] if self.form is not None else self.invert()
         self.pivots_since_refactor = 0
         self.fresh = True
         self.recompute_basic_values()
@@ -780,41 +789,33 @@ class LpForm:
         self.R, self.C = _equilibrate(rows, cols, vals, A.shape)
         self.A_std = _Csc.standard_form(rows, cols, vals * self.R[rows] * self.C[cols],
                                         A.shape)
-        self._inverses: dict[bytes, np.ndarray] = {}
+        self._inverses: dict[bytes, list] = {}
         self._stored_bytes = 0
 
-    def inverse(self, tab: _Tableau) -> np.ndarray:
-        """The read-only inverse of ``tab``'s basis: the stored one, or a new
-        factorization, which the store then keeps."""
+    def inverse(self, tab: _Tableau) -> list:
+        """The store's entry for ``tab``'s basis, a new factorization where
+        there is none: [read-only inverse, and the costs, reduced costs and
+        tolerance of the last start from it (None before one)]."""
         key = tab.basis.tobytes()
-        binv = self._inverses.pop(key, None)
-        if binv is None:
-            binv = tab.invert()
-            binv.flags.writeable = False
-            self._stored_bytes += binv.nbytes
-        self._inverses[key] = binv  # now the most recently used
+        entry = self._inverses.pop(key, None)
+        if entry is None:
+            entry = [tab.invert(), None, None, None]
+            entry[0].flags.writeable = False
+            self._stored_bytes += entry[0].nbytes
+        self._inverses[key] = entry  # now the most recently used
         while len(self._inverses) > _STORE_MIN and self._stored_bytes > _STORE_BYTES:
             oldest = next(iter(self._inverses))
-            self._stored_bytes -= self._inverses.pop(oldest).nbytes
-        return binv
+            self._stored_bytes -= self._inverses.pop(oldest)[0].nbytes
+        return entry
 
 
 def _run_verified(tab: _Tableau, c: np.ndarray, max_iter: int,
                   refactor_every: int = _REFACTOR_EVERY,
-                  bland_start: bool = False, priced: bool = False) -> tuple[str, int]:
+                  bland_start: bool = False) -> tuple[str, int]:
     """Iterate until an exact recheck on a fresh basis inverse confirms the
     claimed status; guards against drift-induced false optima.  The inverse
     is refactorized only when it is not fresh already.
-
-    ``priced`` says that the caller priced the tableau's fresh factorization
-    at its current statuses under ``_rc_tol(c)`` and found no improving
-    column.  The first pass of the primal core would compute those same
-    reduced costs and stop, and the recheck would find nothing at its looser
-    tolerance on that same inverse; so the answer is "optimal" after that
-    one pass, with nothing computed.
     """
-    if priced:
-        return "optimal", 1
     total = 0
     for _ in range(_VERIFY_ROUNDS):
         status, it = _simplex_core(tab, c, max_iter, refactor_every, bland_start)
@@ -848,6 +849,13 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int,
     either sign.
     """
     movable = tab.lb < tab.ub
+
+    def reprice() -> np.ndarray:  # refusing reduced costs of the wrong sign
+        tab.refactorize()
+        rc = tab.reduced_costs(c)
+        if (_improving(rc, tab.status, tol) * movable).any():
+            raise SolverNumericalError("dual phase lost dual feasibility")
+        return rc
     bland = False
     stall = 0
     it = 0
@@ -877,8 +885,7 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int,
                 | (fre & (np.abs(ahat) > _PIVOT_TOL)))
         if not elig.any():
             if tab.pivots_since_refactor:
-                tab.refactorize()  # confirm on a fresh factorization
-                rc = tab.reduced_costs(c)
+                rc = reprice()  # confirm on a fresh factorization
                 continue
             # a proof only if no tiny entry could still close the violation
             towards = (low & (ahat > 0.0)) | (upp & (ahat < 0.0)) | (fre & (ahat != 0.0))
@@ -904,8 +911,7 @@ def _dual_simplex(tab: _Tableau, c: np.ndarray, max_iter: int,
             # row and column of the inverse disagree: it has drifted
             if not tab.pivots_since_refactor:
                 raise SolverNumericalError("unstable dual pivot on a fresh factorization")
-            tab.refactorize()
-            rc = tab.reduced_costs(c)
+            rc = reprice()
             continue
         it += 1
         if it > max_iter:
@@ -946,26 +952,30 @@ def _warm_solve(form: LpForm, lb: np.ndarray, ub: np.ndarray, c: np.ndarray,
     A_std = form.A_std
     m, ncols = A_std.shape
     basic = np.asarray(basis)
-    if (basic.shape != (m,) or basic.dtype.kind not in "iu"
-            or ((basic < 0) | (basic >= ncols)).any()
-            or np.bincount(basic, minlength=ncols).max(initial=0) > 1):
+    if basic.shape != (m,) or basic.dtype.kind not in "iu":
         return None
     tab = _Tableau(A_std, lb, ub, ncols - m, form)  # it only reads the bounds
     tab.basis = basic.astype(np.int64)
+    if tab.basis.tobytes() not in form._inverses and (  # a stored basis is valid
+            ((basic < 0) | (basic >= ncols)).any()
+            or np.bincount(tab.basis, minlength=ncols).max(initial=0) > 1):
+        return None
     tab.status = _initial_status(lb, ub)
     tab.status[tab.basis] = _BASIC
     boxed = (tab.status != _BASIC) & np.isfinite(lb) & np.isfinite(ub)
-    tab.refactorize()
-    rc = tab.reduced_costs(c)  # the only pricing pass when no pivot follows
-    tol = _rc_tol(c)
+    entry = form.inverse(tab)
+    tab.binv, tab.fresh = entry[0], True
+    if not np.array_equal(entry[1], c):  # under equal costs the stored pricing holds
+        entry[1:] = c, tab.reduced_costs(c), _rc_tol(c)
+        entry[2].flags.writeable = False
+    rc, tol = entry[2], entry[3]  # the only pricing pass when no pivot follows
     # a boxed column rests on the bound its reduced cost asks for; where
     # the cost is indifferent it stays on the bound nearest zero, as in a
     # cold start, which keeps degenerate optima (big-M multipliers) small
     want = np.where(rc < -tol, _AT_UPPER, np.where(rc > tol, _AT_LOWER, tab.status))
     moved = boxed & (want != tab.status)
-    if moved.any():
-        tab.status[moved] = want[moved]
-        tab.recompute_basic_values()
+    tab.status[moved] = want[moved]
+    tab.recompute_basic_values()  # once, at the settled statuses
     shifted = _improving(rc, tab.status, tol) > 0.0
     c_dual = c
     if shifted.any():
@@ -988,9 +998,14 @@ def _primal_tail(tab: _Tableau, c: np.ndarray, max_iter: int,
     The ratio test's tolerance band can leave a basic value past its bounds
     (far past them when the bounds are tiny against the step); the optimal
     basis is dual feasible, so the dual simplex clears that before the
-    answer stands.
+    answer stands.  ``priced`` says that the caller found no improving
+    column under ``_rc_tol(c)`` on the fresh factorization at its statuses,
+    and no basic value past its bounds: the answer is "optimal" after that
+    one pricing pass, with nothing computed (see the module docstring).
     """
-    status, it = _run_verified(tab, c, max_iter, priced=priced)
+    if priced:
+        return "optimal", 1
+    status, it = _run_verified(tab, c, max_iter)
     if status == "optimal" and _primal_infeasible(tab):
         status, more = _dual_simplex(tab, c, max_iter, tab.reduced_costs(c), _rc_tol(c))
         it += more

@@ -276,7 +276,7 @@ def test_resolve_without_pivots_matches_the_full_recheck(shared_day, hour, kind,
     def solve():
         return solve_dcopf(net, demand, "summer", hour, *zs, basis=base.basis,
                            form=shared_day.form)
-    real = simplex._run_verified
+    real = simplex._primal_tail
 
     def full_recheck(*args, priced=False, **kwargs):
         return real(*args, **kwargs)
@@ -284,13 +284,13 @@ def test_resolve_without_pivots_matches_the_full_recheck(shared_day, hour, kind,
         with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
             solve()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simplex, "_run_verified", full_recheck)
+            mp.setattr(simplex, "_primal_tail", full_recheck)
             with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
                 solve()
         return
     fast = _inner_lp(solve)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "_run_verified", full_recheck)
+        mp.setattr(simplex, "_primal_tail", full_recheck)
         checked = _inner_lp(solve)
     assert (fast.status, fast.objective, fast.iterations) == \
         (checked.status, checked.objective, checked.iterations)
@@ -300,7 +300,8 @@ def test_resolve_without_pivots_matches_the_full_recheck(shared_day, hour, kind,
 
 def test_resolve_without_pivots_prices_once(bundled_net, bundled_demand, monkeypatch):
     """At hour 17, a re-solve whose base basis stays optimal and is in the
-    form's store computes the reduced costs once and factorizes nothing."""
+    form's store, with the pricing of an earlier start from it under the
+    same costs, computes no reduced costs and factorizes nothing."""
     net = bundled_net
     form = dispatch_form(net)
     base = solve_dcopf(net, bundled_demand, "summer", 17, form=form)
@@ -312,7 +313,7 @@ def test_resolve_without_pivots_prices_once(bundled_net, bundled_demand, monkeyp
     def resolve():
         return _inner_lp(lambda: solve_dcopf(net, bundled_demand, "summer", 17, zg,
                                              basis=base.basis, form=form))
-    resolve()  # stores the base basis's inverse
+    resolve()  # stores the base basis's inverse and its pricing
     priced = []
     real = simplex._Tableau.reduced_costs
 
@@ -322,8 +323,8 @@ def test_resolve_without_pivots_prices_once(bundled_net, bundled_demand, monkeyp
     monkeypatch.setattr(simplex._Tableau, "reduced_costs", counting)
     inverted = _count_inversions(monkeypatch)
     lp = resolve()
-    assert (len(priced), len(inverted)) == (1, 0)
-    assert lp.iterations == 1  # no dual pivot, one pricing pass
+    assert (len(priced), len(inverted)) == (0, 0)
+    assert lp.iterations == 1  # no dual pivot, the stored pricing pass
     assert np.array_equal(lp.basis, base.basis)
 
 

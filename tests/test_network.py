@@ -178,6 +178,15 @@ def test_heatwave_scales_everything():
     np.testing.assert_allclose(hot.voll["summer"], prof.voll["summer"])
 
 
+def test_heatwave_shares_voll_and_scales_demand_exactly(bundled_demand):
+    hot = apply_heatwave(bundled_demand, 1.09)
+    for season in bundled_demand.seasons:
+        assert hot.voll[season] is bundled_demand.voll[season]
+        base = bundled_demand.demand[season]
+        assert hot.demand[season].tobytes() == (base * 1.09).tobytes()
+        assert not hot.demand[season].flags.writeable
+
+
 def test_heatwave_identity_and_doubling():
     net = two_bus()
     prof = profile_for(net, [[50.0, 50.0]])
@@ -275,6 +284,25 @@ def test_network_arrays_are_built_once_and_read_only(bundled_net):
             assert arr.node_edges[n] == tuple(e for e, edge in enumerate(net.edges)
                                               if node.id in (edge.from_node, edge.to_node))
             assert arr.node_floor[n] == sum(net.generators[k].g_min for k in gens)
+
+
+def test_zone_items_by_node(bundled_net):
+    """Each node's items: its generators with room to kill, then its incident
+    edges, in entity order; its supply sums their capacities in that order."""
+    for net in (two_bus(), triangle(), bundled_net):
+        arr = net.arrays
+        G = net.num_generators
+        for n in range(net.num_nodes):
+            want = ([(k, arr.g_span[k]) for k in arr.node_gens[n] if arr.g_span[k] > 0]
+                    + [(G + e, arr.f_cap[e]) for e in arr.node_edges[n]])
+            span = slice(arr.item_ptr[n], arr.item_ptr[n + 1])
+            assert list(zip(arr.item_col[span].tolist(), arr.item_cap[span].tolist())) == want
+            assert (arr.item_node[span] == n).all()
+            assert arr.item_is_gen[span].tolist() == [col < G for col, _ in want]
+            assert arr.node_supply[n] == sum(cap for _, cap in want) + arr.node_floor[n]
+        assert arr.item_ptr[-1] == arr.item_col.size
+        assert not any(a.flags.writeable for a in (arr.item_node, arr.item_is_gen,
+                                                   arr.item_col, arr.item_cap, arr.item_ptr))
 
 
 def test_killable_span_and_shares_by_hand():

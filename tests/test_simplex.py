@@ -525,6 +525,30 @@ def test_a_basis_that_is_not_dual_feasible_is_used_not_refused(monkeypatch):
     np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
 
 
+def test_the_dual_phase_refuses_a_start_that_is_not_dual_feasible():
+    """min -x0  s.t.  x0 + x1 >= 2,  x0 + x1 <= 1,  x >= 0 from the slack
+    basis, with x0's cost left unshifted: the ratio test clips x0's negative
+    ratio to zero and x0 enters, row 1 then has no eligible column, and the
+    repricing on a fresh factorization finds t0's reduced cost of the wrong
+    sign.  The phase raises, where it would have gone on to a verdict."""
+    p = LpProblem("min", [-1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [2.0, -INF], [INF, 1.0],
+                  [0.0, 0.0], [INF, INF])
+    form = LpForm(p.A)
+    lb, ub = np.concatenate([p.lb, p.row_lb]), np.concatenate([p.ub, p.row_ub])
+    c = np.concatenate([p.c, np.zeros(2)])
+    tab = simplex._Tableau(form.A_std, lb, ub, 2, form)
+    tab.basis = np.array([2, 3])
+    tab.status = simplex._initial_status(lb, ub)
+    tab.status[tab.basis] = simplex._BASIC
+    tab.refactorize()
+    rc, tol = tab.reduced_costs(c), simplex._rc_tol(c)
+    assert simplex._improving(rc, tab.status, tol).any()
+    with pytest.raises(simplex.SolverNumericalError, match="lost dual feasibility"):
+        simplex._dual_simplex(tab, c, 100, rc, tol)
+    assert tab.basis.tolist() == [0, 3]  # x0 entered before the check
+    assert solve_lp(p).status == "infeasible"  # the solve shifts x0's cost
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_an_lp_without_rows_rests_each_column_where_its_cost_asks(seed):
@@ -612,6 +636,54 @@ def test_warm_start_bit_identical(hour17):
     a, b = solve_lp(p, basis=basis), solve_lp(p, basis=basis)
     _identical(a, b)
     assert np.array_equal(a.basis, b.basis)
+
+
+def _counting(monkeypatch, *names) -> dict:
+    """How often each named _Tableau method runs from here on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(simplex._Tableau, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(simplex._Tableau, name, counted)
+    return counts
+
+
+def test_a_stored_start_factorizes_nothing_and_computes_its_basic_values_once(monkeypatch):
+    """The knapsack's optimal basis holds x2, with x0 on its upper bound:
+    re-solved from that basis, the start moves x0 up from the bound nearest
+    zero and makes no pivot.  Its inverse is in the form's store since the
+    cold solve; the pricing is stored by the first warm start and reused by
+    the next one under the same costs, and other costs price again."""
+    p = _knapsack_lp()
+    form = LpForm(p.A)
+    cold = solve_lp(p, form=form)
+    counts = _counting(monkeypatch, "invert", "recompute_basic_values", "reduced_costs")
+    seen = []
+    for costs in ([3.0, 2.0, 4.0], [3.0, 2.0, 4.0], [3.0, 2.0, 4.2]):
+        q = LpProblem("max", costs, p.A, p.row_lb, p.row_ub, p.lb, p.ub)
+        vertex = optimize_lp(q, basis=cold.basis, form=form)
+        assert (vertex.iterations, vertex.basis.tolist()) == (1, cold.basis.tolist())
+        assert np.array_equal(vertex.x, cold.x)
+        seen.append(tuple(counts.values()))
+        counts.update(dict.fromkeys(counts, 0))
+    assert seen == [(0, 1, 1), (0, 1, 0), (0, 1, 1)]
+    # the stored inverse and pricing give what a new form computes afresh
+    _identical(finish_lp(optimize_lp(p, basis=cold.basis, form=form)),
+               solve_lp(p, basis=cold.basis))
+
+
+def test_a_bad_basis_that_is_not_stored_is_refused_on_a_shared_form():
+    """On a form whose store holds the knapsack's bases, an out-of-range or
+    duplicated basis is refused just as on a new form, and solved cold."""
+    p = _knapsack_lp()
+    q = LpProblem("min", [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, -1.0], [INF, 1.0],
+                  [0.0, 0.0], [INF, INF])
+    for lp, bad in ((p, [4]), (p, [-1]), (q, [0, 0]), (q, [2, 2]), (q, [0, 9])):
+        form = LpForm(lp.A)
+        cold = solve_lp(lp, form=form)
+        solve_lp(lp, basis=cold.basis, form=form)
+        _identical(solve_lp(lp, basis=np.array(bad), form=form), solve_lp(lp))
 
 
 def test_form_must_be_built_from_the_problems_matrix():
